@@ -17,11 +17,12 @@
    --metrics (print the metrics registry after); [simulate] additionally
    accepts --prom FILE (Prometheus text exposition of the registry,
    including per-domain pool utilization series when --jobs > 1),
-   --snapshot-every N / --snapshot-out FILE (periodic metric snapshots,
-   plottable with cstrace timeline), --resource (sample GC counters at
-   deterministic chunk boundaries into the gc.* series) and
+   --snapshots FILE (periodic metric snapshots at a cadence derived from
+   the trial count, plottable with cstrace timeline), --resource (sample
+   GC counters at deterministic chunk boundaries into the gc.* series),
    --health FILE (evaluate SLO rules against the end-of-run registry and
-   exit 1/2 on warn/critical); [report] aggregates a JSONL trace
+   exit 1/2 on warn/critical) and --emit ADDR (stream the trace live to
+   a cstrace collect collector); [report] aggregates a JSONL trace
    back into summary numbers. The
    Monte-Carlo and batch-planning commands ([simulate], [compare],
    [table]) accept --jobs N to run on N domains; output is bit-identical
@@ -235,33 +236,24 @@ let prom_term =
           "Write the metrics registry as Prometheus text exposition to \
            $(docv) after the run.")
 
-let snapshot_every_term =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "snapshot-every" ] ~docv:"N"
-        ~doc:
-          "Capture a metrics snapshot every $(docv) trials (rounded up to \
-           the Monte-Carlo chunk size); write the JSONL timeline to \
-           $(b,--snapshot-out).")
-
-let snapshot_out_term =
-  Arg.(
-    value
-    & opt string "snapshots.jsonl"
-    & info [ "snapshot-out" ] ~docv:"FILE"
-        ~doc:"Where $(b,--snapshot-every) writes its snapshot timeline.")
-
-let serve_term =
+let snapshots_term =
   Arg.(
     value
     & opt (some string) None
-    & info [ "serve" ] ~docv:"ADDR"
+    & info [ "snapshots" ] ~docv:"FILE"
         ~doc:
-          "Expose the live metrics registry over HTTP for the duration \
-           of the run: /metrics (Prometheus text), /health (rule \
-           verdict when $(b,--health) is given), /runs (the .csobs \
-           index). $(docv) is $(b,unix:PATH) or $(b,HOST:PORT).")
+          "Capture periodic metrics snapshots and write the JSONL \
+           timeline to $(docv). The cadence follows from the trial \
+           count: one capture per Monte-Carlo chunk, widened so the \
+           whole run fits the snapshot ring, plus a final capture at \
+           the trial count.")
+
+(* One capture per whole number of chunks, chosen so the ring never
+   wraps: the tick marks fall on chunk boundaries, so a run captures at
+   most ⌈trials / every⌉ <= capacity frames, the final one included. *)
+let snapshot_every ~trials =
+  let span = Monte_carlo.chunk_size * Obs.Snapshot.default_capacity in
+  Monte_carlo.chunk_size * ((Int.max 1 trials + span - 1) / span)
 
 let emit_term =
   Arg.(
@@ -281,28 +273,22 @@ let emit_term =
    file is actually being written. Afterwards: print the registry
    (--metrics), write the Prometheus exposition (--prom, with
    [prom_extra ()] lines appended — per-domain utilization series the
-   registry itself cannot carry), the snapshot timeline
-   (--snapshot-every/--snapshot-out), and finally evaluate [--health]
-   rules against the end-of-run registry, exiting 1/2 on a warn /
-   critical verdict. [resource] attaches a GC sampler ([gc.*] series)
-   that the caller threads to the run's deterministic sampling
+   registry itself cannot carry), the snapshot timeline ([snapshot] is
+   the capture cadence and the --snapshots file), and finally evaluate
+   [--health] rules against the end-of-run registry, exiting 1/2 on a
+   warn / critical verdict. [resource] attaches a GC sampler ([gc.*]
+   series) that the caller threads to the run's deterministic sampling
    points. *)
 let with_obs ~meta ~trace ~metrics ?prom ?(prom_extra = fun () -> [])
-    ?snapshot ?(resource = false) ?health ?serve ?emit k =
+    ?snapshot ?(resource = false) ?health ?emit k =
   let registry =
-    if
-      metrics || prom <> None || snapshot <> None || resource
-      || health <> None || serve <> None
+    if metrics || prom <> None || snapshot <> None || resource || health <> None
     then Some (Obs.Metrics.create ())
     else None
   in
   let snap =
     match (snapshot, registry) with
-    | Some (every, _), Some m -> (
-        try Some (Obs.Snapshot.create ~every m)
-        with Invalid_argument msg ->
-          prerr_endline ("error: " ^ msg);
-          exit 2)
+    | Some (every, _), Some m -> Some (Obs.Snapshot.create ~every m)
     | _ -> None
   in
   let res =
@@ -334,59 +320,6 @@ let with_obs ~meta ~trace ~metrics ?prom ?(prom_extra = fun () -> [])
       prerr_endline ("error: " ^ msg);
       exit 1
   in
-  (* --serve: expose the live registry over HTTP for the duration of
-     the run. The server thread reads the registry while the run
-     mutates it — scrapes see a mid-run state, which is the point. The
-     shutdown is registered with at_exit so the listening socket is
-     joined and unlinked even on the health-verdict exit paths. *)
-  (match serve with
-  | None -> ()
-  | Some addr -> (
-      let addr =
-        match Obs_http.addr_of_string addr with
-        | Ok a -> a
-        | Error msg ->
-            prerr_endline ("error: " ^ msg);
-            exit 2
-      in
-      let source =
-        {
-          Obs_http.metrics =
-            (fun () ->
-              match registry with
-              | Some m -> Obs_export.prometheus m @ prom_extra ()
-              | None -> []);
-          health =
-            (fun () ->
-              match (health_rules, registry) with
-              | Some rules, Some m ->
-                  let report =
-                    Obs_health.evaluate ~rules
-                      [ (None, Obs.Metrics.snapshot m) ]
-                  in
-                  let body =
-                    Format.asprintf "%a" Obs_health.pp_report report
-                  in
-                  if Obs_health.exit_code report = 0 then (200, body)
-                  else (503, body)
-              | _ -> (200, "ok\n"));
-          runs =
-            (fun () ->
-              if not (Sys.file_exists Obs_store.default_root) then
-                Ok (Jsonx.List [])
-              else
-                Result.bind (Obs_store.open_store ()) (fun s ->
-                    Result.map Obs_store.index_to_json (Obs_store.ls s)));
-        }
-      in
-      match Obs_http.serve_in_background ~addr source with
-      | Error msg ->
-          prerr_endline ("error: " ^ msg);
-          exit 1
-      | Ok srv ->
-          at_exit (fun () -> Obs_http.shutdown srv);
-          Format.printf "serving on %a@." Obs_http.pp_addr
-            (Obs_http.address srv)));
   (* --emit: a remote sink streaming to a live collector. Closing
      flushes the ring and sends BYE; it is hooked on at_exit (not a
      Fun.protect) because the health-verdict paths below leave through
@@ -585,8 +518,8 @@ let simulate_cmd =
              end-of-run metrics registry; print the report and exit 1 \
              on a warn verdict, 2 on critical.")
   in
-  let run spec c trials seed jobs trace metrics prom snapshot_every
-      snapshot_out resource health serve emit plan_cache plan_table =
+  let run spec c trials seed jobs trace metrics prom snapshots resource health
+      emit plan_cache plan_table =
     let meta () =
       Obs.Meta.make ~seed:(Int64.of_int seed) ~jobs
         ~scenario:
@@ -594,14 +527,16 @@ let simulate_cmd =
              trials)
         ()
     in
-    let snapshot = Option.map (fun n -> (n, snapshot_out)) snapshot_every in
+    let snapshot =
+      Option.map (fun out -> (snapshot_every ~trials, out)) snapshots
+    in
     (* Filled while the pool is still alive; read by with_obs after the
        run when it writes the --prom file. *)
     let extra = ref [] in
     with_family spec (fun lf ->
         with_obs ~meta ~trace ~metrics ?prom
           ~prom_extra:(fun () -> !extra)
-          ?snapshot ~resource ?health ?serve ?emit
+          ?snapshot ~resource ?health ?emit
           (fun obs snap res ->
             with_jobs jobs (fun pool ->
             let plan =
@@ -639,9 +574,9 @@ let simulate_cmd =
        ~doc:"Monte-Carlo-validate the guideline schedule for a scenario.")
     Term.(
       const run $ family_term $ c_term $ trials $ seed $ jobs_term
-      $ trace_term $ metrics_term $ prom_term $ snapshot_every_term
-      $ snapshot_out_term $ resource_term $ health_term $ serve_term
-      $ emit_term $ plan_cache_term $ plan_table_term)
+      $ trace_term $ metrics_term $ prom_term $ snapshots_term
+      $ resource_term $ health_term $ emit_term $ plan_cache_term
+      $ plan_table_term)
 
 (* ------------------------------------------------------------------ *)
 (* compare                                                             *)

@@ -7,6 +7,7 @@
      cstrace flame    profile_trace.json -o profile.folded
      cstrace prom     trace.jsonl [-o FILE]
      cstrace timeline snapshots.jsonl --metric NAME
+     cstrace check    DATA --rules FILE [--rule R]... [--json]
      cstrace store    add|ls|rm|gc [--root DIR]
      cstrace serve    --addr ADDR [--snapshots F|--trace F] [--once]
      cstrace fetch    ADDR [PATH] [--validate-prom]
@@ -18,10 +19,12 @@
    [flame] folds a Chrome span profile into flamegraph.pl/speedscope
    input; [prom] reconstructs deterministic trace.* metrics from the
    events and renders Prometheus text exposition; [timeline] plots one
-   metric's trajectory from a --snapshot-every capture file; [store]
-   files artifacts in the content-addressed .csobs registry; [serve]
-   exposes /metrics, /health and /runs over HTTP; [fetch] is the
-   matching one-shot scrape client.
+   metric's trajectory from a csctl simulate --snapshots file; [check]
+   evaluates health rules against a finished trace or snapshot ring;
+   [store] files artifacts in the content-addressed .csobs registry;
+   [serve] exposes /metrics, /health and /runs over HTTP for finished
+   artifacts; [fetch] is the matching one-shot scrape client; [collect]
+   is the one live path, receiving csctl simulate --emit streams.
 
    Exit codes: 0 success (and "traces are identical" for diff), 1 data
    error or divergence, 2 usage error (including a refused
@@ -304,7 +307,7 @@ let timeline_cmd =
       required
       & Arg.pos 0 (some string) None
       & info [] ~docv:"SNAPSHOTS"
-          ~doc:"Snapshot JSONL written by $(b,csctl simulate --snapshot-every).")
+          ~doc:"Snapshot JSONL written by $(b,csctl simulate --snapshots).")
   in
   let metric =
     Arg.(
@@ -513,89 +516,6 @@ let check_cmd =
     Term.(const run $ data $ rules_file $ rule_flags $ json)
 
 (* ------------------------------------------------------------------ *)
-(* watch                                                               *)
-
-let watch_cmd =
-  let rules_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "rules" ] ~docv:"FILE" ~doc:"Health rules file to evaluate live.")
-  in
-  let rule_flags =
-    Arg.(
-      value & opt_all string []
-      & info [ "rule" ] ~docv:"RULE" ~doc:"Inline rule; repeatable.")
-  in
-  let interval =
-    Arg.(
-      value & opt float 0.5
-      & info [ "interval" ] ~docv:"SECONDS"
-          ~doc:"Poll cadence while the trace is still growing.")
-  in
-  let once =
-    Arg.(
-      value & flag
-      & info [ "once" ]
-          ~doc:
-            "Poll once, render once, exit — the deterministic mode for \
-             scripts and tests.")
-  in
-  let data =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"TRACE"
-          ~doc:
-            "JSONL event trace being written by a live run (need not exist \
-             yet; it is tailed as it grows).")
-  in
-  let run data rules_file rule_flags interval once =
-    let rules =
-      if rules_file = None && rule_flags = [] then []
-      else gather_rules rules_file rule_flags
-    in
-    let w = Obs_watch.create ~path:data () in
-    let render () =
-      let frame = Obs_watch.render ~rules w in
-      if not once then print_string "\027[2J\027[H";
-      print_string frame;
-      flush stdout
-    in
-    let rec loop () =
-      ignore (Obs_watch.poll w);
-      render ();
-      if once || Obs_watch.finished w then ()
-      else begin
-        Unix.sleepf (Float.max 0.01 interval);
-        loop ()
-      end
-    in
-    loop ();
-    if rules = [] then exit 0
-    else exit (Obs_health.exit_code (Obs_watch.health w ~rules))
-  in
-  Cmd.v
-    (Cmd.info "watch"
-       ~doc:
-         "Tail a growing JSONL trace and re-render a live metrics + health \
-          dashboard; exits with the final health verdict (0/1/2) once the \
-          run finishes."
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             "The dashboard shows the deterministic trace.* metrics \
-              reconstructed incrementally from the event stream, plus the \
-              rule verdicts when --rules/--rule are given. Polling is \
-              byte-offset based: partial lines are carried, malformed \
-              lines are counted but never fatal, and a vanished file \
-              simply reads as no new bytes — the loop a farm daemon's \
-              monitor inherits.";
-         ])
-    Term.(const run $ data $ rules_file $ rule_flags $ interval $ once)
-
-(* ------------------------------------------------------------------ *)
 (* store                                                               *)
 
 let root_term =
@@ -790,8 +710,10 @@ let addr_of_string_or_die s =
       prerr_endline ("error: " ^ msg);
       exit 2
 
-(* The three endpoint thunks re-read their files per request, so a
-   scrape of a still-running csctl sees the latest flushed state. *)
+(* The three endpoint thunks re-read their files per request. Both
+   sources are finished artifacts: csctl writes the snapshot ring only
+   after the run, and a trace still being written may end in a torn
+   line that fails the load (a 500 on /metrics). *)
 let http_source ~snapshots ~trace ~rules ~root () =
   let frames () =
     match (snapshots, trace) with
@@ -940,11 +862,15 @@ let serve_cmd =
            `P
              "One request per connection, bodies framed by \
               Content-Length — the smallest surface a standard scraper \
-              accepts. Sources are re-read per request, so serving the \
-              artifacts of a still-running csctl scrapes its latest \
-              flushed state. With $(b,--once) (or $(b,--requests) N) \
-              the server exits after a bounded number of answers, \
-              which is what the CI smoke leg and the cram tests use.";
+              accepts. It serves $(b,finished) artifacts: csctl writes \
+              the snapshot ring only when the run ends, and a trace \
+              still being written is not flushed line by line, so a \
+              load can hit a torn last line and /metrics answers 500. \
+              For a live view, stream the run with $(b,csctl simulate \
+              --emit) into $(b,cstrace collect --http). With \
+              $(b,--once) (or $(b,--requests) N) the server exits after \
+              a bounded number of answers, which is what the CI smoke \
+              leg and the cram tests use.";
          ])
     Term.(
       const run $ addr $ snapshots $ trace $ rules_file $ rule_flags
@@ -1155,7 +1081,8 @@ let collect_cmd =
 let () =
   let doc =
     "trace analytics for cycle-stealing runs: summarise, diff, flamegraph, \
-     export, health-check and live-watch the observability layer's artifacts"
+     export, health-check, serve and collect the observability layer's \
+     artifacts"
   in
   let info = Cmd.info "cstrace" ~version:"1.0.0" ~doc in
   exit
@@ -1168,7 +1095,6 @@ let () =
             prom_cmd;
             timeline_cmd;
             check_cmd;
-            watch_cmd;
             store_cmd;
             serve_cmd;
             fetch_cmd;

@@ -6,7 +6,7 @@
     frame of a snapshot ring, or the synthetic registry
     {!Obs_query.metrics_of_events} builds from a finished trace. The
     result is a typed verdict report that [cstrace check],
-    [cstrace watch] and [csctl --health] all share.
+    [cstrace collect] and [csctl --health] all share.
 
     {2 Grammar}
 

@@ -139,10 +139,10 @@ val serve_in_background :
   ?max_requests:int -> addr:addr -> source -> (server, string) result
 (** {!serve} on a [Thread.t], returning once the socket is listening —
     a subsequent {!fetch} cannot land before the bind. Used by
-    [csctl --serve] to expose a live run while the simulation keeps the
-    main thread. The source thunks run on the server thread: registry
-    reads are safe (atomic snapshots), but the thunks must not assume
-    the main thread is parked. *)
+    {!Obs_collect} to serve its live registry while the collector keeps
+    accepting producers. The source thunks run on the server thread:
+    registry reads are safe (atomic snapshots), but the thunks must not
+    assume the main thread is parked. *)
 
 val address : server -> addr
 (** The bound address — with TCP port [0], the ephemeral port the

@@ -111,5 +111,5 @@ val metrics_updater :
   ?accuracy:float -> unit -> Obs_metrics.t * (Obs_event.t -> unit)
 (** Incremental form of {!metrics_of_events}: returns the registry and
     a feed function that folds one event into it. Feeding the whole
-    stream reproduces {!metrics_of_events} exactly; [cstrace watch]
-    feeds events as they are appended to a growing trace. *)
+    stream reproduces {!metrics_of_events} exactly; {!Obs_collect}
+    feeds events as they arrive from live producers. *)

@@ -176,6 +176,10 @@ let create ?(capacity = default_capacity)
       thread = None;
     }
   in
+  (* A write to a collector that hung up must come back as EPIPE, which
+     [send_all] turns into a counted drop and a reconnect; the default
+     SIGPIPE action would kill the producer instead. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   t.thread <- Some (Thread.create (fun () -> sender_loop t None) ());
   t
 

@@ -10,7 +10,9 @@ type t = {
   mutable next_at : int;
 }
 
-let create ?(capacity = 512) ~every registry =
+let default_capacity = 512
+
+let create ?(capacity = default_capacity) ~every registry =
   if every <= 0 then invalid_arg "Obs_snapshot.create: every must be > 0";
   if capacity <= 0 then invalid_arg "Obs_snapshot.create: capacity must be > 0";
   {

@@ -20,10 +20,14 @@ type entry = { at : int; metrics : Obs_metrics.snapshot }
 (** One capture: the registry frozen after [at] units of progress
     (trials, for the Monte-Carlo harness). *)
 
+val default_capacity : int
+(** [512]: the ring bound {!create} uses when no [capacity] is given. *)
+
 val create : ?capacity:int -> every:int -> Obs_metrics.t -> t
 (** [create ~every registry] snapshots [registry] every [every] progress
-    units, keeping the most recent [capacity] (default [512]) captures.
-    Requires [every > 0] and [capacity > 0]. *)
+    units, keeping the most recent [capacity] (default
+    {!default_capacity}) captures. Requires [every > 0] and
+    [capacity > 0]. *)
 
 val tick : t -> at:int -> unit
 (** [tick t ~at] captures iff progress [at] has reached the next

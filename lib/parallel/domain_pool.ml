@@ -59,8 +59,9 @@ type t = {
    recorded (never propagated out of a worker); completion of the last
    chunk flips [current] back to [None] and wakes the caller. Busy time
    and chunk counts go to this domain's private slot; the slot writes
-   happen before this domain's final [j_left] decrement, so the caller's
-   read of [j_left = 0] orders them. *)
+   happen before this domain's final [j_left] decrement, which precedes
+   the last completer's mutex-held clear of [current], so the caller's
+   read of [current = None] under the mutex orders them. *)
 let run_chunks t job ~dom =
   let rec claim () =
     let i = Atomic.fetch_and_add job.j_next 1 in
@@ -226,8 +227,12 @@ let parallel_for t ~chunks fn =
     Mutex.unlock t.mutex;
     (* The caller is a worker too. *)
     run_chunks t job ~dom:0;
+    (* Wait for [current] to clear, not for [j_left] to reach 0: the
+       last completer decrements [j_left] before it takes the mutex to
+       clear [current], and a caller that returned in between would
+       find its own next job refused as "already in flight". *)
     Mutex.lock t.mutex;
-    while Atomic.get job.j_left > 0 do
+    while Option.is_some t.current do
       Condition.wait t.done_cv t.mutex
     done;
     Mutex.unlock t.mutex;

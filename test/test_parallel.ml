@@ -75,9 +75,9 @@ let test_shutdown () =
 
 let test_run_front_end () =
   let sum chunks f =
-    let acc = ref 0 in
-    f ~chunks (fun i -> acc := !acc + i);
-    !acc
+    let acc = Atomic.make 0 in
+    f ~chunks (fun i -> ignore (Atomic.fetch_and_add acc i));
+    Atomic.get acc
   in
   let serial = sum 100 (fun ~chunks f -> Domain_pool.run ~chunks f) in
   let via_domains =
