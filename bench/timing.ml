@@ -30,37 +30,12 @@ let geo_inc_lf = Families.geometric_increasing ~lifespan:30.0
 let schedule = (Guideline.plan uniform_lf ~c:1.0).Guideline.schedule
 let sampler = Reclaim.create uniform_lf
 
-(* Plancache fixtures are lazy: warming a cache or baking a table runs
-   real plans (tens of ms for the table), which must not tax the
-   non-timing subcommands at module init. The bench warmup loop forces
-   them before sampling starts. *)
-let geo_scen = { Plan_key.family = Plan_key.Geo_dec { a = exp 0.05 }; c = 1.0 }
-
-let uni_scen =
-  { Plan_key.family = Plan_key.Uniform { lifespan = 100.0 }; c = 1.0 }
-
-let warm_cache =
-  lazy
-    (let pc = Plancache.create () in
-     ignore (Plancache.plan pc geo_scen);
-     ignore (Plancache.plan pc uni_scen);
-     pc)
-
-let baked_geo =
-  lazy
-    (match
-       Plan_table.bake ~kind:"geo-dec" ~c_lo:0.5 ~c_hi:2.0 ~c_steps:4
-         ~param_lo:(exp 0.02) ~param_hi:(exp 0.1) ~param_steps:4 ()
-     with
-    | Ok t -> t
-    | Error e -> failwith ("bench: geo-dec table bake failed: " ^ e))
-
 (* Sink-emit fixtures price the trace transport itself, one event per
-   call. Lazy for the same reason the plancache fixtures are: the
-   remote variant stands up a live in-process collector (a real
-   Obs_collect accept loop on a unix socket, draining frames) and an
-   Obs_remote producer, which must not tax non-timing subcommands at
-   module init. The warmup loop forces both before sampling. *)
+   call. They are lazy because the remote variant stands up a live
+   in-process collector (a real Obs_collect accept loop on a unix
+   socket, draining frames) and an Obs_remote producer, which must not
+   tax non-timing subcommands at module init. The warmup loop forces
+   both before sampling. *)
 let bench_meta =
   lazy (Obs.Meta.make ~git_sha:"bench" ~seed:1L ~jobs:1 ~scenario:"bench sink-emit" ())
 
@@ -111,21 +86,6 @@ let serial_workloads : (string * (unit -> unit) * int) list =
     ( "guideline-plan (geo-dec)",
       (fun () -> ignore (Guideline.plan geo_dec_lf ~c:1.0)),
       5 );
-    (* The cached/table planner variants sample the warm paths the cold
-       "guideline-plan" rows above are the baseline for: an LRU hit is a
-       key render plus a Hashtbl probe, a table answer is a bilinear
-       interpolation plus one schedule regeneration. Cache and table are
-       pre-warmed/pre-baked by the warmup loop, so the samples measure
-       steady-state hits, never the one-off miss. *)
-    ( "guideline-plan (geo-dec, cached)",
-      (fun () -> ignore (Plancache.plan (Lazy.force warm_cache) geo_scen)),
-      2_000 );
-    ( "guideline-plan (uniform, cached)",
-      (fun () -> ignore (Plancache.plan (Lazy.force warm_cache) uni_scen)),
-      2_000 );
-    ( "guideline-plan (geo-dec, table)",
-      (fun () -> ignore (Plan_table.plan (Lazy.force baked_geo) geo_scen)),
-      500 );
     ( "exact-uniform ([3] closed form)",
       (fun () -> ignore (Exact.uniform ~c:1.0 ~lifespan:100.0)),
       200 );
@@ -195,7 +155,7 @@ let serial_workloads : (string * (unit -> unit) * int) list =
        event), the remote row is the producer side of --emit — a push
        into Obs_remote's bounded ring and return, with the live
        collector draining the socket from its own thread. The
-       never-block contract (DESIGN.md §16) is what's being watched:
+       never-block contract (DESIGN.md §15) is what's being watched:
        the remote number prices the enqueue (or, when the drain falls
        behind and the ring fills, the counted-drop branch), never a
        socket round trip. *)

@@ -23,7 +23,8 @@
    --health FILE (evaluate SLO rules against the end-of-run registry and
    exit 1/2 on warn/critical) and --emit ADDR (stream the trace live to
    a cstrace collect collector); [report] aggregates a JSONL trace
-   back into summary numbers. The
+   back into summary numbers. Every command plans with Guideline.plan;
+   [table] hands its whole grid to Guideline.plan_batch. The
    Monte-Carlo and batch-planning commands ([simulate], [compare],
    [table]) accept --jobs N to run on N domains; output is bit-identical
    for any N (DESIGN.md §10). *)
@@ -112,47 +113,24 @@ let resolve_family spec =
             geo-inc | exponential | weibull | power-law)"
            other)
 
-(* The declarative twin of [resolve_family]: the same spec as a
-   Plan_key family, for the plan-cache paths. Kept in lock-step so a
-   cached plan answers for exactly the life function the simulation
-   runs (exponential canonicalizes onto geo-dec per DESIGN §15). *)
-let plan_key_of_spec spec =
-  match spec.family with
-  | "uniform" -> Ok (Plan_key.Uniform { lifespan = spec.lifespan })
-  | "polynomial" | "poly" ->
-      Ok (Plan_key.Polynomial { d = spec.d; lifespan = spec.lifespan })
-  | "geo-dec" | "geometric-decreasing" -> Ok (Plan_key.Geo_dec { a = spec.a })
-  | "geo-inc" | "geometric-increasing" ->
-      Ok (Plan_key.Geo_inc { lifespan = spec.lifespan })
-  | "exponential" | "exp" ->
-      let rate = Option.value spec.rate ~default:(1.0 /. spec.lifespan) in
-      Ok (Plan_key.exponential ~rate)
-  | "weibull" ->
-      Ok (Plan_key.Weibull { w_shape = spec.w_shape; w_scale = spec.w_scale })
-  | "power-law" -> Ok (Plan_key.Power_law { d = float_of_int spec.d })
-  | other ->
-      Error
-        (Printf.sprintf
-           "unknown family %S (valid: uniform | polynomial | geo-dec | \
-            geo-inc | exponential | weibull | power-law)"
-           other)
-
 let c_term =
   Arg.(
     value & opt float 1.0
     & info [ "c"; "overhead" ] ~docv:"C"
         ~doc:"Communication overhead per period (the paper's c).")
 
+(* The [try] covers the family constructor too: out-of-range parameters
+   (-L 0, -a 1) are rejected there with Invalid_argument. *)
 let with_family spec k =
-  match resolve_family spec with
-  | Error msg ->
-      prerr_endline msg;
-      exit 2
-  | Ok lf -> (
-      try k lf
-      with Invalid_argument msg | Failure msg ->
-        prerr_endline ("error: " ^ msg);
-        exit 1)
+  try
+    match resolve_family spec with
+    | Error msg ->
+        prerr_endline msg;
+        exit 2
+    | Ok lf -> k lf
+  with Invalid_argument msg | Failure msg ->
+    prerr_endline ("error: " ^ msg);
+    exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Parallelism flag (shared by simulate, compare and table)            *)
@@ -171,43 +149,6 @@ let jobs_term =
 let with_jobs jobs k =
   if jobs = 1 then k None
   else Domain_pool.with_pool ~domains:jobs (fun p -> k (Some p))
-
-(* ------------------------------------------------------------------ *)
-(* Plan-cache flags (shared by simulate and table)                     *)
-
-let plan_cache_term =
-  Arg.(
-    value & flag
-    & info [ "plan-cache" ]
-        ~doc:
-          "Answer the plan through the lib/plancache tiers (LRU cache, \
-           closed forms, loaded tables) instead of a direct search. A \
-           cold cache computes exactly what the direct path computes \
-           (same events, same schedule — $(b,cstrace diff)-identical); \
-           repeated queries answer in microseconds. $(b,cache.*) \
-           counters land in the metrics registry.")
-
-let plan_table_term =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "plan-table" ] ~docv:"FILE"
-        ~doc:
-          "Load a plan table baked by $(b,csctl table bake) and answer \
-           covered scenarios by interpolation within the table's \
-           certified error bound. Implies $(b,--plan-cache).")
-
-let make_plancache ~obs ~plan_table () =
-  let pc = Plancache.create ~obs () in
-  (match plan_table with
-  | None -> ()
-  | Some file -> (
-      match Plan_table.load file with
-      | Ok t -> Plancache.add_table pc t
-      | Error msg ->
-          prerr_endline ("error: " ^ msg);
-          exit 1));
-  pc
 
 (* ------------------------------------------------------------------ *)
 (* Observability flags (shared by schedule and simulate)               *)
@@ -519,7 +460,7 @@ let simulate_cmd =
              on a warn verdict, 2 on critical.")
   in
   let run spec c trials seed jobs trace metrics prom snapshots resource health
-      emit plan_cache plan_table =
+      emit =
     let meta () =
       Obs.Meta.make ~seed:(Int64.of_int seed) ~jobs
         ~scenario:
@@ -539,17 +480,7 @@ let simulate_cmd =
           ?snapshot ~resource ?health ?emit
           (fun obs snap res ->
             with_jobs jobs (fun pool ->
-            let plan =
-              if plan_cache || plan_table <> None then
-                match plan_key_of_spec spec with
-                | Error msg ->
-                    prerr_endline msg;
-                    exit 2
-                | Ok family ->
-                    let pc = make_plancache ~obs ~plan_table () in
-                    Plancache.plan pc { Plan_key.family; c }
-              else Guideline.plan ~obs lf ~c
-            in
+            let plan = Guideline.plan ~obs lf ~c in
             let est =
               Monte_carlo.estimate ~obs ?pool ?snapshot:snap ?resource:res
                 ~trials lf ~c ~schedule:plan.Guideline.schedule
@@ -575,8 +506,7 @@ let simulate_cmd =
     Term.(
       const run $ family_term $ c_term $ trials $ seed $ jobs_term
       $ trace_term $ metrics_term $ prom_term $ snapshots_term
-      $ resource_term $ health_term $ emit_term $ plan_cache_term
-      $ plan_table_term)
+      $ resource_term $ health_term $ emit_term)
 
 (* ------------------------------------------------------------------ *)
 (* compare                                                             *)
@@ -653,7 +583,7 @@ let table_cmd =
       value & opt int 8
       & info [ "steps" ] ~docv:"N" ~doc:"Number of grid points.")
   in
-  let sweep spec c_min c_max steps jobs plan_table =
+  let run spec c_min c_max steps jobs =
     with_family spec (fun lf ->
         if steps < 1 then
           invalid_arg
@@ -673,22 +603,7 @@ let table_cmd =
                        /. float_of_int (steps - 1))
             in
             let results =
-              match plan_table with
-              | None ->
-                  Guideline.plan_batch ?pool (List.map (fun c -> (lf, c)) grid)
-              | Some _ -> (
-                  (* Table-backed sweep: the batch answers through the
-                     plancache tiers — covered points interpolate within
-                     the certified bound, the rest fall through to the
-                     direct planner (and dedup as LRU hits). *)
-                  match plan_key_of_spec spec with
-                  | Error msg ->
-                      prerr_endline msg;
-                      exit 2
-                  | Ok family ->
-                      let pc = make_plancache ~obs:Obs.disabled ~plan_table () in
-                      Plancache.plan_batch pc
-                        (List.map (fun c -> { Plan_key.family; c }) grid))
+              Guideline.plan_batch ?pool (List.map (fun c -> (lf, c)) grid)
             in
             Format.printf "life function : %a@." Life_function.pp lf;
             Format.printf "%9s  %9s  %7s  %12s@." "c" "t0" "periods"
@@ -700,105 +615,12 @@ let table_cmd =
                   r.Guideline.expected_work)
               grid results))
   in
-  let bake_cmd =
-    let c_steps =
-      Arg.(
-        value & opt int 8
-        & info [ "c-steps" ] ~docv:"N" ~doc:"Grid nodes along the c axis.")
-    in
-    let param_min =
-      Arg.(
-        value & opt float 50.0
-        & info [ "param-min" ] ~docv:"P"
-            ~doc:
-              "Smallest family-parameter grid value (the lifespan L for \
-               bounded families, the base a for geo-dec).")
-    in
-    let param_max =
-      Arg.(
-        value & opt float 200.0
-        & info [ "param-max" ] ~docv:"P"
-            ~doc:"Largest family-parameter grid value.")
-    in
-    let param_steps =
-      Arg.(
-        value & opt int 8
-        & info [ "param-steps" ] ~docv:"N"
-            ~doc:"Grid nodes along the family-parameter axis.")
-    in
-    let out =
-      Arg.(
-        value & opt string "plan_table.cstable"
-        & info [ "out"; "o" ] ~docv:"FILE"
-            ~doc:"Where to write the baked table (single-line JSON).")
-    in
-    let run spec c_min c_max c_steps param_min param_max param_steps out =
-      let kind =
-        match spec.family with
-        | "uniform" -> Ok ("uniform", None)
-        | "polynomial" | "poly" -> Ok ("polynomial", Some spec.d)
-        | "geo-dec" | "geometric-decreasing" -> Ok ("geo-dec", None)
-        | "geo-inc" | "geometric-increasing" -> Ok ("geo-inc", None)
-        | other ->
-            Error
-              (Printf.sprintf
-                 "family %S has no table axis (bakeable: uniform | \
-                  polynomial | geo-dec | geo-inc)"
-                 other)
-      in
-      match kind with
-      | Error msg ->
-          prerr_endline msg;
-          exit 2
-      | Ok (kind, degree) -> (
-          match
-            Plan_table.bake ~kind ?degree ~c_lo:c_min ~c_hi:c_max ~c_steps
-              ~param_lo:param_min ~param_hi:param_max ~param_steps ()
-          with
-          | Error msg ->
-              prerr_endline ("error: " ^ msg);
-              exit 1
-          | Ok tbl -> (
-              match Plan_table.save out tbl with
-              | Error msg ->
-                  prerr_endline ("error: " ^ msg);
-                  exit 1
-              | Ok () ->
-                  Format.printf
-                    "baked plan table : family=%s%s, %d nodes (c in [%g, \
-                     %g], param in [%g, %g])@."
-                    kind
-                    (match degree with
-                    | Some d -> Printf.sprintf " d=%d" d
-                    | None -> "")
-                    (Plan_table.nodes tbl) c_min c_max param_min param_max;
-                  Format.printf
-                    "certified bound  : %.3e relative expected-work \
-                     shortfall@."
-                    (Plan_table.error_bound tbl);
-                  Format.printf "wrote %s@." out))
-    in
-    Cmd.v
-      (Cmd.info "bake"
-         ~doc:
-           "Precompute a plan table over a (c, family-parameter) grid with \
-            a certified interpolation error bound, for --plan-table.")
-      Term.(
-        const run $ family_term $ c_min $ c_max $ c_steps $ param_min
-        $ param_max $ param_steps $ out)
-  in
-  Cmd.group
-    ~default:
-      Term.(
-        const sweep $ family_term $ c_min $ c_max $ steps $ jobs_term
-        $ plan_table_term)
+  Cmd.v
     (Cmd.info "table"
        ~doc:
          "Sweep the guideline planner over an overhead grid and print the \
-          schedule table (one batch, parallel with --jobs; answered from a \
-          baked table with --plan-table), or bake an ahead-of-time plan \
-          table with $(b,csctl table bake).")
-    [ bake_cmd ]
+          schedule table (one batch, parallel with --jobs).")
+    Term.(const run $ family_term $ c_min $ c_max $ steps $ jobs_term)
 
 (* ------------------------------------------------------------------ *)
 (* admissible                                                          *)

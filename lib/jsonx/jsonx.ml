@@ -117,12 +117,25 @@ let of_string s =
       Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
     end
   in
+  (* Exactly four hex digits, either case: [int_of_string] would also
+     take '_' and raise on anything else. *)
   let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
+    let digit c =
+      match c with
+      | '0' .. '9' -> Char.code c - Char.code '0'
+      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+      | _ -> fail "invalid \\u escape"
+    in
+    let v = ref 0 in
+    for i = 0 to 3 do
+      v := (!v lsl 4) lor digit s.[!pos + i]
+    done;
     pos := !pos + 4;
-    v
+    !v
   in
+  let is_low_surrogate cp = cp >= 0xDC00 && cp <= 0xDFFF in
   let parse_string () =
     expect '"';
     let buf = Buffer.create 16 in
@@ -145,14 +158,18 @@ let of_string s =
               advance ();
               let cp = hex4 () in
               let cp =
-                (* High surrogate: fold in the trailing low surrogate. *)
-                if cp >= 0xD800 && cp <= 0xDBFF
-                   && !pos + 1 < n && s.[!pos] = '\\' && s.[!pos + 1] = 'u'
-                then begin
+                (* A high surrogate must be followed by a low-surrogate
+                   escape, and the two fold into one code point; an
+                   unpaired surrogate has no UTF-8 encoding. *)
+                if cp >= 0xD800 && cp <= 0xDBFF then begin
+                  if not (!pos + 1 < n && s.[!pos] = '\\' && s.[!pos + 1] = 'u')
+                  then fail "unpaired surrogate";
                   pos := !pos + 2;
                   let lo = hex4 () in
+                  if not (is_low_surrogate lo) then fail "unpaired surrogate";
                   0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
                 end
+                else if is_low_surrogate cp then fail "unpaired surrogate"
                 else cp
               in
               utf8_encode buf cp;

@@ -32,8 +32,9 @@ val of_string : string -> (t, string) result
 (** [of_string s] parses exactly one JSON value (surrounding whitespace
     allowed; trailing garbage is an error). Numbers without [.], [e] or
     [E] that fit in an OCaml [int] parse as [Int], everything else as
-    [Float]. [\uXXXX] escapes are decoded to UTF-8 (surrogate pairs
-    supported). *)
+    [Float]. [\uXXXX] escapes (exactly four hex digits) are decoded to
+    UTF-8; a surrogate pair folds into one code point, and an unpaired
+    surrogate is an error. Never raises: malformed input is [Error]. *)
 
 val member : string -> t -> t option
 (** [member k j] is the value bound to key [k] when [j] is an [Obj]. *)

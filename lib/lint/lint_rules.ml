@@ -109,11 +109,12 @@ let all_meta =
       id = "R14";
       title =
         "no toplevel mutable memo/cache state (Hashtbl, Atomic, ref) in \
-         lib/sched; plan memoization lives in lib/plancache";
+         lib/sched; memo state lives in an explicit handle that the \
+         caller creates and passes";
       remedy =
-        "hold the state in an explicit Plancache.t handle and pass it \
-         through call-sites; the planning core stays pure (R10) and \
-         bit-reproducible";
+        "hold the state in an explicit handle that the caller creates and \
+         passes through call-sites; the planning core stays pure (R10) \
+         and bit-reproducible";
     };
     {
       id = "M1";
@@ -402,8 +403,8 @@ let make_checker (scope : scope) =
         report "R14" e.pexp_loc
           (Printf.sprintf
              "toplevel %s allocates module-lifetime mutable state in \
-              lib/sched; plan memoization belongs in lib/plancache \
-              (Plancache.create), passed explicitly"
+              lib/sched; memo state belongs in an explicit handle that \
+              the caller creates and passes"
              what)
     | None -> ());
     match e.pexp_desc with

@@ -246,7 +246,7 @@ let test_r13 () =
        "let s () = (Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0) \
         [@lint.allow \"R13\"]\n")
 
-(* ---- R14: memo/cache state confined to lib/plancache ---- *)
+(* ---- R14: no module-lifetime memo/cache state in lib/sched ---- *)
 
 let test_r14 () =
   let sched = "lib/sched/fixture.ml" in
@@ -274,10 +274,10 @@ let test_r14 () =
   check_rules "function-local ref fine" []
     (lint ~path:sched "let count xs = let n = ref 0 in List.iter (fun _ -> \
                        incr n) xs; !n\n");
-  (* Scoped to lib/sched: the same binding is legal where state is the
-     point (lib/plancache) or outside the planning core entirely. *)
-  check_rules "plancache exempt" []
-    (lint ~path:"lib/plancache/fixture.ml" "let memo = Hashtbl.create 16\n");
+  (* Scoped to lib/sched: the same binding is legal outside the
+     planning core. *)
+  check_rules "sim exempt" []
+    (lint ~path:"lib/sim/fixture.ml" "let memo = Hashtbl.create 16\n");
   check_rules "other lib dirs exempt" []
     (lint ~path:"lib/obs/fixture.ml" "let memo = Hashtbl.create 16\n");
   check_rules "bin exempt" []

@@ -42,11 +42,14 @@ let test_jsonx_float_exact () =
 
 let test_jsonx_escapes () =
   (* \uXXXX escapes decode to UTF-8, surrogate pairs included. *)
-  match Jsonx.of_string {|"€ 😀 \n"|} with
-  | Ok (Jsonx.String s) ->
-      Alcotest.(check string) "decoded" "\xe2\x82\xac \xf0\x9f\x98\x80 \n" s
-  | Ok _ -> Alcotest.fail "not a string"
-  | Error e -> Alcotest.failf "parse error: %s" e
+  List.iter
+    (fun input ->
+      match Jsonx.of_string input with
+      | Ok (Jsonx.String s) ->
+          Alcotest.(check string) "decoded" "\xe2\x82\xac \xf0\x9f\x98\x80 \n" s
+      | Ok _ -> Alcotest.fail "not a string"
+      | Error e -> Alcotest.failf "parse error: %s" e)
+    [ {|"€ 😀 \n"|}; {|"\u20ac \uD83D\ude00 \n"|} ]
 
 let test_jsonx_errors () =
   List.iter
@@ -54,7 +57,23 @@ let test_jsonx_errors () =
       match Jsonx.of_string s with
       | Ok _ -> Alcotest.failf "accepted malformed %S" s
       | Error _ -> ())
-    [ ""; "{"; "[1,]"; "{\"a\":}"; "1 2"; "tru"; "\"unterminated"; "{'a':1}" ]
+    [
+      "";
+      "{";
+      "[1,]";
+      "{\"a\":}";
+      "1 2";
+      "tru";
+      "\"unterminated";
+      "{'a':1}";
+      {|"\uzzzz"|};
+      {|{"a":"\u12"}|};
+      {|"\u1_23"|};
+      {|"\uD800\u0041"|};
+      {|"\uDBFF\uFFFF"|};
+      {|"\uD800"|};
+      {|"\uDC00"|};
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)

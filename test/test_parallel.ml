@@ -321,6 +321,27 @@ let test_plan_batch_matches_plan () =
     serial batch;
   Alcotest.(check int) "empty batch" 0 (List.length (Guideline.plan_batch []))
 
+let test_guideline_batch_dedups () =
+  let lf = Families.uniform ~lifespan:100.0 in
+  let lf2 = Families.geometric_increasing ~lifespan:30.0 in
+  let batch = [ (lf, 1.0); (lf2, 1.0); (lf, 1.0); (lf, 2.0); (lf2, 1.0) ] in
+  let rs = Array.of_list (Guideline.plan_batch batch) in
+  Alcotest.(check int) "result per input" 5 (Array.length rs);
+  (* Duplicates fan out the same computation: physically shared. *)
+  Alcotest.(check bool) "dup scenario shares result" true (rs.(0) == rs.(2));
+  Alcotest.(check bool) "dup scenario shares result (2)" true
+    (rs.(1) == rs.(4));
+  Alcotest.(check bool) "different c not shared" true (rs.(0) != rs.(3));
+  (* And order matches the undeduped map. *)
+  List.iteri
+    (fun i (lf, c) ->
+      let direct = Guideline.plan lf ~c in
+      Alcotest.(check (float 1e-12))
+        (Printf.sprintf "slot %d matches direct" i)
+        direct.Guideline.expected_work
+        rs.(i).Guideline.expected_work)
+    batch
+
 (* ---- Observability merge: serial and parallel runs agree ---- *)
 
 let obs_fingerprint ~domains =
@@ -404,6 +425,8 @@ let () =
         [
           Alcotest.test_case "plan_batch matches plan" `Quick
             test_plan_batch_matches_plan;
+          Alcotest.test_case "Guideline.plan_batch dedups" `Quick
+            test_guideline_batch_dedups;
         ] );
       ( "obs",
         [ Alcotest.test_case "merge parity" `Quick test_obs_merge_parity ] );
