@@ -28,7 +28,19 @@ let uniform_lf = Families.uniform ~lifespan:100.0
 let geo_dec_lf = Families.geometric_decreasing ~a:(exp 0.05)
 let geo_inc_lf = Families.geometric_increasing ~lifespan:30.0
 let schedule = (Guideline.plan uniform_lf ~c:1.0).Guideline.schedule
-let sampler = Reclaim.create uniform_lf
+
+(* The episode-run rows and the tabulated reclaim-draw row sample from
+   uniform_lf rebuilt without its inverse, which keeps them on the 4096-point
+   table; the closed-form row samples from uniform_lf itself. *)
+let sampler =
+  Reclaim.create
+    (Life_function.make ~validate:false ~name:"uniform, no inverse"
+       ~support:(Life_function.support uniform_lf)
+       ~dp:(Life_function.deriv uniform_lf)
+       ~shape:(Life_function.shape uniform_lf)
+       (Life_function.eval uniform_lf))
+
+let exact_sampler = Reclaim.create uniform_lf
 
 (* Sink-emit fixtures price the trace transport itself, one event per
    call. They are lazy because the remote variant stands up a live
@@ -165,7 +177,7 @@ let serial_workloads : (string * (unit -> unit) * int) list =
     ( "sink-emit (remote, unix loopback)",
       (fun () -> Obs.Sink.emit (Lazy.force remote_sink) sink_event),
       2_000 );
-    (* The two sub-30ns thunks are measured 64 calls per invocation:
+    (* The sub-30ns thunks are measured 64 calls per invocation:
        one clock read per ~1 µs of work instead of per ~20 ns, which is
        what keeps their OLS fit out of the clock-granularity noise floor
        (single-call variants sat at r^2 ~ 0.6-0.7). Reported time/call
@@ -175,6 +187,13 @@ let serial_workloads : (string * (unit -> unit) * int) list =
        fun () ->
          for _ = 1 to 64 do
            ignore (Reclaim.draw sampler g)
+         done),
+      200 );
+    ( "reclaim-draw (closed-form inverse, x64)",
+      (let g = Prng.create ~seed:2L in
+       fun () ->
+         for _ = 1 to 64 do
+           ignore (Reclaim.draw exact_sampler g)
          done),
       200 );
     ( "prng-xoshiro256++ (float, x64)",

@@ -7,6 +7,7 @@ let uniform ~lifespan =
     ~name:(Printf.sprintf "uniform(L=%g)" l)
     ~support:(Life_function.Bounded l)
     ~dp:(fun t -> if t < 0.0 || t > l then 0.0 else -1.0 /. l)
+    ~inv:(fun u -> l *. (1.0 -. u))
     ~shape:Life_function.Linear
     (fun t -> 1.0 -. (t /. l))
 
@@ -24,6 +25,7 @@ let polynomial ~d ~lifespan =
       ~dp:(fun t ->
         if t < 0.0 || t > l then 0.0
         else -.df *. Float.pow (t /. l) (df -. 1.0) /. l)
+      ~inv:(fun u -> l *. Float.pow (1.0 -. u) (1.0 /. df))
       ~shape:Life_function.Concave
       (fun t -> 1.0 -. Float.pow (t /. l) df)
   end
@@ -36,6 +38,7 @@ let geometric_decreasing ~a =
     ~name:(Printf.sprintf "geometric-decreasing(a=%g)" a)
     ~support:Life_function.Unbounded
     ~dp:(fun t -> -.lna *. exp (-.lna *. t))
+    ~inv:(fun u -> -.log u /. lna)
     ~shape:Life_function.Convex
     (fun t -> exp (-.lna *. t))
 
@@ -45,6 +48,7 @@ let exponential ~rate =
     ~name:(Printf.sprintf "exponential(rate=%g)" rate)
     ~support:Life_function.Unbounded
     ~dp:(fun t -> -.rate *. exp (-.rate *. t))
+    ~inv:(fun u -> -.log u /. rate)
     ~shape:Life_function.Convex
     (fun t -> exp (-.rate *. t))
 
@@ -61,9 +65,11 @@ let geometric_increasing ~lifespan =
     if t < 0.0 || t > l then 0.0
     else -.ln2 *. exp ((t -. l) *. ln2) /. denom
   in
+  let inv u = l +. (Float.log1p (-.u *. denom) /. ln2) in
   Life_function.make
     ~name:(Printf.sprintf "geometric-increasing(L=%g)" l)
-    ~support:(Life_function.Bounded l) ~dp ~shape:Life_function.Concave p
+    ~support:(Life_function.Bounded l) ~dp ~inv ~shape:Life_function.Concave
+    p
 
 let weibull ~shape ~scale =
   if shape <= 0.0 || scale <= 0.0 then
@@ -84,6 +90,7 @@ let weibull ~shape ~scale =
         let z = t /. sc in
         let zs = Float.pow z sh in
         -.sh /. t *. zs *. exp (-.zs))
+    ~inv:(fun u -> sc *. Float.pow (-.log u) (1.0 /. sh))
     ~shape:declared
     (fun t -> if t <= 0.0 then 1.0 else exp (-.Float.pow (t /. sc) sh))
 
@@ -123,6 +130,7 @@ let scale_time ~factor lf =
     ~name:(Printf.sprintf "%s (time x%g)" (Life_function.name lf) factor)
     ~support
     ~dp:(fun t -> Life_function.deriv lf (t /. factor) /. factor)
+    ?inv:(Option.map (fun inv u -> factor *. inv u) (Life_function.inverse lf))
     ~shape:(Life_function.shape lf)
     ~validate:false
     (fun t -> Life_function.eval lf (t /. factor))

@@ -6,7 +6,9 @@
     [p_{d,L}] of uniform risk and the inadmissible power-law family of
     Corollary 3.2. All constructors return fully-validated
     {!Life_function.t} values carrying exact derivatives and declared
-    shapes. *)
+    shapes. Every family except {!power_law} and {!of_interpolant} also
+    carries its closed-form inverse [p⁻¹] (see {!Life_function.inverse}),
+    so recurrence steps and reclaim draws invert it exactly. *)
 
 val uniform : lifespan:float -> Life_function.t
 (** [uniform ~lifespan] is [p(t) = 1 - t/L] — uniform risk across the
@@ -58,7 +60,8 @@ val of_interpolant : name:string -> Interp.t -> Life_function.t
 val scale_time : factor:float -> Life_function.t -> Life_function.t
 (** [scale_time ~factor p] is the life function [t ↦ p(t / factor)] —
     stretches the episode by [factor] (e.g. convert minutes to seconds).
-    Preserves shape. Requires [factor > 0]. *)
+    Preserves shape, and the inverse if [p] has one ([u ↦ factor · p⁻¹ u]).
+    Requires [factor > 0]. *)
 
 val all_paper_scenarios :
   c:float -> (string * Life_function.t) list

@@ -7,6 +7,7 @@ type t = {
   support : support;
   p : float -> float;
   dp : (float -> float) option;
+  inv : (float -> float) option;
   shape : shape;
 }
 
@@ -27,7 +28,7 @@ let raw_horizon support p =
       done;
       !t
 
-let validate_fn ~name ~support p =
+let validate_fn ~name ~support ?inv p =
   (match support with
   | Bounded l when not (l > 0.0 && Float.is_finite l) ->
       fail "%s: bounded lifespan must be finite and positive" name
@@ -46,16 +47,23 @@ let validate_fn ~name ~support p =
       fail "%s: p(%g) = %g outside [0, 1]" name t v;
     if v > !prev +. 1e-9 then
       fail "%s: p increases near t = %g (%g -> %g)" name t !prev v;
+    (match inv with
+    | Some inv when v > 0.0 && v < 1.0 ->
+        let back = p (inv v) in
+        if not (Float.abs (back -. v) <= 1e-9) then
+          fail "%s: p(inv %g) = %g, inverse disagrees with p" name v back
+    | Some _ | None -> ());
     prev := v
   done
 
-let make ?dp ?(shape = Unknown) ?(validate = true) ~name ~support p =
-  if validate then validate_fn ~name ~support p;
-  { name; support; p; dp; shape }
+let make ?dp ?inv ?(shape = Unknown) ?(validate = true) ~name ~support p =
+  if validate then validate_fn ~name ~support ?inv p;
+  { name; support; p; dp; inv; shape }
 
 let name t = t.name
 let support t = t.support
 let shape t = t.shape
+let inverse t = t.inv
 
 let eval t x =
   if x <= 0.0 then 1.0

@@ -23,10 +23,12 @@ type t
 
 exception Invalid_life_function of string
 (** Raised by {!make} when the candidate violates [p 0 = 1], monotonicity,
-    or range constraints on a sample grid. *)
+    or range constraints on a sample grid, or disagrees with its declared
+    inverse there. *)
 
 val make :
   ?dp:(float -> float) ->
+  ?inv:(float -> float) ->
   ?shape:shape ->
   ?validate:bool ->
   name:string ->
@@ -35,14 +37,23 @@ val make :
   t
 (** [make ~name ~support p] wraps [p] as a life function. [?dp] supplies the
     exact derivative (otherwise finite differences on the support are used).
-    [?shape] declares concavity/convexity — callers are trusted, but
-    [?validate] (default [true]) samples [p] on a grid to check
-    [p 0 = 1] within 1e-9, values in [[0, 1]], and monotone nonincrease.
+    [?inv] supplies the exact inverse [p⁻¹] on [(0, 1)]: [inv u] is the [t]
+    with [p t = u]. Solvers that invert [p] (the recurrence step, reclaim
+    sampling) use it when present and fall back to numerical inversion
+    otherwise. [?shape] declares concavity/convexity — callers are trusted,
+    but [?validate] (default [true]) samples [p] on a grid to check
+    [p 0 = 1] within 1e-9, values in [[0, 1]], monotone nonincrease, and,
+    when [?inv] is given, [|p (inv v) − v| <= 1e-9] at every sampled value
+    [0 < v < 1].
     @raise Invalid_life_function on validation failure. *)
 
 val name : t -> string
 val support : t -> support
 val shape : t -> shape
+
+val inverse : t -> (float -> float) option
+(** [inverse p] is the exact inverse supplied to {!make} as [?inv], if
+    any, defined for survival values in [(0, 1)]. *)
 
 val eval : t -> float -> float
 (** [eval p t] is [p(t)], clamped to [1] for [t <= 0] and to [0] beyond a

@@ -149,7 +149,8 @@ let next_period_online ?t0_steps lf ~c ~elapsed =
   else begin
     (* Conditional life function given survival to [elapsed]. Shape is
        inherited: conditioning rescales p by a constant and shifts time,
-       both of which preserve concavity/convexity. *)
+       both of which preserve concavity/convexity. So is the inverse:
+       p(elapsed + s) / p(elapsed) = u at s = p⁻¹(u · p(elapsed)) − elapsed. *)
     let support =
       match Life_function.support lf with
       | Life_function.Bounded l ->
@@ -165,6 +166,10 @@ let next_period_online ?t0_steps lf ~c ~elapsed =
             ~name:(Life_function.name lf ^ " | survived")
             ~support
             ~dp:(fun s -> Life_function.deriv lf (elapsed +. s) /. p_elapsed)
+            ?inv:
+              (Option.map
+                 (fun inv u -> inv (u *. p_elapsed) -. elapsed)
+                 (Life_function.inverse lf))
             ~shape:(Life_function.shape lf)
             ~validate:false
             (fun s -> Life_function.eval lf (elapsed +. s) /. p_elapsed)

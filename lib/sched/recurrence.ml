@@ -21,27 +21,30 @@ let next_period lf ~c ~prev_period ~prev_end =
   if rhs <= 0.0 || rhs >= p_end then None
   else begin
     (* p is monotone decreasing, so p(prev_end + t) = rhs has a unique
-       positive root; bracket it inside the support. *)
+       positive root; with an exact inverse it is p⁻¹(rhs) − prev_end,
+       otherwise bracket it inside the support and solve. *)
     let f t = Life_function.eval lf (prev_end +. t) -. rhs in
-    let hi =
-      match Life_function.support lf with
-      | Life_function.Bounded l -> l -. prev_end
-      | Life_function.Unbounded ->
-          (* Expand until p drops below rhs. *)
-          let h = ref (Float.max prev_period 1.0) in
-          let guard = ref 0 in
-          while f !h > 0.0 && !guard < 200 do
-            incr guard;
-            h := !h *. 2.0
-          done;
-          !h
-    in
-    if hi <= 0.0 || f hi > 0.0 then None
-    else begin
-      let r = Rootfind.brent f ~lo:0.0 ~hi in
-      let t = r.Rootfind.root in
-      if t <= 0.0 then None else Some t
-    end
+    let positive t = if t <= 0.0 then None else Some t in
+    match (Life_function.support lf, Life_function.inverse lf) with
+    | Life_function.Bounded l, inverse ->
+        let hi = l -. prev_end in
+        if hi <= 0.0 || f hi > 0.0 then None
+        else begin
+          match inverse with
+          | Some inv -> positive (inv rhs -. prev_end)
+          | None -> positive (Rootfind.brent f ~lo:0.0 ~hi).Rootfind.root
+        end
+    | Life_function.Unbounded, Some inv -> positive (inv rhs -. prev_end)
+    | Life_function.Unbounded, None ->
+        (* Expand until p drops below rhs. *)
+        let h = ref (Float.max prev_period 1.0) in
+        let guard = ref 0 in
+        while f !h > 0.0 && !guard < 200 do
+          incr guard;
+          h := !h *. 2.0
+        done;
+        if f !h > 0.0 then None
+        else positive (Rootfind.brent f ~lo:0.0 ~hi:!h).Rootfind.root
   end
 
 type finish = Faithful | Greedy_tail
@@ -104,10 +107,7 @@ let generate_body ~max_periods ~finish lf ~c ~t0 =
     | Faithful, _ ->
         !rev_periods
   in
-  let schedule =
-    Schedule.of_periods (Array.of_list (List.rev rev_periods))
-  in
-  { schedule; stop }
+  { schedule = Schedule.of_list (List.rev rev_periods); stop }
 
 let generate ?(obs = Obs.disabled) ?(max_periods = 100_000)
     ?(finish = Faithful) lf ~c ~t0 =

@@ -5,7 +5,8 @@ exception Invalid_schedule of string
 let build periods =
   { periods; ends = Kahan.cumulative periods }
 
-let of_periods ts =
+(* Takes ownership of [ts]: callers pass an array nobody else holds. *)
+let validated ts =
   let n = Array.length ts in
   if n = 0 then raise (Invalid_schedule "Schedule.of_periods: empty schedule");
   Array.iteri
@@ -15,9 +16,10 @@ let of_periods ts =
           (Invalid_schedule
              (Printf.sprintf "Schedule.of_periods: period %d is %g" i t)))
     ts;
-  build (Array.copy ts)
+  build ts
 
-let of_list ts = of_periods (Array.of_list ts)
+let of_periods ts = validated (Array.copy ts)
+let of_list ts = validated (Array.of_list ts)
 let periods s = Array.copy s.periods
 let num_periods s = Array.length s.periods
 

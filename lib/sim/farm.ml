@@ -10,14 +10,12 @@ let static_policy ~name plan =
       (fun lf ~c ->
         let schedule = plan lf ~c in
         let periods = Schedule.periods schedule in
-        let ends = Schedule.completion_times schedule in
         let idx = ref 0 in
         fun ~elapsed ->
           ignore elapsed;
           if !idx >= Array.length periods then None
           else begin
             let t = periods.(!idx) in
-            ignore ends;
             incr idx;
             Some t
           end);

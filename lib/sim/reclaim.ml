@@ -1,12 +1,15 @@
-type sampler = {
-  (* Inverse CDF table: survival values (decreasing in time) paired with
-     times; we interpolate time as a function of survival. *)
-  inverse : Interp.t;
-  horizon : float;
-}
+type sampler =
+  | Exact of { inv : float -> float; horizon : float; p_horizon : float }
+  | Table of {
+      (* Inverse CDF table: survival values (decreasing in time) paired
+         with times; we interpolate time as a function of survival. *)
+      inverse : Interp.t;
+      horizon : float;
+    }
 
-let create ?(grid = 4096) lf =
-  let horizon = Life_function.horizon lf in
+let grid = 4096
+
+let table lf horizon =
   (* Tabulate p on [0, horizon]. p decreases from 1; build the inverse on
      strictly increasing survival values (reverse time order). *)
   let ts = Array.init (grid + 1) (fun i ->
@@ -29,17 +32,28 @@ let create ?(grid = 4096) lf =
   let n = Array.length pairs in
   let xs = Array.init n (fun i -> fst pairs.(n - 1 - i)) in
   let ys = Array.init n (fun i -> snd pairs.(n - 1 - i)) in
-  let inverse = Interp.pchip ~xs ~ys in
-  { inverse; horizon }
+  Table { inverse = Interp.pchip ~xs ~ys; horizon }
+
+let create lf =
+  let horizon = Life_function.horizon lf in
+  match Life_function.inverse lf with
+  | Some inv ->
+      Exact { inv; horizon; p_horizon = Life_function.eval lf horizon }
+  | None -> table lf horizon
 
 let draw s g =
   let u = Prng.float g in
-  (* T > t iff p(t) > u, so T = p^{-1}(u); u below the table's smallest
-     survival maps to the horizon. *)
-  let lo, hi = Interp.domain s.inverse in
-  if u <= lo then s.horizon
-  else if u >= hi then 0.0
-  else Float.max 0.0 (Float.min s.horizon (Interp.eval s.inverse u))
+  (* T > t iff p(t) > u, so T = p^{-1}(u); u at or below the survival
+     left at the horizon maps to the horizon. *)
+  match s with
+  | Exact { inv; horizon; p_horizon } ->
+      if u <= p_horizon then horizon
+      else Float.min horizon (Float.max 0.0 (inv u))
+  | Table { inverse; horizon } ->
+      let lo, hi = Interp.domain inverse in
+      if u <= lo then horizon
+      else if u >= hi then 0.0
+      else Float.max 0.0 (Float.min horizon (Interp.eval inverse u))
 
 let draw_exact lf g =
   let u = Prng.float g in

@@ -258,6 +258,77 @@ let prop_deriv_negative_in_interior =
       && Life_function.deriv (Families.polynomial ~d:3 ~lifespan:l) t <= 0.0
       && Life_function.deriv (Families.geometric_increasing ~lifespan:(Float.min l 50.0)) (frac *. Float.min l 50.0) <= 0.0)
 
+(* --- closed-form inverses ------------------------------------------- *)
+
+let test_wrong_inverse_rejected () =
+  (* Uniform's inverse on a polynomial p: every sampled value disagrees. *)
+  let l = 10.0 in
+  match
+    Life_function.make ~name:"poly-with-uniform-inverse"
+      ~support:(Life_function.Bounded l)
+      ~inv:(fun u -> l *. (1.0 -. u))
+      (fun t -> 1.0 -. ((t /. l) ** 2.0))
+  with
+  | exception Life_function.Invalid_life_function _ -> ()
+  | _ -> Alcotest.fail "expected Invalid_life_function (wrong inverse)"
+
+let test_inverse_presence () =
+  let has lf = Option.is_some (Life_function.inverse lf) in
+  Alcotest.(check bool) "uniform" true (has (Families.uniform ~lifespan:5.0));
+  Alcotest.(check bool) "scaled weibull" true
+    (has (Families.scale_time ~factor:2.0 (Families.weibull ~shape:2.0 ~scale:3.0)));
+  Alcotest.(check bool) "power law" false (has (Families.power_law ~d:2.0));
+  let ip = Interp.pchip ~xs:[| 0.0; 1.0; 2.0 |] ~ys:[| 1.0; 0.5; 0.0 |] in
+  Alcotest.(check bool) "of_interpolant" false
+    (has (Families.of_interpolant ~name:"fit" ip))
+
+(* Each family that carries an inverse, its parameters spread over their
+   ranges by [x], [y] in [0, 1), optionally stretched by scale_time. *)
+let family_with_inverse (k, x, y, factor) =
+  let lf =
+    match k with
+    | 0 -> Families.uniform ~lifespan:(1.0 +. (499.0 *. x))
+    | 1 ->
+        Families.polynomial
+          ~d:(2 + int_of_float (4.0 *. y))
+          ~lifespan:(1.0 +. (499.0 *. x))
+    | 2 -> Families.geometric_decreasing ~a:(exp (0.005 +. (2.0 *. x)))
+    | 3 -> Families.exponential ~rate:(0.005 +. (2.0 *. x))
+    | 4 -> Families.geometric_increasing ~lifespan:(1.0 +. (199.0 *. x))
+    | _ ->
+        Families.weibull ~shape:(0.5 +. (2.5 *. y)) ~scale:(1.0 +. (199.0 *. x))
+  in
+  if factor < 1.0 then lf else Families.scale_time ~factor lf
+
+let prop_inverse_round_trips =
+  QCheck.Test.make ~name:"closed-form inverses round-trip p" ~count:200
+    QCheck.(
+      quad (int_range 0 5) (float_range 0.0 1.0) (float_range 0.0 1.0)
+        (float_range 0.5 4.0))
+    (fun params ->
+      let lf = family_with_inverse params in
+      let inv = Option.get (Life_function.inverse lf) in
+      let p = Life_function.eval lf in
+      let grid = List.init 64 (fun i -> (float_of_int i +. 0.5) /. 64.0) in
+      let decades = List.init 12 (fun k -> 10.0 ** -.float_of_int (k + 1)) in
+      let us = grid @ decades @ List.map (fun d -> 1.0 -. d) decades in
+      let forward_ok u = Float.abs (p (inv u) -. u) <= 1e-12 in
+      let h = Life_function.horizon lf in
+      let ts = List.map (fun f -> f *. h) (grid @ decades) in
+      (* p t is itself rounded, by up to half an ulp of 1 near p = 1, and
+         any inverse carries that error with slope 1 / |p' t|. Where p is
+         flat near 0 (polynomial, Weibull with shape > 1,
+         geometric-increasing) that term exceeds 1e-9 * max 1 t, so the
+         tolerance adds it, at one ulp. *)
+      let backward_ok t =
+        let v = p t in
+        v <= 1e-12 || v >= 1.0 -. 1e-9
+        || Float.abs (inv v -. t)
+           <= (1e-9 *. Float.max 1.0 t)
+              +. (epsilon_float /. Float.abs (Life_function.deriv lf t))
+      in
+      List.for_all forward_ok us && List.for_all backward_ok ts)
+
 let () =
   Alcotest.run "lifefn"
     [
@@ -317,10 +388,14 @@ let () =
           Alcotest.test_case "horizon unbounded" `Quick test_horizon_unbounded;
           Alcotest.test_case "classify shapes" `Quick test_classify_shapes;
           Alcotest.test_case "scale time" `Quick test_scale_time;
+          Alcotest.test_case "wrong inverse rejected" `Quick
+            test_wrong_inverse_rejected;
+          Alcotest.test_case "inverse presence" `Quick test_inverse_presence;
         ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_families_decreasing;
           QCheck_alcotest.to_alcotest prop_deriv_negative_in_interior;
+          QCheck_alcotest.to_alcotest prop_inverse_round_trips;
         ] );
     ]
