@@ -27,6 +27,7 @@ open Toolkit
 let uniform_lf = Families.uniform ~lifespan:100.0
 let geo_dec_lf = Families.geometric_decreasing ~a:(exp 0.05)
 let geo_inc_lf = Families.geometric_increasing ~lifespan:30.0
+let weibull_lf = Families.weibull ~shape:1.5 ~scale:100.0
 let schedule = (Guideline.plan uniform_lf ~c:1.0).Guideline.schedule
 
 (* The episode-run rows and the tabulated reclaim-draw row sample from
@@ -97,6 +98,11 @@ let serial_workloads : (string * (unit -> unit) * int) list =
       5 );
     ( "guideline-plan (geo-dec)",
       (fun () -> ignore (Guideline.plan geo_dec_lf ~c:1.0)),
+      5 );
+    (* Weibull with shape > 1 declares no shape, so this row keeps the
+       grid search and the 512-cell bracket scan measured. *)
+    ( "guideline-plan (weibull k=1.5, unknown shape)",
+      (fun () -> ignore (Guideline.plan weibull_lf ~c:1.0)),
       5 );
     ( "exact-uniform ([3] closed form)",
       (fun () -> ignore (Exact.uniform ~c:1.0 ~lifespan:100.0)),

@@ -176,18 +176,3 @@ let coordinate_ascent ?(tol = 1e-10) ?(max_sweeps = 200) ~f ~lower ~upper init =
     done
   done;
   (x, !best)
-
-let maximize_unbounded_right ?(tol = 1e-10) f ~lo ~init_width =
-  if init_width <= 0.0 then
-    invalid_arg "Optimize.maximize_unbounded_right: init_width must be > 0";
-  let hi = ref (lo +. init_width) in
-  let steps = 64 in
-  let coarse = ref (grid_max f ~lo ~hi:!hi ~steps) in
-  (* Keep widening while the winner sits near the right edge of the grid. *)
-  let guard = ref 0 in
-  while !coarse.x > !hi -. ((!hi -. lo) /. float_of_int steps) && !guard < 60 do
-    incr guard;
-    hi := lo +. (2.0 *. (!hi -. lo));
-    coarse := grid_max f ~lo ~hi:!hi ~steps
-  done;
-  grid_then_refine ~tol f ~lo ~hi:!hi ~steps

@@ -2,9 +2,11 @@
 
     Two scheduler components depend on this module: the guideline scheduler
     searches for the best initial period [t_0] inside the Theorem 3.2/3.3
-    bracket (a smooth unimodal 1-D problem), and the independent ground-truth
-    optimiser maximises expected work over whole period vectors by cyclic
-    coordinate ascent with golden-section line searches. *)
+    bracket (golden-section where the life function's shape makes the 1-D
+    problem unimodal, a grid and refine otherwise), and the independent
+    ground-truth optimiser maximises expected work over whole period
+    vectors by cyclic coordinate ascent with grid-and-refine line
+    searches. *)
 
 type point = { x : float; fx : float }
 (** An abscissa paired with its objective value. *)
@@ -38,9 +40,10 @@ val grid_max :
 val grid_then_refine :
   ?tol:float -> (float -> float) -> lo:float -> hi:float -> steps:int -> point
 (** [grid_then_refine f ~lo ~hi ~steps] runs {!grid_max} and then refines
-    with {!brent_max} on the grid cell pair around the winner. This is the
-    default [t_0] search: the Theorem 3.2/3.3 bracket is narrow enough that a
-    modest grid pins the global mode. *)
+    with {!brent_max} on the grid cell pair around the winner. For
+    objectives not known to be unimodal: the [t_0] search on life functions
+    of unknown shape, and the coordinate line searches of
+    {!coordinate_ascent}. *)
 
 val coordinate_ascent :
   ?tol:float -> ?max_sweeps:int ->
@@ -57,11 +60,3 @@ val coordinate_ascent :
     Deterministic; suitable for the smooth concave-ish expected-work
     landscapes of this paper, and validated in tests against closed-form
     optima. Array lengths must agree and the box must be nonempty. *)
-
-val maximize_unbounded_right :
-  ?tol:float -> (float -> float) -> lo:float -> init_width:float -> point
-(** [maximize_unbounded_right f ~lo ~init_width] maximises a function on
-    [[lo, ∞)] that eventually decreases, by geometrically growing the right
-    edge from [lo + init_width] until the best grid sample stops moving
-    rightward, then refining. Used for [t_0] searches on life functions with
-    unbounded support (e.g. the geometric-decreasing scenario). *)

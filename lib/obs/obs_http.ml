@@ -217,11 +217,13 @@ let listen_on addr =
         (Format.asprintf "cannot listen on %a: %s" pp_addr addr
            (Unix.error_message e))
 
+(* Unlink before closing: once the listener is closed a client's connect
+   fails, and by then the socket path must already be gone. *)
 let cleanup fd addr =
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  match addr with
+  (match addr with
   | Unix_sock p -> ( try Sys.remove p with Sys_error _ -> ())
-  | Tcp _ -> ()
+  | Tcp _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
 
 let serve_loop ?max_requests ~stopped fd source =
   let rec loop served =

@@ -18,31 +18,47 @@ let guard_domain name lf ~c =
   if c >= hi then invalid_arg (name ^ ": c >= horizon");
   hi
 
-(* Solve t = rhs(t) as the root of g(t) = t - rhs(t), scanning (c, hi) for
-   the sign change requested by [pick] (`First or `Last). *)
-let fixed_point ~pick ~lo ~hi g =
-  let steps = 512 in
-  let h = (hi -. lo) /. float_of_int steps in
-  let changes = ref [] in
-  let prev = ref (g lo) in
-  for i = 1 to steps do
-    let x = lo +. (float_of_int i *. h) in
-    let v = g x in
-    if (!prev <= 0.0 && v > 0.0) || (!prev >= 0.0 && v < 0.0) then
-      changes := (x -. h, x) :: !changes;
-    prev := v
-  done;
-  let bracket =
-    match (pick, List.rev !changes) with
-    | _, [] -> None
-    | `First, b :: _ -> Some b
-    | `Last, l -> Some (List.hd (List.rev l))
+(* Scan resolution for the fixed-point searches. On a certified shape
+   the sign changes of g are far apart, so 32 cells isolate the same
+   crossing as 512 and Brent refines it to the same root (test_bounds
+   checks this on a seeded corpus). A trace-fitted (Unknown) p has flat
+   pieces where g jumps to −∞, which a coarse scan can step over. *)
+let scan_cells lf =
+  match Life_function.shape lf with
+  | Life_function.Concave | Life_function.Convex | Life_function.Linear -> 32
+  | Life_function.Unknown -> 512
+
+(* Solve t = rhs(t) as the root of g(t) = t - rhs(t), scanning
+   [scan_cells lf] cells of (lo, hi) for the sign change requested by
+   [pick]: `First scans up from lo, `Last down from hi, each stopping at
+   its first change. *)
+let fixed_point lf ~pick ~lo ~hi g =
+  let cells = scan_cells lf in
+  let h = (hi -. lo) /. float_of_int cells in
+  let x i = lo +. (float_of_int i *. h) in
+  let changes a b = (a <= 0.0 && b > 0.0) || (a >= 0.0 && b < 0.0) in
+  let rec up i prev =
+    if i > cells then None
+    else
+      let v = g (x i) in
+      if changes prev v then Some i else up (i + 1) v
+  in
+  let rec down i next =
+    if i < 1 then None
+    else
+      let v = g (x (i - 1)) in
+      if changes v next then Some i else down (i - 1) v
+  in
+  let cell =
+    match pick with
+    | `First -> up 1 (g lo)
+    | `Last -> down cells (g (x cells))
   in
   Option.map
-    (fun (a, b) ->
-      let r = Rootfind.brent g ~lo:a ~hi:b in
-      r.Rootfind.root)
-    bracket
+    (fun i ->
+      let b = x i in
+      (Rootfind.brent g ~lo:(b -. h) ~hi:b).Rootfind.root)
+    cell
 
 let lower_t0 lf ~c =
   let hi = guard_domain "Bounds.lower_t0" lf ~c in
@@ -52,7 +68,7 @@ let lower_t0 lf ~c =
   in
   (* g < 0 just above c and g > 0 near the horizon; take the first root so
      the bracket stays conservative (every optimal t0 is above it). *)
-  match fixed_point ~pick:`First ~lo:(c *. (1.0 +. 1e-9)) ~hi g with
+  match fixed_point lf ~pick:`First ~lo:(c *. (1.0 +. 1e-9)) ~hi g with
   | Some t -> t
   | None -> c
 
@@ -64,7 +80,7 @@ let upper_generic name lf ~c ~deriv_of =
   in
   (* The theorem says the optimal t0 (if > 2c) satisfies g(t0) <= 0; the
      bound is the last crossing, above which g stays positive. *)
-  match fixed_point ~pick:`Last ~lo:(c *. (1.0 +. 1e-9)) ~hi g with
+  match fixed_point lf ~pick:`Last ~lo:(c *. (1.0 +. 1e-9)) ~hi g with
   | Some t -> Float.max (2.0 *. c) t
   | None -> hi
 

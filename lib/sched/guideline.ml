@@ -25,18 +25,32 @@ let plan_with_t0 ?finish lf ~c ~t0 =
     stop = g.Recurrence.stop;
   }
 
-let plan ?(obs = Obs.disabled) ?(t0_steps = 128) ?finish lf ~c =
+(* Grid resolution of the t0 searches that cannot assume unimodality. *)
+let grid_steps = 128
+
+(* The t0 search over the bracket. On a certified shape E(t0) is
+   unimodal over the bracket (test_guideline checks this on a seeded
+   corpus), so golden-section pins the maximum in 44 iterations. A
+   trace-fitted (Unknown) p can make E multimodal, so it gets a grid
+   before the refine. *)
+let search lf objective ~lo ~hi =
+  match Life_function.shape lf with
+  | Life_function.Concave | Life_function.Convex | Life_function.Linear ->
+      Optimize.golden_section_max ~tol:(1e-9 *. (hi -. lo)) objective ~lo ~hi
+  | Life_function.Unknown ->
+      Optimize.grid_then_refine objective ~lo ~hi ~steps:grid_steps
+
+let plan ?(obs = Obs.disabled) ?finish lf ~c =
   let compute () =
     (* The guideline's three phases, each its own span: Thm 3.2/3.3
-       bracketing, the t0 grid-and-refine search (whose evaluations span
-       themselves), and the final regeneration at the winner. *)
+       bracketing, the t0 search (whose evaluations span themselves), and
+       the final regeneration at the winner. *)
     let lo, hi =
       Obs.span obs "plan.bracket" (fun () -> Bounds.bracket lf ~c)
     in
     let objective t0 = snd (evaluate ~obs ?finish lf ~c ~t0) in
     let best =
-      Obs.span obs "plan.search" (fun () ->
-          Optimize.grid_then_refine objective ~lo ~hi ~steps:t0_steps)
+      Obs.span obs "plan.search" (fun () -> search lf objective ~lo ~hi)
     in
     let g, ew = evaluate ~obs ?finish lf ~c ~t0:best.Optimize.x in
     {
@@ -66,8 +80,7 @@ let plan ?(obs = Obs.disabled) ?(t0_steps = 128) ?finish lf ~c =
     r
   end
 
-let plan_batch ?(obs = Obs.disabled) ?pool ?domains ?t0_steps ?finish scenarios
-    =
+let plan_batch ?(obs = Obs.disabled) ?pool ?domains ?finish scenarios =
   match scenarios with
   | [] -> []
   | _ :: _ ->
@@ -111,7 +124,7 @@ let plan_batch ?(obs = Obs.disabled) ?pool ?domains ?t0_steps ?finish scenarios
           Domain_pool.run ?pool ?domains ?metrics:meter ~chunks:m (fun u ->
               let lf, c = scen.(uniq.(u)) in
               slots.(u) <-
-                Some (plan ~obs:(Obs_fork.child kids u) ?t0_steps ?finish lf ~c));
+                Some (plan ~obs:(Obs_fork.child kids u) ?finish lf ~c));
           let merge_t0 = if accounting then Obs_clock.now () else 0.0 in
           Obs_fork.gather obs kids;
           if accounting then
@@ -122,7 +135,7 @@ let plan_batch ?(obs = Obs.disabled) ?pool ?domains ?t0_steps ?finish scenarios
           | Some r -> r
           | None -> assert false (* every chunk filled its slot *))
 
-let plan_risk_averse ?(t0_steps = 128) ~lambda_ lf ~c =
+let plan_risk_averse ~lambda_ lf ~c =
   if lambda_ < 0.0 then
     invalid_arg "Guideline.plan_risk_averse: lambda_ must be >= 0";
   let lo, hi = Bounds.bracket lf ~c in
@@ -131,7 +144,7 @@ let plan_risk_averse ?(t0_steps = 128) ~lambda_ lf ~c =
     let d = Work_distribution.of_schedule lf ~c g.Recurrence.schedule in
     d.Work_distribution.mean -. (lambda_ *. d.Work_distribution.stddev)
   in
-  let best = Optimize.grid_then_refine score ~lo ~hi ~steps:t0_steps in
+  let best = Optimize.grid_then_refine score ~lo ~hi ~steps:grid_steps in
   let g, ew = evaluate lf ~c ~t0:best.Optimize.x in
   {
     schedule = g.Recurrence.schedule;
@@ -141,7 +154,7 @@ let plan_risk_averse ?(t0_steps = 128) ~lambda_ lf ~c =
     stop = g.Recurrence.stop;
   }
 
-let next_period_online ?t0_steps lf ~c ~elapsed =
+let next_period_online lf ~c ~elapsed =
   if elapsed < 0.0 then
     invalid_arg "Guideline.next_period_online: elapsed must be >= 0";
   let p_elapsed = Life_function.eval lf elapsed in
@@ -174,6 +187,6 @@ let next_period_online ?t0_steps lf ~c ~elapsed =
             ~validate:false
             (fun s -> Life_function.eval lf (elapsed +. s) /. p_elapsed)
         in
-        let r = plan ?t0_steps conditional ~c in
+        let r = plan conditional ~c in
         if r.expected_work > 0.0 && r.t0 > c then Some r.t0 else None
   end

@@ -17,13 +17,17 @@ type result = {
 
 val plan :
   ?obs:Obs.t ->
-  ?t0_steps:int ->
   ?finish:Recurrence.finish ->
   Life_function.t -> c:float ->
   result
-(** [plan p ~c] runs the full guideline pipeline. [t0_steps] (default 128)
-    is the grid resolution of the [t_0] search inside the bracket before
-    Brent refinement. Requires [0 < c < horizon p].
+(** [plan p ~c] runs the full guideline pipeline. The [t_0] search inside
+    the bracket depends on the declared shape of [p]: for
+    {!Life_function.Concave}, [Convex] and [Linear] [p], [E(t_0)] is
+    unimodal over the bracket and a golden-section search to 1e-9 of the
+    bracket width finds its maximum (48 schedule evaluations with the
+    final one); for {!Life_function.Unknown} [p], such as a trace fit,
+    which can make [E] multimodal, a 128-cell grid localises the maximum
+    and Brent refines it. Requires [0 < c < horizon p].
 
     [?obs] (default {!Obs.disabled}) records the planning step: a
     [Plan_computed] event (source ["guideline"], with the chosen [t_0],
@@ -40,7 +44,6 @@ val plan_batch :
   ?obs:Obs.t ->
   ?pool:Domain_pool.t ->
   ?domains:int ->
-  ?t0_steps:int ->
   ?finish:Recurrence.finish ->
   (Life_function.t * float) list ->
   result list
@@ -73,7 +76,6 @@ val plan_with_t0 :
     (e.g. the closed-form §4 values) under the same machinery. *)
 
 val plan_risk_averse :
-  ?t0_steps:int ->
   lambda_:float ->
   Life_function.t -> c:float ->
   result
@@ -84,11 +86,12 @@ val plan_risk_averse :
     ({!Work_distribution}). [lambda_ = 0] reduces to {!plan} (the reported
     [expected_work] is always the plain eq. 2.1 mean); larger [lambda_]
     trades expected work for a thinner low tail — e.g. a smaller
-    probability of a wasted episode. Requires [lambda_ >= 0] and
+    probability of a wasted episode. Whatever the shape of [p], the
+    search is the 128-cell grid with a Brent refine, since this objective
+    is not known to be unimodal. Requires [lambda_ >= 0] and
     [0 < c < horizon p]. *)
 
 val next_period_online :
-  ?t0_steps:int ->
   Life_function.t -> c:float -> elapsed:float ->
   float option
 (** [next_period_online p ~c ~elapsed] supports the §6 "progressive"

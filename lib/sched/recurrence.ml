@@ -8,13 +8,9 @@ type generated = { schedule : Schedule.t; stop : stop_reason }
 
 let tail_threshold = 1e-15
 
-let next_period lf ~c ~prev_period ~prev_end =
-  if c < 0.0 then invalid_arg "Recurrence.next_period: c must be >= 0";
-  if prev_period <= 0.0 then
-    invalid_arg "Recurrence.next_period: prev_period must be > 0";
-  if prev_end < prev_period -. 1e-9 then
-    invalid_arg "Recurrence.next_period: prev_end < prev_period";
-  let p_end = Life_function.eval lf prev_end in
+(* One eq. 3.6 step, given [p_end = p(prev_end)]: [generate] has already
+   evaluated it for its tail test. *)
+let step lf ~c ~prev_period ~prev_end ~p_end =
   let rhs =
     p_end +. ((prev_period -. c) *. Life_function.deriv lf prev_end)
   in
@@ -47,6 +43,14 @@ let next_period lf ~c ~prev_period ~prev_end =
         else positive (Rootfind.brent f ~lo:0.0 ~hi:!h).Rootfind.root
   end
 
+let next_period lf ~c ~prev_period ~prev_end =
+  if c < 0.0 then invalid_arg "Recurrence.next_period: c must be >= 0";
+  if prev_period <= 0.0 then
+    invalid_arg "Recurrence.next_period: prev_period must be > 0";
+  if prev_end < prev_period -. 1e-9 then
+    invalid_arg "Recurrence.next_period: prev_end < prev_period";
+  step lf ~c ~prev_period ~prev_end ~p_end:(Life_function.eval lf prev_end)
+
 type finish = Faithful | Greedy_tail
 
 let greedy_tail lf ~c ~elapsed =
@@ -77,20 +81,26 @@ let generate_body ~max_periods ~finish lf ~c ~t0 =
   let stop = ref None in
   while !stop = None do
     if !count >= max_periods then stop := Some Period_cap
-    else if Life_function.eval lf !prev_end < tail_threshold then
-      stop := Some Tail_negligible
-    else if !prev_period <= c then stop := Some Unproductive
     else begin
-      match next_period lf ~c ~prev_period:!prev_period ~prev_end:!prev_end with
-      | None -> stop := Some Exhausted_support
-      | Some t ->
-          rev_periods := t :: !rev_periods;
-          incr count;
-          prev_period := t;
-          (* Thm 3.1 defines T_k = T_{k-1} + t_k; the uncompensated
-             recurrence IS the object under study, and test_recurrence
-             pins its fixed points to 1e-9. *)
-          (prev_end := !prev_end +. t) [@lint.allow "R2"]
+      let p_end = Life_function.eval lf !prev_end in
+      if p_end < tail_threshold then stop := Some Tail_negligible
+      else if !prev_period <= c then stop := Some Unproductive
+      else begin
+        (* [generate] checked c >= 0; the loop keeps prev_period > c and
+           prev_end >= prev_period, so [next_period]'s checks would pass. *)
+        match
+          step lf ~c ~prev_period:!prev_period ~prev_end:!prev_end ~p_end
+        with
+        | None -> stop := Some Exhausted_support
+        | Some t ->
+            rev_periods := t :: !rev_periods;
+            incr count;
+            prev_period := t;
+            (* Thm 3.1 defines T_k = T_{k-1} + t_k; the uncompensated
+               recurrence IS the object under study, and test_recurrence
+               pins its fixed points to 1e-9. *)
+            (prev_end := !prev_end +. t) [@lint.allow "R2"]
+      end
     end
   done;
   let stop = Option.get !stop in

@@ -13,8 +13,9 @@ let check_durations name ds =
         invalid_arg (name ^ ": durations must be positive and finite"))
     ds
 
-let sse_against_ecdf lf ds =
-  let steps = Stats.ecdf_survival ds in
+(* SSE of [lf] against the ECDF [steps]. Fits build the ECDF once and
+   score every candidate against it: the build sorts the sample. *)
+let sse_against_steps lf steps =
   let acc = Kahan.create () in
   Array.iter
     (fun (x, s) ->
@@ -23,8 +24,10 @@ let sse_against_ecdf lf ds =
     steps;
   Kahan.total acc
 
-let finish family life params ds =
-  { family; life; sse = sse_against_ecdf life ds; params }
+let sse_against_ecdf lf ds = sse_against_steps lf (Stats.ecdf_survival ds)
+
+let finish family life params steps =
+  { family; life; sse = sse_against_steps life steps; params }
 
 let exponential_mle ds =
   check_durations "Fit.exponential_mle" ds;
@@ -32,14 +35,15 @@ let exponential_mle ds =
   finish "exponential"
     (Families.exponential ~rate)
     [ ("rate", rate) ]
-    ds
+    (Stats.ecdf_survival ds)
 
 let uniform_fit ds =
   check_durations "Fit.uniform_fit" ds;
   let n = float_of_int (Array.length ds) in
   let mx = Array.fold_left Float.max ds.(0) ds in
   let l = mx *. (n +. 1.0) /. n in
-  finish "uniform" (Families.uniform ~lifespan:l) [ ("lifespan", l) ] ds
+  finish "uniform" (Families.uniform ~lifespan:l) [ ("lifespan", l) ]
+    (Stats.ecdf_survival ds)
 
 let weibull_mle ?(tol = 1e-10) ?(max_iter = 200) ds =
   check_durations "Fit.weibull_mle" ds;
@@ -72,14 +76,15 @@ let weibull_mle ?(tol = 1e-10) ?(max_iter = 200) ds =
   finish "weibull"
     (Families.weibull ~shape ~scale)
     [ ("shape", shape); ("scale", scale) ]
-    ds
+    (Stats.ecdf_survival ds)
 
 let geometric_increasing_fit ds =
   check_durations "Fit.geometric_increasing_fit" ds;
   let mx = Array.fold_left Float.max ds.(0) ds in
+  let steps = Stats.ecdf_survival ds in
   let objective l =
     if l <= mx then infinity
-    else sse_against_ecdf (Families.geometric_increasing ~lifespan:l) ds
+    else sse_against_steps (Families.geometric_increasing ~lifespan:l) steps
   in
   let best =
     Optimize.golden_section_min objective ~lo:(mx *. 1.0001) ~hi:(mx *. 4.0)
@@ -88,16 +93,17 @@ let geometric_increasing_fit ds =
   finish "geometric-increasing"
     (Families.geometric_increasing ~lifespan:l)
     [ ("lifespan", l) ]
-    ds
+    steps
 
 let polynomial_fit ?(d_max = 5) ds =
   check_durations "Fit.polynomial_fit" ds;
   if d_max < 1 then invalid_arg "Fit.polynomial_fit: d_max must be >= 1";
   let mx = Array.fold_left Float.max ds.(0) ds in
+  let steps = Stats.ecdf_survival ds in
   let candidate d =
     let objective l =
       if l <= mx then infinity
-      else sse_against_ecdf (Families.polynomial ~d ~lifespan:l) ds
+      else sse_against_steps (Families.polynomial ~d ~lifespan:l) steps
     in
     let best =
       Optimize.golden_section_min objective ~lo:(mx *. 1.0001) ~hi:(mx *. 4.0)
@@ -116,7 +122,7 @@ let polynomial_fit ?(d_max = 5) ds =
     (Printf.sprintf "polynomial(d=%d)" d)
     (Families.polynomial ~d ~lifespan:l)
     [ ("d", float_of_int d); ("lifespan", l) ]
-    ds
+    steps
 
 let best_fit ?d_max ds =
   check_durations "Fit.best_fit" ds;

@@ -94,6 +94,92 @@ let test_bracket_unknown_shape_falls_back () =
   let _, hi = Bounds.bracket lf ~c:1.0 in
   feq ~eps:1e-6 100.0 hi
 
+(* --- scan resolution by shape ------------------------------------------- *)
+
+(* [Bounds.bracket] rebuilt with a 512-cell sign-change scan for every
+   shape: the reference the 32-cell scan on certified shapes must match. *)
+let reference_bracket lf ~c =
+  let hi = Life_function.horizon lf in
+  let radical ~deriv_at t =
+    let dp = Life_function.deriv lf deriv_at in
+    if dp >= 0.0 then infinity
+    else sqrt ((c *. c /. 4.0) -. (c *. Life_function.eval lf t /. dp))
+  in
+  let crossings g =
+    let cells = 512 in
+    let lo = c *. (1.0 +. 1e-9) in
+    let h = (hi -. lo) /. float_of_int cells in
+    let found = ref [] in
+    let prev = ref (g lo) in
+    for i = 1 to cells do
+      let x = lo +. (float_of_int i *. h) in
+      let v = g x in
+      if (!prev <= 0.0 && v > 0.0) || (!prev >= 0.0 && v < 0.0) then
+        found := (Rootfind.brent g ~lo:(x -. h) ~hi:x).Rootfind.root :: !found;
+      prev := v
+    done;
+    List.rev !found
+  in
+  let lower =
+    match
+      crossings (fun t ->
+          let r = radical ~deriv_at:t t in
+          if Float.is_finite r then t -. r -. (c /. 2.0) else neg_infinity)
+    with
+    | t :: _ -> t
+    | [] -> c
+  in
+  let upper deriv_of =
+    match
+      List.rev
+        (crossings (fun t ->
+             let r = radical ~deriv_at:(deriv_of t) t in
+             if Float.is_finite r then t -. (2.0 *. r) -. c else neg_infinity))
+    with
+    | t :: _ -> Float.max (2.0 *. c) t
+    | [] -> hi
+  in
+  let lower = Float.max lower (c *. (1.0 +. 1e-12)) in
+  let upper =
+    match Life_function.shape lf with
+    | Life_function.Convex -> upper Fun.id
+    | Life_function.Concave -> upper (fun t -> t /. 2.0)
+    | Life_function.Linear ->
+        Float.min (upper Fun.id) (upper (fun t -> t /. 2.0))
+    | Life_function.Unknown -> hi
+  in
+  let upper = Float.min upper hi in
+  if upper <= lower then (lower, Float.min (2.0 *. lower) hi) else (lower, upper)
+
+let test_coarse_scan_matches_reference () =
+  let g = Prng.create ~seed:16L in
+  let range lo hi = Prng.float_range g ~lo ~hi in
+  for _ = 1 to 300 do
+    let lf =
+      match Prng.int g ~bound:6 with
+      | 0 -> Families.uniform ~lifespan:(range 10.0 300.0)
+      | 1 ->
+          Families.polynomial ~d:(2 + Prng.int g ~bound:4)
+            ~lifespan:(range 10.0 300.0)
+      | 2 -> Families.geometric_decreasing ~a:(exp (range 0.005 0.2))
+      | 3 -> Families.exponential ~rate:(range 0.005 0.2)
+      | 4 -> Families.geometric_increasing ~lifespan:(range 5.0 80.0)
+      | _ -> Families.weibull ~shape:(range 0.3 1.0) ~scale:(range 10.0 300.0)
+    in
+    let lf =
+      if Prng.int g ~bound:3 = 0 then
+        Families.scale_time ~factor:(range 0.1 10.0) lf
+      else lf
+    in
+    let c = Life_function.horizon lf *. exp (range (log 1e-3) (log 0.4)) in
+    let lo, hi = Bounds.bracket lf ~c in
+    let ref_lo, ref_hi = reference_bracket lf ~c in
+    let close a b = Float.abs (a -. b) <= 1e-12 *. Float.abs b in
+    if not (close lo ref_lo && close hi ref_hi) then
+      Alcotest.failf "%s, c=%g: bracket [%.17g, %.17g], reference [%.17g, %.17g]"
+        (Life_function.name lf) c lo hi ref_lo ref_hi
+  done
+
 (* --- validation ------------------------------------------------------- *)
 
 let test_domain_guards () =
@@ -189,6 +275,8 @@ let () =
             test_bracket_nonempty_always;
           Alcotest.test_case "unknown shape fallback" `Quick
             test_bracket_unknown_shape_falls_back;
+          Alcotest.test_case "32-cell scan = 512-cell reference" `Quick
+            test_coarse_scan_matches_reference;
           Alcotest.test_case "domain guards" `Quick test_domain_guards;
         ] );
       ( "corollaries-5.x",

@@ -188,6 +188,103 @@ let test_inverse_plans_match_brent () =
       (Recurrence.residuals lf ~c fast.Guideline.schedule)
   done
 
+(* --- the t0 search by shape -------------------------------------------- *)
+
+(* A certified-shape scenario drawn from [seed]: one of the six families
+   (Weibull only with shape <= 1, where it is convex), time-scaled one
+   time in three, with c between 1e-3 and 0.4 of the horizon. *)
+let certified_scenario seed =
+  let g = Prng.create ~seed:(Int64.of_int seed) in
+  let range lo hi = Prng.float_range g ~lo ~hi in
+  let lf =
+    match Prng.int g ~bound:6 with
+    | 0 -> Families.uniform ~lifespan:(range 10.0 300.0)
+    | 1 ->
+        Families.polynomial ~d:(2 + Prng.int g ~bound:4)
+          ~lifespan:(range 10.0 300.0)
+    | 2 -> Families.geometric_decreasing ~a:(exp (range 0.005 0.2))
+    | 3 -> Families.exponential ~rate:(range 0.005 0.2)
+    | 4 -> Families.geometric_increasing ~lifespan:(range 5.0 80.0)
+    | _ -> Families.weibull ~shape:(range 0.3 1.0) ~scale:(range 10.0 300.0)
+  in
+  let lf =
+    if Prng.int g ~bound:3 = 0 then Families.scale_time ~factor:(range 0.1 10.0) lf
+    else lf
+  in
+  let c = Life_function.horizon lf *. exp (range (log 1e-3) (log 0.4)) in
+  (lf, c)
+
+let arb_certified_scenario =
+  QCheck.make
+    ~print:(fun seed ->
+      let lf, c = certified_scenario seed in
+      Printf.sprintf "%s, c=%g" (Life_function.name lf) c)
+    QCheck.Gen.nat
+
+let prop_certified_search_finds_unimodal_max =
+  (* Golden-section is only sound where E(t0) is unimodal over the
+     bracket: sampled on a 200-point grid, no interior point may sit below
+     the best points on both of its sides (beyond round-off), and the
+     plan must reach the grid's maximum. *)
+  QCheck.Test.make
+    ~name:"certified shapes: E(t0) unimodal on the bracket, plan reaches max"
+    ~count:300 arb_certified_scenario
+    (fun seed ->
+      let lf, c = certified_scenario seed in
+      let lo, hi = Bounds.bracket lf ~c in
+      let m = 200 in
+      let e =
+        Array.init m (fun i ->
+            let t0 = lo +. (float_of_int i *. (hi -. lo) /. float_of_int (m - 1)) in
+            (Guideline.plan_with_t0 lf ~c ~t0).Guideline.expected_work)
+      in
+      let e_max = Array.fold_left Float.max neg_infinity e in
+      let left = Array.copy e and right = Array.copy e in
+      for i = 1 to m - 1 do
+        left.(i) <- Float.max left.(i - 1) e.(i)
+      done;
+      for i = m - 2 downto 0 do
+        right.(i) <- Float.max right.(i + 1) e.(i)
+      done;
+      let slack = 1e-12 *. Float.abs e_max in
+      match
+        List.find_opt
+          (fun i -> e.(i) < Float.min left.(i - 1) right.(i + 1) -. slack)
+          (List.init (m - 2) succ)
+      with
+      | Some i -> QCheck.Test.fail_reportf "dip at grid point %d of %d" i m
+      | None ->
+          let planned = (Guideline.plan lf ~c).Guideline.expected_work in
+          planned >= e_max -. (1e-9 *. Float.abs e_max))
+
+(* Number of [plan.evaluate] spans one plan records. *)
+let evaluations lf ~c =
+  let spans = Obs.Span.create () in
+  ignore (Guideline.plan ~obs:(Obs.create ~spans ()) lf ~c : Guideline.result);
+  List.length
+    (List.filter
+       (fun s -> String.equal s.Obs.Span.name "plan.evaluate")
+       (Obs.Span.spans spans))
+
+let test_evaluations_by_shape () =
+  List.iter
+    (fun lf ->
+      let n = evaluations lf ~c:1.0 in
+      if n > 50 then
+        Alcotest.failf "%s: %d evaluations, want <= 50" (Life_function.name lf) n)
+    [
+      Families.uniform ~lifespan:100.0;
+      Families.polynomial ~d:3 ~lifespan:80.0;
+      Families.geometric_decreasing ~a:(exp 0.05);
+      Families.exponential ~rate:0.03;
+      Families.geometric_increasing ~lifespan:30.0;
+      Families.weibull ~shape:0.8 ~scale:60.0;
+      Families.scale_time ~factor:2.0 (Families.polynomial ~d:2 ~lifespan:50.0);
+    ];
+  (* Weibull with shape > 1 is declared Unknown: the 129-point grid runs. *)
+  let n = evaluations (Families.weibull ~shape:1.5 ~scale:100.0) ~c:1.0 in
+  if n <= 129 then Alcotest.failf "weibull(1.5): %d evaluations, want > 129" n
+
 (* --- properties -------------------------------------------------------- *)
 
 let prop_guideline_within_2pct_of_optimizer =
@@ -228,6 +325,12 @@ let () =
           QCheck_alcotest.to_alcotest prop_guideline_t0_in_paper_bounds_uniform;
           Alcotest.test_case "inverse plans = Brent plans" `Quick
             test_inverse_plans_match_brent;
+        ] );
+      ( "search",
+        [
+          QCheck_alcotest.to_alcotest prop_certified_search_finds_unimodal_max;
+          Alcotest.test_case "evaluations by shape" `Quick
+            test_evaluations_by_shape;
         ] );
       ( "structure",
         [

@@ -85,15 +85,6 @@ let test_coordinate_ascent_dim_mismatch () =
            ~f:(fun _ -> 0.0)
            ~lower:[| 0.0 |] ~upper:[| 1.0; 2.0 |] [| 0.5; 0.5 |]))
 
-let test_unbounded_right () =
-  (* max of t * exp(-t/20) at t = 20, well beyond the initial width. *)
-  let p =
-    Optimize.maximize_unbounded_right
-      (fun t -> t *. exp (-.t /. 20.0))
-      ~lo:0.0 ~init_width:1.0
-  in
-  Alcotest.(check (float 1e-3)) "argmax 20" 20.0 p.Optimize.x
-
 let prop_brent_max_finds_parabola_vertex =
   QCheck.Test.make ~name:"brent_max finds random parabola vertices" ~count:200
     QCheck.(float_range 0.5 9.5)
@@ -125,7 +116,6 @@ let () =
             test_coordinate_ascent_respects_box;
           Alcotest.test_case "coordinate ascent dim mismatch" `Quick
             test_coordinate_ascent_dim_mismatch;
-          Alcotest.test_case "unbounded right" `Quick test_unbounded_right;
           QCheck_alcotest.to_alcotest prop_brent_max_finds_parabola_vertex;
         ] );
     ]
