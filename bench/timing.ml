@@ -30,18 +30,21 @@ let geo_inc_lf = Families.geometric_increasing ~lifespan:30.0
 let weibull_lf = Families.weibull ~shape:1.5 ~scale:100.0
 let schedule = (Guideline.plan uniform_lf ~c:1.0).Guideline.schedule
 
-(* The episode-run rows and the tabulated reclaim-draw row sample from
-   uniform_lf rebuilt without its inverse, which keeps them on the 4096-point
-   table; the closed-form row samples from uniform_lf itself. *)
-let sampler =
-  Reclaim.create
-    (Life_function.make ~validate:false ~name:"uniform, no inverse"
-       ~support:(Life_function.support uniform_lf)
-       ~dp:(Life_function.deriv uniform_lf)
-       ~shape:(Life_function.shape uniform_lf)
-       (Life_function.eval uniform_lf))
+(* The episode-run rows and the closed-form reclaim-draw row sample from
+   uniform_lf. The fitted row samples a trace fit (a Kaplan–Meier PCHIP
+   through 1000 censored day/night absences, like the e2e simulate
+   workload's fitted scenarios), whose draws invert the interpolant. *)
+let sampler = Reclaim.create uniform_lf
 
-let exact_sampler = Reclaim.create uniform_lf
+let fitted_sampler =
+  let model =
+    Owner_model.Day_night
+      { short_mean = 15.0; long_mean = 480.0; long_fraction = 0.15 }
+  in
+  let obs =
+    Owner_model.collect ~censor_at:960.0 model (Prng.create ~seed:4L) ~n:1000
+  in
+  Reclaim.create (Survival.of_observations obs).Survival.life
 
 (* Sink-emit fixtures price the trace transport itself, one event per
    call. They are lazy because the remote variant stands up a live
@@ -188,18 +191,18 @@ let serial_workloads : (string * (unit -> unit) * int) list =
        what keeps their OLS fit out of the clock-granularity noise floor
        (single-call variants sat at r^2 ~ 0.6-0.7). Reported time/call
        is therefore per x64 batch. *)
-    ( "reclaim-draw (tabulated inverse CDF, x64)",
+    ( "reclaim-draw (fitted PCHIP inverse, x64)",
       (let g = Prng.create ~seed:2L in
        fun () ->
          for _ = 1 to 64 do
-           ignore (Reclaim.draw sampler g)
+           ignore (Reclaim.draw fitted_sampler g)
          done),
       200 );
     ( "reclaim-draw (closed-form inverse, x64)",
       (let g = Prng.create ~seed:2L in
        fun () ->
          for _ = 1 to 64 do
-           ignore (Reclaim.draw exact_sampler g)
+           ignore (Reclaim.draw sampler g)
          done),
       200 );
     ( "prng-xoshiro256++ (float, x64)",

@@ -100,23 +100,23 @@ let power_law ~d =
     ~name:(Printf.sprintf "power-law(d=%g)" d)
     ~support:Life_function.Unbounded
     ~dp:(fun t -> -.d *. Float.pow (t +. 1.0) (-.d -. 1.0))
+    ~inv:(fun u -> Float.pow u (-1.0 /. d) -. 1.0)
     ~shape:Life_function.Convex
     (fun t -> Float.pow (t +. 1.0) (-.d))
 
 let of_interpolant ~name ip =
+  let invalid msg = raise (Life_function.Invalid_life_function (name ^ msg)) in
   let lo, hi = Interp.domain ip in
   if not (Tol.exactly lo 0.0) then
-    raise
-      (Life_function.Invalid_life_function
-         (Printf.sprintf "%s: interpolant domain must start at 0 (got %g)"
-            name lo));
+    invalid (Printf.sprintf ": interpolant domain must start at 0 (got %g)" lo);
+  let inv = try Interp.inverse ip with Interp.Bad_grid m -> invalid (": " ^ m) in
   let p t = Special.smooth_clamp01 (Interp.eval ip t) in
   Life_function.make ~name
     ~support:(Life_function.Bounded hi)
     ~dp:(fun t ->
       if t < 0.0 || t > hi then 0.0
       else Float.min 0.0 (Interp.derivative ip t))
-    p
+    ~inv p
 
 let scale_time ~factor lf =
   if factor <= 0.0 then
@@ -130,7 +130,7 @@ let scale_time ~factor lf =
     ~name:(Printf.sprintf "%s (time x%g)" (Life_function.name lf) factor)
     ~support
     ~dp:(fun t -> Life_function.deriv lf (t /. factor) /. factor)
-    ?inv:(Option.map (fun inv u -> factor *. inv u) (Life_function.inverse lf))
+    ~inv:(let inv = Life_function.inverse lf in fun u -> factor *. inv u)
     ~shape:(Life_function.shape lf)
     ~validate:false
     (fun t -> Life_function.eval lf (t /. factor))

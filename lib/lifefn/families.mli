@@ -5,10 +5,9 @@
     lifespan, geometric-increasing risk — plus the polynomial generalisation
     [p_{d,L}] of uniform risk and the inadmissible power-law family of
     Corollary 3.2. All constructors return fully-validated
-    {!Life_function.t} values carrying exact derivatives and declared
-    shapes. Every family except {!power_law} and {!of_interpolant} also
-    carries its closed-form inverse [p⁻¹] (see {!Life_function.inverse}),
-    so recurrence steps and reclaim draws invert it exactly. *)
+    {!Life_function.t} values carrying exact derivatives, declared shapes
+    and exact inverses [p⁻¹] (see {!Life_function.inverse}): closed-form
+    for every family, and the interpolant's own for {!of_interpolant}. *)
 
 val uniform : lifespan:float -> Life_function.t
 (** [uniform ~lifespan] is [p(t) = 1 - t/L] — uniform risk across the
@@ -53,14 +52,15 @@ val of_interpolant : name:string -> Interp.t -> Life_function.t
 (** [of_interpolant ~name ip] promotes a monotone interpolant (typically a
     PCHIP fit of a trace survival estimate, see [Cs_trace]) to a life
     function with bounded support at the last knot. Values are clamped to
-    [[0, 1]]; the knot at 0 must carry value 1 within 1e-6.
+    [[0, 1]]; the knot at 0 must carry value 1 within 1e-6. Its inverse is
+    {!Interp.inverse}: a Kaplan–Meier plateau maps to its start.
     @raise Life_function.Invalid_life_function if the interpolant is not a
-    valid survival curve. *)
+    valid survival curve, or a knot value rises above its predecessor. *)
 
 val scale_time : factor:float -> Life_function.t -> Life_function.t
 (** [scale_time ~factor p] is the life function [t ↦ p(t / factor)] —
     stretches the episode by [factor] (e.g. convert minutes to seconds).
-    Preserves shape, and the inverse if [p] has one ([u ↦ factor · p⁻¹ u]).
+    Preserves shape and the inverse ([u ↦ factor · p⁻¹ u]).
     Requires [factor > 0]. *)
 
 val all_paper_scenarios :

@@ -7,7 +7,7 @@ type t = {
   support : support;
   p : float -> float;
   dp : (float -> float) option;
-  inv : (float -> float) option;
+  inv : float -> float;
   shape : shape;
 }
 
@@ -56,21 +56,38 @@ let validate_fn ~name ~support ?inv p =
     prev := v
   done
 
-let make ?dp ?inv ?(shape = Unknown) ?(validate = true) ~name ~support p =
-  if validate then validate_fn ~name ~support ?inv p;
-  { name; support; p; dp; inv; shape }
-
-let name t = t.name
-let support t = t.support
-let shape t = t.shape
-let inverse t = t.inv
-
 let eval t x =
   if x <= 0.0 then 1.0
   else
     match t.support with
     | Bounded l when x >= l -> 0.0
     | Bounded _ | Unbounded -> Float.max 0.0 (t.p x)
+
+(* p⁻¹ u for a p given without one, as life_function.mli states; the
+   tolerance grows to a few ulps of hi once those exceed 1e-12. *)
+let numerical_inverse t u =
+  let f x = eval t x -. u in
+  let rec double lo hi k =
+    if k < 200 && f hi > 0.0 then double hi (2.0 *. hi) (k + 1) else (lo, hi)
+  in
+  let lo, hi =
+    match t.support with Bounded l -> (0.0, l) | Unbounded -> double 0.0 1.0 0
+  in
+  let tol = Float.max Rootfind.default_tol (4.0 *. epsilon_float *. hi) in
+  match Rootfind.brent ~tol f ~lo ~hi with
+  | r -> r.Rootfind.root
+  | exception Rootfind.No_bracket _ -> if f hi > 0.0 then infinity else lo
+
+let make ?dp ?inv ?(shape = Unknown) ?(validate = true) ~name ~support p =
+  if validate then validate_fn ~name ~support ?inv p;
+  let rec t = { name; support; p; dp; inv = fallback; shape }
+  and fallback u = numerical_inverse t u in
+  match inv with Some inv -> { t with inv } | None -> t
+
+let name t = t.name
+let support t = t.support
+let shape t = t.shape
+let inverse t = t.inv
 
 let deriv t x =
   match t.dp with
@@ -97,11 +114,7 @@ let mean_lifetime t =
 let quantile_time t ~q =
   if not (q > 0.0 && q < 1.0) then
     invalid_arg "Life_function.quantile_time: q must lie in (0, 1)";
-  let hi = horizon t in
-  if eval t hi > q then hi
-  else
-    let r = Rootfind.bisect (fun x -> eval t x -. q) ~lo:0.0 ~hi in
-    r.Rootfind.root
+  t.inv q
 
 let classify_shape ?(samples = 256) t =
   let hi = horizon t in

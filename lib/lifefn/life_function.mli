@@ -38,9 +38,8 @@ val make :
 (** [make ~name ~support p] wraps [p] as a life function. [?dp] supplies the
     exact derivative (otherwise finite differences on the support are used).
     [?inv] supplies the exact inverse [p⁻¹] on [(0, 1)]: [inv u] is the [t]
-    with [p t = u]. Solvers that invert [p] (the recurrence step, reclaim
-    sampling) use it when present and fall back to numerical inversion
-    otherwise. [?shape] declares concavity/convexity — callers are trusted,
+    with [p t = u]. Without it, {!inverse} solves [p t = u] numerically.
+    [?shape] declares concavity/convexity — callers are trusted,
     but [?validate] (default [true]) samples [p] on a grid to check
     [p 0 = 1] within 1e-9, values in [[0, 1]], monotone nonincrease, and,
     when [?inv] is given, [|p (inv v) − v| <= 1e-9] at every sampled value
@@ -51,9 +50,12 @@ val name : t -> string
 val support : t -> support
 val shape : t -> shape
 
-val inverse : t -> (float -> float) option
-(** [inverse p] is the exact inverse supplied to {!make} as [?inv], if
-    any, defined for survival values in [(0, 1)]. *)
+val inverse : t -> float -> float
+(** [inverse p u] is the [t] with [p t = u], for [u] in [(0, 1)]: the
+    [?inv] given to {!make}, or else Brent's method on [[0, L]], or for
+    unbounded support on the first of [[0, 1]], [[1, 2]], [[2, 4]], ...
+    (200 doublings at most) where [p] drops to [u]; [infinity] if it
+    never does. The recurrence step and reclaim sampling both use it. *)
 
 val eval : t -> float -> float
 (** [eval p t] is [p(t)], clamped to [1] for [t <= 0] and to [0] beyond a
@@ -84,9 +86,8 @@ val mean_lifetime : t -> float
     quadrature over the support. *)
 
 val quantile_time : t -> q:float -> float
-(** [quantile_time p ~q] is the earliest [t] with [p t <= q], i.e. the
-    [(1-q)]-quantile of the reclaim time; used by inverse-CDF samplers.
-    Requires [0 < q < 1]. *)
+(** [quantile_time p ~q] is [inverse p q]: the [t] with [p t = q], i.e.
+    the [(1-q)]-quantile of the reclaim time. Requires [0 < q < 1]. *)
 
 val classify_shape : ?samples:int -> t -> shape
 (** [classify_shape p] estimates the shape numerically by testing the sign

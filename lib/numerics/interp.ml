@@ -110,6 +110,51 @@ let derivative t x =
       (dh00 *. y0) +. (dh10 *. h *. d.(i)) +. (dh01 *. y1)
       +. (dh11 *. h *. d.(i + 1))
 
+let inverse t =
+  let xs = t.xs and ys = t.ys in
+  let n = Array.length xs in
+  for i = 1 to n - 1 do
+    if ys.(i) > ys.(i - 1) then
+      raise (Bad_grid (Printf.sprintf "Interp.inverse: knot %d rises" i))
+  done;
+  fun y ->
+    if ys.(0) <= y then xs.(0)
+    else if ys.(n - 1) > y then xs.(n - 1)
+    else begin
+      (* The crossing piece i: ys.(i) > y >= ys.(i + 1). *)
+      let lo = ref 0 and hi = ref (n - 1) in
+      while !hi - !lo > 1 do
+        let mid = (!lo + !hi) / 2 in
+        if ys.(mid) <= y then hi := mid else lo := mid
+      done;
+      let i = !lo and y0 = ys.(!lo) and y1 = ys.(!hi) in
+      let h = xs.(i + 1) -. xs.(i) and s = ref ((y0 -. y) /. (y0 -. y1)) in
+      (match t.kind with
+      | Linear -> ()
+      | Pchip d ->
+          (* The piece minus y, a cubic in s = (x - xs.(i)) / h, falls from
+             y0 - y > 0 to y1 - y < 0 on [0, 1]: Newton from the chord's
+             root, bisecting when a step would leave the bracket [a, b]. *)
+          let m0 = h *. d.(i) and m1 = h *. d.(i + 1) and dy = y1 -. y0 in
+          let c2 = (3.0 *. dy) -. (2.0 *. m0) -. m1 in
+          let c3 = m0 +. m1 -. (2.0 *. dy) in
+          let a = ref 0.0 and b = ref 1.0 and k = ref 0 and go = ref true in
+          while !go do
+            incr k;
+            let x = !s in
+            let f = y0 -. y +. (x *. (m0 +. (x *. (c2 +. (x *. c3))))) in
+            if Float.abs f <= 1e-16 || !k > 100 then go := false
+            else begin
+              if f > 0.0 then a := x else b := x;
+              let df = m0 +. (x *. ((2.0 *. c2) +. (3.0 *. c3 *. x))) in
+              let next = x -. (f /. df) in
+              s := if next > !a && next < !b then next else 0.5 *. (!a +. !b);
+              go := Float.abs (!s -. x) > 1e-14
+            end
+          done);
+      if Float.equal y1 y then xs.(i + 1) else xs.(i) +. (!s *. h)
+    end
+
 let domain t = (t.xs.(0), t.xs.(Array.length t.xs - 1))
 
 let knots t = Array.init (Array.length t.xs) (fun i -> (t.xs.(i), t.ys.(i)))

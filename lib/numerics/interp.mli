@@ -34,6 +34,16 @@ val derivative : t -> float -> float
 (** [derivative ip x] is the exact derivative of the interpolant at [x]
     (piecewise-constant for {!linear}). *)
 
+val inverse : t -> float -> float
+(** [inverse ip y], for knot values that never increase, is the earliest
+    [x] in {!val-domain} with [eval ip x <= y]: a plateau at [y] maps to
+    its start, and [y] outside the knot values to an end of the domain.
+    A binary search finds the crossing piece, and safeguarded Newton its
+    root, to a residual of 1e-16 or a step of 1e-14 of the piece. Applying
+    [inverse ip] checks the knots once; the function it returns allocates
+    only its boxed result.
+    @raise Bad_grid if a knot value is above its predecessor. *)
+
 val domain : t -> float * float
 (** [domain ip] is the [(min, max)] of the knot grid. *)
 

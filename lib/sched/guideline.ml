@@ -179,10 +179,9 @@ let next_period_online lf ~c ~elapsed =
             ~name:(Life_function.name lf ^ " | survived")
             ~support
             ~dp:(fun s -> Life_function.deriv lf (elapsed +. s) /. p_elapsed)
-            ?inv:
-              (Option.map
-                 (fun inv u -> inv (u *. p_elapsed) -. elapsed)
-                 (Life_function.inverse lf))
+            ~inv:
+              (let inv = Life_function.inverse lf in
+               fun u -> inv (u *. p_elapsed) -. elapsed)
             ~shape:(Life_function.shape lf)
             ~validate:false
             (fun s -> Life_function.eval lf (elapsed +. s) /. p_elapsed)

@@ -14,34 +14,13 @@ let step lf ~c ~prev_period ~prev_end ~p_end =
   let rhs =
     p_end +. ((prev_period -. c) *. Life_function.deriv lf prev_end)
   in
+  (* p is monotone decreasing, so p(prev_end + t) = rhs has a unique
+     positive root, p⁻¹(rhs) − prev_end. rhs > 0 puts it inside a bounded
+     support; an unbounded p that never drops to rhs gives infinity. *)
   if rhs <= 0.0 || rhs >= p_end then None
-  else begin
-    (* p is monotone decreasing, so p(prev_end + t) = rhs has a unique
-       positive root; with an exact inverse it is p⁻¹(rhs) − prev_end,
-       otherwise bracket it inside the support and solve. *)
-    let f t = Life_function.eval lf (prev_end +. t) -. rhs in
-    let positive t = if t <= 0.0 then None else Some t in
-    match (Life_function.support lf, Life_function.inverse lf) with
-    | Life_function.Bounded l, inverse ->
-        let hi = l -. prev_end in
-        if hi <= 0.0 || f hi > 0.0 then None
-        else begin
-          match inverse with
-          | Some inv -> positive (inv rhs -. prev_end)
-          | None -> positive (Rootfind.brent f ~lo:0.0 ~hi).Rootfind.root
-        end
-    | Life_function.Unbounded, Some inv -> positive (inv rhs -. prev_end)
-    | Life_function.Unbounded, None ->
-        (* Expand until p drops below rhs. *)
-        let h = ref (Float.max prev_period 1.0) in
-        let guard = ref 0 in
-        while f !h > 0.0 && !guard < 200 do
-          incr guard;
-          h := !h *. 2.0
-        done;
-        if f !h > 0.0 then None
-        else positive (Rootfind.brent f ~lo:0.0 ~hi:!h).Rootfind.root
-  end
+  else
+    let t = Life_function.inverse lf rhs -. prev_end in
+    if t > 0.0 && t < infinity then Some t else None
 
 let next_period lf ~c ~prev_period ~prev_end =
   if c < 0.0 then invalid_arg "Recurrence.next_period: c must be >= 0";

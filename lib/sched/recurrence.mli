@@ -8,8 +8,8 @@
     which determines each non-initial period from its predecessor: given the
     previous period's length and end time, the next period [t_k] is the
     unique positive solution of [p(T_{k-1} + t_k) = rhs]. This module solves
-    that equation robustly (bracketed Brent on the monotone [p]) and iterates
-    it into full schedules; choosing [t_0] is {!Guideline}'s job. *)
+    that equation as [p⁻¹(rhs) − T_{k-1}] ({!Life_function.inverse}) and
+    iterates it into full schedules; choosing [t_0] is {!Guideline}'s job. *)
 
 type stop_reason =
   | Exhausted_support
@@ -33,8 +33,9 @@ val next_period :
   float option
 (** [next_period p ~c ~prev_period ~prev_end] solves eq. 3.6 for [t_k],
     where the previous period had length [prev_period] and completed at
-    [prev_end]. Returns [None] when the equation has no positive solution
-    (right-hand side [<= 0] or [>= p prev_end]). Requires [c >= 0],
+    [prev_end]. Returns [None] when the equation has no positive, finite
+    solution (right-hand side [<= 0] or [>= p prev_end], or an unbounded
+    [p] that never drops to it). Requires [c >= 0],
     [prev_period > 0], [prev_end >= prev_period]. *)
 
 type finish =

@@ -142,19 +142,19 @@ let test_online_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative elapsed accepted"
 
-(* --- exact inverse vs Brent --------------------------------------------- *)
+(* --- numerical inverse vs closed form ----------------------------------- *)
 
-(* [lf] rebuilt without its inverse, so the recurrence solves each step
-   with Brent. *)
+(* [lf] rebuilt without its inverse, so {!Life_function.make} supplies
+   the numerical one. *)
 let without_inverse lf =
   Life_function.make ~validate:false ~name:(Life_function.name lf)
     ~support:(Life_function.support lf) ~dp:(Life_function.deriv lf)
     ~shape:(Life_function.shape lf) (Life_function.eval lf)
 
-let test_inverse_plans_match_brent () =
+let test_numerical_inverse_plans_match_closed_form () =
   (* Period counts and stop reasons are not compared: at bounded-support
      optima t0 sits on the kink where the last period ends at L, and the
-     two paths may land on either side of it, adding or dropping one
+     two inverses may land on either side of it, adding or dropping one
      trailing period of length <= c that carries no work. *)
   let g = Prng.create ~seed:15L in
   let range lo hi = Prng.float_range g ~lo ~hi in
@@ -171,21 +171,26 @@ let test_inverse_plans_match_brent () =
       | _ -> Families.weibull ~shape:(range 0.6 2.5) ~scale:(range 40.0 200.0)
     in
     let c = range 0.5 3.0 in
-    let fast = Guideline.plan lf ~c in
-    let slow = Guideline.plan (without_inverse lf) ~c in
+    let closed = Guideline.plan lf ~c in
+    let numerical = Guideline.plan (without_inverse lf) ~c in
     let name = Life_function.name lf in
     if
       not
-        (Tol.equal ~eps:1e-8 fast.Guideline.expected_work
-           slow.Guideline.expected_work)
+        (Tol.equal ~eps:1e-8 closed.Guideline.expected_work
+           numerical.Guideline.expected_work)
     then
-      Alcotest.failf "%s, c=%g: E %.12g (inverse) vs %.12g (Brent)" name c
-        fast.Guideline.expected_work slow.Guideline.expected_work;
-    Array.iter
-      (fun r ->
-        if Float.abs r > 1e-12 then
-          Alcotest.failf "%s, c=%g: residual %g on the inverse path" name c r)
-      (Recurrence.residuals lf ~c fast.Guideline.schedule)
+      Alcotest.failf "%s, c=%g: E %.12g (closed form) vs %.12g (numerical)"
+        name c closed.Guideline.expected_work
+        numerical.Guideline.expected_work;
+    List.iter
+      (fun (kind, plan) ->
+        Array.iter
+          (fun r ->
+            if Float.abs r > 1e-12 then
+              Alcotest.failf "%s, c=%g: residual %g with the %s inverse" name
+                c r kind)
+          (Recurrence.residuals lf ~c plan.Guideline.schedule))
+      [ ("closed-form", closed); ("numerical", numerical) ]
   done
 
 (* --- the t0 search by shape -------------------------------------------- *)
@@ -323,8 +328,8 @@ let () =
             test_guideline_geo_inc_at_least_exact_structure;
           QCheck_alcotest.to_alcotest prop_guideline_within_2pct_of_optimizer;
           QCheck_alcotest.to_alcotest prop_guideline_t0_in_paper_bounds_uniform;
-          Alcotest.test_case "inverse plans = Brent plans" `Quick
-            test_inverse_plans_match_brent;
+          Alcotest.test_case "numerical inverse = closed form" `Quick
+            test_numerical_inverse_plans_match_closed_form;
         ] );
       ( "search",
         [

@@ -92,6 +92,29 @@ let test_two_point_pchip_is_linear () =
   let ip = Interp.pchip ~xs:[| 0.0; 2.0 |] ~ys:[| 0.0; 4.0 |] in
   Alcotest.(check (float 1e-9)) "line midpoint" 2.0 (Interp.eval ip 1.0)
 
+let test_inverse () =
+  let xs = [| 0.0; 1.0; 2.0; 3.0; 4.0; 5.0 |] in
+  let ys = [| 1.0; 0.6; 0.6; 0.6; 0.2; 0.1 |] in
+  List.iter
+    (fun ip ->
+      let inv = Interp.inverse ip in
+      (* The plateau [1, 3] at 0.6 maps to its start. *)
+      Alcotest.(check (float 0.0)) "plateau start" 1.0 (inv 0.6);
+      Alcotest.(check (float 0.0)) "above the first knot" 0.0 (inv 1.5);
+      Alcotest.(check (float 0.0)) "at the first knot" 0.0 (inv 1.0);
+      Alcotest.(check (float 0.0)) "below the last knot" 5.0 (inv 0.05);
+      Alcotest.(check (float 0.0)) "at the last knot" 5.0 (inv 0.1);
+      List.iter
+        (fun y -> Alcotest.(check (float 1e-14)) "eval (inv y)" y (Interp.eval ip (inv y)))
+        [ 0.99; 0.8; 0.61; 0.59; 0.4; 0.2; 0.15; 0.1000001 ])
+    [ Interp.linear ~xs ~ys; Interp.pchip ~xs ~ys ];
+  let linear = Interp.inverse (Interp.linear ~xs ~ys) in
+  Alcotest.(check (float 1e-15)) "linear piece" 3.5 (linear 0.4);
+  let bump = Interp.pchip ~xs ~ys:[| 1.0; 0.5; 0.55; 0.5; 0.2; 0.0 |] in
+  match Interp.inverse bump 0.3 with
+  | exception Interp.Bad_grid _ -> ()
+  | _ -> Alcotest.fail "expected Bad_grid (increasing knot value)"
+
 let prop_pchip_monotone_on_random_decreasing =
   QCheck.Test.make ~name:"pchip preserves monotonicity on random survival data"
     ~count:100
@@ -109,12 +132,15 @@ let prop_pchip_monotone_on_random_decreasing =
           ys.(i + 1) <- Float.max 0.0 !acc)
         raw;
       let ip = Interp.pchip ~xs ~ys in
+      let inv = Interp.inverse ip in
       let ok = ref true in
       let prev = ref (Interp.eval ip 0.0) in
       for i = 1 to 200 do
         let x = float_of_int n *. float_of_int i /. 200.0 in
         let v = Interp.eval ip x in
         if v > !prev +. 1e-9 then ok := false;
+        (* The inverse lands where eval returns v again. *)
+        if Float.abs (Interp.eval ip (inv v) -. v) > 1e-14 then ok := false;
         prev := v
       done;
       !ok)
@@ -142,6 +168,7 @@ let () =
             test_bad_grid_length_mismatch;
           Alcotest.test_case "two-point pchip" `Quick
             test_two_point_pchip_is_linear;
+          Alcotest.test_case "inverse" `Quick test_inverse;
           QCheck_alcotest.to_alcotest prop_pchip_monotone_on_random_decreasing;
         ] );
     ]

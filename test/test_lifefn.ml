@@ -204,6 +204,18 @@ let test_of_interpolant_requires_zero_origin () =
   | exception Life_function.Invalid_life_function _ -> ()
   | _ -> Alcotest.fail "domain not starting at 0 accepted"
 
+let test_of_interpolant_rejects_bump () =
+  (* p(1) = 0.5 < p(1.005) = 0.55: too narrow for make's sample grid, but
+     a knot value increases. *)
+  let ip =
+    Interp.pchip
+      ~xs:[| 0.0; 1.0; 1.005; 1.01; 2.0 |]
+      ~ys:[| 1.0; 0.5; 0.55; 0.5; 0.0 |]
+  in
+  match Families.of_interpolant ~name:"bump" ip with
+  | exception Life_function.Invalid_life_function _ -> ()
+  | _ -> Alcotest.fail "increasing knot value accepted"
+
 let test_of_interpolant_roundtrip () =
   let ip =
     Interp.pchip ~xs:[| 0.0; 5.0; 10.0 |] ~ys:[| 1.0; 0.4; 0.0 |]
@@ -258,7 +270,7 @@ let prop_deriv_negative_in_interior =
       && Life_function.deriv (Families.polynomial ~d:3 ~lifespan:l) t <= 0.0
       && Life_function.deriv (Families.geometric_increasing ~lifespan:(Float.min l 50.0)) (frac *. Float.min l 50.0) <= 0.0)
 
-(* --- closed-form inverses ------------------------------------------- *)
+(* --- inverses ---------------------------------------------------- *)
 
 let test_wrong_inverse_rejected () =
   (* Uniform's inverse on a polynomial p: every sampled value disagrees. *)
@@ -272,19 +284,10 @@ let test_wrong_inverse_rejected () =
   | exception Life_function.Invalid_life_function _ -> ()
   | _ -> Alcotest.fail "expected Invalid_life_function (wrong inverse)"
 
-let test_inverse_presence () =
-  let has lf = Option.is_some (Life_function.inverse lf) in
-  Alcotest.(check bool) "uniform" true (has (Families.uniform ~lifespan:5.0));
-  Alcotest.(check bool) "scaled weibull" true
-    (has (Families.scale_time ~factor:2.0 (Families.weibull ~shape:2.0 ~scale:3.0)));
-  Alcotest.(check bool) "power law" false (has (Families.power_law ~d:2.0));
-  let ip = Interp.pchip ~xs:[| 0.0; 1.0; 2.0 |] ~ys:[| 1.0; 0.5; 0.0 |] in
-  Alcotest.(check bool) "of_interpolant" false
-    (has (Families.of_interpolant ~name:"fit" ip))
-
-(* Each family that carries an inverse, its parameters spread over their
-   ranges by [x], [y] in [0, 1), optionally stretched by scale_time. *)
-let family_with_inverse (k, x, y, factor) =
+(* Each family, or a trace fit of Weibull absences, its parameters spread
+   over their ranges by [x], [y] in [0, 1), optionally stretched by
+   scale_time. *)
+let round_trip_case (k, x, y, factor) =
   let lf =
     match k with
     | 0 -> Families.uniform ~lifespan:(1.0 +. (499.0 *. x))
@@ -295,19 +298,29 @@ let family_with_inverse (k, x, y, factor) =
     | 2 -> Families.geometric_decreasing ~a:(exp (0.005 +. (2.0 *. x)))
     | 3 -> Families.exponential ~rate:(0.005 +. (2.0 *. x))
     | 4 -> Families.geometric_increasing ~lifespan:(1.0 +. (199.0 *. x))
-    | _ ->
+    | 5 ->
         Families.weibull ~shape:(0.5 +. (2.5 *. y)) ~scale:(1.0 +. (199.0 *. x))
+    | 6 -> Families.power_law ~d:(0.5 +. (2.5 *. y))
+    | _ ->
+        let model =
+          Owner_model.Weibull_absence
+            { shape = 0.5 +. (2.5 *. y); scale = 1.0 +. (199.0 *. x) }
+        in
+        let g = Prng.create ~seed:(Int64.of_float (1e9 *. x)) in
+        (Survival.of_durations
+           (Array.init 200 (fun _ -> Owner_model.sample model g)))
+          .Survival.life
   in
   if factor < 1.0 then lf else Families.scale_time ~factor lf
 
 let prop_inverse_round_trips =
   QCheck.Test.make ~name:"closed-form inverses round-trip p" ~count:200
     QCheck.(
-      quad (int_range 0 5) (float_range 0.0 1.0) (float_range 0.0 1.0)
+      quad (int_range 0 7) (float_range 0.0 1.0) (float_range 0.0 1.0)
         (float_range 0.5 4.0))
     (fun params ->
-      let lf = family_with_inverse params in
-      let inv = Option.get (Life_function.inverse lf) in
+      let lf = round_trip_case params in
+      let inv = Life_function.inverse lf in
       let p = Life_function.eval lf in
       let grid = List.init 64 (fun i -> (float_of_int i +. 0.5) /. 64.0) in
       let decades = List.init 12 (fun k -> 10.0 ** -.float_of_int (k + 1)) in
@@ -363,6 +376,8 @@ let () =
           Alcotest.test_case "power law" `Quick test_power_law_formula;
           Alcotest.test_case "of_interpolant origin check" `Quick
             test_of_interpolant_requires_zero_origin;
+          Alcotest.test_case "of_interpolant rejects a bump" `Quick
+            test_of_interpolant_rejects_bump;
           Alcotest.test_case "of_interpolant roundtrip" `Quick
             test_of_interpolant_roundtrip;
           Alcotest.test_case "pp output" `Quick test_pp_mentions_name_and_shape;
@@ -390,7 +405,6 @@ let () =
           Alcotest.test_case "scale time" `Quick test_scale_time;
           Alcotest.test_case "wrong inverse rejected" `Quick
             test_wrong_inverse_rejected;
-          Alcotest.test_case "inverse presence" `Quick test_inverse_presence;
         ] );
       ( "properties",
         [

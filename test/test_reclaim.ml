@@ -48,41 +48,41 @@ let test_survival_identity () =
         (Life_function.eval lf t) surv)
     [ 2.0; 8.0; 15.0; 19.0 ]
 
-(* [lf] rebuilt without its inverse, so {!Reclaim.create} tabulates it. *)
-let without_inverse lf =
-  Life_function.make ~validate:false ~name:(Life_function.name lf)
-    ~support:(Life_function.support lf) ~dp:(Life_function.deriv lf)
-    ~shape:(Life_function.shape lf) (Life_function.eval lf)
-
-let test_draw_exact_agrees_with_tabulated () =
-  (* Same underlying uniform u gives nearly identical inversions. *)
-  let lf = Families.polynomial ~d:2 ~lifespan:30.0 in
-  let sampler = Reclaim.create (without_inverse lf) in
-  let n = 2000 in
-  let g1 = Prng.create ~seed:5L in
-  let g2 = Prng.create ~seed:5L in
-  for _ = 1 to n do
-    let a = Reclaim.draw sampler g1 in
-    let b = Reclaim.draw_exact lf g2 in
-    if Float.abs (a -. b) > 0.01 then
-      Alcotest.failf "tabulated %g vs exact %g" a b
+(* [draws_match_exact kind lf] checks 2000 draws from [Reclaim.create lf]
+   against {!Reclaim.draw_exact} on the same uniforms. *)
+let draws_match_exact kind lf =
+  let sampler = Reclaim.create lf in
+  let tol = 1e-9 *. Float.max 1.0 (Life_function.horizon lf) in
+  let g1 = Prng.create ~seed:12L and g2 = Prng.create ~seed:12L in
+  for _ = 1 to 2000 do
+    let a = Reclaim.draw sampler g1 and b = Reclaim.draw_exact lf g2 in
+    if Float.abs (a -. b) > tol then
+      Alcotest.failf "%s: %s %.12g vs bisection %.12g" (Life_function.name lf)
+        kind a b
   done
 
-let test_closed_form_draws_match_exact () =
-  (* With an exact inverse the sampler is as accurate as bisection. On
-     these draws the table misses by up to 6.8e-8 on polynomial(d=2,
-     L=30), 3.6e-6 on geometric-decreasing and 0.037 on Weibull(0.8, 60). *)
+let test_fitted_draws_match_exact () =
+  (* Trace fits of the owner models the e2e simulate workload samples:
+     the exact inverse of each fitted interpolant. *)
+  let g = Prng.create ~seed:5L in
   List.iter
-    (fun lf ->
-      let sampler = Reclaim.create lf in
-      let tol = 1e-9 *. Float.max 1.0 (Life_function.horizon lf) in
-      let g1 = Prng.create ~seed:12L and g2 = Prng.create ~seed:12L in
-      for _ = 1 to 2000 do
-        let a = Reclaim.draw sampler g1 and b = Reclaim.draw_exact lf g2 in
-        if Float.abs (a -. b) > tol then
-          Alcotest.failf "%s: closed form %.12g vs bisection %.12g"
-            (Life_function.name lf) a b
-      done)
+    (fun (model, censor_at) ->
+      let obs = Owner_model.collect ~censor_at model g ~n:1000 in
+      draws_match_exact "fitted inverse" (Survival.of_observations obs).Survival.life)
+    [
+      ( Owner_model.Day_night
+          { short_mean = 15.0; long_mean = 480.0; long_fraction = 0.15 },
+        960.0 );
+      ( Owner_model.Day_night
+          { short_mean = 10.0; long_mean = 240.0; long_fraction = 0.25 },
+        720.0 );
+      (Owner_model.Coffee_break { typical = 10.0; spread = 3.0 }, 60.0);
+      (Owner_model.Coffee_break { typical = 20.0; spread = 5.0 }, 90.0);
+    ]
+
+let test_closed_form_draws_match_exact () =
+  (* With an exact inverse the sampler is as accurate as bisection. *)
+  List.iter (draws_match_exact "closed form")
     [
       Families.uniform ~lifespan:50.0;
       Families.polynomial ~d:2 ~lifespan:30.0;
@@ -138,8 +138,8 @@ let () =
           Alcotest.test_case "exponential distribution" `Quick
             test_exponential_draw_distribution;
           Alcotest.test_case "survival identity" `Quick test_survival_identity;
-          Alcotest.test_case "tabulated = exact" `Quick
-            test_draw_exact_agrees_with_tabulated;
+          Alcotest.test_case "fitted = exact" `Quick
+            test_fitted_draws_match_exact;
           Alcotest.test_case "closed form = exact" `Quick
             test_closed_form_draws_match_exact;
           Alcotest.test_case "mean of draws" `Quick

@@ -78,7 +78,28 @@ let test_exhausted_support_stops () =
   (* A huge period near the end of life: rhs <= 0. *)
   let lf = Families.uniform ~lifespan:100.0 in
   Alcotest.(check bool) "no continuation" true
-    (Recurrence.next_period lf ~c:1.0 ~prev_period:90.0 ~prev_end:95.0 = None)
+    (Recurrence.next_period lf ~c:1.0 ~prev_period:90.0 ~prev_end:95.0 = None);
+  (* A caller-built unbounded p that never drops below 0.5: once rhs falls
+     under the floor, p⁻¹ rhs is infinity, and the schedule ends there
+     instead of taking it as a period. *)
+  let floor =
+    Life_function.make ~validate:false ~name:"floor at 0.5"
+      ~support:Life_function.Unbounded
+      (fun t -> 0.5 +. (0.5 *. exp (-.t)))
+  in
+  Alcotest.(check bool) "p never drops to 0.25" true
+    (Float.equal infinity (Life_function.inverse floor 0.25));
+  List.iter
+    (fun t0 ->
+      let g = Recurrence.generate floor ~c:0.5 ~t0 in
+      Alcotest.(check bool) "stops at the floor" true
+        (g.Recurrence.stop = Recurrence.Exhausted_support);
+      Array.iter
+        (fun t ->
+          if not (Float.is_finite t) then
+            Alcotest.failf "t0 = %g: period %g" t0 t)
+        (Schedule.periods g.Recurrence.schedule))
+    [ 1.2; 3.0 ]
 
 let test_next_period_validation () =
   let lf = Families.uniform ~lifespan:10.0 in
