@@ -5,7 +5,6 @@
      csbench diff    OLD.json NEW.json     # full comparison table
      csbench check   OLD.json NEW.json     # same, exit 1 on regressions
      csbench history BENCH_HISTORY.jsonl   # trajectory summary
-     csbench trend   METRIC [--history F] [--store DIR]  # cross-run slope
 
    [check] is the regression gate: verdicts come from Bench_gate's
    noise-aware tolerances (a benchmark whose fit has low r^2 gets a
@@ -161,103 +160,9 @@ let history_cmd =
        ~doc:"Summarise a BENCH_HISTORY.jsonl bench trajectory.")
     Term.(const run $ file $ bench_filter)
 
-let trend_cmd =
-  let metric =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"METRIC"
-          ~doc:"Benchmark whose cross-run trajectory to analyse.")
-  in
-  let file =
-    Arg.(
-      value
-      & opt string "BENCH_HISTORY.jsonl"
-      & info [ "history" ] ~docv:"FILE"
-          ~doc:"Bench trajectory (one record per line).")
-  in
-  let threshold =
-    Arg.(
-      value & opt float 1.25
-      & info [ "threshold" ] ~docv:"RATIO"
-          ~doc:
-            "Adjacent-run ratio beyond which a jump is significant \
-             (applied both ways: a 1.25 threshold also fires on a \
-             1/1.25 speedup).")
-  in
-  let store_root =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "store" ] ~docv:"DIR"
-          ~doc:
-            "Attribute the first significant jump against the traces \
-             filed in this .csobs store: the jump's two commits are \
-             looked up by git sha and their traces diffed to the first \
-             diverging event.")
-  in
-  let run metric file threshold store_root =
-    if not (threshold > 1.0) then begin
-      prerr_endline "csbench: --threshold must be > 1";
-      exit 2
-    end;
-    match Bench_record.load_history file with
-    | Error msg ->
-        prerr_endline ("csbench: " ^ msg);
-        exit 2
-    | Ok [] ->
-        prerr_endline ("csbench: " ^ file ^ ": history is empty");
-        exit 2
-    | Ok records -> (
-        let tr = Obs_trend.trajectory ~metric records in
-        if tr.Obs_trend.points = [] then begin
-          prerr_endline
-            (Printf.sprintf
-               "csbench: benchmark %S not present in any run (have: %s)"
-               metric
-               (String.concat ", " (Obs_trend.metrics_of records)));
-          exit 2
-        end;
-        Format.printf "%a" Obs_trend.pp_trajectory tr;
-        match store_root with
-        | None -> ()
-        | Some root -> (
-            match Obs_store.open_store ~root () with
-            | Error msg ->
-                prerr_endline ("csbench: " ^ msg);
-                exit 2
-            | Ok store -> (
-                match Obs_trend.attribute ~threshold ~store tr with
-                | None ->
-                    Format.printf
-                      "no jump beyond %.2fx between adjacent usable \
-                       points@."
-                      threshold
-                | Some a -> Format.printf "%a" Obs_trend.pp_attribution a)))
-  in
-  Cmd.v
-    (Cmd.info "trend"
-       ~doc:
-         "Cross-run trend analytics for one benchmark: the trajectory \
-          table, a noise-aware slope over the usable points (advisory \
-          entries are shown but never steer the fit), and — with \
-          $(b,--store) — attribution of the first significant jump to \
-          the first diverging trace event."
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             "Points whose fit was advisory (recorded with \
-              \"advisory\": true, or a null/unreliable r^2 in older \
-              records) are excluded from the slope and from jump \
-              detection: a measurement with unbounded error bars can \
-              neither steer a slope nor convict a commit.";
-         ])
-    Term.(const run $ metric $ file $ threshold $ store_root)
-
 let () =
   let doc = "bench-record diffing and the noise-aware regression gate" in
   let info = Cmd.info "csbench" ~version:"1.0.0" ~doc in
   exit
     (Cmd.eval
-       (Cmd.group info [ diff_cmd; check_cmd; history_cmd; trend_cmd ]))
+       (Cmd.group info [ diff_cmd; check_cmd; history_cmd ]))

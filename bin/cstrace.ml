@@ -8,10 +8,8 @@
      cstrace prom     trace.jsonl [-o FILE]
      cstrace timeline snapshots.jsonl --metric NAME
      cstrace check    DATA --rules FILE [--rule R]... [--json]
-     cstrace store    add|ls|rm|gc [--root DIR]
-     cstrace serve    --addr ADDR [--snapshots F|--trace F] [--once]
      cstrace fetch    ADDR [PATH] [--validate-prom]
-     cstrace collect  --listen ADDR [--http ADDR] [--once] [--store DIR]
+     cstrace collect  --listen ADDR [--http ADDR] [--once] [--out DIR]
 
    [report] filters and summarises one JSONL event trace; [diff]
    compares two runs event-by-event and pinpoints the first divergence
@@ -21,10 +19,9 @@
    events and renders Prometheus text exposition; [timeline] plots one
    metric's trajectory from a csctl simulate --snapshots file; [check]
    evaluates health rules against a finished trace or snapshot ring;
-   [store] files artifacts in the content-addressed .csobs registry;
-   [serve] exposes /metrics, /health and /runs over HTTP for finished
-   artifacts; [fetch] is the matching one-shot scrape client; [collect]
-   is the one live path, receiving csctl simulate --emit streams.
+   [collect] is the one live path, receiving csctl simulate --emit
+   streams and serving /metrics and /health with --http; [fetch] is
+   the matching one-shot scrape client.
 
    Exit codes: 0 success (and "traces are identical" for diff), 1 data
    error or divergence, 2 usage error (including a refused
@@ -516,192 +513,7 @@ let check_cmd =
     Term.(const run $ data $ rules_file $ rule_flags $ json)
 
 (* ------------------------------------------------------------------ *)
-(* store                                                               *)
-
-let root_term =
-  Arg.(
-    value
-    & opt string Obs_store.default_root
-    & info [ "root" ] ~docv:"DIR"
-        ~doc:"Observability store directory (default $(b,.csobs)).")
-
-let open_store_or_die root =
-  match Obs_store.open_store ~root () with
-  | Ok t -> t
-  | Error msg -> die_data msg
-
-let kind_conv =
-  Arg.conv
-    ( (fun s ->
-        Result.map_error (fun e -> `Msg e) (Obs_store.kind_of_string s)),
-      fun ppf k ->
-        Format.pp_print_string ppf (Obs_store.kind_to_string k) )
-
-let describe_record (r : Obs_store.record) =
-  String.concat "  "
-    (List.filter_map Fun.id
-       [
-         Option.map (fun s -> "sha " ^ s) r.Obs_store.git_sha;
-         Option.map (Printf.sprintf "seed %Ld") r.Obs_store.seed;
-         Option.map (Printf.sprintf "scenario %S") r.Obs_store.scenario;
-       ])
-
-let store_add_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE"
-          ~doc:
-            "Artifact to file: a JSONL event trace, a snapshot-ring \
-             JSONL, or a bench record.")
-  in
-  let kind =
-    Arg.(
-      value
-      & opt kind_conv Obs_store.Trace
-      & info [ "kind" ] ~docv:"KIND"
-          ~doc:"Artifact kind: $(b,trace), $(b,snapshots) or $(b,bench).")
-  in
-  let git_sha =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "git-sha" ] ~docv:"SHA"
-          ~doc:
-            "Provenance override for artifacts without an embedded meta \
-             header (bench records).")
-  in
-  let seed =
-    Arg.(
-      value
-      & opt (some int64) None
-      & info [ "seed" ] ~docv:"N" ~doc:"Provenance seed override.")
-  in
-  let scenario =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "scenario" ] ~docv:"STR" ~doc:"Provenance scenario override.")
-  in
-  let run root kind file git_sha seed scenario =
-    let store = open_store_or_die root in
-    let meta =
-      (* Only synthesize a header when the caller overrode provenance;
-         otherwise the artifact's own header is authoritative (and its
-         absence is a refusal, not a guess). *)
-      if git_sha = None && seed = None && scenario = None then None
-      else
-        Some
-          (Obs.Meta.make
-             ~git_sha:(Option.value git_sha ~default:"-")
-             ?seed ?scenario ())
-    in
-    match Obs_store.add store ?meta ~kind file with
-    | Error msg -> die_data msg
-    | Ok r ->
-        Format.printf "stored %s as run %s (%s)@."
-          (Obs_store.kind_to_string r.Obs_store.kind)
-          r.Obs_store.id
-          (Obs_store.artifact_path store r)
-  in
-  Cmd.v
-    (Cmd.info "add"
-       ~doc:
-         "File an artifact under its run id (derived from the \
-          provenance header: same sha+seed+scenario, same id).")
-    Term.(const run $ root_term $ kind $ file $ git_sha $ seed $ scenario)
-
-let store_ls_cmd =
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the index as one JSON array.")
-  in
-  let run root json =
-    let store = open_store_or_die root in
-    match Obs_store.ls store with
-    | Error msg -> die_data msg
-    | Ok records ->
-        if json then
-          print_endline (Jsonx.to_string (Obs_store.index_to_json records))
-        else if records = [] then print_endline "store is empty"
-        else
-          List.iter
-            (fun (r : Obs_store.record) ->
-              Format.printf "%s  %-9s  %s@." r.Obs_store.id
-                (Obs_store.kind_to_string r.Obs_store.kind)
-                (describe_record r))
-            records
-  in
-  Cmd.v
-    (Cmd.info "ls" ~doc:"List the live records of the store.")
-    Term.(const run $ root_term $ json)
-
-let store_rm_cmd =
-  let id =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"RUN_ID" ~doc:"Run id to remove.")
-  in
-  let run root id =
-    let store = open_store_or_die root in
-    match Obs_store.rm store ~id with
-    | Error msg -> die_data msg
-    | Ok 0 -> Format.printf "run %s not in store@." id
-    | Ok n -> Format.printf "removed run %s (%d artifact(s))@." id n
-  in
-  Cmd.v
-    (Cmd.info "rm"
-       ~doc:
-         "Remove a run: tombstone its index records and delete its \
-          artifacts (idempotent).")
-    Term.(const run $ root_term $ id)
-
-let store_gc_cmd =
-  let keep =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "keep" ] ~docv:"N"
-          ~doc:"Retain only the $(docv) most recently added runs.")
-  in
-  let max_age =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "max-age" ] ~docv:"SECONDS"
-          ~doc:
-            "Remove runs whose newest artifact lags the store's newest \
-             mtime by more than $(docv) seconds.")
-  in
-  let run root keep max_age =
-    let store = open_store_or_die root in
-    match Obs_store.gc store ?keep ?max_age_s:max_age () with
-    | Error msg -> die_data msg
-    | Ok [] -> print_endline "nothing to remove"
-    | Ok ids ->
-        List.iter (fun id -> Format.printf "removed run %s@." id) ids
-  in
-  Cmd.v
-    (Cmd.info "gc"
-       ~doc:
-         "Retention sweep: drop runs beyond a count or age bound \
-          (age is relative to the store's own newest artifact, never \
-          the wall clock).")
-    Term.(const run $ root_term $ keep $ max_age)
-
-let store_cmd =
-  Cmd.group
-    (Cmd.info "store"
-       ~doc:
-         "The content-addressed run registry (.csobs): file, list, \
-          remove and garbage-collect run artifacts.")
-    [ store_add_cmd; store_ls_cmd; store_rm_cmd; store_gc_cmd ]
-
-(* ------------------------------------------------------------------ *)
-(* serve / fetch                                                       *)
+(* fetch                                                               *)
 
 let addr_of_string_or_die s =
   match Obs_http.addr_of_string s with
@@ -709,172 +521,6 @@ let addr_of_string_or_die s =
   | Error msg ->
       prerr_endline ("error: " ^ msg);
       exit 2
-
-(* The three endpoint thunks re-read their files per request. Both
-   sources are finished artifacts: csctl writes the snapshot ring only
-   after the run, and a trace still being written may end in a torn
-   line that fails the load (a 500 on /metrics). *)
-let http_source ~snapshots ~trace ~rules ~root () =
-  let frames () =
-    match (snapshots, trace) with
-    | Some path, _ ->
-        Result.map
-          (List.map (fun (e : Obs_snapshot.entry) ->
-               (Some e.Obs_snapshot.at, e.Obs_snapshot.metrics)))
-          (Obs_snapshot.load path)
-    | None, Some path ->
-        Result.map
-          (fun (t : Obs_query.trace) ->
-            [
-              ( None,
-                Obs.Metrics.snapshot
-                  (Obs_query.metrics_of_events t.Obs_query.events) );
-            ])
-          (Obs_query.load path)
-    | None, None -> Ok []
-  in
-  {
-    Obs_http.metrics =
-      (fun () ->
-        match frames () with
-        | Ok [] -> []
-        | Ok fs ->
-            let _, last = List.nth fs (List.length fs - 1) in
-            Obs_export.prometheus_of_snapshot last
-        | Error msg ->
-            (* Not valid exposition, deliberately: the validator in the
-               handler turns an unreadable source into a loud 500. *)
-            [ "unreadable metrics source: " ^ msg ]);
-    health =
-      (fun () ->
-        match frames () with
-        | Error msg -> (503, "error: " ^ msg ^ "\n")
-        | Ok fs ->
-            if rules = [] then (200, "ok\n")
-            else
-              let report = Obs_health.evaluate ~rules fs in
-              let body =
-                Format.asprintf "%a" Obs_health.pp_report report
-              in
-              if Obs_health.exit_code report = 0 then (200, body)
-              else (503, body));
-    runs =
-      (fun () ->
-        if not (Sys.file_exists root) then Ok (Jsonx.List [])
-        else
-          Result.bind (Obs_store.open_store ~root ()) (fun store ->
-              Result.map Obs_store.index_to_json (Obs_store.ls store)));
-  }
-
-let serve_cmd =
-  let addr =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "addr" ] ~docv:"ADDR"
-          ~doc:
-            "Where to listen: $(b,unix:PATH) for a Unix-domain socket \
-             or $(b,HOST:PORT) for TCP (port 0 picks one).")
-  in
-  let snapshots =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "snapshots" ] ~docv:"FILE"
-          ~doc:
-            "Snapshot-ring JSONL backing /metrics and /health (the \
-             newest frame is the current state).")
-  in
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "JSONL event trace backing /metrics and /health via the \
-             reconstructed trace.* registry.")
-  in
-  let rules_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "rules" ] ~docv:"FILE"
-          ~doc:"Health rules file backing /health.")
-  in
-  let rule_flags =
-    Arg.(
-      value & opt_all string []
-      & info [ "rule" ] ~docv:"RULE" ~doc:"Inline health rule; repeatable.")
-  in
-  let once =
-    Arg.(
-      value & flag
-      & info [ "once" ]
-          ~doc:
-            "Answer exactly one request and exit — the deterministic \
-             mode for tests and smoke probes.")
-  in
-  let requests =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "requests" ] ~docv:"N"
-          ~doc:"Answer $(docv) requests, then exit.")
-  in
-  let addr_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "addr-file" ] ~docv:"FILE"
-          ~doc:
-            "Write the bound address here once listening — lets a \
-             script poll for readiness instead of racing the bind.")
-  in
-  let run addr snapshots trace rules_file rule_flags root once requests
-      addr_file =
-    let addr = addr_of_string_or_die addr in
-    let rules =
-      if rules_file = None && rule_flags = [] then []
-      else gather_rules rules_file rule_flags
-    in
-    let source = http_source ~snapshots ~trace ~rules ~root () in
-    let max_requests = if once then Some 1 else requests in
-    let ready bound =
-      (match addr_file with
-      | Some f ->
-          write_lines f [ Format.asprintf "%a" Obs_http.pp_addr bound ]
-      | None -> ());
-      Format.printf "serving on %a@." Obs_http.pp_addr bound;
-      Format.pp_print_flush Format.std_formatter ()
-    in
-    match Obs_http.serve ?max_requests ~ready ~addr source with
-    | Ok () -> ()
-    | Error msg -> die_data msg
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Expose /metrics (validated Prometheus text), /health (SLO \
-          verdict, 200/503) and /runs (store index) over HTTP."
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             "One request per connection, bodies framed by \
-              Content-Length — the smallest surface a standard scraper \
-              accepts. It serves $(b,finished) artifacts: csctl writes \
-              the snapshot ring only when the run ends, and a trace \
-              still being written is not flushed line by line, so a \
-              load can hit a torn last line and /metrics answers 500. \
-              For a live view, stream the run with $(b,csctl simulate \
-              --emit) into $(b,cstrace collect --http). With \
-              $(b,--once) (or $(b,--requests) N) the server exits after \
-              a bounded number of answers, which is what the CI smoke \
-              leg and the cram tests use.";
-         ])
-    Term.(
-      const run $ addr $ snapshots $ trace $ rules_file $ rule_flags
-      $ root_term $ once $ requests $ addr_file)
 
 let fetch_cmd =
   let addr =
@@ -931,8 +577,8 @@ let fetch_cmd =
   Cmd.v
     (Cmd.info "fetch"
        ~doc:
-         "Minimal scrape client: GET a path from a running serve, \
-          print the body (exit 1 on any 4xx/5xx, so /health doubles \
+         "Minimal scrape client: GET a path from a running collect \
+          --http endpoint, print the body (exit 1 on any 4xx/5xx, so /health doubles \
           as a probe).")
     Term.(const run $ addr $ path $ validate $ attempts)
 
@@ -955,8 +601,8 @@ let collect_cmd =
       & opt (some string) None
       & info [ "http" ] ~docv:"ADDR"
           ~doc:
-            "Also serve /metrics (live aggregated registry), /health \
-             (503 while any alert fires) and /runs here.")
+            "Also serve /metrics (live aggregated registry) and /health \
+             (503 while any alert fires) here.")
   in
   let producers =
     Arg.(
@@ -972,13 +618,6 @@ let collect_cmd =
             "Exit after the expected number of streams (see \
              $(b,--producers)) has been finalized — the deterministic \
              mode for tests and CI.")
-  in
-  let store_root =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "store" ] ~docv:"DIR"
-          ~doc:"File every collected trace in this .csobs registry.")
   in
   let out_dir =
     Arg.(
@@ -1018,8 +657,8 @@ let collect_cmd =
             "Write the bound listen address here once accepting — lets \
              a script poll for readiness instead of racing the bind.")
   in
-  let run listen http producers once store_root out_dir rules_file rule_flags
-      alert_every addr_file =
+  let run listen http producers once out_dir rules_file rule_flags alert_every
+      addr_file =
     let listen = addr_of_string_or_die listen in
     let http = Option.map addr_of_string_or_die http in
     (* Unlike `check`, alerting is optional: a collector with no rules
@@ -1045,8 +684,8 @@ let collect_cmd =
       log (Format.asprintf "collecting on %a" Obs_http.pp_addr bound)
     in
     match
-      Obs_collect.run ?http ~producers ~once ?store_root ?out_dir ~rules
-        ~alert_every ~log ~ready ~listen ()
+      Obs_collect.run ?http ~producers ~once ?out_dir ~rules ~alert_every
+        ~log ~ready ~listen ()
     with
     | Error msg -> die_data msg
     | Ok summary -> Format.printf "%a@." Obs_collect.pp_summary summary
@@ -1055,8 +694,8 @@ let collect_cmd =
     (Cmd.info "collect"
        ~doc:
          "Run the streaming telemetry collector: accept csctl \
-          --emit producers, merge their event streams into stored \
-          JSONL traces, serve live aggregated /metrics, and raise \
+          --emit producers, merge their event streams into JSONL \
+          traces, serve live aggregated /metrics, and raise \
           streaming alerts."
        ~man:
          [
@@ -1067,22 +706,21 @@ let collect_cmd =
               strictly sequenced events, heartbeats carrying drop \
               counters, and BYE. Each stream is written back out as an \
               ordinary JSONL trace — $(b,cstrace diff)-identical to \
-              the same run's locally written file — and filed in the \
-              $(b,--store) registry. A stream that ends without BYE is \
+              the same run's locally written file — in the $(b,--out) \
+              directory. A stream that ends without BYE is \
               finalized with an explicit truncation marker instead of \
               passing for a complete run.";
          ])
     Term.(
-      const run $ listen $ http $ producers $ once $ store_root $ out_dir
-      $ rules_file $ rule_flags $ alert_every $ addr_file)
+      const run $ listen $ http $ producers $ once $ out_dir $ rules_file
+      $ rule_flags $ alert_every $ addr_file)
 
 (* ------------------------------------------------------------------ *)
 
 let () =
   let doc =
     "trace analytics for cycle-stealing runs: summarise, diff, flamegraph, \
-     export, health-check, serve and collect the observability layer's \
-     artifacts"
+     export, health-check and collect the observability layer's artifacts"
   in
   let info = Cmd.info "cstrace" ~version:"1.0.0" ~doc in
   exit
@@ -1095,8 +733,6 @@ let () =
             prom_cmd;
             timeline_cmd;
             check_cmd;
-            store_cmd;
-            serve_cmd;
             fetch_cmd;
             collect_cmd;
           ]))

@@ -15,9 +15,8 @@ type entry = {
   advisory : bool;
       (** The fit behind this estimate was not {!Bench_fit.reliable} —
           too few kept samples or worse-than-constant r². Consumers that
-          divide through the fit quality ([csbench trend], {!Bench_gate})
-          must treat the point as informational, never as a gating or
-          slope input. Serialized as an explicit ["advisory": true]
+          divide through the fit quality ({!Bench_gate}) must treat the
+          point as informational, never as a gating input. Serialized as an explicit ["advisory": true]
           field; absent means derived from [r_square] on load, so v1/v2
           files without the field still classify correctly. *)
 }

@@ -33,8 +33,6 @@ module Meta = Obs_meta
 module Snapshot = Obs_snapshot
 module Resource = Obs_resource
 module Health = Obs_health
-module Store = Obs_store
-module Trend = Obs_trend
 module Http = Obs_http
 module Stream = Obs_stream
 module Remote = Obs_remote

@@ -1,9 +1,8 @@
 (* The collector: accept N producers speaking the Obs_stream protocol,
-   write each stream back out as an ordinary JSONL trace (filed in an
-   Obs_store registry), fold every event into one live aggregated
-   metrics registry served over Obs_http, and run the Obs_health rules
-   against that registry as the streams advance, emitting
-   firing/resolved alert transitions.
+   write each stream back out as an ordinary JSONL trace, fold every
+   event into one live aggregated metrics registry served over
+   Obs_http, and run the Obs_health rules against that registry as the
+   streams advance, emitting firing/resolved alert transitions.
 
    Concurrency model: one thread per connection, one global mutex.
    Every frame is handled under the lock — ingest, trace append,
@@ -75,7 +74,6 @@ type state = {
   reg : Obs_metrics.t;
   feed : Obs_event.t -> unit;
   alerts : Alerts.t;
-  store : Obs_store.t option;
   out_dir : string option;
   alert_every : int;
   log : string -> unit;
@@ -129,10 +127,8 @@ let eval_alerts st =
 
 type stream_out = {
   so_run_id : string;
-  so_meta : Obs_meta.t;
   so_path : string option;  (** where lines are being written *)
   so_oc : out_channel option;
-  so_staging : bool;  (** temp file to be removed after store add *)
 }
 
 (* Pick a fresh path under [dir]; two producers with the same
@@ -150,19 +146,13 @@ let fresh_path dir run_id =
 
 (* Call with [st.mu] held. *)
 let open_stream st meta =
-  let run_id =
-    match meta.Obs_meta.run_id with
-    | Some id -> id
-    | None -> Obs_store.run_id_of_meta meta
-  in
-  let path, staging =
-    match st.out_dir with
-    | Some dir ->
+  let run_id = Obs_meta.run_id meta in
+  let path =
+    Option.map
+      (fun dir ->
         if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-        (Some (fresh_path dir run_id), false)
-    | None ->
-        if st.store = None then (None, false)
-        else (Some (Filename.temp_file "cscollect" ".jsonl"), true)
+        fresh_path dir run_id)
+      st.out_dir
   in
   let oc =
     Option.map
@@ -176,11 +166,10 @@ let open_stream st meta =
   Obs_metrics.incr st.c_streams_opened;
   st.connected <- st.connected + 1;
   Obs_metrics.set st.g_connected (float_of_int st.connected);
-  { so_run_id = run_id; so_meta = meta; so_path = path; so_oc = oc;
-    so_staging = staging }
+  { so_run_id = run_id; so_path = path; so_oc = oc }
 
 (* Finalize one stream: append the truncation marker when the producer
-   vanished without BYE, file the trace in the store, and account it.
+   vanished without BYE, close the trace, and account it.
    Call with [st.mu] held; [ingest] is private to the (finished)
    connection thread. *)
 let finalize_stream st out ingest ~expected =
@@ -196,22 +185,6 @@ let finalize_stream st out ingest ~expected =
       end;
       close_out oc)
     out.so_oc;
-  let stored_path =
-    match (st.store, out.so_path) with
-    | Some store, Some src -> (
-        match Obs_store.add store ~meta:out.so_meta ~kind:Obs_store.Trace src
-        with
-        | Ok record ->
-            if out.so_staging then Sys.remove src;
-            Some (Obs_store.artifact_path store record)
-        | Error e ->
-            st.log
-              (Printf.sprintf "store: failed to file stream %s: %s"
-                 out.so_run_id e);
-            (* Keep the staging file: it is now the only copy. *)
-            Some src)
-    | _ -> out.so_path
-  in
   Obs_metrics.incr st.c_streams_finalized;
   if truncated then begin
     Obs_metrics.incr st.c_streams_truncated;
@@ -228,7 +201,7 @@ let finalize_stream st out ingest ~expected =
       ss_events = events;
       ss_dropped = dropped;
       ss_truncated = truncated;
-      ss_path = stored_path;
+      ss_path = out.so_path;
     }
     :: st.summaries;
   st.finalized <- st.finalized + 1;
@@ -326,17 +299,10 @@ let serve_conn st ~stop ~listen_addr ~expected ~once conn =
 (* ------------------------------------------------------------------ *)
 (* Run                                                                 *)
 
-let run ?http ?(producers = 1) ?(once = false) ?store_root ?out_dir
-    ?(rules = []) ?(alert_every = 64) ?(log = fun _ -> ())
-    ?(ready = fun _ -> ()) ~listen () =
+let run ?http ?(producers = 1) ?(once = false) ?out_dir ?(rules = [])
+    ?(alert_every = 64) ?(log = fun _ -> ()) ?(ready = fun _ -> ()) ~listen
+    () =
   let ( let* ) = Result.bind in
-  let* store =
-    match store_root with
-    | None -> Ok None
-    | Some root ->
-        let* s = Obs_store.open_store ~root () in
-        Ok (Some s)
-  in
   let reg, feed = Obs_query.metrics_updater () in
   let st =
     {
@@ -344,7 +310,6 @@ let run ?http ?(producers = 1) ?(once = false) ?store_root ?out_dir
       reg;
       feed;
       alerts = Alerts.create rules;
-      store;
       out_dir;
       alert_every = Stdlib.max 1 alert_every;
       log;
@@ -372,7 +337,7 @@ let run ?http ?(producers = 1) ?(once = false) ?store_root ?out_dir
   let stop = Atomic.make false in
   (* Live exposition over the aggregated registry: /metrics for a
      scraper, /health mirroring the alert machine (503 while any rule
-     fires), /runs for the store index. *)
+     fires). *)
   let* server =
     match http with
     | None -> Ok None
@@ -387,12 +352,6 @@ let run ?http ?(producers = 1) ?(once = false) ?store_root ?out_dir
                     if Alerts.any_firing st.alerts then
                       (503, "alerts firing\n")
                     else (200, "ok\n")));
-            runs =
-              (fun () ->
-                match store with
-                | None -> Ok (Jsonx.List [])
-                | Some s ->
-                    Result.map Obs_store.index_to_json (Obs_store.ls s));
           }
         in
         let* srv = Obs_http.serve_in_background ~addr:http_addr source in

@@ -3,27 +3,27 @@
     [run] listens on a unix/TCP address for {!Obs_remote} producers
     speaking the {!Obs_stream} protocol. Each connection is one stream
     segment: HELLO pins its {!Obs_meta.t} provenance (and so its
-    {!Obs_store} run id), events are accepted only in strict sequence
+    {!Obs_meta.run_id}), events are accepted only in strict sequence
     order, and the segment ends with BYE — or without one, in which
-    case the stored trace is finalized with an explicit truncation
+    case the written trace is finalized with an explicit truncation
     marker line rather than passing for a complete run.
 
     Every accepted stream is written back out as an ordinary JSONL
     trace (provenance header first), so a streamed trace is
     [cstrace diff]-identical to the same run's locally written file:
     the transport adds sequence numbers and heartbeats on the wire but
-    none of it reaches the stored lines. Traces are filed in an
-    {!Obs_store} registry when a store root is given.
+    none of it reaches the written lines. A trace is written only when
+    an output directory is given.
 
     In parallel the collector folds every event from every producer
     into one aggregated [trace.*] registry
     ({!Obs_query.metrics_updater}) plus [collect.*] transport counters,
     optionally served live over {!Obs_http} ([/metrics] validated
-    Prometheus text, [/health] 503 while any alert fires, [/runs] the
-    store index), and evaluates {!Obs_health} rules against that
-    registry as events arrive — the {!Alerts} state machine reports
-    firing/resolved {e edges}, not levels, so the log carries one line
-    per transition. *)
+    Prometheus text, [/health] 503 while any alert fires), and
+    evaluates {!Obs_health} rules against that registry as events
+    arrive — the {!Alerts} state machine reports firing/resolved
+    {e edges}, not levels, so the log carries one line per
+    transition. *)
 
 (** {1 Alert state machine} *)
 
@@ -69,7 +69,6 @@ val run :
   ?http:Obs_http.addr ->
   ?producers:int ->
   ?once:bool ->
-  ?store_root:string ->
   ?out_dir:string ->
   ?rules:Obs_health.rule list ->
   ?alert_every:int ->
@@ -82,8 +81,8 @@ val run :
     collector stops after [producers] (default [1]) stream segments
     have been finalized; otherwise it accepts forever. [out_dir] keeps
     each stream's JSONL trace as [<run_id>.jsonl] (suffixed [-2],
-    [-3]… on id collision); [store_root] additionally files every
-    trace in that {!Obs_store} registry. [rules] are evaluated every
+    [-3]… on id collision); without it no trace is written. [rules]
+    are evaluated every
     [alert_every] events (default [64]) and at each stream's
     finalization. [http] stands up the live exposition endpoint for
     the collector's lifetime. [ready] receives the bound listen

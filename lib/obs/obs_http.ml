@@ -1,45 +1,43 @@
-(* The only module in the tree allowed to touch sockets (lint R13):
-   everything protocol-shaped is a pure string function so the socket
-   code stays a thin accept/read/write shell around it. *)
+(* One of the four modules lint R13 lets touch sockets, with the
+   streaming transport (obs_stream, obs_remote, obs_collect): everything
+   protocol-shaped is a pure string function so the socket code stays a
+   thin accept/read/write shell around it. *)
 
 type request = { meth : string; path : string; version : string }
 
 let max_head_bytes = 8192
 
-(* Index of the first occurrence of [sub] in [s], or -1. Heads are
-   <= 8 KiB so the naive scan is fine. *)
-let find_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then -1
-    else if String.sub s i m = sub then i
-    else go (i + 1)
-  in
-  if m = 0 then 0 else go 0
+(* Whether a head terminator (CRLFCRLF, or the bare LFLF of hand-typed
+   clients) ends at byte [i] of [get]. It looks back at most three
+   bytes, so a scan that visits each byte once, in arrival order, is
+   linear and finds the earliest terminator however the reads split
+   the input. *)
+let ends_head get i =
+  get i = '\n'
+  && ((i >= 1 && get (i - 1) = '\n')
+     || i >= 3
+        && get (i - 1) = '\r'
+        && get (i - 2) = '\n'
+        && get (i - 3) = '\r')
 
 let read_head ?(max_len = max_head_bytes) read =
   let buf = Buffer.create 256 in
+  let get = Buffer.nth buf in
   let chunk = Bytes.create 512 in
-  let terminator s =
-    match find_sub s "\r\n\r\n" with
-    | -1 -> (
-        match find_sub s "\n\n" with -1 -> None | i -> Some (i + 2))
-    | i -> Some (i + 4)
+  let rec scan n j =
+    if j = n then fill ()
+    else
+      let i = Buffer.length buf in
+      if i >= max_len then Error `Too_large
+      else begin
+        Buffer.add_char buf (Bytes.get chunk j);
+        if ends_head get i then Ok (Buffer.contents buf) else scan n (j + 1)
+      end
+  and fill () =
+    let n = read chunk 0 (Bytes.length chunk) in
+    if n <= 0 then Error `Eof else scan n 0
   in
-  let rec go () =
-    match terminator (Buffer.contents buf) with
-    | Some stop -> Ok (String.sub (Buffer.contents buf) 0 stop)
-    | None ->
-        if Buffer.length buf > max_len then Error `Too_large
-        else
-          let n = read chunk 0 (Bytes.length chunk) in
-          if n <= 0 then Error `Eof
-          else begin
-            Buffer.add_subbytes buf chunk 0 n;
-            go ()
-          end
-  in
-  go ()
+  fill ()
 
 let parse_request_line line =
   match String.split_on_char ' ' line with
@@ -78,7 +76,6 @@ let response ~status ?(content_type = "text/plain; charset=utf-8") body =
 type source = {
   metrics : unit -> string list;
   health : unit -> int * string;
-  runs : unit -> (Jsonx.t, string) result;
 }
 
 let text = "text/plain; charset=utf-8"
@@ -87,7 +84,7 @@ let handle source req =
   if req.meth <> "GET" then (405, text, "method not allowed\n")
   else
     match req.path with
-    | "/" -> (200, text, "endpoints: /metrics /health /runs\n")
+    | "/" -> (200, text, "endpoints: /metrics /health\n")
     | "/metrics" -> (
         let lines = source.metrics () in
         (* Never hand a scraper text the grammar validator rejects:
@@ -102,10 +99,6 @@ let handle source req =
     | "/health" ->
         let status, body = source.health () in
         (status, text, body)
-    | "/runs" -> (
-        match source.runs () with
-        | Ok j -> (200, "application/json", Jsonx.to_string j ^ "\n")
-        | Error e -> (500, text, e ^ "\n"))
     | _ -> (404, text, "not found\n")
 
 (* ------------------------------------------------------------------ *)
@@ -225,38 +218,20 @@ let cleanup fd addr =
   | Tcp _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-let serve_loop ?max_requests ~stopped fd source =
-  let rec loop served =
-    let budget_left =
-      match max_requests with Some m -> served < m | None -> true
-    in
-    if stopped () || not budget_left then ()
-    else
-      match Unix.accept fd with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop served
-      | exception Unix.Unix_error _ -> ()
-      | conn, _ ->
-          if stopped () then Unix.close conn
-          else begin
-            Fun.protect
-              ~finally:(fun () ->
-                try Unix.close conn with Unix.Unix_error _ -> ())
-              (fun () -> handle_connection conn source);
-            loop (served + 1)
-          end
-  in
-  loop 0
-
-let serve ?max_requests ?ready ~addr source =
-  match listen_on addr with
-  | Error _ as e -> e
-  | Ok (fd, bound) ->
-      Option.iter (fun f -> f bound) ready;
-      Fun.protect
-        ~finally:(fun () -> cleanup fd bound)
-        (fun () ->
-          serve_loop ?max_requests ~stopped:(fun () -> false) fd source);
-      Ok ()
+let rec serve_loop stop fd source =
+  if not (Atomic.get stop) then
+    match Unix.accept fd with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> serve_loop stop fd source
+    | exception Unix.Unix_error _ -> ()
+    | conn, _ ->
+        if Atomic.get stop then Unix.close conn
+        else begin
+          Fun.protect
+            ~finally:(fun () ->
+              try Unix.close conn with Unix.Unix_error _ -> ())
+            (fun () -> handle_connection conn source);
+          serve_loop stop fd source
+        end
 
 type server = {
   s_thread : Thread.t;
@@ -264,7 +239,7 @@ type server = {
   s_addr : addr;
 }
 
-let serve_in_background ?max_requests ~addr source =
+let serve_in_background ~addr source =
   match listen_on addr with
   | Error _ as e -> e
   | Ok (fd, bound) ->
@@ -274,10 +249,7 @@ let serve_in_background ?max_requests ~addr source =
           (fun () ->
             Fun.protect
               ~finally:(fun () -> cleanup fd bound)
-              (fun () ->
-                serve_loop ?max_requests
-                  ~stopped:(fun () -> Atomic.get stop)
-                  fd source))
+              (fun () -> serve_loop stop fd source))
           ()
       in
       Ok { s_thread = thread; s_stop = stop; s_addr = bound }
@@ -347,9 +319,13 @@ let fetch ?(attempts = 100) ~addr path =
                path);
           let raw = read_all fd in
           let head_len =
-            match find_sub raw "\r\n\r\n" with
-            | -1 -> ( match find_sub raw "\n\n" with -1 -> -1 | i -> i + 2)
-            | i -> i + 4
+            let get = String.get raw in
+            let rec scan i =
+              if i >= String.length raw then -1
+              else if ends_head get i then i + 1
+              else scan (i + 1)
+            in
+            scan 0
           in
           if head_len < 0 then Error "malformed response: no header end"
           else

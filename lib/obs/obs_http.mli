@@ -3,7 +3,7 @@
     The observability layer's files ([--prom], snapshot timelines,
     health reports) answer questions {e after} a run; a scraper — a
     Prometheus poller, a CI smoke probe, an operator with [curl] —
-    wants to ask them {e during} one. This module serves exactly three
+    wants to ask them {e during} one. This module serves exactly two
     read-only endpoints over a Unix-domain or TCP socket:
 
     - [GET /metrics] — Prometheus text exposition. The lines are passed
@@ -13,16 +13,17 @@
     - [GET /health] — the {!Obs_health} verdict over the current
       metrics: [200] when healthy, [503] when any rule fires, mirroring
       the CLI's exit-code contract so probes and scripts agree.
-    - [GET /runs] — the live {!Obs_store} index as JSON.
 
     One request per connection ([Connection: close]), bodies framed by
     [Content-Length]: the protocol surface is deliberately the smallest
     thing a standard scraper accepts. Request parsing and response
     framing are pure string functions, unit-testable without a socket;
-    only {!serve} and {!fetch} touch [Unix]. Socket I/O is fenced by
-    lint rule R13 to this file plus the streaming transport
-    ({!Obs_stream}, {!Obs_remote}, {!Obs_collect}), which reuses the
-    address vocabulary and {!listen_on} plumbing below. *)
+    only {!serve_in_background} and {!fetch} touch [Unix]. The one
+    server is [cstrace collect --http]'s live view of its aggregated
+    registry. Socket I/O is fenced by lint rule R13 to this file plus
+    the streaming transport ({!Obs_stream}, {!Obs_remote},
+    {!Obs_collect}), which reuses the address vocabulary and
+    {!listen_on} plumbing below. *)
 
 (** {1 Pure protocol core} *)
 
@@ -41,9 +42,12 @@ val read_head :
     end-of-stream) until the blank line ending an HTTP head ([CRLFCRLF],
     or bare [LFLF] from hand-typed clients), in chunks as small as the
     reader yields them — partial reads are the normal case on sockets.
-    Returns the head including its terminator; [`Too_large] past
-    [max_len] (default {!max_head_bytes}), [`Eof] if the stream ends
-    first. *)
+    Returns the head up to and including its earliest terminator of
+    either kind, so the result does not depend on how the input was
+    split; [`Too_large] when the first [max_len] bytes (default
+    {!max_head_bytes}) hold no terminator and more follow, [`Eof] if
+    the stream ends first. Linear in the bytes read: each is scanned
+    once. *)
 
 val parse_request_line : string -> (request, string) result
 (** Parse the first line of a head: exactly [METHOD SP PATH SP
@@ -69,15 +73,12 @@ type source = {
       (** Current exposition lines ({!Obs_export.prometheus}). *)
   health : unit -> int * string;
       (** Probe status ([200] / [503]) and report body. *)
-  runs : unit -> (Jsonx.t, string) result;
-      (** Store index ({!Obs_store.index_to_json}); [Error] → [500]. *)
 }
-(** What the server serves, abstracted so [csctl] can hand it a live
-    registry while [cstrace serve] hands it files — and so tests can
-    hand it constants. *)
+(** What the server serves, abstracted so {!Obs_collect} can hand it a
+    live registry and tests can hand it constants. *)
 
 val handle : source -> request -> int * string * string
-(** Route one request to [(status, content_type, body)]: the three
+(** Route one request to [(status, content_type, body)]: the two
     endpoints plus [/] (a plain-text index of them), [405] for any
     method but [GET], [404] otherwise. [/metrics] output failing
     {!Obs_export.validate_prometheus} is reported as a [500] naming the
@@ -116,29 +117,15 @@ val cleanup : Unix.file_descr -> addr -> unit
 
 (** {1 Serving} *)
 
-val serve :
-  ?max_requests:int ->
-  ?ready:(addr -> unit) ->
-  addr:addr ->
-  source ->
-  (unit, string) result
-(** Bind [addr] (unlinking a stale Unix socket path first), call
-    [ready] once listening (the CLI writes an address file here, so a
-    test can start the server in the background and poll for the file
-    instead of racing the bind), then accept one connection at a time:
-    read a head, answer, close. Stops after [max_requests] connections
-    — [~max_requests:1] is the deterministic [--once] mode — or runs
-    until the process dies. Malformed and oversized requests are
-    answered ([400] / [431]) and {e do} count toward [max_requests],
-    so a misbehaving client cannot pin a bounded server open. *)
-
 type server
 (** A server running in a background thread. *)
 
-val serve_in_background :
-  ?max_requests:int -> addr:addr -> source -> (server, string) result
-(** {!serve} on a [Thread.t], returning once the socket is listening —
-    a subsequent {!fetch} cannot land before the bind. Used by
+val serve_in_background : addr:addr -> source -> (server, string) result
+(** Bind [addr] (unlinking a stale Unix socket path first) and serve on
+    a [Thread.t], returning once the socket is listening — a subsequent
+    {!fetch} cannot land before the bind. The thread accepts one
+    connection at a time: read a head, answer, close; malformed and
+    oversized requests are answered [400] / [431]. Used by
     {!Obs_collect} to serve its live registry while the collector keeps
     accepting producers. The source thunks run on the server thread:
     registry reads are safe (atomic snapshots), but the thunks must not

@@ -4,8 +4,6 @@ type t = {
   seed : int64 option;
   jobs : int option;
   scenario : string option;
-  run_id : string option;
-  parent_span : string option;
 }
 
 let meta_version = 1
@@ -20,19 +18,23 @@ let capture_git_sha () =
       | _ -> None
       | exception _ -> None)
 
-let make ?git_sha ?seed ?jobs ?scenario ?run_id ?parent_span () =
+let make ?git_sha ?seed ?jobs ?scenario () =
   let git_sha =
     match git_sha with Some _ as s -> s | None -> capture_git_sha ()
   in
-  {
-    schema = Obs_event.schema_version;
-    git_sha;
-    seed;
-    jobs;
-    scenario;
-    run_id;
-    parent_span;
-  }
+  { schema = Obs_event.schema_version; git_sha; seed; jobs; scenario }
+
+let run_id t =
+  let part = function Some s -> s | None -> "-" in
+  let key =
+    String.concat "\x00"
+      [
+        part t.git_sha;
+        part (Option.map Int64.to_string t.seed);
+        part t.scenario;
+      ]
+  in
+  String.sub (Digest.to_hex (Digest.string key)) 0 12
 
 let to_json t =
   let opt name f = function Some v -> [ (name, f v) ] | None -> [] in
@@ -43,9 +45,7 @@ let to_json t =
     :: (opt "git_sha" (fun s -> Jsonx.String s) t.git_sha
        @ opt "seed" (fun s -> Jsonx.Int (Int64.to_int s)) t.seed
        @ opt "jobs" (fun j -> Jsonx.Int j) t.jobs
-       @ opt "scenario" (fun s -> Jsonx.String s) t.scenario
-       @ opt "run_id" (fun s -> Jsonx.String s) t.run_id
-       @ opt "parent_span" (fun s -> Jsonx.String s) t.parent_span))
+       @ opt "scenario" (fun s -> Jsonx.String s) t.scenario))
 
 let is_meta_json j =
   match Jsonx.member "type" j with
@@ -92,8 +92,6 @@ let of_json j =
         seed = Option.map Int64.of_int (int "seed");
         jobs = int "jobs";
         scenario = str "scenario";
-        run_id = str "run_id";
-        parent_span = str "parent_span";
       }
 
 let pp ppf t =
@@ -106,12 +104,6 @@ let pp ppf t =
   | None -> ());
   (match t.jobs with
   | Some j -> Format.fprintf ppf ", jobs %d" j
-  | None -> ());
-  (match t.run_id with
-  | Some id -> Format.fprintf ppf ", run %s" id
-  | None -> ());
-  (match t.parent_span with
-  | Some s -> Format.fprintf ppf ", parent %s" s
   | None -> ());
   match t.git_sha with
   | Some sha -> Format.fprintf ppf ", git %s" sha

@@ -18,15 +18,6 @@ type t = {
   seed : int64 option;  (** PRNG seed of the run, when it had one. *)
   jobs : int option;  (** [--jobs] domain count; must never change results. *)
   scenario : string option;  (** Free-form description of the invocation. *)
-  run_id : string option;
-      (** Cross-run identity ({!Obs_store.run_id_of_meta}): the key a
-          trace is filed under in a [.csobs] registry, and the
-          correlation id a farm daemon stamps on the traces of the
-          processes it spawns. *)
-  parent_span : string option;
-      (** Span path in the {e parent} process's trace that caused this
-          one (e.g. ["csfarmd.dispatch;episode.run"]) — the hook for
-          cross-process trace stitching. *)
 }
 
 val meta_version : int
@@ -38,8 +29,6 @@ val make :
   ?seed:int64 ->
   ?jobs:int ->
   ?scenario:string ->
-  ?run_id:string ->
-  ?parent_span:string ->
   unit ->
   t
 (** Build a header for the current process: [schema] is this build's
@@ -50,11 +39,18 @@ val capture_git_sha : unit -> string option
 (** [git rev-parse --short HEAD] of the working directory, or [None]
     when there is no repository (or no [git]) to ask. *)
 
+val run_id : t -> string
+(** The deterministic run id of a header: the first 12 hex digits of the
+    MD5 of [git_sha], [seed] and [scenario] joined by NUL, each absent
+    component standing in as ["-"]. Same triple, same id, on any
+    machine; [cstrace collect --out] names its trace files with it. *)
+
 val to_json : t -> Jsonx.t
 
 val of_json : Jsonx.t -> (t, string) result
 (** Inverse of {!to_json}. Rejects wrong ["v"], missing ["schema"], and
-    a ["schema"] other than this reader's {!Obs_event.schema_version}. *)
+    a ["schema"] other than this reader's {!Obs_event.schema_version};
+    ignores keys it does not know. *)
 
 val is_meta_json : Jsonx.t -> bool
 (** Whether a parsed JSONL line claims to be a meta header
@@ -62,5 +58,5 @@ val is_meta_json : Jsonx.t -> bool
     stricter {!of_json}. *)
 
 val pp : Format.formatter -> t -> unit
-(** One-line rendering: schema, scenario, seed, jobs, run id, parent
-    span, git sha (present fields only). *)
+(** One-line rendering: schema, scenario, seed, jobs, git sha (present
+    fields only). *)

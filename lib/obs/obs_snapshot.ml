@@ -100,7 +100,7 @@ let write_jsonl ?meta t oc =
      the run's first capture. Re-emit the provenance header at the wrap
      boundary so a reader that starts at the rotation point (or a shard
      produced by splitting the file there) still opens with its meta
-     line — Obs_store ingestion must never see a headerless shard. *)
+     line, and any loader of the shard still sees its provenance. *)
   List.iteri
     (fun i e ->
       if i = 0 && dropped t > 0 then Option.iter emit_meta meta;

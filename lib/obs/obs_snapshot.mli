@@ -63,8 +63,8 @@ val write_jsonl : ?meta:Obs_meta.t -> t -> out_channel -> unit
     provenance header, and — if the ring has wrapped, i.e. the retained
     window is a shard whose first entry is not the run's first capture —
     the header is re-emitted at the rotation boundary, so splitting the
-    file there still yields self-describing shards ({!Obs_store}
-    ingestion refuses headerless artifacts). *)
+    file there still yields self-describing shards: any loader of a
+    shard still sees its provenance. *)
 
 val load : string -> (entry list, string) result
 (** Read a file written by {!write_jsonl}. Blank lines are skipped;

@@ -36,9 +36,40 @@ let test_read_head_partial_reads () =
   | Ok h -> Alcotest.(check string) "single gulp" head h
   | Error _ -> Alcotest.fail "rejected a well-formed head");
   (* Hand-typed clients send bare LF. *)
-  match Obs_http.read_head (string_reader "GET / HTTP/1.0\n\nrest") with
+  (match Obs_http.read_head (string_reader "GET / HTTP/1.0\n\nrest") with
   | Ok h -> Alcotest.(check string) "bare LFLF" "GET / HTTP/1.0\n\n" h
-  | Error _ -> Alcotest.fail "rejected a bare-LF head"
+  | Error _ -> Alcotest.fail "rejected a bare-LF head");
+  (* The earliest terminator of either kind ends the head, whether the
+     bytes arrive in one read or one at a time. *)
+  let mixed = "GET / HTTP/1.1\n\nX\r\n\r\n" in
+  List.iter
+    (fun chunk ->
+      match Obs_http.read_head (string_reader ~chunk mixed) with
+      | Ok h ->
+          Alcotest.(check string) "earliest terminator" "GET / HTTP/1.1\n\n" h
+      | Error _ -> Alcotest.fail "rejected a terminated head")
+    [ 1; max_int ]
+
+(* Heads assembled from request-ish fragments, including stray CR and
+   LF, so terminators of both kinds land at every split offset. *)
+let prop_read_head_split_invariant =
+  let fragments =
+    [ "GET"; " "; "/metrics"; "HTTP/1.1"; "\r\n"; "\n"; "\r"; "Host: x" ]
+  in
+  QCheck.Test.make ~name:"split-invariant" ~count:300
+    QCheck.(
+      make
+        ~print:(fun s -> Printf.sprintf "%S" s)
+        Gen.(map (String.concat "") (list_size (0 -- 24) (oneofl fragments))))
+    (fun input ->
+      let read chunk =
+        match Obs_http.read_head ~max_len:64 (string_reader ~chunk input) with
+        | r -> r
+        | exception e ->
+            QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+      in
+      let whole = read max_int in
+      List.for_all (fun chunk -> read chunk = whole) [ 1; 2; 3; 4; 5; 6; 7; 8 ])
 
 let test_read_head_eof_and_cap () =
   (match Obs_http.read_head (string_reader "GET / HTTP/1.1\r\n") with
@@ -51,9 +82,20 @@ let test_read_head_eof_and_cap () =
   | Ok _ | Error `Eof -> Alcotest.fail "missed the oversized head");
   (* The cap is on unterminated growth: a short head under the cap is
      fine even with a tiny limit. *)
-  match Obs_http.read_head ~max_len:8 (string_reader "A\r\n\r\n") with
+  (match Obs_http.read_head ~max_len:8 (string_reader "A\r\n\r\n") with
   | Ok h -> Alcotest.(check string) "under the cap" "A\r\n\r\n" h
-  | Error _ -> Alcotest.fail "capped a head under the limit"
+  | Error _ -> Alcotest.fail "capped a head under the limit");
+  (* Rejecting a trickled oversized head is linear: each byte is
+     scanned once, not the whole buffer again per read. *)
+  let reader = string_reader ~chunk:1 (String.make 8_201 'a') in
+  let before = Gc.minor_words () in
+  let result = Obs_http.read_head reader in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "oversized trickle rejected" true
+    (result = Error `Too_large);
+  Alcotest.(check bool)
+    (Printf.sprintf "under 1M minor words (%.0f)" words)
+    true (words < 1e6)
 
 (* ------------------------------------------------------------------ *)
 (* Request lines and response framing                                  *)
@@ -64,8 +106,8 @@ let test_parse_request_line () =
   Alcotest.(check string) "path" "/metrics" r.Obs_http.path;
   Alcotest.(check string) "version" "HTTP/1.1" r.Obs_http.version;
   (* Queries are ignored, not errors. *)
-  Alcotest.(check string) "query stripped" "/runs"
-    (ok (Obs_http.parse_request_line "GET /runs?pretty=1 HTTP/1.1"))
+  Alcotest.(check string) "query stripped" "/health"
+    (ok (Obs_http.parse_request_line "GET /health?pretty=1 HTTP/1.1"))
       .Obs_http.path;
   List.iter
     (fun (label, line) ->
@@ -101,12 +143,8 @@ let test_response_framing () =
 (* Routing                                                             *)
 
 let source ?(metrics = [ "# TYPE cs_up gauge"; "cs_up 1" ])
-    ?(health = (200, "ok\n")) ?(runs = Ok (Jsonx.List [])) () =
-  {
-    Obs_http.metrics = (fun () -> metrics);
-    health = (fun () -> health);
-    runs = (fun () -> runs);
-  }
+    ?(health = (200, "ok\n")) () =
+  { Obs_http.metrics = (fun () -> metrics); health = (fun () -> health) }
 
 let get path = { Obs_http.meth = "GET"; path; version = "HTTP/1.1" }
 
@@ -124,10 +162,6 @@ let test_handle_routing () =
     Obs_http.handle (source ~health:(503, "rule fired\n") ()) (get "/health")
   in
   Alcotest.(check int) "unhealthy is 503" 503 status;
-  let status, ctype, body = Obs_http.handle s (get "/runs") in
-  Alcotest.(check int) "runs ok" 200 status;
-  Alcotest.(check string) "runs is json" "application/json" ctype;
-  Alcotest.(check string) "empty index" "[]\n" body;
   let status, _, body = Obs_http.handle s (get "/") in
   Alcotest.(check int) "index page" 200 status;
   Alcotest.(check bool) "lists the endpoints" true
@@ -147,13 +181,7 @@ let test_handle_failures_are_500 () =
   in
   Alcotest.(check int) "invalid exposition" 500 status;
   Alcotest.(check bool) "names the validation" true
-    (contains_sub body "validation");
-  let status, _, body =
-    Obs_http.handle (source ~runs:(Error "index unreadable") ()) (get "/runs")
-  in
-  Alcotest.(check int) "runs error" 500 status;
-  Alcotest.(check bool) "surfaces the reason" true
-    (contains_sub body "index unreadable")
+    (contains_sub body "validation")
 
 (* ------------------------------------------------------------------ *)
 (* Addresses                                                           *)
@@ -183,8 +211,8 @@ let test_addr_parsing () =
 (* ------------------------------------------------------------------ *)
 (* Loopback round trips                                                *)
 
-let with_server ?max_requests addr k =
-  let srv = ok (Obs_http.serve_in_background ?max_requests ~addr (source ())) in
+let with_server addr k =
+  let srv = ok (Obs_http.serve_in_background ~addr (source ())) in
   Fun.protect
     ~finally:(fun () ->
       Obs_http.shutdown srv;
@@ -198,7 +226,8 @@ let temp_sock () =
   p
 
 let test_unix_roundtrip () =
-  with_server (Obs_http.Unix_sock (temp_sock ())) (fun srv ->
+  let sock = temp_sock () in
+  with_server (Obs_http.Unix_sock sock) (fun srv ->
       let addr = Obs_http.address srv in
       let status, body = ok (Obs_http.fetch ~addr "/metrics") in
       Alcotest.(check int) "metrics over the wire" 200 status;
@@ -208,7 +237,9 @@ let test_unix_roundtrip () =
       Alcotest.(check int) "health over the wire" 200 status;
       Alcotest.(check string) "health body" "ok\n" body;
       let status, _ = ok (Obs_http.fetch ~addr "/nope") in
-      Alcotest.(check int) "404 over the wire" 404 status)
+      Alcotest.(check int) "404 over the wire" 404 status);
+  Alcotest.(check bool) "socket path removed on shutdown" false
+    (Sys.file_exists sock)
 
 let test_tcp_ephemeral_port () =
   with_server (Obs_http.Tcp ("127.0.0.1", 0)) (fun srv ->
@@ -217,31 +248,22 @@ let test_tcp_ephemeral_port () =
           Alcotest.(check bool) "kernel-assigned port reported" true (p > 0)
       | Obs_http.Unix_sock _ -> Alcotest.fail "address family changed");
       let status, body =
-        ok (Obs_http.fetch ~addr:(Obs_http.address srv) "/runs")
+        ok (Obs_http.fetch ~addr:(Obs_http.address srv) "/health")
       in
-      Alcotest.(check int) "runs over tcp" 200 status;
-      Alcotest.(check string) "empty index" "[]\n" body)
+      Alcotest.(check int) "health over tcp" 200 status;
+      Alcotest.(check string) "health body" "ok\n" body)
 
-let test_max_requests_bounds_the_server () =
-  let sock = temp_sock () in
-  with_server ~max_requests:1 (Obs_http.Unix_sock sock) (fun srv ->
+let test_shutdown_stops_the_server () =
+  with_server (Obs_http.Tcp ("127.0.0.1", 0)) (fun srv ->
       let addr = Obs_http.address srv in
       let status, _ = ok (Obs_http.fetch ~addr "/health") in
-      Alcotest.(check int) "first request served" 200 status;
-      (* The server stops after its budget; the loop may still be mid
-         teardown, so poll until the connect fails. *)
-      let rec drained n =
-        if n = 0 then Alcotest.fail "server kept serving past max_requests"
-        else
-          match Obs_http.fetch ~attempts:1 ~addr "/health" with
-          | Error _ -> ()
-          | Ok _ ->
-              Unix.sleepf 0.02;
-              drained (n - 1)
-      in
-      drained 100;
-      Alcotest.(check bool) "stale socket path removed" false
-        (Sys.file_exists sock))
+      Alcotest.(check int) "served before shutdown" 200 status;
+      (* shutdown joins the server thread, which closes the listener
+         on its way out, so the next connect is refused at once. *)
+      Obs_http.shutdown srv;
+      match Obs_http.fetch ~attempts:1 ~addr "/health" with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "server kept serving past shutdown")
 
 let () =
   Alcotest.run "http"
@@ -252,6 +274,7 @@ let () =
             test_read_head_partial_reads;
           Alcotest.test_case "eof and size cap" `Quick
             test_read_head_eof_and_cap;
+          QCheck_alcotest.to_alcotest prop_read_head_split_invariant;
         ] );
       ( "protocol",
         [
@@ -272,7 +295,7 @@ let () =
             test_unix_roundtrip;
           Alcotest.test_case "tcp ephemeral port" `Quick
             test_tcp_ephemeral_port;
-          Alcotest.test_case "max_requests bounds the server" `Quick
-            test_max_requests_bounds_the_server;
+          Alcotest.test_case "shutdown stops the server" `Quick
+            test_shutdown_stops_the_server;
         ] );
     ]

@@ -1,7 +1,8 @@
-(* The read side of the observability stack: meta headers, trace
-   loading/filtering/diffing (Obs_query), export format round-trips
-   (Obs_export folded stacks and Prometheus exposition), the snapshot
-   ring, and the Obs_fork gather edge cases. *)
+(* The read side of the observability stack: meta headers and run
+   ids, trace loading/filtering/diffing (Obs_query), export format
+   round-trips (Obs_export folded stacks and Prometheus exposition),
+   the snapshot ring and its shard headers, and the Obs_fork gather
+   edge cases. *)
 
 let with_temp_file suffix k =
   let path = Filename.temp_file "cs_query" suffix in
@@ -40,7 +41,20 @@ let test_meta_roundtrip () =
   (* Optional fields absent round-trip too. *)
   let bare = { m with Obs_meta.git_sha = None; seed = None; jobs = None; scenario = None } in
   let bare' = ok (Obs_meta.of_json (Obs_meta.to_json bare)) in
-  Alcotest.(check bool) "bare round-trips" true (bare = bare')
+  Alcotest.(check bool) "bare round-trips" true (bare = bare');
+  (* Keys this reader does not know are ignored, so a header carrying
+     the retired run_id field, or a key from a later writer, still
+     loads. *)
+  let with_extra =
+    match Obs_meta.to_json m with
+    | Jsonx.Obj fields ->
+        Jsonx.Obj
+          (fields
+          @ [ ("run_id", Jsonx.String "abc"); ("later", Jsonx.Int 1) ])
+    | _ -> assert false
+  in
+  Alcotest.(check bool) "unknown keys ignored" true
+    (ok (Obs_meta.of_json with_extra) = m)
 
 let test_meta_rejects () =
   let m = Obs_meta.make ~git_sha:"abc" ~seed:1L () in
@@ -62,6 +76,45 @@ let test_meta_rejects () =
       ("wrong type tag", mutate "type" (Jsonx.String "event"));
       ("missing schema", Jsonx.Obj [ ("v", Jsonx.Int 1); ("type", Jsonx.String "meta") ]);
     ]
+
+(* Obs_meta.make defaults git_sha to the enclosing repository's HEAD;
+   pin it (or its absence) explicitly so ids are reproducible here. *)
+let meta ?git_sha ?seed ?scenario () =
+  let m = Obs_meta.make ?seed ?scenario () in
+  { m with Obs_meta.git_sha }
+
+let test_run_id_deterministic () =
+  let m () = meta ~git_sha:"abc123" ~seed:7L ~scenario:"simulate u" () in
+  let id = Obs_meta.run_id (m ()) in
+  (* The acceptance contract: same (sha, seed, scenario), same id. *)
+  Alcotest.(check string) "same triple, same id" id (Obs_meta.run_id (m ()));
+  Alcotest.(check int) "12 digits" 12 (String.length id);
+  String.iter
+    (fun c ->
+      Alcotest.(check bool) "hex digit" true
+        (String.contains "0123456789abcdef" c))
+    id;
+  (* The digest itself is pinned: collect --out names files with it. *)
+  Alcotest.(check string) "pinned id" "b339797e9fb6"
+    (Obs_meta.run_id (meta ~git_sha:"aaaa111" ~seed:1L ~scenario:"demo" ()));
+  (* Fields outside the triple must not perturb the id: a re-run with
+     more domains is the same run. *)
+  Alcotest.(check string) "jobs not part of the identity" id
+    (Obs_meta.run_id { (m ()) with Obs_meta.jobs = Some 8 });
+  let differs label m' =
+    Alcotest.(check bool) label true (Obs_meta.run_id m' <> id)
+  in
+  differs "seed changes the id"
+    (meta ~git_sha:"abc123" ~seed:8L ~scenario:"simulate u" ());
+  differs "sha changes the id"
+    (meta ~git_sha:"abc124" ~seed:7L ~scenario:"simulate u" ());
+  differs "scenario changes the id"
+    (meta ~git_sha:"abc123" ~seed:7L ~scenario:"simulate g" ());
+  (* Absent fields fall back to "-": a bare header still derives a
+     stable id. *)
+  Alcotest.(check string) "bare header is stable"
+    (Obs_meta.run_id (meta ()))
+    (Obs_meta.run_id (meta ()))
 
 (* ------------------------------------------------------------------ *)
 (* Trace loading                                                      *)
@@ -355,6 +408,49 @@ let test_snapshot_jsonl_roundtrip () =
       Alcotest.(check bool) "round-trips structurally" true
         (entries = Obs_snapshot.entries snap))
 
+let test_snapshot_shard_headers () =
+  let reg = Obs_metrics.create () in
+  let c = Obs_metrics.counter reg "n" in
+  let snap = Obs_snapshot.create ~capacity:2 ~every:1 reg in
+  List.iter
+    (fun at ->
+      Obs_metrics.incr c;
+      Obs_snapshot.tick snap ~at)
+    [ 1; 2; 3 ];
+  Alcotest.(check int) "ring wrapped" 1 (Obs_snapshot.dropped snap);
+  let m = meta ~git_sha:"abcd" ~seed:9L ~scenario:"shard" () in
+  let meta_lines path =
+    List.length
+      (List.filter
+         (fun l -> contains_sub l "\"type\":\"meta\"")
+         (String.split_on_char '\n' In_channel.(with_open_bin path input_all)))
+  in
+  with_temp_file ".jsonl" (fun path ->
+      let oc = open_out path in
+      Fun.protect
+        ~finally:(fun () -> close_out oc)
+        (fun () -> Obs_snapshot.write_jsonl ~meta:m snap oc);
+      (* A wrapped ring re-emits the header at the rotation boundary, so
+         splitting the file there yields two self-describing shards. *)
+      Alcotest.(check int) "header emitted at start and at the wrap" 2
+        (meta_lines path);
+      let hdr, entries = ok (Obs_snapshot.load_with_meta path) in
+      Alcotest.(check bool) "first header surfaced" true (hdr = Some m);
+      Alcotest.(check bool) "entries survive the duplicated header" true
+        (entries = Obs_snapshot.entries snap);
+      Alcotest.(check bool) "load strips headers" true
+        (ok (Obs_snapshot.load path) = entries));
+  (* An unwrapped ring writes exactly one header. *)
+  let snap2 = Obs_snapshot.create ~capacity:8 ~every:1 reg in
+  Obs_snapshot.tick snap2 ~at:1;
+  with_temp_file ".jsonl" (fun path ->
+      let oc = open_out path in
+      Fun.protect
+        ~finally:(fun () -> close_out oc)
+        (fun () -> Obs_snapshot.write_jsonl ~meta:m snap2 oc);
+      Alcotest.(check int) "single header when nothing was dropped" 1
+        (meta_lines path))
+
 let test_snapshot_determinism_across_domains () =
   let lf = Families.uniform ~lifespan:30.0 in
   let plan = Guideline.plan lf ~c:1.0 in
@@ -455,6 +551,8 @@ let () =
         [
           Alcotest.test_case "round-trip" `Quick test_meta_roundtrip;
           Alcotest.test_case "strict decoding" `Quick test_meta_rejects;
+          Alcotest.test_case "run-id deterministic" `Quick
+            test_run_id_deterministic;
         ] );
       ( "load",
         [
@@ -496,6 +594,8 @@ let () =
           Alcotest.test_case "ring semantics" `Quick test_snapshot_ring;
           Alcotest.test_case "jsonl round-trip" `Quick
             test_snapshot_jsonl_roundtrip;
+          Alcotest.test_case "meta header re-emitted on wrap" `Quick
+            test_snapshot_shard_headers;
           Alcotest.test_case "deterministic across domains" `Quick
             test_snapshot_determinism_across_domains;
         ] );
