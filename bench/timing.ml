@@ -16,9 +16,8 @@
    budget: disabled and null-sink must be statistically
    indistinguishable from the uninstrumented baseline (the ?obs default
    — including the span-recorder test — is one branch), the metrics
-   variant bounds the live-registry cost, the resource variant bounds
-   the amortized GC-sampling cost on top of it, and the spans variant
-   bounds the live-recorder cost. "mc-estimate-20k (utilization on)"
+   variant bounds the live-registry cost, and the spans variant bounds
+   the live-recorder cost. "mc-estimate-20k (utilization on)"
    does the same for the pool/merge accounting inside the estimator. *)
 
 open Bechamel
@@ -142,23 +141,6 @@ let serial_workloads : (string * (unit -> unit) * int) list =
        fun () ->
          ignore
            (Episode.run ~obs schedule ~c:1.0 ~reclaim_at:(Reclaim.draw sampler g))),
-      2_000 );
-    ( "episode-run (obs resource)",
-      (* The metrics variant plus a resource tick per call. The divisor
-         of 64 is 8x finer than the production cadence (one sample per
-         512-episode Monte-Carlo chunk), so the amortized Gc.quick_stat
-         cost measured here is an upper bound on the deployed one while
-         still exercising both tick regimes: the countdown fast path on
-         63 of 64 calls and a full sample on the 64th. Budget: <= 2x
-         the plain obs-metrics variant. *)
-      (let g = Prng.create ~seed:1L in
-       let m = Obs.Metrics.create () in
-       let obs = Obs.create ~metrics:m () in
-       let res = Obs.Resource.create ~every:64 m in
-       fun () ->
-         ignore
-           (Episode.run ~obs schedule ~c:1.0 ~reclaim_at:(Reclaim.draw sampler g));
-         Obs.Resource.tick res),
       2_000 );
     ( "episode-run (obs spans)",
       (let g = Prng.create ~seed:1L in

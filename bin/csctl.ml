@@ -9,21 +9,17 @@
      csctl admissible --family power-law --d 2 -c 1
      csctl fit       --model exponential --mean 40 --samples 1000 -c 1
      csctl checkpoint --work 720 --mtbf 240 -c 1.5
-     csctl report    trace.jsonl
      csctl profile   --family uniform -c 1 --out trace.json
 
-   [schedule] and [simulate] accept --trace FILE (write a JSONL event
-   trace of the run, opened by an Obs_meta provenance header) and
-   --metrics (print the metrics registry after); [simulate] additionally
-   accepts --prom FILE (Prometheus text exposition of the registry,
-   including per-domain pool utilization series when --jobs > 1),
-   --snapshots FILE (periodic metric snapshots at a cadence derived from
-   the trial count, plottable with cstrace timeline), --resource (sample
-   GC counters at deterministic chunk boundaries into the gc.* series),
-   --health FILE (evaluate SLO rules against the end-of-run registry and
-   exit 1/2 on warn/critical) and --emit ADDR (stream the trace live to
-   a cstrace collect collector); [report] aggregates a JSONL trace
-   back into summary numbers. Every command plans with Guideline.plan;
+   [schedule], [simulate] and [compare] accept --trace FILE (write a
+   JSONL event trace of the run, opened by an Obs_meta provenance
+   header) and --metrics (print the metrics registry after, with one
+   gc.* sample taken at the end of the run; a pooled simulate also
+   prints the per-domain utilization split); [simulate] additionally
+   accepts --emit ADDR (stream the trace live to a cstrace collect
+   collector). Every offline view of a run — summary, diff,
+   Prometheus export, health verdict — is cstrace's, read from the
+   trace. Every command plans with Guideline.plan;
    [table] hands its whole grid to Guideline.plan_batch. The
    Monte-Carlo and batch-planning commands ([simulate], [compare],
    [table]) accept --jobs N to run on N domains; output is bit-identical
@@ -160,41 +156,16 @@ let trace_term =
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
           "Write a JSONL event trace of the run to $(docv) (one JSON \
-           object per line; aggregate it back with $(b,csctl report)).")
+           object per line; aggregate it back with $(b,cstrace report)).")
 
 let metrics_term =
   Arg.(
     value & flag
     & info [ "metrics" ]
-        ~doc:"Print the collected metrics registry after the run.")
-
-let prom_term =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "prom" ] ~docv:"FILE"
         ~doc:
-          "Write the metrics registry as Prometheus text exposition to \
-           $(docv) after the run.")
-
-let snapshots_term =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "snapshots" ] ~docv:"FILE"
-        ~doc:
-          "Capture periodic metrics snapshots and write the JSONL \
-           timeline to $(docv). The cadence follows from the trial \
-           count: one capture per Monte-Carlo chunk, widened so the \
-           whole run fits the snapshot ring, plus a final capture at \
-           the trial count.")
-
-(* One capture per whole number of chunks, chosen so the ring never
-   wraps: the tick marks fall on chunk boundaries, so a run captures at
-   most ⌈trials / every⌉ <= capacity frames, the final one included. *)
-let snapshot_every ~trials =
-  let span = Monte_carlo.chunk_size * Obs.Snapshot.default_capacity in
-  Monte_carlo.chunk_size * ((Int.max 1 trials + span - 1) / span)
+          "Print the collected metrics registry after the run, \
+           including one $(b,gc.*) sample of the runtime taken at its \
+           end.")
 
 let emit_term =
   Arg.(
@@ -209,62 +180,18 @@ let emit_term =
            run), never simulation time. Composes with $(b,--trace), \
            which keeps writing the local file.")
 
-(* Build an [Obs.t] from the flags and run [k obs snap res] with it.
-   [meta] is a thunk so the git-sha capture only happens when a trace
-   file is actually being written. Afterwards: print the registry
-   (--metrics), write the Prometheus exposition (--prom, with
-   [prom_extra ()] lines appended — per-domain utilization series the
-   registry itself cannot carry), the snapshot timeline ([snapshot] is
-   the capture cadence and the --snapshots file), and finally evaluate
-   [--health] rules against the end-of-run registry, exiting 1/2 on a
-   warn / critical verdict. [resource] attaches a GC sampler ([gc.*]
-   series) that the caller threads to the run's deterministic sampling
-   points. *)
-let with_obs ~meta ~trace ~metrics ?prom ?(prom_extra = fun () -> [])
-    ?snapshot ?(resource = false) ?health ?emit k =
-  let registry =
-    if metrics || prom <> None || snapshot <> None || resource || health <> None
-    then Some (Obs.Metrics.create ())
-    else None
-  in
-  let snap =
-    match (snapshot, registry) with
-    | Some (every, _), Some m -> Some (Obs.Snapshot.create ~every m)
-    | _ -> None
-  in
-  let res =
-    match registry with
-    | Some m when resource -> Some (Obs.Resource.create m)
-    | _ -> None
-  in
-  let health_rules =
-    match health with
-    | None -> None
-    | Some path -> (
-        let text =
-          try In_channel.with_open_text path In_channel.input_all
-          with Sys_error msg ->
-            prerr_endline ("error: " ^ msg);
-            exit 2
-        in
-        match Obs.Health.parse text with
-        | Ok rules -> Some rules
-        | Error msg ->
-            prerr_endline ("error: " ^ path ^ ": " ^ msg);
-            exit 2)
-  in
-  let write_file path writer =
-    try
-      let oc = open_out path in
-      Fun.protect ~finally:(fun () -> close_out oc) (fun () -> writer oc)
-    with Sys_error msg ->
-      prerr_endline ("error: " ^ msg);
-      exit 1
-  in
+(* Build an [Obs.t] from the flags and run [k obs] with it. [meta] is a
+   thunk so the git-sha capture only happens when a trace file is
+   actually being written. Under --metrics the registry also carries a
+   GC sampler, read once when [k] returns, just before the registry is
+   printed. *)
+let with_obs ~meta ~trace ~metrics ?emit k =
+  let registry = if metrics then Some (Obs.Metrics.create ()) else None in
+  let sampler = Option.map (fun m -> (m, Obs.Resource.create m)) registry in
   (* --emit: a remote sink streaming to a live collector. Closing
      flushes the ring and sends BYE; it is hooked on at_exit (not a
-     Fun.protect) because the health-verdict paths below leave through
-     [exit], which does not unwind the stack. *)
+     Fun.protect) because the error paths leave through [exit], which
+     does not unwind the stack. *)
   let remote =
     match emit with
     | None -> None
@@ -298,37 +225,12 @@ let with_obs ~meta ~trace ~metrics ?prom ?(prom_extra = fun () -> [])
     | Some (_, r) -> Obs.Sink.tee [ local; Obs_remote.sink r ]
   in
   let finish obs =
-    k obs snap res;
-    (match Obs.metrics obs with
-    | Some m when metrics -> Format.printf "%a" Obs.Metrics.pp m
-    | _ -> ());
-    (match (prom, Obs.metrics obs) with
-    | Some path, Some m ->
-        write_file path (fun oc ->
-            List.iter
-              (fun l ->
-                output_string oc l;
-                output_char oc '\n')
-              (Obs_export.prometheus m @ prom_extra ()));
-        Format.printf "wrote prometheus exposition to %s@." path
-    | _ -> ());
-    (match (snapshot, snap) with
-    | Some (_, out), Some s ->
-        write_file out (fun oc ->
-            Obs.Snapshot.write_jsonl ~meta:(meta ()) s oc);
-        Format.printf "wrote %d snapshot(s) to %s@."
-          (List.length (Obs.Snapshot.entries s))
-          out
-    | _ -> ());
-    match (health_rules, Obs.metrics obs) with
-    | Some rules, Some m ->
-        let report =
-          Obs.Health.evaluate ~rules [ (None, Obs.Metrics.snapshot m) ]
-        in
-        Format.printf "%a" Obs.Health.pp_report report;
-        let code = Obs.Health.exit_code report in
-        if code <> 0 then exit code
-    | _ -> ()
+    k obs;
+    match sampler with
+    | Some (m, r) ->
+        Obs.Resource.sample r;
+        Format.printf "%a" Obs.Metrics.pp m
+    | None -> ()
   in
   (match trace with
   | None -> finish (Obs.create ~sink:(sink_of Obs.Sink.Null) ?metrics:registry ())
@@ -352,7 +254,7 @@ let schedule_cmd =
         ()
     in
     with_family spec (fun lf ->
-        with_obs ~meta ~trace ~metrics (fun obs _snap _res ->
+        with_obs ~meta ~trace ~metrics (fun obs ->
             let plan = Guideline.plan ~obs lf ~c in
             let lo, hi = plan.Guideline.bracket in
             Format.printf "life function : %a@." Life_function.pp lf;
@@ -404,32 +306,6 @@ let bounds_cmd =
 (* ------------------------------------------------------------------ *)
 (* simulate                                                            *)
 
-(* Per-domain utilization series for --prom: four gauge families keyed
-   by a domain label, which the flat (label-free) registry cannot
-   carry. *)
-let pool_prom_lines p =
-  let stats = Domain_pool.utilization p in
-  let series f =
-    Array.to_list
-      (Array.map
-         (fun (d : Domain_pool.domain_stat) ->
-           ([ ("domain", string_of_int d.Domain_pool.d_domain) ], f d))
-         stats)
-  in
-  Obs_export.prometheus_labeled ~name:"pool_domain_busy_seconds"
-    ~help:"Per-domain time spent executing chunks." ~typ:"gauge"
-    (series (fun d -> d.Domain_pool.d_busy_s))
-  @ Obs_export.prometheus_labeled ~name:"pool_domain_idle_seconds"
-      ~help:"Per-domain time spent idle inside submitted jobs." ~typ:"gauge"
-      (series (fun d -> d.Domain_pool.d_idle_s))
-  @ Obs_export.prometheus_labeled ~name:"pool_domain_queue_wait_seconds"
-      ~help:"Per-domain wait between job submission and first chunk claim."
-      ~typ:"gauge"
-      (series (fun d -> d.Domain_pool.d_queue_wait_s))
-  @ Obs_export.prometheus_labeled ~name:"pool_domain_chunks"
-      ~help:"Chunks executed per domain." ~typ:"gauge"
-      (series (fun d -> float_of_int d.Domain_pool.d_chunks))
-
 let simulate_cmd =
   let trials =
     Arg.(
@@ -440,27 +316,7 @@ let simulate_cmd =
     Arg.(
       value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
   in
-  let resource_term =
-    Arg.(
-      value & flag
-      & info [ "resource" ]
-          ~doc:
-            "Sample GC/runtime resource counters into the $(b,gc.*) \
-             metric series at the run's deterministic chunk boundaries \
-             (implies a metrics registry).")
-  in
-  let health_term =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "health" ] ~docv:"FILE"
-          ~doc:
-            "Evaluate the health rules in $(docv) against the \
-             end-of-run metrics registry; print the report and exit 1 \
-             on a warn verdict, 2 on critical.")
-  in
-  let run spec c trials seed jobs trace metrics prom snapshots resource health
-      emit =
+  let run spec c trials seed jobs trace metrics emit =
     let meta () =
       Obs.Meta.make ~seed:(Int64.of_int seed) ~jobs
         ~scenario:
@@ -468,27 +324,14 @@ let simulate_cmd =
              trials)
         ()
     in
-    let snapshot =
-      Option.map (fun out -> (snapshot_every ~trials, out)) snapshots
-    in
-    (* Filled while the pool is still alive; read by with_obs after the
-       run when it writes the --prom file. *)
-    let extra = ref [] in
     with_family spec (fun lf ->
-        with_obs ~meta ~trace ~metrics ?prom
-          ~prom_extra:(fun () -> !extra)
-          ?snapshot ~resource ?health ?emit
-          (fun obs snap res ->
+        with_obs ~meta ~trace ~metrics ?emit (fun obs ->
             with_jobs jobs (fun pool ->
             let plan = Guideline.plan ~obs lf ~c in
             let est =
-              Monte_carlo.estimate ~obs ?pool ?snapshot:snap ?resource:res
-                ~trials lf ~c ~schedule:plan.Guideline.schedule
-                ~seed:(Int64.of_int seed)
+              Monte_carlo.estimate ~obs ?pool ~trials lf ~c
+                ~schedule:plan.Guideline.schedule ~seed:(Int64.of_int seed)
             in
-            (match (pool, prom) with
-            | Some p, Some _ -> extra := pool_prom_lines p
-            | _ -> ());
             let lo, hi = est.Monte_carlo.ci95 in
             Format.printf "schedule      : %a@." Schedule.pp
               plan.Guideline.schedule;
@@ -498,15 +341,18 @@ let simulate_cmd =
             Format.printf "interrupted   : %.2f%%@."
               (100.0 *. est.Monte_carlo.interrupted_fraction);
             Format.printf "mean overhead : %.6f ; mean work lost: %.6f@."
-              est.Monte_carlo.mean_overhead est.Monte_carlo.mean_lost)))
+              est.Monte_carlo.mean_overhead est.Monte_carlo.mean_lost;
+            match pool with
+            | Some p when metrics ->
+                Format.printf "%a" Domain_pool.pp_utilization p
+            | _ -> ())))
   in
   Cmd.v
     (Cmd.info "simulate"
        ~doc:"Monte-Carlo-validate the guideline schedule for a scenario.")
     Term.(
       const run $ family_term $ c_term $ trials $ seed $ jobs_term
-      $ trace_term $ metrics_term $ prom_term $ snapshots_term
-      $ resource_term $ health_term $ emit_term)
+      $ trace_term $ metrics_term $ emit_term)
 
 (* ------------------------------------------------------------------ *)
 (* compare                                                             *)
@@ -531,7 +377,7 @@ let compare_cmd =
         ()
     in
     with_family spec (fun lf ->
-        with_obs ~meta ~trace ~metrics (fun obs _snap _res ->
+        with_obs ~meta ~trace ~metrics (fun obs ->
             with_jobs jobs (fun pool ->
                 let plan = Guideline.plan ~obs lf ~c in
                 let policies =
@@ -850,31 +696,6 @@ let distribution_cmd =
     Term.(const run $ family_term $ c_term)
 
 (* ------------------------------------------------------------------ *)
-(* report                                                               *)
-
-let report_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"TRACE"
-          ~doc:"JSONL trace file written by --trace.")
-  in
-  let run file =
-    match Trace_report.load file with
-    | Ok summary -> Format.printf "%a" Trace_report.pp summary
-    | Error msg ->
-        prerr_endline ("error: " ^ msg);
-        exit 1
-  in
-  Cmd.v
-    (Cmd.info "report"
-       ~doc:
-         "Aggregate a JSONL event trace into per-run and per-workstation \
-          summaries (kill rates, overhead fraction, quantiles).")
-    Term.(const run $ file)
-
-(* ------------------------------------------------------------------ *)
 (* profile                                                              *)
 
 let profile_cmd =
@@ -975,6 +796,5 @@ let () =
             checkpoint_cmd;
             worst_case_cmd;
             distribution_cmd;
-            report_cmd;
             profile_cmd;
           ]))

@@ -6,8 +6,7 @@
      cstrace diff     a.jsonl b.jsonl [--context N] [--force]
      cstrace flame    profile_trace.json -o profile.folded
      cstrace prom     trace.jsonl [-o FILE]
-     cstrace timeline snapshots.jsonl --metric NAME
-     cstrace check    DATA --rules FILE [--rule R]... [--json]
+     cstrace check    trace.jsonl --rules FILE [--rule R]... [--json]
      cstrace fetch    ADDR [PATH] [--validate-prom]
      cstrace collect  --listen ADDR [--http ADDR] [--once] [--out DIR]
 
@@ -16,10 +15,9 @@
    (exit 1) — the semantic form of the DESIGN.md §10 determinism check;
    [flame] folds a Chrome span profile into flamegraph.pl/speedscope
    input; [prom] reconstructs deterministic trace.* metrics from the
-   events and renders Prometheus text exposition; [timeline] plots one
-   metric's trajectory from a csctl simulate --snapshots file; [check]
-   evaluates health rules against a finished trace or snapshot ring;
-   [collect] is the one live path, receiving csctl simulate --emit
+   events and renders Prometheus text exposition; [check] evaluates
+   health rules against those same metrics; [collect] is the one live
+   path, receiving csctl simulate --emit
    streams and serving /metrics and /health with --http; [fetch] is
    the matching one-shot scrape client.
 
@@ -296,88 +294,6 @@ let prom_cmd =
     Term.(const run $ trace_pos ~docv:"TRACE" ~idx:0 $ out $ namespace)
 
 (* ------------------------------------------------------------------ *)
-(* timeline                                                            *)
-
-let timeline_cmd =
-  let file =
-    Arg.(
-      required
-      & Arg.pos 0 (some string) None
-      & info [] ~docv:"SNAPSHOTS"
-          ~doc:"Snapshot JSONL written by $(b,csctl simulate --snapshots).")
-  in
-  let metric =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "metric" ] ~docv:"NAME"
-          ~doc:
-            "Metric to plot: a counter (its count), a gauge (its value) or \
-             a histogram (its mean).")
-  in
-  let width = 40 in
-  let run file metric =
-    let entries =
-      match Obs_snapshot.load file with
-      | Ok es -> es
-      | Error msg -> die_data msg
-    in
-    if entries = [] then die_data (file ^ ": no snapshots");
-    let value (s : Obs.Metrics.snapshot) =
-      match List.assoc_opt metric s.Obs.Metrics.snap_counters with
-      | Some c -> Some (float_of_int c)
-      | None -> (
-          match List.assoc_opt metric s.Obs.Metrics.snap_gauges with
-          | Some g -> Some g
-          | None ->
-              Option.map
-                (fun (h : Obs.Metrics.hist_stats) -> h.Obs.Metrics.hs_mean)
-                (List.assoc_opt metric s.Obs.Metrics.snap_histograms))
-    in
-    let points =
-      List.map
-        (fun (e : Obs_snapshot.entry) ->
-          match value e.Obs_snapshot.metrics with
-          | Some v -> (e.Obs_snapshot.at, v)
-          | None ->
-              let names (s : Obs.Metrics.snapshot) =
-                List.map fst s.Obs.Metrics.snap_counters
-                @ List.map fst s.Obs.Metrics.snap_gauges
-                @ List.map fst s.Obs.Metrics.snap_histograms
-              in
-              die_data
-                (Printf.sprintf "metric %S not in snapshots (have: %s)" metric
-                   (String.concat ", " (names e.Obs_snapshot.metrics))))
-        entries
-    in
-    let finite = List.filter (fun (_, v) -> Float.is_finite v) points in
-    let vmax =
-      List.fold_left (fun m (_, v) -> Float.max m v) 0.0 finite
-    in
-    Format.printf "%s@." metric;
-    List.iter
-      (fun (at, v) ->
-        let bar =
-          if not (Float.is_finite v) then "?"
-          else if vmax <= 0.0 then ""
-          else
-            String.make
-              (Stdlib.max 0
-                 (int_of_float
-                    (Float.round (float_of_int width *. v /. vmax))))
-              '#'
-        in
-        Format.printf "%10d | %-*s %g@." at width bar v)
-      points
-  in
-  Cmd.v
-    (Cmd.info "timeline"
-       ~doc:
-         "Plot one metric's trajectory over a run from a snapshot JSONL \
-          file (text bars).")
-    Term.(const run $ file $ metric)
-
-(* ------------------------------------------------------------------ *)
 (* check                                                               *)
 
 (* [check] owes exits 0/1/2 to the health verdict, so its own failures
@@ -411,48 +327,6 @@ let gather_rules rules_file rule_flags =
   | [] -> die_check "no rules given; pass --rules FILE and/or --rule RULE"
   | rules -> rules
 
-(* A snapshot-ring file is the one whose first data line is
-   {"type":"snapshot",...}; an event trace's is an event object. Both
-   may open with (and, for rotated shards, re-emit) provenance
-   headers, which say nothing about the payload kind — skip them. *)
-let data_is_snapshot_ring path =
-  try
-    In_channel.with_open_text path (fun ic ->
-        let rec next () =
-          match In_channel.input_line ic with
-          | None -> None
-          | Some l when String.trim l = "" -> next ()
-          | Some l -> (
-              match Jsonx.of_string l with
-              | Error msg -> die_check (path ^ ": " ^ msg)
-              | Ok j -> (
-                  match
-                    Option.bind (Jsonx.member "type" j) Jsonx.get_string
-                  with
-                  | Some "meta" -> next ()
-                  | t -> Some (t = Some "snapshot")))
-        in
-        match next () with
-        | Some is_ring -> is_ring
-        | None -> die_check (path ^ ": empty file"))
-  with Sys_error msg -> die_check msg
-
-let load_check_entries path =
-  if data_is_snapshot_ring path then
-    match Obs_snapshot.load path with
-    | Error msg -> die_check msg
-    | Ok entries ->
-        List.map
-          (fun (e : Obs_snapshot.entry) ->
-            (Some e.Obs_snapshot.at, e.Obs_snapshot.metrics))
-          entries
-  else
-    match Obs_query.load path with
-    | Error msg -> die_check msg
-    | Ok t ->
-        let reg = Obs_query.metrics_of_events t.Obs_query.events in
-        [ (None, Obs.Metrics.snapshot reg) ]
-
 let check_cmd =
   let rules_file =
     Arg.(
@@ -474,20 +348,16 @@ let check_cmd =
       & info [ "json" ]
           ~doc:"Emit the verdict report as one JSON object instead of text.")
   in
-  let data =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"DATA"
-          ~doc:
-            "What to evaluate: a JSONL event trace (rules see the \
-             reconstructed trace.* metrics) or a snapshot-ring JSONL \
-             (rules see every captured frame).")
-  in
-  let run data rules_file rule_flags json =
+  let run file rules_file rule_flags json =
     let rules = gather_rules rules_file rule_flags in
-    let entries = load_check_entries data in
-    let report = Obs_health.evaluate ~rules entries in
+    let t =
+      match Obs_query.load file with Ok t -> t | Error msg -> die_check msg
+    in
+    (* A trace without events has nothing to judge: unusable input,
+       not a vacuous pass. *)
+    if t.Obs_query.events = [] then die_check (file ^ ": empty file");
+    let reg = Obs_query.metrics_of_events t.Obs_query.events in
+    let report = Obs_health.evaluate ~rules (Obs.Metrics.snapshot reg) in
     if json then print_endline (Jsonx.to_string (Obs_health.report_to_json report))
     else Format.printf "%a" Obs_health.pp_report report;
     exit (Obs_health.exit_code report)
@@ -495,9 +365,9 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~doc:
-         "Evaluate declarative health rules against a finished trace or a \
-          snapshot ring; exit 0 ok / 1 warn / 2 critical (3 on unreadable \
-          input)."
+         "Evaluate declarative health rules against the trace.* metrics \
+          of a finished trace; exit 0 ok / 1 warn / 2 critical (3 on \
+          unreadable input)."
        ~man:
          [
            `S Manpage.s_description;
@@ -506,11 +376,12 @@ let check_cmd =
               A selector reads a counter's count, a gauge's value, a \
               histogram's mean, or a named stat (name.p99, name.count, \
               ...). A trailing ? makes a rule skip silently when its \
-              metric is absent, letting one rules file serve both trace \
-              and snapshot sources. Against a snapshot ring every frame \
-              must satisfy every rule.";
+              metric is absent, letting one rules file serve traces that \
+              carry different series.";
          ])
-    Term.(const run $ data $ rules_file $ rule_flags $ json)
+    Term.(
+      const run $ trace_pos ~docv:"TRACE" ~idx:0 $ rules_file $ rule_flags
+      $ json)
 
 (* ------------------------------------------------------------------ *)
 (* fetch                                                               *)
@@ -731,7 +602,6 @@ let () =
             diff_cmd;
             flame_cmd;
             prom_cmd;
-            timeline_cmd;
             check_cmd;
             fetch_cmd;
             collect_cmd;

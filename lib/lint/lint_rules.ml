@@ -66,8 +66,8 @@ let all_meta =
         "no direct Gc.stat / Gc.quick_stat / Gc.counters outside \
          lib/obs/obs_resource.ml";
       remedy =
-        "sample through Obs_resource, whose tick divisor keeps the cost \
-         budgeted and the sampling points deterministic";
+        "sample through Obs_resource, which records the readings as \
+         registry metrics at the caller's chosen points";
     };
     {
       id = "R10";

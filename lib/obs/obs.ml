@@ -3,7 +3,6 @@ module Event = Obs_event
 module Sink = Obs_sink
 module Span = Obs_span
 module Meta = Obs_meta
-module Snapshot = Obs_snapshot
 module Resource = Obs_resource
 module Health = Obs_health
 module Http = Obs_http

@@ -31,13 +31,13 @@ module Alerts = struct
      [Missing]/[Skipped] are not alerts — early in a stream most
      selectors have no data yet, and that must not page anyone. *)
   let observe t snap =
-    let report = Obs_health.evaluate ~rules:t.rules [ (None, snap) ] in
+    let report = Obs_health.evaluate ~rules:t.rules snap in
     List.concat
       (List.mapi
          (fun i (rule, status) ->
            let now, value =
              match (status : Obs_health.status) with
-             | Fail { value; _ } -> (true, Some value)
+             | Fail { value } -> (true, Some value)
              | Pass | Missing | Skipped -> (false, None)
            in
            if now = t.firing.(i) then []

@@ -167,7 +167,13 @@ let field name get j =
       | Some x -> Ok x
       | None -> Error (Printf.sprintf "ill-typed field %S" name))
 
-let f_float name = field name Jsonx.get_float
+(* The writer renders a non-finite float as null, so a trace can only
+   carry finite ones; "1e999" still parses, to infinity. *)
+let f_float name =
+  field name (fun v ->
+      match Jsonx.get_float v with
+      | Some x when Float.is_finite x -> Some x
+      | _ -> None)
 let f_int name = field name Jsonx.get_int
 let f_string name = field name Jsonx.get_string
 let f_bool name = field name Jsonx.get_bool

@@ -82,7 +82,8 @@ val to_json : t -> Jsonx.t
 
 val of_json : Jsonx.t -> (t, string) result
 (** Inverse of {!to_json}. Rejects unknown ["type"] values, wrong ["v"],
-    and missing or ill-typed fields. *)
+    and missing or ill-typed fields; a non-finite float counts as
+    ill-typed, since {!to_json} never writes one. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line human-readable rendering (the [Console] sink format). *)

@@ -183,43 +183,6 @@ let prometheus_of_snapshot ?(namespace = "cs") (s : Obs_metrics.snapshot) =
 let prometheus ?namespace reg =
   prometheus_of_snapshot ?namespace (Obs_metrics.snapshot reg)
 
-(* --- labeled samples ---------------------------------------------- *)
-
-let escape_label_value s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let prometheus_labeled ?(namespace = "cs") ~name ~help ~typ samples =
-  let n = sanitize_metric_name (namespace ^ "_" ^ name) in
-  let help =
-    String.map (function '\n' | '\r' -> ' ' | c -> c) help
-  in
-  let labels = function
-    | [] -> ""
-    | kvs ->
-        "{"
-        ^ String.concat ","
-            (List.map
-               (fun (k, v) ->
-                 Printf.sprintf "%s=\"%s\"" (sanitize_metric_name k)
-                   (escape_label_value v))
-               kvs)
-        ^ "}"
-  in
-  Printf.sprintf "# HELP %s %s" n help
-  :: Printf.sprintf "# TYPE %s %s" n typ
-  :: List.map
-       (fun (kvs, v) -> Printf.sprintf "%s%s %s" n (labels kvs) (prom_float v))
-       samples
-
 (* --- validation --------------------------------------------------- *)
 
 let is_name_start = function

@@ -46,26 +46,6 @@ val prometheus_of_snapshot :
   ?namespace:string -> Obs_metrics.snapshot -> string list
 (** Same, from a frozen {!Obs_metrics.snapshot}. *)
 
-val escape_label_value : string -> string
-(** Escape a string for use inside a label value per the text-format
-    grammar: backslash, double-quote and newline become backslash
-    escapes. Everything else (including UTF-8 multibyte sequences)
-    passes through unchanged. *)
-
-val prometheus_labeled :
-  ?namespace:string ->
-  name:string ->
-  help:string ->
-  typ:string ->
-  ((string * string) list * float) list ->
-  string list
-(** One labeled metric family: [# HELP] and [# TYPE] lines followed by
-    one sample per [(labels, value)] pair, label values escaped with
-    {!escape_label_value} and label names sanitized like metric names.
-    Used for the per-domain [cs_pool_domain_*] utilization series,
-    whose label sets ([domain=0], ...) depend on the run
-    configuration rather than the registry. *)
-
 val validate_prometheus : string list -> (int, string) result
 (** Check the lines against the exposition grammar: well-formed
     [# HELP] / [# TYPE] comments, known types, metric and label names

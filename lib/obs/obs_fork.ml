@@ -38,17 +38,16 @@ let scatter obs ~n =
 
 let child kids i = kids.(i).k_obs
 
-let gather_one obs kids i =
-  let kid = kids.(i) in
-  (match kid.k_events with
-  | None -> ()
-  | Some buf -> List.iter (Obs.emit obs) (List.rev !buf));
-  (match (kid.k_metrics, Obs.metrics obs) with
-  | Some src, Some into -> Obs_metrics.merge ~into src
-  | _ -> ());
-  match (kid.k_spans, Obs.span_recorder obs) with
-  | Some src, Some into -> Obs_span.absorb into src
-  | _ -> ()
-
 let gather obs kids =
-  Array.iteri (fun i _ -> gather_one obs kids i) kids
+  Array.iter
+    (fun kid ->
+      (match kid.k_events with
+      | None -> ()
+      | Some buf -> List.iter (Obs.emit obs) (List.rev !buf));
+      (match (kid.k_metrics, Obs.metrics obs) with
+      | Some src, Some into -> Obs_metrics.merge ~into src
+      | _ -> ());
+      match (kid.k_spans, Obs.span_recorder obs) with
+      | Some src, Some into -> Obs_span.absorb into src
+      | _ -> ())
+    kids

@@ -33,13 +33,6 @@ val gather : Obs.t -> children -> unit
     {!Obs_metrics.merge}, recorders grafted with {!Obs_span.absorb}
     (under the parent's innermost open span, so wrap the parallel region
     in a span to group its chunks). Call once, after all chunks have
-    finished; [obs] must be the same handle given to {!scatter}. *)
-
-val gather_one : Obs.t -> children -> int -> unit
-(** Fold child [i] back, alone. For incremental gathering — the caller
-    must still visit every child exactly once, in index order, after the
-    chunk has finished running; used by {!Monte_carlo.estimate} to
-    interleave snapshot ticks with chunk merges. [gather] is the
-    all-at-once form. Errors from the parent sink (a closed channel, a
-    raising [Custom]) propagate — a failed write is an error, not a
-    silent drop. *)
+    finished; [obs] must be the same handle given to {!scatter}. Errors
+    from the parent sink (a closed channel, a raising [Custom])
+    propagate — a failed write is an error, not a silent drop. *)

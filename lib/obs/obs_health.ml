@@ -1,4 +1,4 @@
-(* Declarative health rules evaluated over metric snapshots. *)
+(* Declarative health rules evaluated over one metric snapshot. *)
 
 type severity = Warn | Critical
 
@@ -12,19 +12,11 @@ type rule = {
   threshold : float;
 }
 
-type status =
-  | Pass
-  | Fail of { value : float; at : int option }
-  | Missing
-  | Skipped
+type status = Pass | Fail of { value : float } | Missing | Skipped
 
 type verdict = Healthy | Unhealthy of severity
 
-type report = {
-  outcomes : (rule * status) list;
-  verdict : verdict;
-  entries : int;
-}
+type report = { outcomes : (rule * status) list; verdict : verdict }
 
 (* --- parsing ------------------------------------------------------- *)
 
@@ -59,7 +51,14 @@ let parse_rule line =
         | "critical" -> Some Critical
         | _ -> None
       in
-      match (severity, op_of_string op, float_of_string_opt value) with
+      (* NaN compares false with everything: a rule against it could
+         never pass, and a [!=] could never fail. *)
+      let threshold =
+        match float_of_string_opt value with
+        | Some t when not (Float.is_nan t) -> Some t
+        | _ -> None
+      in
+      match (severity, op_of_string op, threshold) with
       | None, _, _ -> Error (Printf.sprintf "unknown severity %S" sev)
       | _, None, _ -> Error (Printf.sprintf "unknown operator %S" op)
       | _, _, None -> Error (Printf.sprintf "bad threshold %S" value)
@@ -150,26 +149,14 @@ let holds op value threshold =
   | Eq -> Tol.exactly value threshold
   | Ne -> not (Tol.exactly value threshold)
 
-let eval_rule rule entries =
-  let seen = ref false in
-  let violation = ref None in
-  List.iter
-    (fun (at, snap) ->
-      if !violation = None then
-        match resolve snap rule.selector with
-        | None -> ()
-        | Some value ->
-            seen := true;
-            if not (holds rule.op value rule.threshold) then
-              violation := Some (value, at))
-    entries;
-  match !violation with
-  | Some (value, at) -> Fail { value; at }
-  | None ->
-      if !seen then Pass else if rule.optional then Skipped else Missing
+let eval_rule snap rule =
+  match resolve snap rule.selector with
+  | Some value ->
+      if holds rule.op value rule.threshold then Pass else Fail { value }
+  | None -> if rule.optional then Skipped else Missing
 
-let evaluate ~rules entries =
-  let outcomes = List.map (fun r -> (r, eval_rule r entries)) rules in
+let evaluate ~rules snap =
+  let outcomes = List.map (fun r -> (r, eval_rule snap r)) rules in
   let worst =
     List.fold_left
       (fun acc (rule, status) ->
@@ -188,7 +175,7 @@ let evaluate ~rules entries =
     | 1 -> Unhealthy Warn
     | _ -> Unhealthy Critical
   in
-  { outcomes; verdict; entries = List.length entries }
+  { outcomes; verdict }
 
 let exit_code r =
   match r.verdict with
@@ -223,25 +210,19 @@ let pp_report ppf r =
     (fun (rule, status) ->
       Format.fprintf ppf "%a %a" pp_status status pp_rule rule;
       (match status with
-      | Fail { value; at = Some at } ->
-          Format.fprintf ppf "  (value %g at %d)" value at
-      | Fail { value; at = None } -> Format.fprintf ppf "  (value %g)" value
+      | Fail { value } -> Format.fprintf ppf "  (value %g)" value
       | Missing -> Format.fprintf ppf "  (metric absent)"
       | Pass | Skipped -> ());
       Format.pp_print_newline ppf ())
     r.outcomes;
-  Format.fprintf ppf "verdict: %s (%d rule(s), %d snapshot(s))@."
+  Format.fprintf ppf "verdict: %s (%d rule(s))@."
     (verdict_to_string r.verdict)
     (List.length r.outcomes)
-    r.entries
 
 let status_to_json = function
   | Pass -> [ ("status", Jsonx.String "pass") ]
-  | Fail { value; at } ->
-      ("status", Jsonx.String "fail")
-      :: ("value", Jsonx.Float value)
-      ::
-      (match at with Some at -> [ ("at", Jsonx.Int at) ] | None -> [])
+  | Fail { value } ->
+      [ ("status", Jsonx.String "fail"); ("value", Jsonx.Float value) ]
   | Missing -> [ ("status", Jsonx.String "missing") ]
   | Skipped -> [ ("status", Jsonx.String "skipped") ]
 
@@ -250,7 +231,6 @@ let report_to_json r =
     [
       ("v", Jsonx.Int 1);
       ("verdict", Jsonx.String (verdict_to_string r.verdict));
-      ("entries", Jsonx.Int r.entries);
       ( "rules",
         Jsonx.List
           (List.map

@@ -1,12 +1,11 @@
-(** Declarative health rules (SLOs) over metric snapshots.
+(** Declarative health rules (SLOs) over a metric snapshot.
 
     A rule is one line of text — [SEVERITY SELECTOR OP VALUE] — and a
-    rule set is evaluated against a sequence of {!Obs_metrics.snapshot}
-    values: the single end-of-run snapshot of a live registry, every
-    frame of a snapshot ring, or the synthetic registry
-    {!Obs_query.metrics_of_events} builds from a finished trace. The
-    result is a typed verdict report that [cstrace check],
-    [cstrace collect] and [csctl --health] all share.
+    rule set is evaluated against one {!Obs_metrics.snapshot}: the
+    registry {!Obs_query.metrics_of_events} builds from a finished
+    trace ([cstrace check]), or the live registry the collector folds
+    streamed events into ([cstrace collect]). The result is a typed
+    verdict report both share.
 
     {2 Grammar}
 
@@ -19,26 +18,25 @@
     stat     ::= "count" | "sum" | "mean" | "min" | "max"
                | "p50" | "p95" | "p99"
     op       ::= "<" | "<=" | ">" | ">=" | "==" | "!="
-    value    ::= float literal
+    value    ::= float literal, not nan
     v}
 
     A bare counter selector reads its count, a bare gauge its value, a
     bare histogram its mean; [base.stat] reads one summary field of
     histogram [base] ([counter.count] is also accepted). A trailing
-    [?] marks the rule optional: a selector that resolves in no
-    snapshot is then [Skipped] rather than [Missing], which lets one
-    rules file serve both trace-derived ([trace.*]) and in-process
-    ([gc.*], [pool.*]) metric sources. Gauge/histogram values that are
-    [nan] (never set / empty) do not resolve.
+    [?] marks the rule optional: a selector that does not resolve is
+    then [Skipped] rather than [Missing], which lets one rules file
+    serve traces that carry different series — [trace.pool_remaining],
+    for one, exists only in traces whose task pool drained.
+    Gauge/histogram values that are [nan] (never set / empty) do not
+    resolve.
 
     {2 Semantics}
 
-    The rule asserts the selected value satisfies [value OP threshold]
-    in {e every} snapshot where the selector resolves; the first
-    violation fails the rule, recording the offending value and the
-    snapshot's trial index when it has one. [==]/[!=] use
-    {!Tol.exactly}. A non-optional selector resolving nowhere is
-    [Missing], which counts as a warn-level failure. *)
+    The rule asserts the selected value satisfies [value OP threshold];
+    a violation fails the rule, recording the offending value.
+    [==]/[!=] use {!Tol.exactly}. A non-optional selector that does
+    not resolve is [Missing], which counts as a warn-level failure. *)
 
 type severity = Warn | Critical
 
@@ -54,16 +52,15 @@ type rule = {
 
 type status =
   | Pass
-  | Fail of { value : float; at : int option }
-  | Missing  (** selector resolved in no snapshot (non-optional) *)
-  | Skipped  (** optional selector resolved in no snapshot *)
+  | Fail of { value : float }
+  | Missing  (** non-optional selector did not resolve *)
+  | Skipped  (** optional selector did not resolve *)
 
 type verdict = Healthy | Unhealthy of severity
 
 type report = {
   outcomes : (rule * status) list;  (** in rule order *)
   verdict : verdict;
-  entries : int;  (** number of snapshots evaluated *)
 }
 
 val parse_rule : string -> (rule, string) result
@@ -71,17 +68,15 @@ val parse_rule : string -> (rule, string) result
 
 val parse : string -> (rule list, string) result
 (** Parse a whole [.cshealth] document; errors carry 1-based line
-    numbers. An empty document is [Ok []]. *)
+    numbers. An empty document is [Ok []]. A [nan] threshold is a
+    parse error. *)
 
 val resolve : Obs_metrics.snapshot -> string -> float option
 (** [resolve snap selector] is the selected value, when present and
     finite enough to compare (see grammar above). *)
 
-val evaluate :
-  rules:rule list -> (int option * Obs_metrics.snapshot) list -> report
-(** Evaluate every rule over the snapshot sequence. The [int option] is
-    the snapshot's trial index ([Obs_snapshot] ring position) or [None]
-    for a single end-of-run snapshot. *)
+val evaluate : rules:rule list -> Obs_metrics.snapshot -> report
+(** Evaluate every rule against the snapshot. *)
 
 val exit_code : report -> int
 (** [0] healthy, [1] warn-level failures only, [2] any critical
@@ -99,5 +94,5 @@ val verdict_to_string : verdict -> string
 (** ["ok"], ["warn"] or ["critical"]. *)
 
 val report_to_json : report -> Jsonx.t
-(** Machine-readable verdict: [{"v":1,"verdict":...,"entries":...,
-    "rules":[...]}] for the [--json] flag and CI artifacts. *)
+(** Machine-readable verdict: [{"v":1,"verdict":...,"rules":[...]}]
+    for the [--json] flag and CI artifacts. *)

@@ -1,7 +1,7 @@
 (** A minimal, dependency-free HTTP/1.1 exposition server.
 
-    The observability layer's files ([--prom], snapshot timelines,
-    health reports) answer questions {e after} a run; a scraper — a
+    The observability layer's files (traces and what [cstrace] derives
+    from them) answer questions {e after} a run; a scraper — a
     Prometheus poller, a CI smoke probe, an operator with [curl] —
     wants to ask them {e during} one. This module serves exactly two
     read-only endpoints over a Unix-domain or TCP socket:

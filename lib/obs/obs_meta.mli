@@ -5,8 +5,8 @@
     The first line of every trace written through
     {!Obs_sink.with_jsonl_file}'s [?meta] argument is one self-describing
     JSON object — [{"v":1,"type":"meta","schema":1,"git_sha":"...",
-    "seed":42,"jobs":1,"scenario":"simulate ..."}] — that loaders
-    ({!Trace_report.load}, {!Obs_query.load}) validate: a malformed
+    "seed":42,"jobs":1,"scenario":"simulate ..."}] — that the trace
+    loader ({!Obs_query.load}) validates: a malformed
     header or one written under a different event schema version is a
     load error, not a silent skip. [cstrace diff] additionally refuses to
     compare traces whose recorded seeds differ (unless forced), because a

@@ -116,27 +116,14 @@ type snapshot = {
   snap_histograms : (string * hist_stats) list;
 }
 (** Immutable, name-sorted copy of a registry's state at one instant —
-    the unit {!Obs_snapshot} rings buffer and {!Obs_export.prometheus}
-    renders. *)
+    the unit {!Obs_export.prometheus} renders and {!Obs_health} rules
+    judge. *)
 
 val snapshot : t -> snapshot
 (** Freeze the registry's current state. O(instruments); the registry
     keeps running. *)
 
-val snapshot_to_json : snapshot -> Jsonx.t
-(** Same shape as {!to_json} but with p95 instead of p90 (the cstrace
-    timeline vocabulary). *)
-
-val snapshot_of_json : Jsonx.t -> (snapshot, string) result
-(** Inverse of {!snapshot_to_json}; non-finite stats (serialized as
-    [null]) come back as [nan]. *)
-
-(** {1 Export} *)
-
-val to_json : t -> Jsonx.t
-(** Self-describing snapshot: [{"counters": {...}, "gauges": {...},
-    "histograms": {name: {n, sum, mean, min, max, p50, p90, p99}}}],
-    keys sorted. *)
+(** {1 Printing} *)
 
 val pp : Format.formatter -> t -> unit
 (** Deterministic (name-sorted) human-readable dump, one instrument per

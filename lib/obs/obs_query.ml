@@ -50,7 +50,9 @@ let load path =
                            fail "event after truncation marker"
                          else events := ev :: !events)
              done
-           with End_of_file -> ());
+           with
+          | End_of_file -> ()
+          | Sys_error msg -> err := Some (path ^ ": " ^ msg));
           match !err with
           | Some msg -> Error msg
           | None ->
@@ -273,6 +275,12 @@ let metrics_updater ?accuracy () =
   let reg = Obs_metrics.create ?accuracy () in
   let c name = Obs_metrics.counter reg name in
   let h name = Obs_metrics.histogram reg name in
+  (* A histogram takes finite values >= 0; a decoded trace can break
+     that (a negative field, a finish before its start), and such a
+     value is left out rather than raised on. *)
+  let observe h v =
+    if Float.is_finite v && v >= 0.0 then Obs_metrics.observe h v
+  in
   let episodes_started = c "trace.episodes_started" in
   let episodes_finished = c "trace.episodes_finished" in
   let periods_dispatched = c "trace.periods_dispatched" in
@@ -292,18 +300,18 @@ let metrics_updater ?accuracy () =
       | Episode_finished { time; ws; ep; _ } -> (
           Obs_metrics.incr episodes_finished;
           match Hashtbl.find_opt starts (ws, ep) with
-          | Some t0 -> Obs_metrics.observe episode_duration (time -. t0)
+          | Some t0 -> observe episode_duration (time -. t0)
           | None -> ())
       | Period_dispatched { period; _ } ->
           Obs_metrics.incr periods_dispatched;
-          Obs_metrics.observe period_length period
+          observe period_length period
       | Period_completed { banked; overhead; _ } ->
           Obs_metrics.incr periods_completed;
-          Obs_metrics.observe banked_h banked;
-          Obs_metrics.observe overhead_h overhead
+          observe banked_h banked;
+          observe overhead_h overhead
       | Period_killed { overhead; _ } ->
           Obs_metrics.incr periods_killed;
-          Obs_metrics.observe overhead_h overhead
+          observe overhead_h overhead
       | Pool_drained { remaining; _ } ->
           Obs_metrics.set pool_remaining remaining
       | Run_started _ | Plan_computed _ | Owner_returned _ | Run_finished _ ->

@@ -29,7 +29,8 @@ val load : string -> (trace, string) result
     bad headers and duplicate headers are errors with [file:line]
     positions. A trailing truncation marker is accepted and surfaced
     via [truncated] (events after it, or a second marker, are
-    errors). *)
+    errors). A path that cannot be read — missing, or a directory — is
+    an [Error] naming it; [load] never raises. *)
 
 (** {1 Filtering} *)
 
@@ -105,7 +106,9 @@ val metrics_of_events : ?accuracy:float -> Obs_event.t list -> Obs_metrics.t
     [trace.episode_duration], [trace.banked], [trace.overhead]; gauge
     [trace.pool_remaining]. All values are simulation-time, so the
     result is deterministic — unlike a live registry, which also times
-    wall-clock spans. [accuracy] as in {!Obs_metrics.create}. *)
+    wall-clock spans. A value a histogram cannot take (negative, such
+    as an episode that finishes before it starts) is left out rather
+    than raised on. [accuracy] as in {!Obs_metrics.create}. *)
 
 val metrics_updater :
   ?accuracy:float -> unit -> Obs_metrics.t * (Obs_event.t -> unit)

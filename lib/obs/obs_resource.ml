@@ -2,8 +2,6 @@
    Obs_metrics instruments. Sole sanctioned Gc-stat call site (lint R9). *)
 
 type t = {
-  every : int;
-  mutable countdown : int;
   base : Gc.stat;
   mutable last : Gc.stat;
   c_samples : Obs_metrics.counter;
@@ -18,12 +16,9 @@ type t = {
   h_promoted_delta : Obs_metrics.histogram;
 }
 
-let create ?(every = 1) m =
-  if every < 1 then invalid_arg "Obs_resource.create: every must be >= 1";
+let create m =
   let base = Gc.quick_stat () in
   {
-    every;
-    countdown = 1;
     base;
     last = base;
     c_samples = Obs_metrics.counter m "gc.samples";
@@ -54,11 +49,6 @@ let sample t =
   Obs_metrics.set t.g_top_heap_words (float_of_int cur.Gc.top_heap_words);
   let d = cur.Gc.promoted_words -. t.last.Gc.promoted_words in
   Obs_metrics.observe t.h_promoted_delta (if d > 0.0 then d else 0.0);
-  t.last <- cur;
-  t.countdown <- t.every
-
-let tick t =
-  t.countdown <- t.countdown - 1;
-  if t.countdown <= 0 then sample t
+  t.last <- cur
 
 let samples t = Obs_metrics.count t.c_samples

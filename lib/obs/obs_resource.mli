@@ -4,20 +4,20 @@
     first observable that matters on a real workstation is the runtime
     itself — allocation pressure, promotion rate, heap growth. This
     module turns [Gc.quick_stat] deltas into ordinary {!Obs_metrics}
-    instruments so resource data flows through the same snapshot ring,
-    Prometheus exposition, and health rules as everything else.
+    instruments, so resource data prints and exports with everything
+    else in the registry.
 
-    Determinism contract: samples are taken at deterministic points in
-    the computation (chunk-gather boundaries, episode ends), counted in
-    ticks — never driven by wall-clock. Resource values are recorded
-    into the registry and snapshot ring only; they never enter the
-    event trace, so the [--jobs 1] ≡ [--jobs 2] trace-diff gate is
-    unaffected by the (inherently domain-count-dependent) GC numbers.
+    Samples are taken where the caller chooses, never on a wall-clock
+    timer: [csctl --metrics] samples once after the run, and the e2e
+    bench harness once per workload. Resource values are recorded into
+    the registry only; they never enter the event trace, so the
+    [--jobs 1] ≡ [--jobs 2] trace-diff gate is unaffected by the
+    (inherently domain-count-dependent) GC numbers.
 
     This file is the sole sanctioned call site of [Gc.stat] /
     [Gc.quick_stat] / [Gc.counters] (cslint rule R9): [Gc.stat] walks
     the major heap, and even [quick_stat] costs enough that sampling
-    must stay budgeted behind {!tick}'s [every] divisor.
+    belongs at a few chosen points, not inside a hot loop.
 
     Series recorded (all under the [gc.] namespace):
     - counters [gc.samples], [gc.minor_collections],
@@ -33,19 +33,12 @@
 type t
 (** A sampler bound to one registry. *)
 
-val create : ?every:int -> Obs_metrics.t -> t
-(** [create ?every m] resolves the [gc.*] instruments in [m] and takes
-    the baseline [Gc.quick_stat]. [every] (default 1) is the sampling
-    divisor used by {!tick}: every [every]-th tick performs one
-    {!sample}. @raise Invalid_argument when [every < 1]. *)
-
-val tick : t -> unit
-(** Cheap per-boundary hook: decrements a countdown and calls {!sample}
-    on every [every]-th invocation. The first tick always samples. *)
+val create : Obs_metrics.t -> t
+(** [create m] resolves the [gc.*] instruments in [m] and takes the
+    baseline [Gc.quick_stat]. *)
 
 val sample : t -> unit
-(** Take one [Gc.quick_stat] reading unconditionally and record the
-    deltas. Also resets {!tick}'s countdown. *)
+(** Take one [Gc.quick_stat] reading and record the deltas. *)
 
 val samples : t -> int
 (** Number of samples taken so far (the [gc.samples] counter). *)

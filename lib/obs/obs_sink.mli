@@ -5,7 +5,7 @@
     {!Obs.tracing} reports [false] for it, so instrumented code skips
     event construction entirely and the sink costs one branch. [Jsonl]
     writes one self-describing JSON object per line (the schema
-    {!Trace_report} reads back); [Console] pretty-prints for humans;
+    {!Obs_query.load} reads back); [Console] pretty-prints for humans;
     [Custom] forwards to arbitrary user code (in-memory collection,
     filtering, fan-out). *)
 

@@ -144,44 +144,6 @@ let of_events events =
     episode_durations = Array.of_list (List.rev !durations);
   }
 
-let load path =
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let events = ref [] in
-          let line_no = ref 0 in
-          let err = ref None in
-          (try
-             while !err = None do
-               let line = input_line ic in
-               Stdlib.incr line_no;
-               if String.trim line <> "" then
-                 match Jsonx.of_string line with
-                 | Error msg ->
-                     err := Some (Printf.sprintf "%s:%d: %s" path !line_no msg)
-                 | Ok j when Obs_meta.is_meta_json j -> (
-                     (* Provenance header: validate, then skip — the
-                        summary is about the events. *)
-                     match Obs_meta.of_json j with
-                     | Error msg ->
-                         err :=
-                           Some (Printf.sprintf "%s:%d: %s" path !line_no msg)
-                     | Ok _ -> ())
-                 | Ok j -> (
-                     match Obs_event.of_json j with
-                     | Error msg ->
-                         err :=
-                           Some (Printf.sprintf "%s:%d: %s" path !line_no msg)
-                     | Ok ev -> events := ev :: !events)
-             done
-           with End_of_file -> ());
-          match !err with
-          | Some msg -> Error msg
-          | None -> Ok (of_events (List.rev !events)))
-
 let kill_rate t =
   let attempts = t.periods_completed + t.periods_killed in
   if attempts = 0 then 0.0

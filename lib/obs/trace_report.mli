@@ -2,9 +2,10 @@
     numbers a live run computes.
 
     [csctl simulate --trace FILE] (or any [Jsonl]-sinked run) produces a
-    stream of {!Obs_event.t}; this module folds that stream into totals,
-    per-workstation tables, kill rates, an overhead fraction, and
-    period-length / episode-duration quantiles. The design contract —
+    stream of {!Obs_event.t}, which {!Obs_query.load} reads back; this
+    module folds that stream into totals, per-workstation tables, kill
+    rates, an overhead fraction, and period-length / episode-duration
+    quantiles. The design contract —
     pinned by [test/test_obs.ml] — is that a trace {e round-trips}: the
     aggregate of the events equals the [Farm.report] / [Monte_carlo]
     numbers of the run that emitted them, to float tolerance. A trace is
@@ -44,13 +45,6 @@ type t = {
 }
 
 val of_events : Obs_event.t list -> t
-
-val load : string -> (t, string) result
-(** [load path] parses a JSONL trace file (blank lines ignored) and
-    aggregates it. A leading {!Obs_meta} provenance header, when
-    present, is validated and skipped; a malformed or
-    wrong-schema-version header is a load error. The error carries the
-    1-based line number of the first malformed line. *)
 
 val kill_rate : t -> float
 (** Killed / (completed + killed); [0] when no period ever started. *)

@@ -33,8 +33,6 @@ val estimate :
   ?obs:Obs.t ->
   ?pool:Domain_pool.t ->
   ?domains:int ->
-  ?snapshot:Obs_snapshot.t ->
-  ?resource:Obs_resource.t ->
   ?trials:int ->
   Life_function.t -> c:float -> schedule:Schedule.t -> seed:int64 ->
   estimate
@@ -51,21 +49,6 @@ val estimate :
     timed into the [mc.estimate_seconds] histogram, and a span recorder
     sees an [mc.estimate] span over per-chunk [mc.chunk] children.
     Results are identical with and without [?obs].
-
-    [?snapshot] is ticked with the number of trials merged so far after
-    each chunk folds back — at the serial gather boundary, in chunk
-    order, so the captured metric timeline is bit-identical for any
-    domain count (its effective spacing rounds up to {!chunk_size}). A
-    final unconditional capture at [trials] guarantees the last entry
-    reflects the finished run. The snapshot's registry should be the one
-    attached to [?obs], or the captures will be empty.
-
-    [?resource] is ticked once per chunk at the same serial gather
-    boundary (before the snapshot tick, so captured frames include the
-    fresh [gc.*] values) and sampled unconditionally before the final
-    capture. Sampling points are deterministic in the chunk grid;
-    the sampled {e values} are runtime-dependent, which is why they
-    live in gauges and histograms, never in trace events.
 
     When [?obs] carries a metrics registry, {!Domain_pool.run} also
     mirrors utilization into [pool.*] gauges and the serial gather

@@ -191,6 +191,7 @@ let test_event_rejects () =
       {|{"type":"run_finished","t":0.0}|};
       {|{"v":1,"type":"episode_started","t":0.0,"ws":"zero","ep":1}|};
       {|{"v":1,"type":"episode_started","t":0.0}|};
+      {|{"v":1,"type":"run_finished","t":1e999}|};
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -217,9 +218,10 @@ let test_farm_trace_roundtrip () =
         Obs.Sink.with_jsonl_file path (fun sink ->
             Farm.run ~obs:(Obs.create ~sink ()) farm_config ~seed:42L)
       in
-      match Trace_report.load path with
+      match Obs_query.load path with
       | Error e -> Alcotest.failf "load failed: %s" e
-      | Ok tr ->
+      | Ok t ->
+          let tr = Trace_report.of_events t.Obs_query.events in
           Alcotest.(check (float 1e-6)) "total done" report.Farm.total_done
             tr.Trace_report.total_done;
           Alcotest.(check (float 1e-6)) "total lost" report.Farm.total_lost
@@ -263,9 +265,10 @@ let test_monte_carlo_trace_roundtrip () =
               ~obs:(Obs.create ~sink ())
               ~trials:500 lf ~c:1.0 ~schedule ~seed:7L)
       in
-      match Trace_report.load path with
+      match Obs_query.load path with
       | Error e -> Alcotest.failf "load failed: %s" e
-      | Ok tr ->
+      | Ok t ->
+          let tr = Trace_report.of_events t.Obs_query.events in
           let n = float_of_int est.Monte_carlo.trials in
           Alcotest.(check int) "episodes = trials" est.Monte_carlo.trials
             tr.Trace_report.episodes_started;

@@ -1,8 +1,9 @@
 (* The read side of the observability stack: meta headers and run
-   ids, trace loading/filtering/diffing (Obs_query), export format
-   round-trips (Obs_export folded stacks and Prometheus exposition),
-   the snapshot ring and its shard headers, and the Obs_fork gather
-   edge cases. *)
+   ids, trace loading/filtering/diffing (Obs_query) and the loader's
+   robustness to mutated traces, export format round-trips (Obs_export
+   folded stacks and Prometheus exposition), the determinism of a
+   run's final registry snapshot, and the Obs_fork gather edge
+   cases. *)
 
 let with_temp_file suffix k =
   let path = Filename.temp_file "cs_query" suffix in
@@ -153,11 +154,7 @@ let test_load_with_header () =
       Alcotest.(check int) "events loaded" (List.length sample_events)
         (List.length t.Obs_query.events);
       Alcotest.(check bool) "events equal" true
-        (t.Obs_query.events = sample_events);
-      (* Trace_report.load validates and skips the same header. *)
-      let summary = ok (Trace_report.load path) in
-      Alcotest.(check int) "summary events" (List.length sample_events)
-        summary.Trace_report.events)
+        (t.Obs_query.events = sample_events))
 
 let test_load_headerless_and_bad_header () =
   with_temp_file ".jsonl" (fun path ->
@@ -167,14 +164,19 @@ let test_load_headerless_and_bad_header () =
       (* A meta line with the wrong schema version is a load error. *)
       write_file path
         ({|{"v":1,"type":"meta","schema":999}|} :: event_lines sample_events);
-      (match Obs_query.load path with
+      match Obs_query.load path with
       | Ok _ -> Alcotest.fail "accepted wrong-schema header"
       | Error msg ->
           Alcotest.(check bool) "error names line 1" true
             (contains_sub msg ":1:"));
-      match Trace_report.load path with
-      | Ok _ -> Alcotest.fail "Trace_report accepted wrong-schema header"
-      | Error _ -> ())
+  (* A directory opens but cannot be read: an Error naming it, not an
+     exception. *)
+  let dir = Filename.get_temp_dir_name () in
+  match Obs_query.load dir with
+  | Ok _ -> Alcotest.fail "loaded a directory"
+  | Error msg ->
+      Alcotest.(check bool) "error names the path" true
+        (String.starts_with ~prefix:(dir ^ ": ") msg)
 
 (* ------------------------------------------------------------------ *)
 (* Filtering and episode rows                                         *)
@@ -356,100 +358,107 @@ let test_prometheus_of_trace () =
   Alcotest.(check bool) "pool gauge absent without Pool_drained" true
     (List.exists
        (String.ends_with ~suffix:"pool_remaining NaN")
-       lines)
+       lines);
+  (* A finish before its start and a negative period are left out of
+     the histograms instead of raising. *)
+  let odd =
+    Obs_query.metrics_of_events
+      Obs_event.
+        [
+          Episode_started { time = 5.0; ws = 0; ep = 0 };
+          Period_dispatched { time = 5.0; ws = 0; ep = 0; period = -1.0; assigned = 0.0 };
+          Episode_finished { time = 1.0; ws = 0; ep = 0; work_done = 0.0; interrupted = true };
+        ]
+  in
+  Alcotest.(check bool) "impossible values left out" true
+    (List.for_all
+       (fun (_, h) -> h.Obs_metrics.hs_count = 0)
+       (Obs_metrics.snapshot odd).Obs_metrics.snap_histograms)
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot ring                                                      *)
+(* Loader robustness                                                  *)
 
-let test_snapshot_ring () =
-  let reg = Obs_metrics.create () in
-  let c = Obs_metrics.counter reg "n" in
-  let snap = Obs_snapshot.create ~capacity:3 ~every:10 reg in
-  Obs_snapshot.tick snap ~at:5;
-  Alcotest.(check int) "below the mark" 0 (Obs_snapshot.captured snap);
-  Obs_metrics.incr c;
-  Obs_snapshot.tick snap ~at:10;
-  Obs_snapshot.tick snap ~at:12;
-  Alcotest.(check int) "one capture, then re-armed" 1
-    (Obs_snapshot.captured snap);
-  (* A tick that jumps several marks captures once. *)
-  Obs_metrics.incr c;
-  Obs_snapshot.tick snap ~at:47;
-  Alcotest.(check int) "coarse tick captures once" 2
-    (Obs_snapshot.captured snap);
-  Obs_snapshot.tick snap ~at:50;
-  Obs_snapshot.tick snap ~at:60;
-  Obs_snapshot.tick snap ~at:70;
-  Alcotest.(check int) "total captures" 5 (Obs_snapshot.captured snap);
-  Alcotest.(check int) "ring bound" 2 (Obs_snapshot.dropped snap);
-  let ats = List.map (fun e -> e.Obs_snapshot.at) (Obs_snapshot.entries snap) in
-  Alcotest.(check (list int)) "oldest evicted first" [ 50; 60; 70 ] ats;
-  Alcotest.(check bool) "last_at" true (Obs_snapshot.last_at snap = Some 70)
+(* A seeded Monte-Carlo trace of ~400 lines, written through the Jsonl
+   sink exactly as --trace writes it, plus the events that went in. *)
+let mc_trace =
+  lazy
+    (let lf = Families.uniform ~lifespan:100.0 in
+     let schedule = (Guideline.plan lf ~c:1.0).Guideline.schedule in
+     let emitted = ref [] in
+     with_temp_file ".jsonl" (fun path ->
+         Obs.Sink.with_jsonl_file ~meta:(meta ~seed:3L ()) path (fun sink ->
+             let sink =
+               Obs.Sink.tee
+                 [ sink; Obs.Sink.Custom (fun ev -> emitted := ev :: !emitted) ]
+             in
+             ignore
+               (Monte_carlo.estimate ~obs:(Obs.create ~sink ()) ~trials:28 lf
+                  ~c:1.0 ~schedule ~seed:3L));
+         ( In_channel.with_open_bin path In_channel.input_all
+           |> String.split_on_char '\n'
+           |> List.filter (fun l -> l <> ""),
+           List.rev !emitted )))
 
-let test_snapshot_jsonl_roundtrip () =
-  let reg = Obs_metrics.create () in
-  let c = Obs_metrics.counter reg "runs" in
-  let g = Obs_metrics.gauge reg "level" in
-  let h = Obs_metrics.histogram reg "len" in
-  let snap = Obs_snapshot.create ~every:1 reg in
-  Obs_metrics.incr c;
-  Obs_metrics.set g 3.25;
-  Obs_metrics.observe h 2.0;
-  Obs_snapshot.tick snap ~at:1;
-  Obs_metrics.incr c;
-  Obs_metrics.observe h 8.0;
-  Obs_snapshot.tick snap ~at:2;
+let test_mc_trace_loads_back () =
+  let lines, emitted = Lazy.force mc_trace in
+  Alcotest.(check bool) "about 400 lines" true
+    (abs (List.length lines - 400) < 100);
   with_temp_file ".jsonl" (fun path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> Obs_snapshot.write_jsonl snap oc);
-      let entries = ok (Obs_snapshot.load path) in
-      Alcotest.(check bool) "round-trips structurally" true
-        (entries = Obs_snapshot.entries snap))
+      write_file path lines;
+      Alcotest.(check bool) "emitted events come back" true
+        ((ok (Obs_query.load path)).Obs_query.events = emitted))
 
-let test_snapshot_shard_headers () =
-  let reg = Obs_metrics.create () in
-  let c = Obs_metrics.counter reg "n" in
-  let snap = Obs_snapshot.create ~capacity:2 ~every:1 reg in
-  List.iter
-    (fun at ->
-      Obs_metrics.incr c;
-      Obs_snapshot.tick snap ~at)
-    [ 1; 2; 3 ];
-  Alcotest.(check int) "ring wrapped" 1 (Obs_snapshot.dropped snap);
-  let m = meta ~git_sha:"abcd" ~seed:9L ~scenario:"shard" () in
-  let meta_lines path =
-    List.length
-      (List.filter
-         (fun l -> contains_sub l "\"type\":\"meta\"")
-         (String.split_on_char '\n' In_channel.(with_open_bin path input_all)))
-  in
-  with_temp_file ".jsonl" (fun path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> Obs_snapshot.write_jsonl ~meta:m snap oc);
-      (* A wrapped ring re-emits the header at the rotation boundary, so
-         splitting the file there yields two self-describing shards. *)
-      Alcotest.(check int) "header emitted at start and at the wrap" 2
-        (meta_lines path);
-      let hdr, entries = ok (Obs_snapshot.load_with_meta path) in
-      Alcotest.(check bool) "first header surfaced" true (hdr = Some m);
-      Alcotest.(check bool) "entries survive the duplicated header" true
-        (entries = Obs_snapshot.entries snap);
-      Alcotest.(check bool) "load strips headers" true
-        (ok (Obs_snapshot.load path) = entries));
-  (* An unwrapped ring writes exactly one header. *)
-  let snap2 = Obs_snapshot.create ~capacity:8 ~every:1 reg in
-  Obs_snapshot.tick snap2 ~at:1;
-  with_temp_file ".jsonl" (fun path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> Obs_snapshot.write_jsonl ~meta:m snap2 oc);
-      Alcotest.(check int) "single header when nothing was dropped" 1
-        (meta_lines path))
+let odd_values =
+  [| "1e999"; "-0"; "null"; {|"x"|}; "[]"; "12345678901234567890123" |]
+
+(* Mutation [kind] of line [i]; [aux] picks the byte, bit, other line
+   or odd value. A line carrying a newline splits in two on write. *)
+let mutate lines kind i aux =
+  let n = List.length lines in
+  let line = List.nth lines (i mod n) and other = List.nth lines (aux mod n) in
+  let len = String.length line in
+  let put l = List.mapi (fun j x -> if j = i mod n then l else x) lines in
+  match kind with
+  | 0 ->
+      let b = Bytes.of_string line and j = aux mod len in
+      let bit = 1 lsl (aux / len mod 8) in
+      Bytes.set b j (Char.chr (Char.code line.[j] lxor bit));
+      put (Bytes.to_string b)
+  | 1 -> put (String.sub line 0 (aux mod len))
+  | 2 -> put (line ^ "\n" ^ other)
+  | 3 -> put other
+  | _ ->
+      (* Swap the value after a ':' (up to the next ',' or '}'). *)
+      let c =
+        Option.value (String.index_from_opt line (aux mod len) ':')
+          ~default:(String.index line ':')
+      in
+      let stop = ref (c + 1) in
+      while !stop < len && line.[!stop] <> ',' && line.[!stop] <> '}' do
+        incr stop
+      done;
+      let v = odd_values.(aux / len mod Array.length odd_values) in
+      put (String.sub line 0 (c + 1) ^ v ^ String.sub line !stop (len - !stop))
+
+let prop_load_total =
+  QCheck.Test.make ~name:"a mutated trace loads or errors, never raises"
+    ~count:80
+    QCheck.(triple (int_bound 4) (int_bound 100_000) (int_bound 100_000))
+    (fun (kind, i, aux) ->
+      with_temp_file ".jsonl" (fun path ->
+          write_file path (mutate (fst (Lazy.force mc_trace)) kind i aux);
+          match Obs_query.load path with
+          | Error _ -> true
+          | Ok t ->
+              let events = t.Obs_query.events in
+              ignore
+                (Format.asprintf "%a" Trace_report.pp
+                   (Trace_report.of_events events));
+              ignore (Obs_query.metrics_of_events events);
+              true))
+
+(* ------------------------------------------------------------------ *)
+(* Registry snapshot                                                  *)
 
 let test_snapshot_determinism_across_domains () =
   let lf = Families.uniform ~lifespan:30.0 in
@@ -457,33 +466,26 @@ let test_snapshot_determinism_across_domains () =
   let run domains =
     let reg = Obs_metrics.create () in
     let obs = Obs.create ~metrics:reg () in
-    let snap = Obs_snapshot.create ~every:600 reg in
     let (_ : Monte_carlo.estimate) =
-      Monte_carlo.estimate ~obs ?domains ~snapshot:snap ~trials:2_000 lf
-        ~c:1.0 ~schedule:plan.Guideline.schedule ~seed:99L
+      Monte_carlo.estimate ~obs ?domains ~trials:2_000 lf ~c:1.0
+        ~schedule:plan.Guideline.schedule ~seed:99L
     in
-    Obs_snapshot.entries snap
+    Obs_metrics.snapshot reg
   in
   let serial = run None and parallel = run (Some 2) in
-  let ats = List.map (fun e -> e.Obs_snapshot.at) in
-  Alcotest.(check (list int)) "same capture grid" (ats serial) (ats parallel);
-  Alcotest.(check bool) "final capture at trials" true
-    (List.exists (fun e -> e.Obs_snapshot.at = 2_000) serial);
+  Alcotest.(check bool) "episode counters present" true
+    (List.mem_assoc "episode.runs" serial.Obs_metrics.snap_counters);
   (* Counters and sim-time histograms must agree bit-for-bit; wall-time
      histograms (episode.elapsed) legitimately differ. *)
-  List.iter2
-    (fun (a : Obs_snapshot.entry) (b : Obs_snapshot.entry) ->
-      Alcotest.(check bool) "counters identical" true
-        (a.Obs_snapshot.metrics.Obs_metrics.snap_counters
-        = b.Obs_snapshot.metrics.Obs_metrics.snap_counters);
-      let period_length (s : Obs_metrics.snapshot) =
-        List.assoc_opt "episode.period_length"
-          s.Obs_metrics.snap_histograms
-      in
-      Alcotest.(check bool) "sim-time histogram identical" true
-        (period_length a.Obs_snapshot.metrics
-        = period_length b.Obs_snapshot.metrics))
-    serial parallel
+  Alcotest.(check bool) "counters identical" true
+    (serial.Obs_metrics.snap_counters = parallel.Obs_metrics.snap_counters);
+  let period_length (s : Obs_metrics.snapshot) =
+    List.assoc_opt "episode.period_length" s.Obs_metrics.snap_histograms
+  in
+  Alcotest.(check bool) "sim-time histogram present" true
+    (period_length serial <> None);
+  Alcotest.(check bool) "sim-time histogram identical" true
+    (period_length serial = period_length parallel)
 
 (* ------------------------------------------------------------------ *)
 (* Obs_fork gather edge cases                                         *)
@@ -560,6 +562,9 @@ let () =
             test_load_with_header;
           Alcotest.test_case "headerless and bad header" `Quick
             test_load_headerless_and_bad_header;
+          Alcotest.test_case "monte-carlo trace loads back" `Quick
+            test_mc_trace_loads_back;
+          QCheck_alcotest.to_alcotest prop_load_total;
         ] );
       ( "query",
         [
@@ -591,11 +596,6 @@ let () =
         ] );
       ( "snapshot",
         [
-          Alcotest.test_case "ring semantics" `Quick test_snapshot_ring;
-          Alcotest.test_case "jsonl round-trip" `Quick
-            test_snapshot_jsonl_roundtrip;
-          Alcotest.test_case "meta header re-emitted on wrap" `Quick
-            test_snapshot_shard_headers;
           Alcotest.test_case "deterministic across domains" `Quick
             test_snapshot_determinism_across_domains;
         ] );
