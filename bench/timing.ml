@@ -30,12 +30,12 @@ let weibull_lf = Families.weibull ~shape:1.5 ~scale:100.0
 let schedule = (Guideline.plan uniform_lf ~c:1.0).Guideline.schedule
 
 (* The episode-run rows and the closed-form reclaim-draw row sample from
-   uniform_lf. The fitted row samples a trace fit (a Kaplan–Meier PCHIP
-   through 1000 censored day/night absences, like the e2e simulate
+   uniform_lf. The fitted rows plan and sample a trace fit (a Kaplan–Meier
+   PCHIP through 1000 censored day/night absences, like the e2e simulate
    workload's fitted scenarios), whose draws invert the interpolant. *)
 let sampler = Reclaim.create uniform_lf
 
-let fitted_sampler =
+let fitted_lf =
   let model =
     Owner_model.Day_night
       { short_mean = 15.0; long_mean = 480.0; long_fraction = 0.15 }
@@ -43,7 +43,9 @@ let fitted_sampler =
   let obs =
     Owner_model.collect ~censor_at:960.0 model (Prng.create ~seed:4L) ~n:1000
   in
-  Reclaim.create (Survival.of_observations obs).Survival.life
+  (Survival.of_observations obs).Survival.life
+
+let fitted_sampler = Reclaim.create fitted_lf
 
 (* Sink-emit fixtures price the trace transport itself, one event per
    call. They are lazy because the remote variant stands up a live
@@ -92,6 +94,10 @@ let serial_workloads : (string * (unit -> unit) * int) list =
     ( "expected-work (13 periods)",
       (fun () -> ignore (Schedule.expected_work ~c:1.0 uniform_lf schedule)),
       2_000 );
+    ( "t0-objective (uniform, ~13 periods)",
+      (fun () ->
+        ignore (Recurrence.expected_work_at uniform_lf ~c:1.0 ~t0:13.6)),
+      500 );
     ( "t0-bracket (Thm 3.2/3.3, uniform)",
       (fun () -> ignore (Bounds.bracket uniform_lf ~c:1.0)),
       100 );
@@ -101,10 +107,13 @@ let serial_workloads : (string * (unit -> unit) * int) list =
     ( "guideline-plan (geo-dec)",
       (fun () -> ignore (Guideline.plan geo_dec_lf ~c:1.0)),
       5 );
-    (* Weibull with shape > 1 declares no shape, so this row keeps the
-       grid search and the 512-cell bracket scan measured. *)
-    ( "guideline-plan (weibull k=1.5, unknown shape)",
+    ( "guideline-plan (weibull k=1.5, log-concave)",
       (fun () -> ignore (Guideline.plan weibull_lf ~c:1.0)),
+      5 );
+    (* A trace fit declares no shape, so this row keeps the grid search
+       and the 512-cell bracket scan measured. *)
+    ( "guideline-plan (trace fit, unknown shape)",
+      (fun () -> ignore (Guideline.plan fitted_lf ~c:1.0)),
       5 );
     ( "exact-uniform ([3] closed form)",
       (fun () -> ignore (Exact.uniform ~c:1.0 ~lifespan:100.0)),

@@ -36,6 +36,7 @@ let () =
     | Life_function.Concave -> "concave"
     | Life_function.Convex -> "convex"
     | Life_function.Linear -> "linear"
+    | Life_function.Log_concave -> "log-concave"
     | Life_function.Unknown -> "mixed/unknown");
 
   (* Parametric alternative. *)

@@ -75,8 +75,10 @@ let weibull ~shape ~scale =
   if shape <= 0.0 || scale <= 0.0 then
     invalid_arg "Families.weibull: shape and scale must be > 0";
   let sh = shape and sc = scale in
+  (* log p = −(t/scale)^shape is concave for shape >= 1; shape = 1 stays
+     Convex, which also gives the Thm 3.3 bound. *)
   let declared =
-    if sh <= 1.0 then Life_function.Convex else Life_function.Unknown
+    if sh <= 1.0 then Life_function.Convex else Life_function.Log_concave
   in
   Life_function.make
     ~name:(Printf.sprintf "weibull(shape=%g, scale=%g)" sh sc)

@@ -39,8 +39,10 @@ val geometric_increasing : lifespan:float -> Life_function.t
 val weibull : shape:float -> scale:float -> Life_function.t
 (** [weibull ~shape ~scale] is [p(t) = exp(-(t/scale)^shape)]: the standard
     lifetime model used when fitting owner traces; convex for [shape <= 1],
-    neither convex nor concave globally for [shape > 1] (declared
-    {!Life_function.Unknown}). Requires [shape > 0] and [scale > 0]. *)
+    neither convex nor concave globally for [shape > 1], where
+    [log p = −(t/scale)^shape] is concave and the hazard increases
+    (declared {!Life_function.Log_concave}). Requires [shape > 0] and
+    [scale > 0]. *)
 
 val power_law : d:float -> Life_function.t
 (** [power_law ~d] is [p(t) = 1/(t+1)^d]. For [d > 1] this is the paper's
@@ -60,7 +62,8 @@ val of_interpolant : name:string -> Interp.t -> Life_function.t
 val scale_time : factor:float -> Life_function.t -> Life_function.t
 (** [scale_time ~factor p] is the life function [t ↦ p(t / factor)] —
     stretches the episode by [factor] (e.g. convert minutes to seconds).
-    Preserves shape and the inverse ([u ↦ factor · p⁻¹ u]).
+    Preserves shape (a linear change of time keeps [p] and [log p]
+    concave or convex) and the inverse ([u ↦ factor · p⁻¹ u]).
     Requires [factor > 0]. *)
 
 val all_paper_scenarios :

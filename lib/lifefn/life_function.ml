@@ -1,6 +1,6 @@
 
 type support = Bounded of float | Unbounded
-type shape = Concave | Convex | Linear | Unknown
+type shape = Concave | Convex | Linear | Log_concave | Unknown
 
 type t = {
   name : string;
@@ -157,6 +157,7 @@ let pp ppf t =
     | Concave -> "concave"
     | Convex -> "convex"
     | Linear -> "linear"
+    | Log_concave -> "log-concave"
     | Unknown -> "unknown shape"
   in
   Format.fprintf ppf "%s (%s, %s)" t.name support_str shape_str

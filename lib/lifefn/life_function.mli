@@ -16,6 +16,11 @@ type shape =
   | Concave  (** [p'] nonincreasing (risk of interruption accelerates). *)
   | Convex  (** [p'] nondecreasing (episodes have a "half-life" flavour). *)
   | Linear  (** Both concave and convex — the uniform-risk scenario. *)
+  | Log_concave
+      (** [log p] concave, so the hazard [−p'/p] is nondecreasing (the
+          risk of interruption never eases), for a [p] that is neither
+          concave nor convex, such as Weibull with shape [> 1]. No
+          Theorem 3.3 upper bound applies. *)
   | Unknown  (** No shape certificate; only the general bounds apply. *)
 
 type t
@@ -39,8 +44,8 @@ val make :
     exact derivative (otherwise finite differences on the support are used).
     [?inv] supplies the exact inverse [p⁻¹] on [(0, 1)]: [inv u] is the [t]
     with [p t = u]. Without it, {!inverse} solves [p t = u] numerically.
-    [?shape] declares concavity/convexity — callers are trusted,
-    but [?validate] (default [true]) samples [p] on a grid to check
+    [?shape] declares concavity, convexity or log-concavity — callers are
+    trusted, but [?validate] (default [true]) samples [p] on a grid to check
     [p 0 = 1] within 1e-9, values in [[0, 1]], monotone nonincrease, and,
     when [?inv] is given, [|p (inv v) − v| <= 1e-9] at every sampled value
     [0 < v < 1].
@@ -93,7 +98,8 @@ val classify_shape : ?samples:int -> t -> shape
 (** [classify_shape p] estimates the shape numerically by testing the sign
     of [p''] on a grid over the support interior (default 256 samples),
     ignoring the declared shape. Returns {!Unknown} when the samples mix
-    signs beyond tolerance. Useful for trace-derived functions. *)
+    signs beyond tolerance, and never {!Log_concave}, which only a
+    family's declaration certifies. Useful for trace-derived functions. *)
 
 val is_decreasing_on_grid : ?samples:int -> t -> bool
 (** [is_decreasing_on_grid p] re-runs the monotonicity validation; exposed

@@ -25,7 +25,9 @@ let guard_domain name lf ~c =
    pieces where g jumps to −∞, which a coarse scan can step over. *)
 let scan_cells lf =
   match Life_function.shape lf with
-  | Life_function.Concave | Life_function.Convex | Life_function.Linear -> 32
+  | Life_function.Concave | Life_function.Convex | Life_function.Linear
+  | Life_function.Log_concave ->
+      32
   | Life_function.Unknown -> 512
 
 (* Solve t = rhs(t) as the root of g(t) = t - rhs(t), scanning
@@ -99,7 +101,7 @@ let bracket lf ~c =
     | Life_function.Concave -> upper_t0_concave lf ~c
     | Life_function.Linear ->
         Float.min (upper_t0_convex lf ~c) (upper_t0_concave lf ~c)
-    | Life_function.Unknown -> hi
+    | Life_function.Log_concave | Life_function.Unknown -> hi
   in
   let upper = Float.min upper hi in
   if upper <= lower then (lower, Float.min (2.0 *. lower) hi) else (lower, upper)

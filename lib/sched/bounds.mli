@@ -36,7 +36,8 @@ val bracket : Life_function.t -> c:float -> float * float
 (** [bracket p ~c] is the [(lower, upper)] search interval for the optimal
     [t_0], dispatching on the declared shape of [p]: concave/convex pick
     their Theorem 3.3 bound, {!Life_function.Linear} takes the tighter of
-    the two, {!Life_function.Unknown} falls back to [horizon p]. The
+    the two, and {!Life_function.Log_concave} and {!Life_function.Unknown},
+    to which neither bound applies, fall back to [horizon p]. The
     interval is clipped to [(c, horizon p]] and is always nonempty. *)
 
 val lower_t0_concave_lifespan : c:float -> lifespan:float -> float

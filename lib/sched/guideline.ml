@@ -6,17 +6,17 @@ type result = {
   stop : Recurrence.stop_reason;
 }
 
-let evaluate ?(obs = Obs.disabled) ?finish lf ~c ~t0 =
+let evaluate ?(obs = Obs.disabled) lf ~c ~t0 =
   Obs.span obs "plan.evaluate" (fun () ->
-      let g = Recurrence.generate ~obs ?finish lf ~c ~t0 in
+      let g = Recurrence.generate ~obs lf ~c ~t0 in
       let ew =
         Obs.span obs "plan.expected_work" (fun () ->
             Schedule.expected_work ~c lf g.Recurrence.schedule)
       in
       (g, ew))
 
-let plan_with_t0 ?finish lf ~c ~t0 =
-  let g, ew = evaluate ?finish lf ~c ~t0 in
+let plan_with_t0 lf ~c ~t0 =
+  let g, ew = evaluate lf ~c ~t0 in
   {
     schedule = g.Recurrence.schedule;
     t0;
@@ -35,24 +35,30 @@ let grid_steps = 128
    before the refine. *)
 let search lf objective ~lo ~hi =
   match Life_function.shape lf with
-  | Life_function.Concave | Life_function.Convex | Life_function.Linear ->
+  | Life_function.Concave | Life_function.Convex | Life_function.Linear
+  | Life_function.Log_concave ->
       Optimize.golden_section_max ~tol:(1e-9 *. (hi -. lo)) objective ~lo ~hi
   | Life_function.Unknown ->
       Optimize.grid_then_refine objective ~lo ~hi ~steps:grid_steps
 
-let plan ?(obs = Obs.disabled) ?finish lf ~c =
+let plan ?(obs = Obs.disabled) lf ~c =
   let compute () =
     (* The guideline's three phases, each its own span: Thm 3.2/3.3
        bracketing, the t0 search (whose evaluations span themselves), and
-       the final regeneration at the winner. *)
+       the final regeneration at the winner. A candidate is scored in one
+       pass of the recurrence without building its schedule; the score
+       equals [evaluate]'s E bit for bit, so only the winner is built. *)
     let lo, hi =
       Obs.span obs "plan.bracket" (fun () -> Bounds.bracket lf ~c)
     in
-    let objective t0 = snd (evaluate ~obs ?finish lf ~c ~t0) in
+    let objective t0 =
+      Obs.span obs "plan.evaluate" (fun () ->
+          Recurrence.expected_work_at ~obs lf ~c ~t0)
+    in
     let best =
       Obs.span obs "plan.search" (fun () -> search lf objective ~lo ~hi)
     in
-    let g, ew = evaluate ~obs ?finish lf ~c ~t0:best.Optimize.x in
+    let g, ew = evaluate ~obs lf ~c ~t0:best.Optimize.x in
     {
       schedule = g.Recurrence.schedule;
       t0 = best.Optimize.x;
@@ -80,7 +86,7 @@ let plan ?(obs = Obs.disabled) ?finish lf ~c =
     r
   end
 
-let plan_batch ?(obs = Obs.disabled) ?pool ?domains ?finish scenarios =
+let plan_batch ?(obs = Obs.disabled) ?pool ?domains scenarios =
   match scenarios with
   | [] -> []
   | _ :: _ ->
@@ -124,7 +130,7 @@ let plan_batch ?(obs = Obs.disabled) ?pool ?domains ?finish scenarios =
           Domain_pool.run ?pool ?domains ?metrics:meter ~chunks:m (fun u ->
               let lf, c = scen.(uniq.(u)) in
               slots.(u) <-
-                Some (plan ~obs:(Obs_fork.child kids u) ?finish lf ~c));
+                Some (plan ~obs:(Obs_fork.child kids u) lf ~c));
           let merge_t0 = if accounting then Obs_clock.now () else 0.0 in
           Obs_fork.gather obs kids;
           if accounting then
@@ -162,30 +168,31 @@ let next_period_online lf ~c ~elapsed =
   else begin
     (* Conditional life function given survival to [elapsed]. Shape is
        inherited: conditioning rescales p by a constant and shifts time,
-       both of which preserve concavity/convexity. So is the inverse:
+       which preserves concavity and convexity, and adds a constant to
+       log p, which preserves log-concavity. So is the inverse:
        p(elapsed + s) / p(elapsed) = u at s = p⁻¹(u · p(elapsed)) − elapsed. *)
     let support =
       match Life_function.support lf with
-      | Life_function.Bounded l ->
-          if l -. elapsed <= c then None
-          else Some (Life_function.Bounded (l -. elapsed))
-      | Life_function.Unbounded -> Some Life_function.Unbounded
+      | Life_function.Bounded l -> Life_function.Bounded (l -. elapsed)
+      | Life_function.Unbounded -> Life_function.Unbounded
     in
-    match support with
-    | None -> None
-    | Some support ->
-        let conditional =
-          Life_function.make
-            ~name:(Life_function.name lf ^ " | survived")
-            ~support
-            ~dp:(fun s -> Life_function.deriv lf (elapsed +. s) /. p_elapsed)
-            ~inv:
-              (let inv = Life_function.inverse lf in
-               fun u -> inv (u *. p_elapsed) -. elapsed)
-            ~shape:(Life_function.shape lf)
-            ~validate:false
-            (fun s -> Life_function.eval lf (elapsed +. s) /. p_elapsed)
-        in
-        let r = plan conditional ~c in
-        if r.expected_work > 0.0 && r.t0 > c then Some r.t0 else None
+    let conditional =
+      Life_function.make
+        ~name:(Life_function.name lf ^ " | survived")
+        ~support
+        ~dp:(fun s -> Life_function.deriv lf (elapsed +. s) /. p_elapsed)
+        ~inv:
+          (let inv = Life_function.inverse lf in
+           fun u -> inv (u *. p_elapsed) -. elapsed)
+        ~shape:(Life_function.shape lf)
+        ~validate:false
+        (fun s -> Life_function.eval lf (elapsed +. s) /. p_elapsed)
+    in
+    (* No productive period fits once the remaining horizon is <= c: the
+       lifespan left, or for unbounded support, the time until the
+       conditional survival drops below 1e-12. *)
+    if Life_function.horizon conditional <= c then None
+    else
+      let r = plan conditional ~c in
+      if r.expected_work > 0.0 && r.t0 > c then Some r.t0 else None
   end

@@ -17,17 +17,18 @@ type result = {
 
 val plan :
   ?obs:Obs.t ->
-  ?finish:Recurrence.finish ->
   Life_function.t -> c:float ->
   result
 (** [plan p ~c] runs the full guideline pipeline. The [t_0] search inside
     the bracket depends on the declared shape of [p]: for
-    {!Life_function.Concave}, [Convex] and [Linear] [p], [E(t_0)] is
-    unimodal over the bracket and a golden-section search to 1e-9 of the
-    bracket width finds its maximum (48 schedule evaluations with the
+    {!Life_function.Concave}, [Convex], [Linear] and [Log_concave] [p],
+    [E(t_0)] is unimodal over the bracket and a golden-section search to
+    1e-9 of the bracket width finds its maximum (48 evaluations with the
     final one); for {!Life_function.Unknown} [p], such as a trace fit,
     which can make [E] multimodal, a 128-cell grid localises the maximum
-    and Brent refines it. Requires [0 < c < horizon p].
+    and Brent refines it. Each candidate is scored by
+    {!Recurrence.expected_work_at}, which builds no schedule; only the
+    winner's schedule is generated. Requires [0 < c < horizon p].
 
     [?obs] (default {!Obs.disabled}) records the planning step: a
     [Plan_computed] event (source ["guideline"], with the chosen [t_0],
@@ -35,16 +36,16 @@ val plan :
     [plan.guideline_calls] / [plan.guideline_seconds] metrics. With a
     span recorder attached it also profiles where the time goes — a
     [guideline.plan] root span over [plan.bracket] (Thm 3.2/3.3),
-    [plan.search], and per-candidate [plan.evaluate] /
-    [recurrence.generate] / [plan.expected_work] children. The returned
-    plan is unaffected.
+    [plan.search] with a [plan.evaluate] / [recurrence.generate] pair
+    per candidate, and the winner's [plan.evaluate] /
+    [recurrence.generate] / [plan.expected_work]. The returned plan is
+    unaffected.
     @raise Invalid_argument when [c] is out of range. *)
 
 val plan_batch :
   ?obs:Obs.t ->
   ?pool:Domain_pool.t ->
   ?domains:int ->
-  ?finish:Recurrence.finish ->
   (Life_function.t * float) list ->
   result list
 (** [plan_batch scenarios] is [List.map (fun (p, c) -> plan p ~c)
@@ -68,7 +69,6 @@ val plan_batch :
     per-scenario [guideline.plan] spans. *)
 
 val plan_with_t0 :
-  ?finish:Recurrence.finish ->
   Life_function.t -> c:float -> t0:float ->
   result
 (** [plan_with_t0 p ~c ~t0] skips the search and generates from a caller-
@@ -98,5 +98,9 @@ val next_period_online :
     mode: given that the workstation has survived to [elapsed], it plans
     against the conditional life function
     [s ↦ p(elapsed + s)/p(elapsed)] and returns only the first period of
-    that plan, or [None] when no productive period remains. The simulator's
-    adaptive policy calls this after every completed period. *)
+    that plan, or [None] when no productive period remains: when the
+    conditional's {!Life_function.horizon} (the lifespan left, or the time
+    until its survival drops below 1e-12) is at most [c], or when the
+    plan has no productive first period. The conditional keeps the
+    declared shape of [p]. The simulator's adaptive policy calls this
+    after every completed period. *)

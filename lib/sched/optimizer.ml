@@ -85,7 +85,9 @@ let optimal_schedule ?(obs = Obs.disabled) ?pool ?m_max ?(patience = 3)
         match Life_function.shape lf with
         | Life_function.Concave | Life_function.Linear ->
             Bounds.max_periods_concave ~c ~lifespan:horizon
-        | Life_function.Convex | Life_function.Unknown -> 64
+        | Life_function.Convex | Life_function.Log_concave
+        | Life_function.Unknown ->
+            64
       end
   in
   let spanner = Obs.span_recorder obs in

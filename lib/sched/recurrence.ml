@@ -52,8 +52,12 @@ let stop_label = function
   | Tail_negligible -> "tail-negligible"
   | Period_cap -> "period-cap"
 
-let generate_body ~max_periods ~finish lf ~c ~t0 =
-  let rev_periods = ref [ t0 ] in
+(* Runs eq. 3.6 from [t0], hands each period to [emit] in order (the
+   greedy tail included), and returns why the recurrence stopped.
+   [generate] collects the periods and [expected_work_at] scores them,
+   so the two see the same periods. *)
+let iterate ~max_periods ~finish lf ~c ~t0 emit =
+  emit t0;
   let count = ref 1 in
   let prev_period = ref t0 in
   let prev_end = ref t0 in
@@ -65,14 +69,14 @@ let generate_body ~max_periods ~finish lf ~c ~t0 =
       if p_end < tail_threshold then stop := Some Tail_negligible
       else if !prev_period <= c then stop := Some Unproductive
       else begin
-        (* [generate] checked c >= 0; the loop keeps prev_period > c and
+        (* The callers checked c >= 0; the loop keeps prev_period > c and
            prev_end >= prev_period, so [next_period]'s checks would pass. *)
         match
           step lf ~c ~prev_period:!prev_period ~prev_end:!prev_end ~p_end
         with
         | None -> stop := Some Exhausted_support
         | Some t ->
-            rev_periods := t :: !rev_periods;
+            emit t;
             incr count;
             prev_period := t;
             (* Thm 3.1 defines T_k = T_{k-1} + t_k; the uncompensated
@@ -85,29 +89,27 @@ let generate_body ~max_periods ~finish lf ~c ~t0 =
   let stop = Option.get !stop in
   (* Optional ad-hoc improvement: fill leftover lifespan with one greedy
      period when the recurrence stopped early. *)
-  let rev_periods =
-    match (finish, stop) with
-    | Greedy_tail, (Exhausted_support | Unproductive) -> begin
-        match greedy_tail lf ~c ~elapsed:!prev_end with
-        | Some t -> t :: !rev_periods
-        | None -> !rev_periods
-      end
-    | Greedy_tail, (Tail_negligible | Period_cap)
-    | Faithful, _ ->
-        !rev_periods
-  in
-  { schedule = Schedule.of_list (List.rev rev_periods); stop }
+  (match (finish, stop) with
+  | Greedy_tail, (Exhausted_support | Unproductive) ->
+      Option.iter emit (greedy_tail lf ~c ~elapsed:!prev_end)
+  | Greedy_tail, (Tail_negligible | Period_cap) | Faithful, _ -> ());
+  stop
 
-let generate ?(obs = Obs.disabled) ?(max_periods = 100_000)
-    ?(finish = Faithful) lf ~c ~t0 =
-  if t0 <= 0.0 then invalid_arg "Recurrence.generate: t0 must be > 0";
-  if c < 0.0 then invalid_arg "Recurrence.generate: c must be >= 0";
+let check_args name ~c ~t0 =
+  if t0 <= 0.0 then invalid_arg (name ^ ": t0 must be > 0");
+  if c < 0.0 then invalid_arg (name ^ ": c must be >= 0")
+
+(* Runs [body] under a [recurrence.generate] span when [obs] carries a
+   recorder; [body] returns its value, the period count and the stop. *)
+let spanned obs body =
   match Obs.span_recorder obs with
-  | None -> generate_body ~max_periods ~finish lf ~c ~t0
+  | None ->
+      let v, _, _ = body () in
+      v
   | Some r ->
       Obs.Span.enter r "recurrence.generate";
-      let g =
-        try generate_body ~max_periods ~finish lf ~c ~t0
+      let v, periods, stop =
+        try body ()
         with e ->
           Obs.Span.exit r;
           raise e
@@ -115,10 +117,36 @@ let generate ?(obs = Obs.disabled) ?(max_periods = 100_000)
       Obs.Span.exit r
         ~attrs:
           [
-            ("periods", Jsonx.Int (Schedule.num_periods g.schedule));
-            ("stop", Jsonx.String (stop_label g.stop));
+            ("periods", Jsonx.Int periods);
+            ("stop", Jsonx.String (stop_label stop));
           ];
-      g
+      v
+
+let default_max_periods = 100_000
+
+let generate ?(obs = Obs.disabled) ?(max_periods = default_max_periods)
+    ?(finish = Faithful) lf ~c ~t0 =
+  check_args "Recurrence.generate" ~c ~t0;
+  spanned obs (fun () ->
+      let rev_periods = ref [] in
+      let stop =
+        iterate ~max_periods ~finish lf ~c ~t0 (fun t ->
+            rev_periods := t :: !rev_periods)
+      in
+      let schedule = Schedule.of_list (List.rev !rev_periods) in
+      ({ schedule; stop }, Schedule.num_periods schedule, stop))
+
+let expected_work_at ?(obs = Obs.disabled) ?(finish = Faithful) lf ~c ~t0 =
+  check_args "Recurrence.expected_work_at" ~c ~t0;
+  spanned obs (fun () ->
+      let acc = Schedule.work_start () in
+      let periods = ref 0 in
+      let stop =
+        iterate ~max_periods:default_max_periods ~finish lf ~c ~t0 (fun t ->
+            incr periods;
+            Schedule.work_add acc ~c lf t)
+      in
+      (Schedule.work_total acc, !periods, stop))
 
 let residuals lf ~c s =
   let periods = Schedule.periods s in

@@ -9,7 +9,8 @@
     previous period's length and end time, the next period [t_k] is the
     unique positive solution of [p(T_{k-1} + t_k) = rhs]. This module solves
     that equation as [p⁻¹(rhs) − T_{k-1}] ({!Life_function.inverse}) and
-    iterates it into full schedules; choosing [t_0] is {!Guideline}'s job. *)
+    iterates it into full schedules, or scores the schedule a [t_0] would
+    give without building it; choosing [t_0] is {!Guideline}'s job. *)
 
 type stop_reason =
   | Exhausted_support
@@ -63,6 +64,23 @@ val generate :
     [?obs] (default {!Obs.disabled}): when a span recorder is attached,
     the whole generation is profiled as a [recurrence.generate] span
     carrying the period count and stop reason. *)
+
+val expected_work_at :
+  ?obs:Obs.t ->
+  ?finish:finish ->
+  Life_function.t -> c:float -> t0:float ->
+  float
+(** [expected_work_at p ~c ~t0] is the expected work (eq. 2.1) of the
+    schedule {!generate} builds from [t0], computed in the same pass of
+    the recurrence without building the schedule: each period goes to
+    {!Schedule.work_add} as it is generated. It equals
+    [Schedule.expected_work ~c p (generate p ~c ~t0).schedule] bit for
+    bit, for either [?finish]. {!Guideline.plan} scores its [t_0]
+    candidates with it. Requires [t0 > 0] and [c >= 0].
+
+    [?obs]: with a span recorder attached, the pass is recorded as a
+    [recurrence.generate] span with the same [periods] and [stop]
+    attributes {!generate} records. *)
 
 val residuals : Life_function.t -> c:float -> Schedule.t -> float array
 (** [residuals p ~c s] evaluates, for each consecutive pair of periods, the

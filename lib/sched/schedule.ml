@@ -35,16 +35,26 @@ let positive_sub x y = Float.max 0.0 (x -. y)
 let work_capacity ~c s =
   Kahan.sum_by (fun t -> positive_sub t c) s.periods
 
+type work = { end_sum : Kahan.t; terms : Kahan.t }
+
+let work_start () = { end_sum = Kahan.create (); terms = Kahan.create () }
+
+(* The running end is the compensated prefix sum that [build] stores
+   (Kahan.cumulative adds, then reads the total), so folding a
+   schedule's periods here reproduces its [ends] bit for bit. *)
+let work_add acc ~c lf t =
+  Kahan.add acc.end_sum t;
+  let w = positive_sub t c in
+  if w > 0.0 then
+    Kahan.add acc.terms (w *. Life_function.eval lf (Kahan.total acc.end_sum))
+
+let work_total acc = Kahan.total acc.terms
+
 let expected_work ~c lf s =
   if c < 0.0 then invalid_arg "Schedule.expected_work: c must be >= 0";
-  let acc = Kahan.create () in
-  Array.iteri
-    (fun i t ->
-      let w = positive_sub t c in
-      if w > 0.0 then
-        Kahan.add acc (w *. Life_function.eval lf s.ends.(i)))
-    s.periods;
-  Kahan.total acc
+  let acc = work_start () in
+  Array.iter (work_add acc ~c lf) s.periods;
+  work_total acc
 
 let expected_work_detail ~c lf s =
   Array.mapi

@@ -50,7 +50,25 @@ val work_capacity : c:float -> t -> float
 
 val expected_work : c:float -> Life_function.t -> t -> float
 (** [expected_work ~c p s] is the paper's objective (eq. 2.1), computed with
-    compensated summation. Requires [c >= 0]. *)
+    compensated summation: {!work_add} folded over the periods of [s].
+    Requires [c >= 0]. *)
+
+type work
+(** Eq. 2.1 accumulated one period at a time, for a caller that produces
+    periods without building a schedule: a compensated sum of the ends
+    [T_i], and a compensated sum of the terms [(t_i ⊖ c)·p(T_i)]. *)
+
+val work_start : unit -> work
+(** A fresh accumulator: no periods, [E = 0]. *)
+
+val work_add : work -> c:float -> Life_function.t -> float -> unit
+(** [work_add acc ~c p t] appends a period of length [t]. Feeding
+    [t_0, t_1, ...] in order gives the arithmetic of {!expected_work},
+    so {!work_total} equals it bit for bit on the schedule of those
+    periods. *)
+
+val work_total : work -> float
+(** [E] of the periods added so far. *)
 
 val expected_work_detail :
   c:float -> Life_function.t -> t -> (float * float * float) array

@@ -11,11 +11,14 @@ let decrement_check ?(tol = 1e-7) lf ~c s =
   else begin
     match Life_function.shape lf with
     | Life_function.Unknown -> pass name "unknown shape: vacuous"
+    | Life_function.Log_concave -> pass name "log-concave: vacuous"
     | Life_function.Concave | Life_function.Linear | Life_function.Convex -> (
         let concave =
           match Life_function.shape lf with
           | Life_function.Concave | Life_function.Linear -> true
-          | Life_function.Convex | Life_function.Unknown -> false
+          | Life_function.Convex | Life_function.Log_concave
+          | Life_function.Unknown ->
+              false
         in
         (* Thm 5.2 constrains internal periods; the last one is exempt. *)
         let worst = ref 0.0 and worst_i = ref (-1) in
@@ -99,7 +102,8 @@ let local_optimality_check lf ~c s =
           fail name
             (Printf.sprintf "perturbation at period %d (delta %.3g) improves E by %.3g"
                m.Perturb.worst_k m.Perturb.worst_delta (-.m.Perturb.margin))
-    | Life_function.Convex | Life_function.Unknown ->
+    | Life_function.Convex | Life_function.Log_concave | Life_function.Unknown
+      ->
         pass name "not concave: vacuous"
   end
 

@@ -17,7 +17,9 @@ val decrement_check : ?tol:float -> Life_function.t -> c:float ->
 (** Theorem 5.2 / Corollary 5.1: for concave [p], every internal period
     satisfies [t_{i+1} <= t_i − c] (and hence strict decrease); for convex
     [p], [t_{i+1} >= t_i − c]. Dispatches on the declared shape; for
-    {!Life_function.Unknown} the check passes vacuously with a note. *)
+    {!Life_function.Log_concave} and {!Life_function.Unknown}, which the
+    theorem does not cover, the check passes vacuously, each with its
+    own note. *)
 
 val period_count_check : Life_function.t -> c:float -> Schedule.t -> check
 (** Corollary 5.2/5.3: for concave [p] with lifespan [L], the schedule has

@@ -15,10 +15,7 @@ type probe = {
 let probe ?(samples = 512) ?(rel_tol = 1e-4) lf ~c =
   if samples < 8 then invalid_arg "Uniqueness.probe: samples must be >= 8";
   let lo, hi = Bounds.bracket lf ~c in
-  let value t0 =
-    let g = Recurrence.generate lf ~c ~t0 in
-    Schedule.expected_work ~c lf g.Recurrence.schedule
-  in
+  let value t0 = Recurrence.expected_work_at lf ~c ~t0 in
   let xs =
     Array.init samples (fun i ->
         lo +. (float_of_int i /. float_of_int (samples - 1) *. (hi -. lo)))

@@ -146,7 +146,7 @@ let reference_bracket lf ~c =
     | Life_function.Concave -> upper (fun t -> t /. 2.0)
     | Life_function.Linear ->
         Float.min (upper Fun.id) (upper (fun t -> t /. 2.0))
-    | Life_function.Unknown -> hi
+    | Life_function.Log_concave | Life_function.Unknown -> hi
   in
   let upper = Float.min upper hi in
   if upper <= lower then (lower, Float.min (2.0 *. lower) hi) else (lower, upper)
@@ -164,7 +164,7 @@ let test_coarse_scan_matches_reference () =
       | 2 -> Families.geometric_decreasing ~a:(exp (range 0.005 0.2))
       | 3 -> Families.exponential ~rate:(range 0.005 0.2)
       | 4 -> Families.geometric_increasing ~lifespan:(range 5.0 80.0)
-      | _ -> Families.weibull ~shape:(range 0.3 1.0) ~scale:(range 10.0 300.0)
+      | _ -> Families.weibull ~shape:(range 0.3 3.0) ~scale:(range 10.0 300.0)
     in
     let lf =
       if Prng.int g ~bound:3 = 0 then

@@ -132,9 +132,16 @@ let test_online_shrinks_near_deadline () =
   | _ -> Alcotest.fail "expected periods at both times"
 
 let test_online_none_when_exhausted () =
-  let lf = Families.uniform ~lifespan:100.0 in
-  Alcotest.(check bool) "no period at the end of life" true
-    (Guideline.next_period_online lf ~c:1.0 ~elapsed:99.5 = None)
+  List.iter
+    (fun (lf, c, elapsed) ->
+      Alcotest.(check bool) "no period at the end of life" true
+        (Guideline.next_period_online lf ~c ~elapsed = None))
+    [
+      (Families.uniform ~lifespan:100.0, 1.0, 99.5);
+      (* Unbounded: the conditional survival drops below 1e-12 within
+         4 time units, less than c. *)
+      (Families.weibull ~shape:2.5 ~scale:10.0, 5.0, 100.0);
+    ]
 
 let test_online_validation () =
   let lf = Families.uniform ~lifespan:10.0 in
@@ -196,13 +203,32 @@ let test_numerical_inverse_plans_match_closed_form () =
 (* --- the t0 search by shape -------------------------------------------- *)
 
 (* A certified-shape scenario drawn from [seed]: one of the six families
-   (Weibull only with shape <= 1, where it is convex), time-scaled one
-   time in three, with c between 1e-3 and 0.4 of the horizon. *)
+   (Weibull with shape 0.3 to 3: convex up to 1, log-concave above),
+   time-scaled one time in three, with c between 1e-3 and 0.4 of the
+   horizon. *)
+(* [lf] conditioned on survival to [elapsed], built as
+   [Guideline.next_period_online] builds it: the declared shape carries
+   over. *)
+let survived lf ~elapsed =
+  let pe = Life_function.eval lf elapsed in
+  let support =
+    match Life_function.support lf with
+    | Life_function.Bounded l -> Life_function.Bounded (l -. elapsed)
+    | Life_function.Unbounded -> Life_function.Unbounded
+  in
+  Life_function.make ~validate:false
+    ~name:(Printf.sprintf "%s | survived %g" (Life_function.name lf) elapsed)
+    ~support
+    ~dp:(fun s -> Life_function.deriv lf (elapsed +. s) /. pe)
+    ~inv:(fun u -> Life_function.inverse lf (u *. pe) -. elapsed)
+    ~shape:(Life_function.shape lf)
+    (fun s -> Life_function.eval lf (elapsed +. s) /. pe)
+
 let certified_scenario seed =
   let g = Prng.create ~seed:(Int64.of_int seed) in
   let range lo hi = Prng.float_range g ~lo ~hi in
   let lf =
-    match Prng.int g ~bound:6 with
+    match Prng.int g ~bound:7 with
     | 0 -> Families.uniform ~lifespan:(range 10.0 300.0)
     | 1 ->
         Families.polynomial ~d:(2 + Prng.int g ~bound:4)
@@ -210,7 +236,13 @@ let certified_scenario seed =
     | 2 -> Families.geometric_decreasing ~a:(exp (range 0.005 0.2))
     | 3 -> Families.exponential ~rate:(range 0.005 0.2)
     | 4 -> Families.geometric_increasing ~lifespan:(range 5.0 80.0)
-    | _ -> Families.weibull ~shape:(range 0.3 1.0) ~scale:(range 10.0 300.0)
+    | 5 -> Families.weibull ~shape:(range 0.3 3.0) ~scale:(range 10.0 300.0)
+    | _ ->
+        (* A §6 conditional, as the adaptive policy plans against. *)
+        let scale = range 10.0 300.0 in
+        survived
+          (Families.weibull ~shape:(range 1.0 3.0) ~scale)
+          ~elapsed:(scale *. range 0.0 2.0)
   in
   let lf =
     if Prng.int g ~bound:3 = 0 then Families.scale_time ~factor:(range 0.1 10.0) lf
@@ -284,11 +316,20 @@ let test_evaluations_by_shape () =
       Families.exponential ~rate:0.03;
       Families.geometric_increasing ~lifespan:30.0;
       Families.weibull ~shape:0.8 ~scale:60.0;
+      Families.weibull ~shape:1.5 ~scale:100.0;
       Families.scale_time ~factor:2.0 (Families.polynomial ~d:2 ~lifespan:50.0);
     ];
-  (* Weibull with shape > 1 is declared Unknown: the 129-point grid runs. *)
-  let n = evaluations (Families.weibull ~shape:1.5 ~scale:100.0) ~c:1.0 in
-  if n <= 129 then Alcotest.failf "weibull(1.5): %d evaluations, want > 129" n
+  (* A trace fit declares no shape: the 129-point grid runs. *)
+  let fit =
+    let model =
+      Owner_model.Day_night
+        { short_mean = 15.0; long_mean = 480.0; long_fraction = 0.15 }
+    in
+    Owner_model.collect ~censor_at:960.0 model (Prng.create ~seed:4L) ~n:1000
+    |> Survival.of_observations
+  in
+  let n = evaluations fit.Survival.life ~c:1.0 in
+  if n <= 129 then Alcotest.failf "trace fit: %d evaluations, want > 129" n
 
 (* --- properties -------------------------------------------------------- *)
 

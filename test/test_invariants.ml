@@ -57,7 +57,8 @@ let test_dynamic_consistency_of_recurrence () =
               (Float.abs (online_t1 -. t1) <= 0.02 *. Float.max 1.0 t1)
         | None -> Alcotest.failf "%s: online planner gave up early" name
       end)
-    (Families.all_paper_scenarios ~c:1.0)
+    (("weibull(1.5, 80)", Families.weibull ~shape:1.5 ~scale:80.0)
+    :: Families.all_paper_scenarios ~c:1.0)
 
 let test_adaptive_farm_policy_equals_static () =
   (* Farm-level consequence of dynamic consistency: adaptive re-planning

@@ -94,6 +94,33 @@ let test_weibull_shape1_is_exponential () =
     (fun t -> feq 1e-12 (Life_function.eval e t) (Life_function.eval w t))
     [ 0.5; 1.0; 4.0 ]
 
+let test_weibull_declared_shape () =
+  List.iter
+    (fun (k, expected) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "weibull k=%g declared shape" k)
+        true
+        (Life_function.shape (Families.weibull ~shape:k ~scale:50.0) = expected))
+    [
+      (0.8, Life_function.Convex);
+      (1.0, Life_function.Convex);
+      (1.5, Life_function.Log_concave);
+    ];
+  (* The certificate: log p has nonpositive second differences. *)
+  List.iter
+    (fun k ->
+      let lf = Families.weibull ~shape:k ~scale:50.0 in
+      let n = 400 in
+      let h = Life_function.horizon lf /. float_of_int n in
+      let log_p i = log (Life_function.eval lf (float_of_int i *. h)) in
+      for i = 1 to n - 1 do
+        let d2 = log_p (i - 1) -. (2.0 *. log_p i) +. log_p (i + 1) in
+        if d2 > 1e-9 *. Float.max 1.0 (Float.abs (log_p i)) then
+          Alcotest.failf "weibull k=%g: log p convex at t=%g (%g)" k
+            (float_of_int i *. h) d2
+      done)
+    [ 1.2; 2.0; 3.0 ]
+
 let test_power_law_formula () =
   let lf = Families.power_law ~d:2.0 in
   feq 1e-12 0.25 (Life_function.eval lf 1.0);
@@ -373,6 +400,8 @@ let () =
             test_geometric_increasing_large_l_stable;
           Alcotest.test_case "weibull shape 1" `Quick
             test_weibull_shape1_is_exponential;
+          Alcotest.test_case "weibull log-concave certificate" `Quick
+            test_weibull_declared_shape;
           Alcotest.test_case "power law" `Quick test_power_law_formula;
           Alcotest.test_case "of_interpolant origin check" `Quick
             test_of_interpolant_requires_zero_origin;

@@ -292,12 +292,16 @@ let test_optimizer_parallel_parity () =
 
 let test_plan_batch_matches_plan () =
   let cs = [ 0.5; 1.0; 2.0; 3.0 ] in
-  let scenarios = List.map (fun c -> (uniform_lf, c)) cs in
+  let weibull = Families.weibull ~shape:1.5 ~scale:80.0 in
+  let scenarios =
+    List.concat_map (fun lf -> List.map (fun c -> (lf, c)) cs)
+      [ uniform_lf; weibull ]
+  in
   let batch =
     Domain_pool.with_pool ~domains:4 (fun p ->
         Guideline.plan_batch ~pool:p scenarios)
   in
-  let serial = List.map (fun c -> Guideline.plan uniform_lf ~c) cs in
+  let serial = List.map (fun (lf, c) -> Guideline.plan lf ~c) scenarios in
   Alcotest.(check int) "length" (List.length serial) (List.length batch);
   List.iter2
     (fun (a : Guideline.result) (b : Guideline.result) ->

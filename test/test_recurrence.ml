@@ -180,6 +180,93 @@ let test_greedy_tail_improves_or_matches () =
   let eg = Schedule.expected_work ~c lf greedy.Recurrence.schedule in
   Alcotest.(check bool) "greedy tail no worse" true (eg >= ef -. 1e-12)
 
+(* --- expected_work_at -------------------------------------------------- *)
+
+(* A trace fit, built once: the one p here with no declared shape. *)
+let fitted =
+  lazy
+    (let model =
+       Owner_model.Day_night
+         { short_mean = 15.0; long_mean = 480.0; long_fraction = 0.15 }
+     in
+     Owner_model.collect ~censor_at:960.0 model (Prng.create ~seed:4L) ~n:400
+     |> Survival.of_observations)
+
+(* A p, a c, a finish and a t0 in the Thm 3.2/3.3 bracket, from [seed]. *)
+let scored_scenario seed =
+  let g = Prng.create ~seed:(Int64.of_int seed) in
+  let range lo hi = Prng.float_range g ~lo ~hi in
+  let lf =
+    match Prng.int g ~bound:8 with
+    | 0 -> Families.uniform ~lifespan:(range 10.0 300.0)
+    | 1 ->
+        Families.polynomial ~d:(2 + Prng.int g ~bound:4)
+          ~lifespan:(range 10.0 300.0)
+    | 2 -> Families.geometric_decreasing ~a:(exp (range 0.005 0.2))
+    | 3 -> Families.exponential ~rate:(range 0.005 0.2)
+    | 4 -> Families.geometric_increasing ~lifespan:(range 5.0 80.0)
+    | 5 -> Families.weibull ~shape:(range 0.3 3.0) ~scale:(range 10.0 300.0)
+    | 6 -> Families.power_law ~d:(range 1.0 3.0)
+    | _ -> (Lazy.force fitted).Survival.life
+  in
+  let lf =
+    if Prng.int g ~bound:3 = 0 then
+      Families.scale_time ~factor:(range 0.1 10.0) lf
+    else lf
+  in
+  let c = Life_function.horizon lf *. exp (range (log 1e-3) (log 0.4)) in
+  let finish =
+    if Prng.bool g then Recurrence.Greedy_tail else Recurrence.Faithful
+  in
+  let lo, hi = Bounds.bracket lf ~c in
+  (lf, c, finish, range lo hi)
+
+let prop_expected_work_at_is_bit_identical =
+  QCheck.Test.make
+    ~name:"expected_work_at = Schedule.expected_work of generate, bitwise"
+    ~count:300
+    (QCheck.make
+       ~print:(fun seed ->
+         let lf, c, _, t0 = scored_scenario seed in
+         Printf.sprintf "%s, c=%g, t0=%h" (Life_function.name lf) c t0)
+       QCheck.Gen.nat)
+    (fun seed ->
+      let lf, c, finish, t0 = scored_scenario seed in
+      let g = Recurrence.generate ~finish lf ~c ~t0 in
+      Int64.equal
+        (Int64.bits_of_float (Recurrence.expected_work_at ~finish lf ~c ~t0))
+        (Int64.bits_of_float
+           (Schedule.expected_work ~c lf g.Recurrence.schedule)))
+
+let test_expected_work_at_allocates_less () =
+  (* Scoring a t0 builds no schedule: at most 3/4 of the minor words of
+     generate followed by Schedule.expected_work. *)
+  let minor_words f =
+    let before = Gc.minor_words () in
+    for _ = 1 to 100 do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    Gc.minor_words () -. before
+  in
+  List.iter
+    (fun (lf, t0) ->
+      let c = 1.0 in
+      let built =
+        minor_words (fun () ->
+            let g = Recurrence.generate lf ~c ~t0 in
+            Schedule.expected_work ~c lf g.Recurrence.schedule)
+      in
+      let scored =
+        minor_words (fun () -> Recurrence.expected_work_at lf ~c ~t0)
+      in
+      if scored > 0.75 *. built then
+        Alcotest.failf "%s: %.0f minor words scored, %.0f built"
+          (Life_function.name lf) scored built)
+    [
+      (Families.uniform ~lifespan:100.0, 13.6);
+      (Families.weibull ~shape:1.5 ~scale:80.0, 12.27);
+    ]
+
 (* --- residuals ------------------------------------------------------- *)
 
 let test_residuals_of_generated_are_zero () =
@@ -252,6 +339,12 @@ let () =
           Alcotest.test_case "validation" `Quick test_generate_validation;
           Alcotest.test_case "greedy tail no worse" `Quick
             test_greedy_tail_improves_or_matches;
+        ] );
+      ( "work-at-t0",
+        [
+          QCheck_alcotest.to_alcotest prop_expected_work_at_is_bit_identical;
+          Alcotest.test_case "allocates less than generate" `Quick
+            test_expected_work_at_allocates_less;
         ] );
       ( "residuals",
         [

@@ -47,7 +47,13 @@ let test_decrement_vacuous_for_unknown () =
       (fun t -> 1.0 -. (t /. 50.0))
   in
   let s = Schedule.of_list [ 5.0; 10.0; 2.0 ] in
-  check_pass "unknown shape vacuous" (Theory.decrement_check lf ~c s)
+  check_pass "unknown shape vacuous" (Theory.decrement_check lf ~c s);
+  (* Thm 5.2 does not cover log-concave p either; it says so. *)
+  let chk =
+    Theory.decrement_check (Families.weibull ~shape:1.5 ~scale:80.0) ~c s
+  in
+  check_pass "log-concave vacuous" chk;
+  Alcotest.(check string) "label" "log-concave: vacuous" chk.Theory.detail
 
 let test_period_count_detects_violation () =
   let lf = Families.uniform ~lifespan:20.0 in
