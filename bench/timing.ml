@@ -47,6 +47,14 @@ let fitted_lf =
 
 let fitted_sampler = Reclaim.create fitted_lf
 
+(* A long schedule: 198 periods, like the e2e simulate workload's
+   heavy-tailed scenarios. A trial still visits only a few periods, so
+   this row prices a replay that must not cost in proportion to the
+   schedule's length. *)
+let long_lf = Families.weibull ~shape:0.8 ~scale:60.0
+let long_schedule = (Guideline.plan long_lf ~c:1.0).Guideline.schedule
+let long_sampler = Reclaim.create long_lf
+
 (* Sink-emit fixtures price the trace transport itself, one event per
    call. They are lazy because the remote variant stands up a live
    in-process collector (a real Obs_collect accept loop on a unix
@@ -129,6 +137,13 @@ let serial_workloads : (string * (unit -> unit) * int) list =
       (let g = Prng.create ~seed:1L in
        fun () ->
          ignore (Episode.run schedule ~c:1.0 ~reclaim_at:(Reclaim.draw sampler g))),
+      2_000 );
+    ( "episode-run (weibull k=0.8, 198 periods)",
+      (let g = Prng.create ~seed:1L in
+       fun () ->
+         ignore
+           (Episode.run long_schedule ~c:1.0
+              ~reclaim_at:(Reclaim.draw long_sampler g))),
       2_000 );
     ( "episode-run (obs disabled)",
       (let g = Prng.create ~seed:1L in

@@ -1,9 +1,18 @@
-type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-}
+(* The 256-bit xoshiro state s0..s3 lives unboxed in 32 bytes, at byte
+   offsets 0, 8, 16 and 24, so a step stores no boxed int64: mutable
+   [int64] record fields would allocate four per step. *)
+type t = Bytes.t
+
+let get g k = Bytes.get_int64_ne g (8 * k)
+let set g k x = Bytes.set_int64_ne g (8 * k) x
+
+let of_words s0 s1 s2 s3 =
+  let g = Bytes.create 32 in
+  set g 0 s0;
+  set g 1 s1;
+  set g 2 s2;
+  set g 3 s3;
+  g
 
 (* splitmix64: used only to expand a user seed into the 256-bit xoshiro
    state, per the xoshiro authors' seeding recommendation. *)
@@ -21,25 +30,31 @@ let create ~seed =
   let s1 = splitmix64 st in
   let s2 = splitmix64 st in
   let s3 = splitmix64 st in
-  { s0; s1; s2; s3 }
+  of_words s0 s1 s2 s3
 
-let copy g = { s0 = g.s0; s1 = g.s1; s2 = g.s2; s3 = g.s3 }
+let copy = Bytes.copy
 
 let rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-(* xoshiro256++ step. *)
-let next_int64 g =
+(* xoshiro256++ step, inlined into each caller below so that [float]
+   boxes only the float it returns, never the int64 in between. *)
+let[@inline] step g =
   let open Int64 in
-  let result = add (rotl (add g.s0 g.s3) 23) g.s0 in
-  let t = shift_left g.s1 17 in
-  g.s2 <- logxor g.s2 g.s0;
-  g.s3 <- logxor g.s3 g.s1;
-  g.s1 <- logxor g.s1 g.s2;
-  g.s0 <- logxor g.s0 g.s3;
-  g.s2 <- logxor g.s2 t;
-  g.s3 <- rotl g.s3 45;
+  let s0 = get g 0 and s1 = get g 1 and s2 = get g 2 and s3 = get g 3 in
+  let result = add (rotl (add s0 s3) 23) s0 in
+  let t = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  set g 0 s0;
+  set g 1 s1;
+  set g 2 (logxor s2 t);
+  set g 3 (rotl s3 45);
   result
+
+let next_int64 g = step g
 
 let split g =
   let seed = next_int64 g in
@@ -48,7 +63,7 @@ let split g =
   let s1 = splitmix64 st in
   let s2 = splitmix64 st in
   let s3 = splitmix64 st in
-  { s0; s1; s2; s3 }
+  of_words s0 s1 s2 s3
 
 let split_n g n =
   if n < 0 then invalid_arg "Prng.split_n: n must be >= 0";
@@ -65,7 +80,7 @@ let split_n g n =
 
 let float g =
   (* Top 53 bits give a uniform dyadic rational in [0, 1). *)
-  let bits = Int64.shift_right_logical (next_int64 g) 11 in
+  let bits = Int64.shift_right_logical (step g) 11 in
   Int64.to_float bits *. 0x1.0p-53
 
 let float_range g ~lo ~hi =

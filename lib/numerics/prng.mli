@@ -8,14 +8,18 @@
     streams for parallel or per-workstation use. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: 256 bits held unboxed, so a draw allocates
+    nothing inside the generator. {!next_int64} allocates only its boxed
+    [int64] result (3 minor words) and {!float} only its boxed [float]
+    (2 words). *)
 
 val create : seed:int64 -> t
 (** [create ~seed] builds a generator whose 256-bit state is expanded from
     [seed] with splitmix64. Any seed, including [0L], is valid. *)
 
 val copy : t -> t
-(** [copy g] is an independent generator starting from [g]'s current state. *)
+(** [copy g] is an independent generator starting from [g]'s current
+    state: advancing either one leaves the other's stream unchanged. *)
 
 val split : t -> t
 (** [split g] advances [g] and returns a child generator seeded from fresh

@@ -149,8 +149,7 @@ let expected_work_at ?(obs = Obs.disabled) ?(finish = Faithful) lf ~c ~t0 =
       (Schedule.work_total acc, !periods, stop))
 
 let residuals lf ~c s =
-  let periods = Schedule.periods s in
-  let ends = Schedule.completion_times s in
+  let { Schedule.periods; ends } = s in
   let n = Array.length periods in
   Array.init (Int.max 0 (n - 1)) (fun k ->
       (* defect of eq. 3.6 at step k+1 *)

@@ -28,7 +28,6 @@ let period s k =
     invalid_arg "Schedule.period: index out of range";
   s.periods.(k)
 
-let completion_times s = Array.copy s.ends
 let total_duration s = s.ends.(Array.length s.ends - 1)
 let positive_sub x y = Float.max 0.0 (x -. y)
 

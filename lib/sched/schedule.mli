@@ -13,8 +13,18 @@
     tail once [p(T_i)] falls below 1e-15, whose contribution to [E] is below
     any tolerance used elsewhere. *)
 
-type t
-(** A finite schedule; immutable. *)
+type t = private {
+  periods : float array;  (** [t_0, t_1, ...], every one finite and > 0. *)
+  ends : float array;
+      (** [T_i = t_0 + ... + t_i], the compensated prefix sums of
+          [periods] ([Kahan.cumulative]). *)
+}
+(** A finite schedule; immutable. The record is private so that hot
+    loops (the episode replay, the recurrence residuals) read both
+    arrays in place instead of copying them per call. The fields are
+    read-only views: writing to either array breaks the invariant
+    [ends = Kahan.cumulative periods] for every holder of the schedule.
+    A caller that wants an array of its own takes {!periods}. *)
 
 exception Invalid_schedule of string
 
@@ -27,16 +37,14 @@ val of_list : float list -> t
 (** List counterpart of {!of_periods}. *)
 
 val periods : t -> float array
-(** A copy of the period lengths. *)
+(** A copy of the period lengths, for a caller that mutates it. Read
+    [s.periods] in place otherwise. The completion times have no
+    accessor at all (there is no [completion_times]): read [s.ends]. *)
 
 val num_periods : t -> int
 
 val period : t -> int -> float
 (** [period s k] is [t_k]. @raise Invalid_argument when out of range. *)
-
-val completion_times : t -> float array
-(** [completion_times s] is the array of [T_i = t_0 + ... + t_i]
-    (compensated prefix sums). *)
 
 val total_duration : t -> float
 (** [total_duration s] is [T_{m-1}], the episode time the schedule uses. *)

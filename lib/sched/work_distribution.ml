@@ -7,8 +7,7 @@ type t = {
 
 let of_schedule lf ~c s =
   if c < 0.0 then invalid_arg "Work_distribution.of_schedule: c must be >= 0";
-  let periods = Schedule.periods s in
-  let ends = Schedule.completion_times s in
+  let { Schedule.periods; ends } = s in
   let n = Array.length periods in
   (* Cumulative banked work after each completed period. *)
   let cum = Array.make n 0.0 in

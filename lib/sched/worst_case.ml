@@ -6,8 +6,7 @@ type t = {
 }
 
 let work_if_killed_at s ~c t =
-  let ends = Schedule.completion_times s in
-  let periods = Schedule.periods s in
+  let { Schedule.periods; ends } = s in
   let acc = Kahan.create () in
   (try
      Array.iteri
@@ -28,8 +27,7 @@ let competitive_ratio s ~c ~grace ~horizon =
     invalid_arg "Worst_case.competitive_ratio: grace must exceed c";
   if not (horizon >= grace) then
     invalid_arg "Worst_case.competitive_ratio: horizon must be >= grace";
-  let ends = Schedule.completion_times s in
-  let periods = Schedule.periods s in
+  let { Schedule.periods; ends } = s in
   let n = Array.length periods in
   let denom t = Float.max 1e-300 (t -. c) in
   let worst = ref (work_if_killed_at s ~c grace /. denom grace) in

@@ -11,8 +11,7 @@ let run_with_suspension s ~c ~reclaim_at =
 let expected_work_suspended ~c lf s =
   if c < 0.0 then
     invalid_arg "Contracts.expected_work_suspended: c must be >= 0";
-  let periods = Schedule.periods s in
-  let ends = Schedule.completion_times s in
+  let ends = s.Schedule.ends in
   let acc = Kahan.create () in
   Array.iteri
     (fun i t ->
@@ -23,7 +22,7 @@ let expected_work_suspended ~c lf s =
         Kahan.add acc
           (Quadrature.adaptive_simpson ~tol:1e-10 (Life_function.eval lf)
              ~lo ~hi:finish))
-    periods;
+    s.Schedule.periods;
   Kahan.total acc
 
 let single_period_value ~c lf =

@@ -26,18 +26,30 @@ let meters_of m =
     m_elapsed = Obs.Metrics.histogram m "episode.elapsed";
   }
 
+(* [Schedule.positive_sub] and [Float.min], kept local to the hot loop: a
+   call into another module boxes its float arguments. On the inputs [run]
+   sees (a schedule's periods are finite and > 0, and [c] is anything the
+   check below lets through, NaN included) they agree with the library
+   functions bit for bit. *)
+let pos_sub x y =
+  let w = x -. y in
+  if w < 0.0 then 0.0 else w
+
+let min_of x y = if x < y then x else y
+
 let run ?(obs = Obs.disabled) ?(ws = 0) ?(ep = 0) s ~c ~reclaim_at =
   if c < 0.0 then invalid_arg "Episode.run: c must be >= 0";
   if reclaim_at < 0.0 then invalid_arg "Episode.run: reclaim_at must be >= 0";
   let trace = Obs.tracing obs in
   let meters = Option.map meters_of (Obs.metrics obs) in
   let spanner = Obs.span_recorder obs in
-  let instr = trace || meters <> None in
+  let instr = trace || Option.is_some meters in
   (match spanner with
   | Some r -> Obs.Span.enter r "episode.run"
   | None -> ());
-  let periods = Schedule.periods s in
-  let ends = Schedule.completion_times s in
+  (* Read in place: a trial visits a few periods of a schedule that may
+     have hundreds, so it copies neither array. *)
+  let { Schedule.periods; ends } = s in
   let n = Array.length periods in
   let done_acc = Kahan.create () in
   let overhead = Kahan.create () in
@@ -54,8 +66,8 @@ let run ?(obs = Obs.disabled) ?(ws = 0) ?(ep = 0) s ~c ~reclaim_at =
     let t_end = ends.(!i) in
     if t_end <= reclaim_at then begin
       (* Period completed before (or exactly at) the owner's return. *)
-      Kahan.add done_acc (Schedule.positive_sub t c);
-      Kahan.add overhead (Float.min t c);
+      Kahan.add done_acc (pos_sub t c);
+      Kahan.add overhead (min_of t c);
       incr completed;
       if instr then begin
         if trace then begin
@@ -66,7 +78,7 @@ let run ?(obs = Obs.disabled) ?(ws = 0) ?(ep = 0) s ~c ~reclaim_at =
                  ws;
                  ep;
                  period = t;
-                 assigned = Schedule.positive_sub t c;
+                 assigned = pos_sub t c;
                });
           Obs.emit obs
             (Obs.Event.Period_completed
@@ -75,8 +87,8 @@ let run ?(obs = Obs.disabled) ?(ws = 0) ?(ep = 0) s ~c ~reclaim_at =
                  ws;
                  ep;
                  period = t;
-                 banked = Schedule.positive_sub t c;
-                 overhead = Float.min t c;
+                 banked = pos_sub t c;
+                 overhead = min_of t c;
                })
         end;
         match meters with
@@ -93,8 +105,8 @@ let run ?(obs = Obs.disabled) ?(ws = 0) ?(ep = 0) s ~c ~reclaim_at =
         (* Kill mid-period: all of this period's productive time is lost. *)
         interrupted := true;
         let in_flight = reclaim_at -. t_start in
-        Kahan.add overhead (Float.min in_flight c);
-        work_lost := Schedule.positive_sub in_flight c;
+        Kahan.add overhead (min_of in_flight c);
+        work_lost := pos_sub in_flight c;
         if instr then begin
           if trace then begin
             Obs.emit obs
@@ -104,7 +116,7 @@ let run ?(obs = Obs.disabled) ?(ws = 0) ?(ep = 0) s ~c ~reclaim_at =
                    ws;
                    ep;
                    period = t;
-                   assigned = Schedule.positive_sub t c;
+                   assigned = pos_sub t c;
                  });
             Obs.emit obs
               (Obs.Event.Period_killed
@@ -113,7 +125,7 @@ let run ?(obs = Obs.disabled) ?(ws = 0) ?(ep = 0) s ~c ~reclaim_at =
                    ws;
                    ep;
                    lost = !work_lost;
-                   overhead = Float.min in_flight c;
+                   overhead = min_of in_flight c;
                  })
           end;
           match meters with
@@ -131,7 +143,7 @@ let run ?(obs = Obs.disabled) ?(ws = 0) ?(ep = 0) s ~c ~reclaim_at =
     end
   done;
   let elapsed =
-    if !interrupted then reclaim_at else Schedule.total_duration s
+    if !interrupted then reclaim_at else ends.(n - 1)
   in
   if instr then begin
     if trace then begin

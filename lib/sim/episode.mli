@@ -31,6 +31,13 @@ val run :
     before} the period's end ([p(T_i)] is the probability of surviving
     {e to} [T_i]). Requires [c >= 0] and [reclaim_at >= 0].
 
+    The replay reads the schedule's [periods] and [ends] arrays in place
+    and copies neither, so its cost and allocation grow with the periods
+    it visits, never with the schedule's length. Uninstrumented, it
+    allocates the outcome and its two compensated sums (21 minor words),
+    plus one boxed float per addend to those sums: two per completed
+    period, one for a killed one.
+
     [?obs] (default {!Obs.disabled}) attaches observability: with a
     consuming sink the replay emits [Episode_started],
     [Period_dispatched], [Period_completed] / [Period_killed],

@@ -37,6 +37,9 @@ let estimate ?(obs = Obs.disabled) ?pool ?domains ?(trials = 20_000) lf ~c
   let kids = Obs_fork.scatter obs ~n:chunks in
   let run_chunk k =
     let cobs = Obs_fork.child kids k in
+    (* An uninstrumented chunk passes no [?obs]/[?ep], so a trial builds
+       no [Some] for them; [Episode.run] would observe nothing anyway. *)
+    let instr = Obs.instrumented cobs in
     let gk = gens.(k) in
     let first = k * chunk_size in
     let stop = Int.min trials (first + chunk_size) in
@@ -46,7 +49,10 @@ let estimate ?(obs = Obs.disabled) ?pool ?domains ?(trials = 20_000) lf ~c
       let interrupted = ref 0 in
       for i = first to stop - 1 do
         let reclaim_at = Reclaim.draw sampler gk in
-        let o = Episode.run ~obs:cobs ~ep:i schedule ~c ~reclaim_at in
+        let o =
+          if instr then Episode.run ~obs:cobs ~ep:i schedule ~c ~reclaim_at
+          else Episode.run schedule ~c ~reclaim_at
+        in
         works.(i) <- o.Episode.work_done;
         Kahan.add overhead o.Episode.overhead;
         Kahan.add lost o.Episode.work_lost;
@@ -133,15 +139,19 @@ let compare_policies ?(obs = Obs.disabled) ?pool ?domains ?(trials = 20_000) lf
     let pi = j / chunks and k = j mod chunks in
     let policy_name, schedule = pol.(pi) in
     let cobs = Obs_fork.child kids j in
+    let instr = Obs.instrumented cobs in
     let first = k * chunk_size in
     let stop = Int.min trials (first + chunk_size) in
     let body () =
       let acc = Kahan.create () in
       for ti = first to stop - 1 do
-        Kahan.add acc
-          (Episode.run ~obs:cobs ~ws:pi ~ep:ti schedule ~c
-             ~reclaim_at:reclaims.(ti))
-            .Episode.work_done
+        let reclaim_at = reclaims.(ti) in
+        let o =
+          if instr then
+            Episode.run ~obs:cobs ~ws:pi ~ep:ti schedule ~c ~reclaim_at
+          else Episode.run schedule ~c ~reclaim_at
+        in
+        Kahan.add acc o.Episode.work_done
       done;
       partials.(j) <- Kahan.total acc
     in

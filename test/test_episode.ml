@@ -125,6 +125,29 @@ let prop_accounting_conserves_time =
       if o.Episode.interrupted then Float.abs (o.Episode.elapsed -. reclaim_at) < 1e-9
       else Float.abs (o.Episode.elapsed -. Schedule.total_duration s) < 1e-9)
 
+(* The replay reads the schedule's arrays in place: a trial killed in
+   period 0 of a ~200-period schedule allocates no more than one killed
+   in period 0 of a 2-period schedule, where copying the arrays would
+   cost O(n) words. *)
+let test_allocation_flat_in_length () =
+  let long =
+    (Guideline.plan (Families.weibull ~shape:0.8 ~scale:60.0) ~c)
+      .Guideline.schedule
+  in
+  let short = Schedule.of_list [ 20.0; 20.0 ] in
+  let reclaim_at = 0.5 *. Schedule.period long 0 in
+  let minor_words sched =
+    let before = Gc.minor_words () in
+    for _ = 1 to 100 do
+      ignore (Sys.opaque_identity (Episode.run sched ~c ~reclaim_at))
+    done;
+    Gc.minor_words () -. before
+  in
+  let w_long = minor_words long and w_short = minor_words short in
+  if Schedule.num_periods long < 100 || w_long > w_short then
+    Alcotest.failf "%d periods: %.0f minor words, against %.0f for 2"
+      (Schedule.num_periods long) w_long w_short
+
 let () =
   Alcotest.run "episode"
     [
@@ -150,5 +173,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_work_done_le_capacity;
           QCheck_alcotest.to_alcotest prop_work_monotone_in_reclaim_time;
           QCheck_alcotest.to_alcotest prop_accounting_conserves_time;
+          Alcotest.test_case "allocation flat in length" `Quick
+            test_allocation_flat_in_length;
         ] );
     ]

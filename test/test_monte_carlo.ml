@@ -96,6 +96,73 @@ let test_compare_policies_common_randoms () =
         r1.Monte_carlo.mean_work_per_episode r2.Monte_carlo.mean_work_per_episode
   | _ -> Alcotest.fail "expected two runs"
 
+(* Three schedules of 13, 92 and 198 periods, generated from fixed t0 so
+   that a change to the t0 search cannot move them. *)
+let pinned_schedules =
+  [
+    ("uniform", Families.uniform ~lifespan:100.0, 0x1.b492494d1a1bep+3, 13);
+    ("exponential", Families.exponential ~rate:0.03, 0x1.10653d04f1254p+3, 92);
+    ( "weibull",
+      Families.weibull ~shape:0.8 ~scale:60.0,
+      0x1.4f1fa2ef94c3ap+3,
+      198 );
+  ]
+
+let pinned_schedule lf ~t0 = (Recurrence.generate lf ~c ~t0).Recurrence.schedule
+
+(* Known answers, bit for bit: mean work, both CI ends, mean overhead and
+   mean lost work of a 5,000-trial estimate. They pin the whole trial path
+   (Prng streams, reclaim draws, episode accounting, chunk merge), which
+   the statistical checks above would let drift. *)
+let test_mc_known_answers () =
+  let expected =
+    [
+      ( "uniform",
+        [|
+          4630986331391955005L; 4630880492943019037L; 4631092169840890973L;
+          4617506712407940308L; 4615692861836943350L;
+        |] );
+      ( "exponential",
+        [|
+          4628001916675376173L; 4627773420206821032L; 4628230413143931314L;
+          4616633676854277905L; 4614288828293604021L;
+        |] );
+      ( "weibull",
+        [|
+          4633310358169593586L; 4633005485557661872L; 4633615230781525300L;
+          4618418753963134430L; 4617096826249171794L;
+        |] );
+    ]
+  in
+  List.iter
+    (fun (name, lf, t0, n) ->
+      let schedule = pinned_schedule lf ~t0 in
+      Alcotest.(check int) (name ^ " periods") n (Schedule.num_periods schedule);
+      let e = Monte_carlo.estimate ~trials:5000 lf ~c ~schedule ~seed:42L in
+      let lo, hi = e.Monte_carlo.ci95 in
+      Alcotest.(check (array int64)) name (List.assoc name expected)
+        (Array.map Int64.bits_of_float
+           [|
+             e.Monte_carlo.mean_work; lo; hi; e.Monte_carlo.mean_overhead;
+             e.Monte_carlo.mean_lost;
+           |]))
+    pinned_schedules
+
+(* A trial copies no schedule array and boxes nothing in the generator:
+   ~58 minor words per trial on the 198-period schedule, where a trial
+   that copied both arrays would allocate ~480. *)
+let test_mc_allocation_per_trial () =
+  let _, lf, t0, _ = List.nth pinned_schedules 2 in
+  let schedule = pinned_schedule lf ~t0 in
+  let trials = 20_000 in
+  let before = Gc.minor_words () in
+  ignore
+    (Sys.opaque_identity
+       (Monte_carlo.estimate ~trials lf ~c ~schedule ~seed:1L));
+  let per_trial = (Gc.minor_words () -. before) /. float_of_int trials in
+  if per_trial > 60.0 then
+    Alcotest.failf "%.1f minor words per trial" per_trial
+
 let prop_mc_within_5_sigma =
   QCheck.Test.make ~name:"MC mean within 5 standard errors of analytic E"
     ~count:10
@@ -133,5 +200,8 @@ let () =
           Alcotest.test_case "common random numbers" `Quick
             test_compare_policies_common_randoms;
           QCheck_alcotest.to_alcotest prop_mc_within_5_sigma;
+          Alcotest.test_case "known answers" `Quick test_mc_known_answers;
+          Alcotest.test_case "allocation per trial" `Quick
+            test_mc_allocation_per_trial;
         ] );
     ]

@@ -32,7 +32,7 @@ let test_periods_returns_copy () =
 
 let test_completion_times () =
   let s = Schedule.of_periods [| 1.0; 2.0; 3.0 |] in
-  let t = Schedule.completion_times s in
+  let t = s.Schedule.ends in
   feq 1.0 t.(0);
   feq 3.0 t.(1);
   feq 6.0 t.(2);
