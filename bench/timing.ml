@@ -27,6 +27,7 @@ let uniform_lf = Families.uniform ~lifespan:100.0
 let geo_dec_lf = Families.geometric_decreasing ~a:(exp 0.05)
 let geo_inc_lf = Families.geometric_increasing ~lifespan:30.0
 let weibull_lf = Families.weibull ~shape:1.5 ~scale:100.0
+let weibull_t0 = (Guideline.plan weibull_lf ~c:1.0).Guideline.t0
 let schedule = (Guideline.plan uniform_lf ~c:1.0).Guideline.schedule
 
 (* The episode-run rows and the closed-form reclaim-draw row sample from
@@ -105,6 +106,11 @@ let serial_workloads : (string * (unit -> unit) * int) list =
     ( "t0-objective (uniform, ~13 periods)",
       (fun () ->
         ignore (Recurrence.expected_work_at uniform_lf ~c:1.0 ~t0:13.6)),
+      500 );
+    (* The transcendental case: each period end costs a pow and an exp. *)
+    ( "t0-objective (weibull k=1.5)",
+      (fun () ->
+        ignore (Recurrence.expected_work_at weibull_lf ~c:1.0 ~t0:weibull_t0)),
       500 );
     ( "t0-bracket (Thm 3.2/3.3, uniform)",
       (fun () -> ignore (Bounds.bracket uniform_lf ~c:1.0)),

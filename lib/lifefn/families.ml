@@ -38,6 +38,10 @@ let geometric_decreasing ~a =
     ~name:(Printf.sprintf "geometric-decreasing(a=%g)" a)
     ~support:Life_function.Unbounded
     ~dp:(fun t -> -.lna *. exp (-.lna *. t))
+    ~fused:(fun t pt ->
+      let e = exp (-.lna *. t) in
+      pt.Life_function.p <- e;
+      pt.dp <- -.lna *. e)
     ~inv:(fun u -> -.log u /. lna)
     ~shape:Life_function.Convex
     (fun t -> exp (-.lna *. t))
@@ -48,6 +52,10 @@ let exponential ~rate =
     ~name:(Printf.sprintf "exponential(rate=%g)" rate)
     ~support:Life_function.Unbounded
     ~dp:(fun t -> -.rate *. exp (-.rate *. t))
+    ~fused:(fun t pt ->
+      let e = exp (-.rate *. t) in
+      pt.Life_function.p <- e;
+      pt.dp <- -.rate *. e)
     ~inv:(fun u -> -.log u /. rate)
     ~shape:Life_function.Convex
     (fun t -> exp (-.rate *. t))
@@ -92,6 +100,12 @@ let weibull ~shape ~scale =
         let z = t /. sc in
         let zs = Float.pow z sh in
         -.sh /. t *. zs *. exp (-.zs))
+    (* One pow and one exp where p and dp took two of each. *)
+    ~fused:(fun t pt ->
+      let zs = Float.pow (t /. sc) sh in
+      let e = exp (-.zs) in
+      pt.Life_function.p <- e;
+      pt.dp <- -.sh /. t *. zs *. e)
     ~inv:(fun u -> sc *. Float.pow (-.log u) (1.0 /. sh))
     ~shape:declared
     (fun t -> if t <= 0.0 then 1.0 else exp (-.Float.pow (t /. sc) sh))
@@ -118,6 +132,10 @@ let of_interpolant ~name ip =
     ~dp:(fun t ->
       if t < 0.0 || t > hi then 0.0
       else Float.min 0.0 (Interp.derivative ip t))
+    ~fused:(fun t pt ->
+      let v, d = Interp.eval_deriv ip t in
+      pt.Life_function.p <- Special.smooth_clamp01 v;
+      pt.dp <- Float.min 0.0 d)
     ~inv p
 
 let scale_time ~factor lf =
@@ -132,6 +150,12 @@ let scale_time ~factor lf =
     ~name:(Printf.sprintf "%s (time x%g)" (Life_function.name lf) factor)
     ~support
     ~dp:(fun t -> Life_function.deriv lf (t /. factor) /. factor)
+    (* lf's own point at t / factor. It matches [dp] wherever t / factor
+       lies inside lf's support: everywhere inside this support but
+       within a rounding of its ends, where p is 1 or 0. *)
+    ~fused:(fun t pt ->
+      Life_function.eval_deriv lf (t /. factor) pt;
+      pt.dp <- pt.dp /. factor)
     ~inv:(let inv = Life_function.inverse lf in fun u -> factor *. inv u)
     ~shape:(Life_function.shape lf)
     ~validate:false

@@ -7,7 +7,11 @@
     Corollary 3.2. All constructors return fully-validated
     {!Life_function.t} values carrying exact derivatives, declared shapes
     and exact inverses [p⁻¹] (see {!Life_function.inverse}): closed-form
-    for every family, and the interpolant's own for {!of_interpolant}. *)
+    for every family, and the interpolant's own for {!of_interpolant}.
+    Where p and p′ share their costly part ({!geometric_decreasing},
+    {!exponential}, {!weibull}, {!of_interpolant} and {!scale_time}),
+    the constructor also gives {!Life_function.make} a fused closure,
+    so that {!Life_function.eval_deriv} computes both at once. *)
 
 val uniform : lifespan:float -> Life_function.t
 (** [uniform ~lifespan] is [p(t) = 1 - t/L] — uniform risk across the
@@ -63,7 +67,10 @@ val scale_time : factor:float -> Life_function.t -> Life_function.t
 (** [scale_time ~factor p] is the life function [t ↦ p(t / factor)] —
     stretches the episode by [factor] (e.g. convert minutes to seconds).
     Preserves shape (a linear change of time keeps [p] and [log p]
-    concave or convex) and the inverse ([u ↦ factor · p⁻¹ u]).
+    concave or convex) and the inverse ([u ↦ factor · p⁻¹ u]). Its fused
+    evaluation reads [p]'s own point at [t / factor]; that agrees with
+    its [dp] wherever [t / factor] lies inside [p]'s support, so
+    everywhere inside this support but within a rounding of its ends.
     Requires [factor > 0]. *)
 
 val all_paper_scenarios :

@@ -1,12 +1,14 @@
 
 type support = Bounded of float | Unbounded
 type shape = Concave | Convex | Linear | Log_concave | Unknown
+type point = { mutable x : float; mutable p : float; mutable dp : float }
 
 type t = {
   name : string;
   support : support;
   p : float -> float;
   dp : (float -> float) option;
+  fused : (float -> point -> unit) option;
   inv : float -> float;
   shape : shape;
 }
@@ -78,9 +80,12 @@ let numerical_inverse t u =
   | r -> r.Rootfind.root
   | exception Rootfind.No_bracket _ -> if f hi > 0.0 then infinity else lo
 
-let make ?dp ?inv ?(shape = Unknown) ?(validate = true) ~name ~support p =
+let make ?dp ?fused ?inv ?(shape = Unknown) ?(validate = true) ~name ~support
+    p =
+  if Option.is_some fused && Option.is_none dp then
+    invalid_arg "Life_function.make: ?fused needs the ?dp it agrees with";
   if validate then validate_fn ~name ~support ?inv p;
-  let rec t = { name; support; p; dp; inv = fallback; shape }
+  let rec t = { name; support; p; dp; fused; inv = fallback; shape }
   and fallback u = numerical_inverse t u in
   match inv with Some inv -> { t with inv } | None -> t
 
@@ -95,6 +100,28 @@ let deriv t x =
   | None ->
       let hi = match t.support with Bounded l -> l | Unbounded -> infinity in
       Diff.derivative_on_support ~lo:0.0 ~hi (eval t) x
+
+let point () = { x = nan; p = nan; dp = nan }
+
+(* Where [eval] clamps, p' is not taken: the support-aware difference
+   raises beyond L, and eq. 3.6 never reads p' where p is 0 or 1. *)
+let eval_deriv t x (pt : point) =
+  (if x <= 0.0 then begin
+     pt.p <- 1.0;
+     pt.dp <- 0.0
+   end
+   else
+     match (t.support, t.fused) with
+     | Bounded l, _ when x >= l ->
+         pt.p <- 0.0;
+         pt.dp <- 0.0
+     | (Bounded _ | Unbounded), Some f ->
+         f x pt;
+         pt.p <- Float.max 0.0 pt.p
+     | (Bounded _ | Unbounded), None ->
+         pt.p <- Float.max 0.0 (t.p x);
+         pt.dp <- deriv t x);
+  pt.x <- x
 
 let horizon t = raw_horizon t.support t.p
 

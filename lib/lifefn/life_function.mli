@@ -26,6 +26,12 @@ type shape =
 type t
 (** A validated life function. *)
 
+type point = { mutable x : float; mutable p : float; mutable dp : float }
+(** [p] and [p'] read at one instant [x], as {!eval_deriv} fills them.
+    Every field is a float, so OCaml stores them flat and a write
+    allocates nothing. A point belongs to one caller at a time: the
+    planners that run on several domains each make their own. *)
+
 exception Invalid_life_function of string
 (** Raised by {!make} when the candidate violates [p 0 = 1], monotonicity,
     or range constraints on a sample grid, or disagrees with its declared
@@ -33,6 +39,7 @@ exception Invalid_life_function of string
 
 val make :
   ?dp:(float -> float) ->
+  ?fused:(float -> point -> unit) ->
   ?inv:(float -> float) ->
   ?shape:shape ->
   ?validate:bool ->
@@ -42,14 +49,22 @@ val make :
   t
 (** [make ~name ~support p] wraps [p] as a life function. [?dp] supplies the
     exact derivative (otherwise finite differences on the support are used).
+    [?fused] computes both at once, for a [p] whose value and slope share
+    their costly part (an [exp], a [pow], an interpolant's segment
+    search): [fused x pt] writes [p x] to [pt.p] and [dp x] to [pt.dp],
+    the same bits the two closures give. {!eval_deriv} calls it only
+    inside the support, [0 < x < L], and sets [pt.x] itself. Callers
+    are trusted, as for the other closures; without it, {!eval_deriv}
+    calls [p] and {!deriv}.
     [?inv] supplies the exact inverse [p⁻¹] on [(0, 1)]: [inv u] is the [t]
     with [p t = u]. Without it, {!inverse} solves [p t = u] numerically.
     [?shape] declares concavity, convexity or log-concavity — callers are
     trusted, but [?validate] (default [true]) samples [p] on a grid to check
     [p 0 = 1] within 1e-9, values in [[0, 1]], monotone nonincrease, and,
     when [?inv] is given, [|p (inv v) − v| <= 1e-9] at every sampled value
-    [0 < v < 1].
-    @raise Invalid_life_function on validation failure. *)
+    [0 < v < 1]. [?fused] is not sampled.
+    @raise Invalid_life_function on validation failure.
+    @raise Invalid_argument when [?fused] is given without [?dp]. *)
 
 val name : t -> string
 val support : t -> support
@@ -71,6 +86,24 @@ val deriv : t -> float -> float
 (** [deriv p t] is [p'(t)] — exact if supplied to {!make}, otherwise a
     support-aware finite difference. At a bounded lifespan's edge the
     one-sided derivative is used. *)
+
+val point : unit -> point
+(** A fresh point, at no instant yet: all three fields are [nan]. *)
+
+val eval_deriv : t -> float -> point -> unit
+(** [eval_deriv p x pt] reads [p] and [p'] at [x] into [pt], with one
+    call of the [?fused] closure when {!make} was given one, and of [p]
+    and {!deriv} otherwise. It sets [pt.x] to [x] and [pt.p] to
+    [eval p x], bit for bit. Inside the support ([0 < x], and [x < L]
+    when bounded) it sets [pt.dp] to [deriv p x], bit for bit. Where
+    {!eval} clamps ([x <= 0], or [x >= L]) it takes no derivative and
+    sets [pt.dp] to [0], the slope of the clamp: the numerical
+    derivative is undefined beyond [L], and a caller's [?dp] need not
+    be defined outside the support. A [?fused] closure that reads
+    another life function's point, as {!Families.scale_time}'s does,
+    inherits that function's clamp, so within a rounding of the
+    support's ends its [dp] can be that [0]. The recurrence step reads
+    [p] and [p'] at each period end through it. *)
 
 val horizon : t -> float
 (** [horizon p] is the lifespan [L] for bounded support, and for unbounded

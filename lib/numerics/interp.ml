@@ -76,8 +76,8 @@ let segment t x =
     !lo
   end
 
-let eval t x =
-  let i = segment t x in
+(* The value and the slope on segment [i], which [segment] located. *)
+let value_in t i x =
   let x0 = t.xs.(i) and x1 = t.xs.(i + 1) in
   let y0 = t.ys.(i) and y1 = t.ys.(i + 1) in
   match t.kind with
@@ -93,8 +93,7 @@ let eval t x =
       let h11 = s3 -. s2 in
       (h00 *. y0) +. (h10 *. h *. d.(i)) +. (h01 *. y1) +. (h11 *. h *. d.(i + 1))
 
-let derivative t x =
-  let i = segment t x in
+let slope_in t i x =
   let x0 = t.xs.(i) and x1 = t.xs.(i + 1) in
   let y0 = t.ys.(i) and y1 = t.ys.(i + 1) in
   match t.kind with
@@ -109,6 +108,13 @@ let derivative t x =
       let dh11 = ((3.0 *. s2) -. (2.0 *. s)) /. h in
       (dh00 *. y0) +. (dh10 *. h *. d.(i)) +. (dh01 *. y1)
       +. (dh11 *. h *. d.(i + 1))
+
+let eval t x = value_in t (segment t x) x
+let derivative t x = slope_in t (segment t x) x
+
+let eval_deriv t x =
+  let i = segment t x in
+  (value_in t i x, slope_in t i x)
 
 let inverse t =
   let xs = t.xs and ys = t.ys in

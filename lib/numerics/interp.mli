@@ -34,6 +34,10 @@ val derivative : t -> float -> float
 (** [derivative ip x] is the exact derivative of the interpolant at [x]
     (piecewise-constant for {!linear}). *)
 
+val eval_deriv : t -> float -> float * float
+(** [eval_deriv ip x] is [(eval ip x, derivative ip x)], bit for bit,
+    from one segment search instead of two. *)
+
 val inverse : t -> float -> float
 (** [inverse ip y], for knot values that never increase, is the earliest
     [x] in {!val-domain} with [eval ip x <= y]: a plateau at [y] maps to

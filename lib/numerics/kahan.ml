@@ -3,8 +3,9 @@ type t = { mutable sum : float; mutable comp : float }
 let create () = { sum = 0.0; comp = 0.0 }
 
 (* Neumaier's improvement on Kahan: swap roles when the addend dominates,
-   so cancellation is captured on whichever operand is smaller. *)
-let add acc x =
+   so cancellation is captured on whichever operand is smaller. Inlined,
+   so [sum]'s loop passes no boxed float. *)
+let[@inline] add acc x =
   let t = acc.sum +. x in
   if Float.abs acc.sum >= Float.abs x then
     acc.comp <- acc.comp +. ((acc.sum -. t) +. x)
@@ -15,7 +16,9 @@ let total acc = acc.sum +. acc.comp
 
 let sum a =
   let acc = create () in
-  Array.iter (add acc) a;
+  for i = 0 to Array.length a - 1 do
+    add acc a.(i)
+  done;
   total acc
 
 let sum_seq s =

@@ -21,17 +21,22 @@ let summarize a =
   let mu = mean a in
   let acc = Kahan.create () in
   let mn = ref a.(0) and mx = ref a.(0) in
-  Array.iter
-    (fun x ->
-      let d = x -. mu in
-      Kahan.add acc (d *. d);
-      if x < !mn then mn := x;
-      if x > !mx then mx := x)
-    a;
+  for i = 0 to n - 1 do
+    let x = a.(i) in
+    let d = x -. mu in
+    Kahan.add acc (d *. d);
+    if x < !mn then mn := x;
+    if x > !mx then mx := x
+  done;
   let variance =
     if n < 2 then 0.0 else Kahan.total acc /. float_of_int (n - 1)
   in
   { n; mean = mu; variance; stddev = sqrt variance; min = !mn; max = !mx }
+
+let summary_ci95 s =
+  if s.n < 2 then invalid_arg "Stats.summary_ci95: need at least 2 samples";
+  let se = s.stddev /. sqrt (float_of_int s.n) in
+  (s.mean -. (1.96 *. se), s.mean +. (1.96 *. se))
 
 let standard_error a =
   if Array.length a < 2 then
@@ -40,9 +45,9 @@ let standard_error a =
   s.stddev /. sqrt (float_of_int s.n)
 
 let confidence_interval_95 a =
-  let se = standard_error a in
-  let mu = mean a in
-  (mu -. (1.96 *. se), mu +. (1.96 *. se))
+  if Array.length a < 2 then
+    invalid_arg "Stats.confidence_interval_95: need at least 2 samples";
+  summary_ci95 (summarize a)
 
 let quantile a ~q =
   require_nonempty "quantile" a;

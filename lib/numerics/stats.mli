@@ -16,7 +16,8 @@ type summary = {
 }
 
 val summarize : float array -> summary
-(** [summarize a] computes all fields in one compensated pass.
+(** [summarize a] computes all fields in two compensated passes: the
+    mean, then the squared deviations from it.
     @raise Invalid_argument on the empty array. *)
 
 val mean : float array -> float
@@ -26,6 +27,12 @@ val confidence_interval_95 : float array -> float * float
 (** [confidence_interval_95 a] is the normal-approximation 95% CI
     [(mean - 1.96·se, mean + 1.96·se)] for the population mean.
     @raise Invalid_argument when [n < 2]. *)
+
+val summary_ci95 : summary -> float * float
+(** [summary_ci95 s] is {!confidence_interval_95} of the sample [s]
+    summarizes, bit for bit, for a caller that also wants the summary:
+    the array is not walked again.
+    @raise Invalid_argument when [s.n < 2]. *)
 
 val standard_error : float array -> float
 (** [standard_error a] is [stddev / sqrt n].

@@ -170,7 +170,10 @@ let next_period_online lf ~c ~elapsed =
        inherited: conditioning rescales p by a constant and shifts time,
        which preserves concavity and convexity, and adds a constant to
        log p, which preserves log-concavity. So is the inverse:
-       p(elapsed + s) / p(elapsed) = u at s = p⁻¹(u · p(elapsed)) − elapsed. *)
+       p(elapsed + s) / p(elapsed) = u at s = p⁻¹(u · p(elapsed)) − elapsed.
+       The fused closure reads p's own point at elapsed + s; it matches
+       [dp] wherever that instant lies inside p's support, so everywhere
+       the conditional survival is positive. *)
     let support =
       match Life_function.support lf with
       | Life_function.Bounded l -> Life_function.Bounded (l -. elapsed)
@@ -181,6 +184,10 @@ let next_period_online lf ~c ~elapsed =
         ~name:(Life_function.name lf ^ " | survived")
         ~support
         ~dp:(fun s -> Life_function.deriv lf (elapsed +. s) /. p_elapsed)
+        ~fused:(fun s pt ->
+          Life_function.eval_deriv lf (elapsed +. s) pt;
+          pt.p <- pt.p /. p_elapsed;
+          pt.dp <- pt.dp /. p_elapsed)
         ~inv:
           (let inv = Life_function.inverse lf in
            fun u -> inv (u *. p_elapsed) -. elapsed)

@@ -102,5 +102,7 @@ val next_period_online :
     conditional's {!Life_function.horizon} (the lifespan left, or the time
     until its survival drops below 1e-12) is at most [c], or when the
     plan has no productive first period. The conditional keeps the
-    declared shape of [p]. The simulator's adaptive policy calls this
+    declared shape of [p] and composes its inverse and its fused
+    evaluation from [p]'s: its point at [s] is [p]'s point at
+    [elapsed + s], divided by [p(elapsed)] ({!Life_function.eval_deriv}). The simulator's adaptive policy calls this
     after every completed period. *)

@@ -8,18 +8,16 @@ type generated = { schedule : Schedule.t; stop : stop_reason }
 
 let tail_threshold = 1e-15
 
-(* One eq. 3.6 step, given [p_end = p(prev_end)]: [generate] has already
-   evaluated it for its tail test. *)
-let step lf ~c ~prev_period ~prev_end ~p_end =
-  let rhs =
-    p_end +. ((prev_period -. c) *. Life_function.deriv lf prev_end)
-  in
+(* One eq. 3.6 step from the previous period's end [at.x], where [at]
+   holds p and p'. *)
+let step lf ~c ~prev_period ~(at : Life_function.point) =
+  let rhs = at.p +. ((prev_period -. c) *. at.dp) in
   (* p is monotone decreasing, so p(prev_end + t) = rhs has a unique
      positive root, p⁻¹(rhs) − prev_end. rhs > 0 puts it inside a bounded
      support; an unbounded p that never drops to rhs gives infinity. *)
-  if rhs <= 0.0 || rhs >= p_end then None
+  if rhs <= 0.0 || rhs >= at.p then None
   else
-    let t = Life_function.inverse lf rhs -. prev_end in
+    let t = Life_function.inverse lf rhs -. at.x in
     if t > 0.0 && t < infinity then Some t else None
 
 let next_period lf ~c ~prev_period ~prev_end =
@@ -28,7 +26,15 @@ let next_period lf ~c ~prev_period ~prev_end =
     invalid_arg "Recurrence.next_period: prev_period must be > 0";
   if prev_end < prev_period -. 1e-9 then
     invalid_arg "Recurrence.next_period: prev_end < prev_period";
-  step lf ~c ~prev_period ~prev_end ~p_end:(Life_function.eval lf prev_end)
+  (* [deriv] itself, not [eval_deriv]: this entry point may be asked
+     where p is clamped, and answers there as it always has. *)
+  step lf ~c ~prev_period
+    ~at:
+      {
+        Life_function.x = prev_end;
+        p = Life_function.eval lf prev_end;
+        dp = Life_function.deriv lf prev_end;
+      }
 
 type finish = Faithful | Greedy_tail
 
@@ -55,43 +61,48 @@ let stop_label = function
 (* Runs eq. 3.6 from [t0], hands each period to [emit] in order (the
    greedy tail included), and returns why the recurrence stopped.
    [generate] collects the periods and [expected_work_at] scores them,
-   so the two see the same periods. *)
+   so the two see the same periods. Each period end costs one
+   [eval_deriv]: its p serves the tail test, the next step and [emit],
+   which gets the point along with the period; its p' serves the step. *)
 let iterate ~max_periods ~finish lf ~c ~t0 emit =
-  emit t0;
+  let at = Life_function.point () in
+  Life_function.eval_deriv lf t0 at;
+  emit t0 at;
   let count = ref 1 in
   let prev_period = ref t0 in
   let prev_end = ref t0 in
   let stop = ref None in
   while !stop = None do
     if !count >= max_periods then stop := Some Period_cap
+    else if at.p < tail_threshold then stop := Some Tail_negligible
+    else if !prev_period <= c then stop := Some Unproductive
     else begin
-      let p_end = Life_function.eval lf !prev_end in
-      if p_end < tail_threshold then stop := Some Tail_negligible
-      else if !prev_period <= c then stop := Some Unproductive
-      else begin
-        (* The callers checked c >= 0; the loop keeps prev_period > c and
-           prev_end >= prev_period, so [next_period]'s checks would pass. *)
-        match
-          step lf ~c ~prev_period:!prev_period ~prev_end:!prev_end ~p_end
-        with
-        | None -> stop := Some Exhausted_support
-        | Some t ->
-            emit t;
-            incr count;
-            prev_period := t;
-            (* Thm 3.1 defines T_k = T_{k-1} + t_k; the uncompensated
-               recurrence IS the object under study, and test_recurrence
-               pins its fixed points to 1e-9. *)
-            (prev_end := !prev_end +. t) [@lint.allow "R2"]
-      end
+      (* The callers checked c >= 0; the loop keeps prev_period > c and
+         prev_end >= prev_period, so [next_period]'s checks would pass.
+         p(prev_end) >= 1e-15 puts prev_end inside the support, where
+         [at.dp] is p'(prev_end). *)
+      match step lf ~c ~prev_period:!prev_period ~at with
+      | None -> stop := Some Exhausted_support
+      | Some t ->
+          incr count;
+          prev_period := t;
+          (* Thm 3.1 defines T_k = T_{k-1} + t_k; the uncompensated
+             recurrence IS the object under study, and test_recurrence
+             pins its fixed points to 1e-9. *)
+          (prev_end := !prev_end +. t) [@lint.allow "R2"];
+          Life_function.eval_deriv lf !prev_end at;
+          emit t at
     end
   done;
   let stop = Option.get !stop in
   (* Optional ad-hoc improvement: fill leftover lifespan with one greedy
-     period when the recurrence stopped early. *)
+     period when the recurrence stopped early. Its end has no point, and
+     [at] still holds the previous one. *)
   (match (finish, stop) with
   | Greedy_tail, (Exhausted_support | Unproductive) ->
-      Option.iter emit (greedy_tail lf ~c ~elapsed:!prev_end)
+      Option.iter
+        (fun t -> emit t at)
+        (greedy_tail lf ~c ~elapsed:!prev_end)
   | Greedy_tail, (Tail_negligible | Period_cap) | Faithful, _ -> ());
   stop
 
@@ -130,7 +141,7 @@ let generate ?(obs = Obs.disabled) ?(max_periods = default_max_periods)
   spanned obs (fun () ->
       let rev_periods = ref [] in
       let stop =
-        iterate ~max_periods ~finish lf ~c ~t0 (fun t ->
+        iterate ~max_periods ~finish lf ~c ~t0 (fun t _ ->
             rev_periods := t :: !rev_periods)
       in
       let schedule = Schedule.of_list (List.rev !rev_periods) in
@@ -142,9 +153,10 @@ let expected_work_at ?(obs = Obs.disabled) ?(finish = Faithful) lf ~c ~t0 =
       let acc = Schedule.work_start () in
       let periods = ref 0 in
       let stop =
-        iterate ~max_periods:default_max_periods ~finish lf ~c ~t0 (fun t ->
+        iterate ~max_periods:default_max_periods ~finish lf ~c ~t0
+          (fun t at ->
             incr periods;
-            Schedule.work_add acc ~c lf t)
+            Schedule.work_add acc ~c lf ~at t)
       in
       (Schedule.work_total acc, !periods, stop))
 

@@ -59,7 +59,10 @@ val generate :
     [max_periods] (default 100_000). Periods that come out [<= c] end the
     iteration ({!Unproductive}) but the final sub-[c] period is kept only
     if it still contributes work ([> c] check), matching the Prop 2.1
-    normal form. Requires [t0 > 0] and [c >= 0].
+    normal form. Each period end costs one {!Life_function.eval_deriv},
+    whose p serves the tail test and whose p and p′ serve the next step,
+    and each step one {!Life_function.inverse}. Requires [t0 > 0] and
+    [c >= 0].
 
     [?obs] (default {!Obs.disabled}): when a span recorder is attached,
     the whole generation is profiled as a [recurrence.generate] span
@@ -73,7 +76,8 @@ val expected_work_at :
 (** [expected_work_at p ~c ~t0] is the expected work (eq. 2.1) of the
     schedule {!generate} builds from [t0], computed in the same pass of
     the recurrence without building the schedule: each period goes to
-    {!Schedule.work_add} as it is generated. It equals
+    {!Schedule.work_add} as it is generated, with the point the loop
+    read at its end, so p is evaluated once per end. It equals
     [Schedule.expected_work ~c p (generate p ~c ~t0).schedule] bit for
     bit, for either [?finish]. {!Guideline.plan} scores its [t_0]
     candidates with it. Requires [t0 > 0] and [c >= 0].

@@ -40,19 +40,30 @@ let work_start () = { end_sum = Kahan.create (); terms = Kahan.create () }
 
 (* The running end is the compensated prefix sum that [build] stores
    (Kahan.cumulative adds, then reads the total), so folding a
-   schedule's periods here reproduces its [ends] bit for bit. *)
-let work_add acc ~c lf t =
+   schedule's periods here reproduces its [ends] bit for bit. [at.p] is
+   p at [at.x], so it is p at the end whenever the two are the same
+   float, and taking it changes no bit. The test is Float.equal, which
+   inlines, and not Tol.exactly, whose call would box [at.x] for every
+   term of [expected_work]. *)
+let work_add acc ~c lf ~(at : Life_function.point) t =
   Kahan.add acc.end_sum t;
   let w = positive_sub t c in
-  if w > 0.0 then
-    Kahan.add acc.terms (w *. Life_function.eval lf (Kahan.total acc.end_sum))
+  if w > 0.0 then begin
+    let t_end = Kahan.total acc.end_sum in
+    let p =
+      if Float.equal at.x t_end then at.p else Life_function.eval lf t_end
+    in
+    Kahan.add acc.terms (w *. p)
+  end
 
 let work_total acc = Kahan.total acc.terms
 
 let expected_work ~c lf s =
   if c < 0.0 then invalid_arg "Schedule.expected_work: c must be >= 0";
   let acc = work_start () in
-  Array.iter (work_add acc ~c lf) s.periods;
+  (* A point at no instant: every term evaluates p itself. *)
+  let at = Life_function.point () in
+  Array.iter (work_add acc ~c lf ~at) s.periods;
   work_total acc
 
 let expected_work_detail ~c lf s =

@@ -69,11 +69,17 @@ type work
 val work_start : unit -> work
 (** A fresh accumulator: no periods, [E = 0]. *)
 
-val work_add : work -> c:float -> Life_function.t -> float -> unit
-(** [work_add acc ~c p t] appends a period of length [t]. Feeding
+val work_add :
+  work -> c:float -> Life_function.t -> at:Life_function.point -> float ->
+  unit
+(** [work_add acc ~c p ~at t] appends a period of length [t]. Feeding
     [t_0, t_1, ...] in order gives the arithmetic of {!expected_work},
     so {!work_total} equals it bit for bit on the schedule of those
-    periods. *)
+    periods. [at] is a point of [p] the caller already holds
+    ({!Life_function.eval_deriv}): when [at.x] is the period's
+    compensated end [T_i], bit for bit, its [at.p] is taken for
+    [p(T_i)]; at any other end [p] is evaluated. Either way the term is
+    the same. A fresh {!Life_function.point} never matches. *)
 
 val work_total : work -> float
 (** [E] of the periods added so far. *)

@@ -92,10 +92,11 @@ let estimate ?(obs = Obs.disabled) ?pool ?domains ?(trials = 20_000) lf ~c
     interrupted := !interrupted + interrupted_parts.(k)
   done;
   let tf = float_of_int trials in
+  let summary = Stats.summarize works in
   {
     trials;
-    mean_work = Stats.mean works;
-    ci95 = Stats.confidence_interval_95 works;
+    mean_work = summary.Stats.mean;
+    ci95 = Stats.summary_ci95 summary;
     mean_overhead = Kahan.total overhead /. tf;
     mean_lost = Kahan.total lost /. tf;
     interrupted_fraction = float_of_int !interrupted /. tf;

@@ -356,6 +356,79 @@ let prop_guideline_t0_in_paper_bounds_uniform =
       && g.Guideline.t0
          <= Closed_forms.uniform_t0_upper ~c ~lifespan:l +. 1e-6)
 
+(* --- known answers -------------------------------------------------------- *)
+
+(* A Kaplan–Meier fit of 400 censored day/night absences. *)
+let pinned_fit =
+  lazy
+    (let model =
+       Owner_model.Day_night
+         { short_mean = 15.0; long_mean = 480.0; long_fraction = 0.15 }
+     in
+     (Owner_model.collect ~censor_at:960.0 model (Prng.create ~seed:4L) ~n:400
+     |> Survival.of_observations)
+       .Survival.life)
+
+(* Known answers, bit for bit: t0 and E (as int64 bits) and the period
+   count of [Guideline.plan], for one p of each family the e2e plan-cold
+   workload draws, Weibull on both sides of shape 1, a power law, a
+   scale_time p and a trace fit. They pin the whole planning path (the
+   Thm 3.2/3.3 bracket, the t0 search, the recurrence's loop and eq. 2.1),
+   which the tolerance checks above would let drift. *)
+let test_plan_known_answers () =
+  List.iter
+    (fun (name, lf, c, t0, e, n) ->
+      let r = Guideline.plan (Lazy.force lf) ~c in
+      Alcotest.(check (pair int64 int64)) name (t0, e)
+        ( Int64.bits_of_float r.Guideline.t0,
+          Int64.bits_of_float r.Guideline.expected_work );
+      Alcotest.(check int) (name ^ " periods") n
+        (Schedule.num_periods r.Guideline.schedule))
+    [
+      ( "uniform", lazy (Families.uniform ~lifespan:100.0), 1.0,
+        4623869863890362814L, 4630976353058977031L, 13 );
+      ( "polynomial", lazy (Families.polynomial ~d:3 ~lifespan:80.0), 1.5,
+        4628704563731549031L, 4632198701044988137L, 7 );
+      ( "geo-dec", lazy (Families.geometric_decreasing ~a:(exp 0.05)), 1.0,
+        4619202763655082308L, 4624253194462962666L, 69 );
+      ( "exponential", lazy (Families.exponential ~rate:0.03), 2.0,
+        4623087992376369842L, 4627189479698518651L, 65 );
+      ( "geo-inc", lazy (Families.geometric_increasing ~lifespan:30.0), 1.0,
+        4627379529884631850L, 4627742325779088409L, 3 );
+      ( "weibull k=1.5", lazy (Families.weibull ~shape:1.5 ~scale:80.0), 1.0,
+        4625274681774538304L, 4633771381456408511L, 71 );
+      ( "weibull k=0.8", lazy (Families.weibull ~shape:0.8 ~scale:60.0), 1.0,
+        4622085174421179450L, 4633252396195382626L, 198 );
+      ( "power law", lazy (Families.power_law ~d:2.0), 1.0,
+        4611949522753236838L, 4598403273614401992L, 1351 );
+      ( "scale_time",
+        lazy
+          (Families.scale_time ~factor:2.5
+             (Families.polynomial ~d:2 ~lifespan:50.0)),
+        1.0, 4628036889687820183L, 4634810077150006485L, 13 );
+      ( "trace fit", pinned_fit, 1.0, 4622383952414391441L,
+        4636705326216102095L, 37 );
+    ];
+  (* §6: the first period of the plan against the conditional p. *)
+  List.iter
+    (fun (name, lf, elapsed, t) ->
+      match Guideline.next_period_online (Lazy.force lf) ~c:1.0 ~elapsed with
+      | Some t' ->
+          Alcotest.(check int64) ("online " ^ name) t (Int64.bits_of_float t')
+      | None -> Alcotest.failf "online %s: no period" name)
+    [
+      ("uniform", lazy (Families.uniform ~lifespan:100.0), 40.0,
+       4622075003959784233L);
+      ("weibull k=1.5", lazy (Families.weibull ~shape:1.5 ~scale:80.0), 10.0,
+       4624369128314122147L);
+      ("trace fit", pinned_fit, 20.0, 4624586954762885681L);
+    ];
+  (* A t0 that leaves lifespan unused, so the greedy tail adds a period. *)
+  Alcotest.(check int64) "greedy tail E" 4630214108769366835L
+    (Int64.bits_of_float
+       (Recurrence.expected_work_at ~finish:Recurrence.Greedy_tail
+          (Families.uniform ~lifespan:100.0) ~c:1.0 ~t0:30.0))
+
 let () =
   Alcotest.run "guideline"
     [
@@ -409,4 +482,7 @@ let () =
             test_online_none_when_exhausted;
           Alcotest.test_case "validation" `Quick test_online_validation;
         ] );
+      ( "known-answers",
+        [ Alcotest.test_case "plans bit for bit" `Quick test_plan_known_answers ]
+      );
     ]

@@ -369,6 +369,105 @@ let prop_inverse_round_trips =
       in
       List.for_all forward_ok us && List.for_all backward_ok ts)
 
+(* --- the fused evaluation ----------------------------------------- *)
+
+let bits = Int64.bits_of_float
+
+(* [lf] conditioned on survival to [elapsed], with the fused closure
+   [Guideline.next_period_online] gives its conditional: lf's own point
+   at elapsed + s, divided by p(elapsed). *)
+let conditioned lf ~elapsed =
+  let pe = Life_function.eval lf elapsed in
+  let support =
+    match Life_function.support lf with
+    | Life_function.Bounded l -> Life_function.Bounded (l -. elapsed)
+    | Life_function.Unbounded -> Life_function.Unbounded
+  in
+  Life_function.make ~validate:false ~name:"conditioned" ~support
+    ~dp:(fun s -> Life_function.deriv lf (elapsed +. s) /. pe)
+    ~fused:(fun s pt ->
+      Life_function.eval_deriv lf (elapsed +. s) pt;
+      pt.Life_function.p <- pt.Life_function.p /. pe;
+      pt.dp <- pt.dp /. pe)
+    ~shape:(Life_function.shape lf)
+    (fun s -> Life_function.eval lf (elapsed +. s) /. pe)
+
+(* A caller-built bounded p with no [?dp], [?fused] or [?inv]. *)
+let opaque_bounded ~d ~lifespan =
+  Life_function.make ~name:"opaque" ~support:(Life_function.Bounded lifespan)
+    (fun t -> 1.0 -. Float.pow (t /. lifespan) d)
+
+(* Every family and trace fit of [round_trip_case], a §6 conditional of
+   one of them, or a caller-built p without [?dp]. *)
+let fused_case (k, x, y, factor) =
+  match k with
+  | 8 ->
+      let lf = round_trip_case (int_of_float (8.0 *. y), x, y, factor) in
+      conditioned lf ~elapsed:(0.5 *. x *. Life_function.horizon lf)
+  | 9 -> opaque_bounded ~d:(0.7 +. (3.0 *. y)) ~lifespan:(1.0 +. (499.0 *. x))
+  | _ -> round_trip_case (k, x, y, factor)
+
+let prop_eval_deriv_is_eval_and_deriv =
+  QCheck.Test.make ~name:"eval_deriv = (eval, deriv) bit for bit inside"
+    ~count:300
+    QCheck.(
+      quad (int_range 0 9) (float_range 0.0 1.0) (float_range 0.0 1.0)
+        (float_range 0.5 4.0))
+    (fun params ->
+      let lf = fused_case params in
+      let h = Life_function.horizon lf in
+      let fracs =
+        List.init 64 (fun i -> (float_of_int i +. 0.5) /. 64.0)
+        @ List.init 12 (fun k -> 10.0 ** -.float_of_int (k + 1))
+      in
+      let pt = Life_function.point () in
+      List.for_all
+        (fun f ->
+          let x = f *. h in
+          Life_function.eval_deriv lf x pt;
+          let same =
+            Int64.equal (bits pt.Life_function.x) (bits x)
+            && Int64.equal (bits pt.p) (bits (Life_function.eval lf x))
+            && Int64.equal (bits pt.dp) (bits (Life_function.deriv lf x))
+          in
+          if not same then
+            QCheck.Test.fail_reportf "%s at %h: (%h, %h) vs (%h, %h)"
+              (Life_function.name lf) x pt.p pt.dp (Life_function.eval lf x)
+              (Life_function.deriv lf x);
+          same)
+        fracs)
+
+let test_eval_deriv_clamped_region () =
+  (* Where eval clamps, the point holds the clamp and a zero slope, and
+     no derivative is taken: beyond L the numerical one would raise. *)
+  let opaque = opaque_bounded ~d:2.0 ~lifespan:10.0 in
+  (match Life_function.deriv opaque 12.0 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "expected the numerical derivative to raise beyond L");
+  let pt = Life_function.point () in
+  List.iter
+    (fun (lf, x, p) ->
+      Life_function.eval_deriv lf x pt;
+      Alcotest.(check (float 0.0)) "x" x pt.Life_function.x;
+      Alcotest.(check (float 0.0)) "clamped p" p pt.p;
+      Alcotest.(check (float 0.0)) "no slope" 0.0 pt.dp)
+    [
+      (opaque, 12.0, 0.0);
+      (opaque, 10.0, 0.0);
+      (opaque, 0.0, 1.0);
+      (opaque, -3.0, 1.0);
+      (Families.uniform ~lifespan:10.0, 10.0, 0.0);
+      (Families.weibull ~shape:0.5 ~scale:10.0, 0.0, 1.0);
+    ];
+  match
+    Life_function.make ~name:"fused without dp"
+      ~support:Life_function.Unbounded
+      ~fused:(fun _ _ -> ())
+      (fun t -> exp (-.t))
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "?fused without ?dp accepted"
+
 let () =
   Alcotest.run "lifefn"
     [
@@ -434,11 +533,14 @@ let () =
           Alcotest.test_case "scale time" `Quick test_scale_time;
           Alcotest.test_case "wrong inverse rejected" `Quick
             test_wrong_inverse_rejected;
+          Alcotest.test_case "eval_deriv where eval clamps" `Quick
+            test_eval_deriv_clamped_region;
         ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_families_decreasing;
           QCheck_alcotest.to_alcotest prop_deriv_negative_in_interior;
           QCheck_alcotest.to_alcotest prop_inverse_round_trips;
+          QCheck_alcotest.to_alcotest prop_eval_deriv_is_eval_and_deriv;
         ] );
     ]

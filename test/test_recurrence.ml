@@ -307,6 +307,108 @@ let prop_uniform_periods_decrease_by_c =
       done;
       !ok)
 
+(* --- one point per period end ------------------------------------------ *)
+
+type counts = {
+  mutable evals : int;
+  mutable derivs : int;
+  mutable fused : int;
+  mutable invs : int;
+}
+
+(* [lf] behind closures that count every call the recurrence makes. *)
+let counting n lf =
+  Life_function.make ~validate:false ~name:(Life_function.name lf)
+    ~support:(Life_function.support lf) ~shape:(Life_function.shape lf)
+    ~dp:(fun t ->
+      n.derivs <- n.derivs + 1;
+      Life_function.deriv lf t)
+    ~fused:(fun t pt ->
+      n.fused <- n.fused + 1;
+      Life_function.eval_deriv lf t pt)
+    ~inv:(fun u ->
+      n.invs <- n.invs + 1;
+      Life_function.inverse lf u)
+    (fun t ->
+      n.evals <- n.evals + 1;
+      Life_function.eval lf t)
+
+let test_one_point_per_period_end () =
+  (* A k-period t0 objective reads p and p' through k points and p⁻¹ at
+     most k times. It evaluates p on its own only at a productive end
+     where the compensated sum of the periods (Schedule's [ends]) is not
+     the recurrence's plain sum. *)
+  List.iter
+    (fun (lf, c, t0) ->
+      let s = (Recurrence.generate lf ~c ~t0).Recurrence.schedule in
+      let k = Schedule.num_periods s in
+      let plain = ref 0.0 and differ = ref 0 in
+      Array.iteri
+        (fun i t ->
+          plain := !plain +. t;
+          let same =
+            Int64.equal
+              (Int64.bits_of_float !plain)
+              (Int64.bits_of_float s.Schedule.ends.(i))
+          in
+          if t > c && not same then incr differ)
+        s.Schedule.periods;
+      let n = { evals = 0; derivs = 0; fused = 0; invs = 0 } in
+      let e = Recurrence.expected_work_at (counting n lf) ~c ~t0 in
+      let name = Life_function.name lf in
+      Alcotest.(check int64) (name ^ " E")
+        (Int64.bits_of_float (Schedule.expected_work ~c lf s))
+        (Int64.bits_of_float e);
+      Alcotest.(check int) (name ^ " points") k n.fused;
+      Alcotest.(check bool) (name ^ " inverses <= k") true (n.invs <= k);
+      Alcotest.(check int) (name ^ " other p calls") !differ n.evals;
+      Alcotest.(check int) (name ^ " other p' calls") 0 n.derivs)
+    [
+      (Families.uniform ~lifespan:100.0, 1.0, 13.6);
+      (Families.polynomial ~d:3 ~lifespan:80.0, 1.0, 20.0);
+      (Families.geometric_decreasing ~a:(exp 0.05), 1.0, 6.0);
+      (Families.geometric_increasing ~lifespan:30.0, 1.0, 5.0);
+      (Families.weibull ~shape:1.5 ~scale:80.0, 1.0, 12.27);
+      (Families.weibull ~shape:0.8 ~scale:60.0, 1.0, 10.0);
+      (Families.scale_time ~factor:3.0 (Families.exponential ~rate:0.03), 2.0, 30.0);
+    ]
+
+(* A caller-built bounded p given without [?dp] and [?inv], from [seed]:
+   its derivative is the support-aware difference, which raises beyond
+   L, and its inverse is Brent's, whose ends can land on L. *)
+let opaque_scenario seed =
+  let g = Prng.create ~seed:(Int64.of_int seed) in
+  let range lo hi = Prng.float_range g ~lo ~hi in
+  let l = range 5.0 300.0 in
+  let d = range 0.6 4.0 in
+  let p =
+    match Prng.int g ~bound:3 with
+    | 0 -> fun t -> 1.0 -. Float.pow (t /. l) d
+    | 1 -> fun t -> Float.pow (1.0 -. (t /. l)) d
+    | _ -> fun t -> (1.0 -. (t /. l)) *. exp (-.d *. t /. l)
+  in
+  let lf =
+    Life_function.make ~validate:false
+      ~name:(Printf.sprintf "opaque(L=%g, d=%g)" l d)
+      ~support:(Life_function.Bounded l) p
+  in
+  (lf, l *. exp (range (log 1e-3) (log 0.3)))
+
+let test_opaque_bounded_plans_never_raise () =
+  (* The loop takes p' only where p >= 1e-15, inside the support, as it
+     did when it evaluated p and p' apart. *)
+  for seed = 0 to 299 do
+    let lf, c = opaque_scenario seed in
+    match Guideline.plan lf ~c with
+    | r ->
+        if not (r.Guideline.expected_work >= 0.0) then
+          Alcotest.failf "%s, c=%g: E = %g" (Life_function.name lf) c
+            r.Guideline.expected_work
+    | exception e ->
+        Alcotest.failf "%s, c=%g: %s" (Life_function.name lf) c
+          (Printexc.to_string e)
+  done
+
 let () =
   Alcotest.run "recurrence"
     [
@@ -345,6 +447,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_expected_work_at_is_bit_identical;
           Alcotest.test_case "allocates less than generate" `Quick
             test_expected_work_at_allocates_less;
+          Alcotest.test_case "one point per period end" `Quick
+            test_one_point_per_period_end;
+          Alcotest.test_case "caller-built bounded p never raises" `Quick
+            test_opaque_bounded_plans_never_raise;
         ] );
       ( "residuals",
         [
