@@ -56,15 +56,9 @@ let long_lf = Families.weibull ~shape:0.8 ~scale:60.0
 let long_schedule = (Guideline.plan long_lf ~c:1.0).Guideline.schedule
 let long_sampler = Reclaim.create long_lf
 
-(* Sink-emit fixtures price the trace transport itself, one event per
-   call. They are lazy because the remote variant stands up a live
-   in-process collector (a real Obs_collect accept loop on a unix
-   socket, draining frames) and an Obs_remote producer, which must not
-   tax non-timing subcommands at module init. The warmup loop forces
-   both before sampling. *)
-let bench_meta =
-  lazy (Obs.Meta.make ~git_sha:"bench" ~seed:1L ~jobs:1 ~scenario:"bench sink-emit" ())
-
+(* The sink-emit fixture prices the trace writer itself, one event per
+   call. It is lazy so that non-timing subcommands open no temporary
+   file at module init; the warmup loop forces it before sampling. *)
 let sink_event =
   Obs_event.Period_completed
     { time = 1.0; ws = 0; ep = 1; period = 2.0; banked = 1.5; overhead = 0.5 }
@@ -74,18 +68,6 @@ let jsonl_sink =
     (let path = Filename.temp_file "cs_bench_sink" ".jsonl" in
      at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
      Obs.Sink.Jsonl (open_out path))
-
-let remote_sink =
-  lazy
-    (let sock = Filename.temp_file "cs_bench_collect" ".sock" in
-     Sys.remove sock;
-     at_exit (fun () -> try Sys.remove sock with Sys_error _ -> ());
-     let listen = Obs.Http.Unix_sock sock in
-     (* The drain collector runs for the rest of the process; bench
-        exits without a clean BYE, which is exactly the truncation
-        path the collector is built to absorb. *)
-     ignore (Thread.create (fun () -> ignore (Obs.Collect.run ~listen ())) ());
-     Obs.Remote.sink (Obs.Remote.create ~addr:listen ~meta:(Lazy.force bench_meta) ()))
 
 (* (name, thunk, warmup iterations). Cheap thunks get large warmups;
    planner-grade ones only need a few calls to fault everything in. *)
@@ -183,20 +165,10 @@ let serial_workloads : (string * (unit -> unit) * int) list =
          ignore
            (Episode.run ~obs schedule ~c:1.0 ~reclaim_at:(Reclaim.draw sampler g))),
       2_000 );
-    (* The sink-emit pair prices the transport: the jsonl row is one
-       encode + write to a warm out_channel (the --trace cost per
-       event), the remote row is the producer side of --emit — a push
-       into Obs_remote's bounded ring and return, with the live
-       collector draining the socket from its own thread. The
-       never-block contract (DESIGN.md §15) is what's being watched:
-       the remote number prices the enqueue (or, when the drain falls
-       behind and the ring fills, the counted-drop branch), never a
-       socket round trip. *)
+    (* One encode + write to a warm out_channel: the --trace cost per
+       event. *)
     ( "sink-emit (jsonl)",
       (fun () -> Obs.Sink.emit (Lazy.force jsonl_sink) sink_event),
-      2_000 );
-    ( "sink-emit (remote, unix loopback)",
-      (fun () -> Obs.Sink.emit (Lazy.force remote_sink) sink_event),
       2_000 );
     (* The sub-30ns thunks are measured 64 calls per invocation:
        one clock read per ~1 µs of work instead of per ~20 ns, which is
@@ -386,12 +358,6 @@ let run ?(quick = false) ?(jobs = 1) () =
     "cyclesteal/mc-estimate-20k (parallel)";
   speedup "optimizer" "cyclesteal/optimizer (geo-inc, coordinate ascent)"
     "cyclesteal/optimizer (geo-inc, parallel)";
-  (* The loopback transport bench depends on how the host schedules
-     the drain thread against the producer, so its number is advisory
-     by construction — recorded for the trajectory, never allowed to
-     steer the regression gate or convict a commit, however well it
-     happens to fit. *)
-  let forced_advisory = [ "cyclesteal/sink-emit (remote, unix loopback)" ] in
   let record =
     Bench_record.make ~ocaml:Sys.ocaml_version ~git_sha:(git_sha ())
       ~hostname:(Unix.gethostname ()) ~quota_seconds ~unix_time:(Unix.time () [@lint.allow "R8"])
@@ -401,9 +367,7 @@ let run ?(quick = false) ?(jobs = 1) () =
              {
                Bench_record.ns_per_call = fit.Bench_fit.ns_per_run;
                r_square = fit.Bench_fit.r_square;
-               advisory =
-                 (not (Bench_fit.reliable fit))
-                 || List.mem name forced_advisory;
+               advisory = not (Bench_fit.reliable fit);
              } ))
          rows)
   in

@@ -15,11 +15,9 @@
    JSONL event trace of the run, opened by an Obs_meta provenance
    header) and --metrics (print the metrics registry after, with one
    gc.* sample taken at the end of the run; a pooled simulate also
-   prints the per-domain utilization split); [simulate] additionally
-   accepts --emit ADDR (stream the trace live to a cstrace collect
-   collector). Every offline view of a run — summary, diff,
-   Prometheus export, health verdict — is cstrace's, read from the
-   trace. Every command plans with Guideline.plan;
+   prints the per-domain utilization split). Every view of a run —
+   summary, diff, Prometheus export, health verdict — is cstrace's,
+   read from the trace. Every command plans with Guideline.plan;
    [table] hands its whole grid to Guideline.plan_batch. The
    Monte-Carlo and batch-planning commands ([simulate], [compare],
    [table]) accept --jobs N to run on N domains; output is bit-identical
@@ -167,63 +165,14 @@ let metrics_term =
            including one $(b,gc.*) sample of the runtime taken at its \
            end.")
 
-let emit_term =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "emit" ] ~docv:"ADDR"
-        ~doc:
-          "Stream the event trace live to a $(b,cstrace collect) \
-           collector at $(docv) ($(b,unix:PATH) or $(b,HOST:PORT)). \
-           Events are shipped through a bounded non-blocking ring: a \
-           slow or absent collector costs drops (reported after the \
-           run), never simulation time. Composes with $(b,--trace), \
-           which keeps writing the local file.")
-
 (* Build an [Obs.t] from the flags and run [k obs] with it. [meta] is a
    thunk so the git-sha capture only happens when a trace file is
    actually being written. Under --metrics the registry also carries a
    GC sampler, read once when [k] returns, just before the registry is
    printed. *)
-let with_obs ~meta ~trace ~metrics ?emit k =
+let with_obs ~meta ~trace ~metrics k =
   let registry = if metrics then Some (Obs.Metrics.create ()) else None in
   let sampler = Option.map (fun m -> (m, Obs.Resource.create m)) registry in
-  (* --emit: a remote sink streaming to a live collector. Closing
-     flushes the ring and sends BYE; it is hooked on at_exit (not a
-     Fun.protect) because the error paths leave through [exit], which
-     does not unwind the stack. *)
-  let remote =
-    match emit with
-    | None -> None
-    | Some addr_s ->
-        let addr =
-          match Obs_http.addr_of_string addr_s with
-          | Ok a -> a
-          | Error msg ->
-              prerr_endline ("error: " ^ msg);
-              exit 2
-        in
-        Some (addr_s, Obs_remote.create ~addr ~meta:(meta ()) ())
-  in
-  let remote_reported = ref false in
-  let close_remote () =
-    match remote with
-    | None -> ()
-    | Some (addr_s, r) ->
-        Obs_remote.close r;
-        if not !remote_reported then begin
-          remote_reported := true;
-          let s = Obs_remote.stats r in
-          Format.printf "streamed %d event(s) to %s (%d dropped)@."
-            s.Obs_remote.sent addr_s s.Obs_remote.dropped
-        end
-  in
-  (match remote with Some _ -> at_exit close_remote | None -> ());
-  let sink_of local =
-    match remote with
-    | None -> local
-    | Some (_, r) -> Obs.Sink.tee [ local; Obs_remote.sink r ]
-  in
   let finish obs =
     k obs;
     match sampler with
@@ -232,16 +181,15 @@ let with_obs ~meta ~trace ~metrics ?emit k =
         Format.printf "%a" Obs.Metrics.pp m
     | None -> ()
   in
-  (match trace with
-  | None -> finish (Obs.create ~sink:(sink_of Obs.Sink.Null) ?metrics:registry ())
+  match trace with
+  | None -> finish (Obs.create ?metrics:registry ())
   | Some path -> (
       try
         Obs.Sink.with_jsonl_file ~meta:(meta ()) path (fun sink ->
-            finish (Obs.create ~sink:(sink_of sink) ?metrics:registry ()))
+            finish (Obs.create ~sink ?metrics:registry ()))
       with Sys_error msg ->
         prerr_endline ("error: " ^ msg);
-        exit 1));
-  close_remote ()
+        exit 1)
 
 (* ------------------------------------------------------------------ *)
 (* schedule                                                            *)
@@ -316,7 +264,7 @@ let simulate_cmd =
     Arg.(
       value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
   in
-  let run spec c trials seed jobs trace metrics emit =
+  let run spec c trials seed jobs trace metrics =
     let meta () =
       Obs.Meta.make ~seed:(Int64.of_int seed) ~jobs
         ~scenario:
@@ -325,7 +273,7 @@ let simulate_cmd =
         ()
     in
     with_family spec (fun lf ->
-        with_obs ~meta ~trace ~metrics ?emit (fun obs ->
+        with_obs ~meta ~trace ~metrics (fun obs ->
             with_jobs jobs (fun pool ->
             let plan = Guideline.plan ~obs lf ~c in
             let est =
@@ -352,7 +300,7 @@ let simulate_cmd =
        ~doc:"Monte-Carlo-validate the guideline schedule for a scenario.")
     Term.(
       const run $ family_term $ c_term $ trials $ seed $ jobs_term
-      $ trace_term $ metrics_term $ emit_term)
+      $ trace_term $ metrics_term)
 
 (* ------------------------------------------------------------------ *)
 (* compare                                                             *)

@@ -1,20 +1,15 @@
 (* cslint: static analyzer enforcing the repo's numerical-correctness and
    determinism invariants (DESIGN.md §8 and §13). Exit codes: 0 clean,
-   1 new findings, 2 operational error (unparsable source, bad baseline,
-   bad manifest, invalid SARIF). *)
+   1 findings, 2 operational error (unparsable source, bad manifest). *)
 
 let usage =
-  "usage: cslint [effects] [--deep] [--json] [--sarif FILE]\n\
+  "usage: cslint [effects] [--deep] [--json]\n\
   \              [--effects-manifest FILE] [--write-effects]\n\
-  \              [--allow-unused-allows]\n\
-  \              [--baseline FILE [--write-baseline]] [--rules] [PATH ...]"
+  \              [--allow-unused-allows] [--rules] [PATH ...]"
 
 let json = ref false
-let baseline_path = ref None
-let write_baseline = ref false
 let list_rules = ref false
 let deep = ref false
-let sarif_path = ref None
 let manifest_path = ref ".cseffects"
 let write_effects = ref false
 let allow_unused = ref false
@@ -26,9 +21,6 @@ let spec =
     ( "--deep",
       Arg.Set deep,
       " run the interprocedural effect pass (R10, R11, R12)" );
-    ( "--sarif",
-      Arg.String (fun s -> sarif_path := Some s),
-      "FILE also write findings as SARIF 2.1.0 to FILE" );
     ( "--effects-manifest",
       Arg.Set_string manifest_path,
       "FILE effect-signature manifest checked by R12 (default .cseffects)" );
@@ -38,12 +30,6 @@ let spec =
     ( "--allow-unused-allows",
       Arg.Set allow_unused,
       " report unused [@lint.allow] (M1) as warnings, not findings" );
-    ( "--baseline",
-      Arg.String (fun s -> baseline_path := Some s),
-      "FILE ignore findings recorded in FILE (grandfather list)" );
-    ( "--write-baseline",
-      Arg.Set write_baseline,
-      " rewrite the --baseline file to cover current findings, then exit 0" );
     ("--rules", Arg.Set list_rules, " describe the rule set and exit");
   ]
 
@@ -124,71 +110,33 @@ let () =
       result.Lint_engine.errors;
     exit (if result.Lint_engine.errors = [] then 0 else 2)
   end;
-  let baseline =
-    match !baseline_path with
-    | None -> Ok []
-    | Some p when !write_baseline ->
-        Lint_baseline.save p result.all_findings;
-        Printf.printf "cslint: wrote %d finding(s) to %s\n"
-          (List.length result.all_findings)
-          p;
-        exit (if result.errors = [] then 0 else 2)
-    | Some p -> Lint_baseline.load p
-  in
-  match baseline with
-  | Error e ->
-      prerr_endline ("cslint: " ^ e);
-      exit 2
-  | Ok entries ->
-      let fresh, baselined = Lint_baseline.apply entries result.all_findings in
-      let warnings = result.Lint_engine.warnings in
-      (match !sarif_path with
-      | None -> ()
-      | Some p -> (
-          let doc =
-            Lint_sarif.render ~rules:Lint_rules.all_meta ~findings:fresh
-              ~warnings ()
-          in
-          match Lint_sarif.validate doc with
-          | Error e ->
-              prerr_endline ("cslint: sarif: " ^ e);
-              exit 2
-          | Ok _ ->
-              Out_channel.with_open_bin p (fun oc ->
-                  Out_channel.output_string oc (Jsonx.to_string doc);
-                  Out_channel.output_char oc '\n')));
-      if !json then
-        print_endline
-          (Jsonx.to_string
-             (Jsonx.Obj
-                [
-                  ( "findings",
-                    Jsonx.List (List.map Lint_finding.to_json fresh) );
-                  ( "warnings",
-                    Jsonx.List (List.map Lint_finding.to_json warnings) );
-                  ("total", Jsonx.Int (List.length fresh));
-                  ("suppressed", Jsonx.Int result.total_suppressed);
-                  ("baselined", Jsonx.Int baselined);
-                  ( "errors",
-                    Jsonx.List
-                      (List.map (fun e -> Jsonx.String e) result.errors) );
-                ]))
-      else begin
-        List.iter
-          (fun f -> print_endline (Lint_finding.to_human f))
-          fresh;
-        List.iter
-          (fun f -> print_endline ("warning: " ^ Lint_finding.to_human f))
-          warnings;
-        List.iter (fun e -> prerr_endline ("cslint: error: " ^ e)) result.errors;
-        if fresh = [] && result.errors = [] then
-          Printf.printf "cslint: clean (0 new, %d baselined, %d suppressed)\n"
-            baselined result.total_suppressed
-        else
-          Printf.printf
-            "cslint: %d finding(s), %d baselined, %d suppressed, %d error(s)\n"
-            (List.length fresh) baselined result.total_suppressed
-            (List.length result.errors)
-      end;
-      if result.errors <> [] then exit 2;
-      if fresh <> [] then exit 1
+  let findings = result.Lint_engine.all_findings in
+  let warnings = result.Lint_engine.warnings in
+  if !json then
+    print_endline
+      (Jsonx.to_string
+         (Jsonx.Obj
+            [
+              ("findings", Jsonx.List (List.map Lint_finding.to_json findings));
+              ("warnings", Jsonx.List (List.map Lint_finding.to_json warnings));
+              ("total", Jsonx.Int (List.length findings));
+              ("suppressed", Jsonx.Int result.total_suppressed);
+              ( "errors",
+                Jsonx.List (List.map (fun e -> Jsonx.String e) result.errors)
+              );
+            ]))
+  else begin
+    List.iter (fun f -> print_endline (Lint_finding.to_human f)) findings;
+    List.iter
+      (fun f -> print_endline ("warning: " ^ Lint_finding.to_human f))
+      warnings;
+    List.iter (fun e -> prerr_endline ("cslint: error: " ^ e)) result.errors;
+    if findings = [] && result.errors = [] then
+      Printf.printf "cslint: clean (%d suppressed)\n" result.total_suppressed
+    else
+      Printf.printf "cslint: %d finding(s), %d suppressed, %d error(s)\n"
+        (List.length findings) result.total_suppressed
+        (List.length result.errors)
+  end;
+  if result.errors <> [] then exit 2;
+  if findings <> [] then exit 1

@@ -7,8 +7,6 @@
      cstrace flame    profile_trace.json -o profile.folded
      cstrace prom     trace.jsonl [-o FILE]
      cstrace check    trace.jsonl --rules FILE [--rule R]... [--json]
-     cstrace fetch    ADDR [PATH] [--validate-prom]
-     cstrace collect  --listen ADDR [--http ADDR] [--once] [--out DIR]
 
    [report] filters and summarises one JSONL event trace; [diff]
    compares two runs event-by-event and pinpoints the first divergence
@@ -16,10 +14,8 @@
    [flame] folds a Chrome span profile into flamegraph.pl/speedscope
    input; [prom] reconstructs deterministic trace.* metrics from the
    events and renders Prometheus text exposition; [check] evaluates
-   health rules against those same metrics; [collect] is the one live
-   path, receiving csctl simulate --emit
-   streams and serving /metrics and /health with --http; [fetch] is
-   the matching one-shot scrape client.
+   health rules against those same metrics. Every subcommand reads a
+   finished file: the --trace file of a run is its one record.
 
    Exit codes: 0 success (and "traces are identical" for diff), 1 data
    error or divergence, 2 usage error (including a refused
@@ -108,11 +104,6 @@ let report_cmd =
         Format.printf "meta          : %a@." Obs.Meta.pp
           { m with Obs.Meta.git_sha = None }
     | None -> ());
-    (match t.Obs_query.truncated with
-    | Some n ->
-        Format.printf
-          "truncated     : stream ended without BYE after %d event(s)@." n
-    | None -> ());
     let events =
       Obs_query.filter ?kind ?ws ?ep ?since ?until t.Obs_query.events
     in
@@ -163,16 +154,6 @@ let diff_cmd =
              sa sb);
         exit 2
     | _ -> ());
-    List.iter
-      (fun (name, (t : Obs_query.trace)) ->
-        match t.Obs_query.truncated with
-        | Some n ->
-            Format.eprintf
-              "note: %s is truncated (%d event(s) before the producer \
-               vanished); a divergence may just be the missing tail@."
-              name n
-        | None -> ())
-      [ (left, a); (right, b) ];
     match Obs_query.diff ~context a.Obs_query.events b.Obs_query.events with
     | None ->
         Format.printf "traces are identical (%d events)@."
@@ -384,225 +365,13 @@ let check_cmd =
       $ json)
 
 (* ------------------------------------------------------------------ *)
-(* fetch                                                               *)
-
-let addr_of_string_or_die s =
-  match Obs_http.addr_of_string s with
-  | Ok a -> a
-  | Error msg ->
-      prerr_endline ("error: " ^ msg);
-      exit 2
-
-let fetch_cmd =
-  let addr =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"ADDR" ~doc:"Server address (unix:PATH or HOST:PORT).")
-  in
-  let path =
-    Arg.(
-      value
-      & pos 1 string "/metrics"
-      & info [] ~docv:"PATH" ~doc:"Path to request (default /metrics).")
-  in
-  let validate =
-    Arg.(
-      value & flag
-      & info [ "validate-prom" ]
-          ~doc:
-            "Instead of printing the body, pipe it through the \
-             Prometheus exposition validator and print the sample \
-             count.")
-  in
-  let attempts =
-    Arg.(
-      value & opt int 100
-      & info [ "attempts" ] ~docv:"N"
-          ~doc:
-            "Connect retries at 50 ms intervals while the server is \
-             still starting.")
-  in
-  let run addr path validate attempts =
-    let addr = addr_of_string_or_die addr in
-    match Obs_http.fetch ~attempts ~addr path with
-    | Error msg -> die_data msg
-    | Ok (status, body) ->
-        (if validate then begin
-           let lines =
-             List.filter
-               (fun l -> l <> "")
-               (String.split_on_char '\n' body)
-           in
-           match Obs_export.validate_prometheus lines with
-           | Ok n -> Format.printf "valid exposition: %d sample(s)@." n
-           | Error msg -> die_data ("invalid exposition: " ^ msg)
-         end
-         else print_string body);
-        if status >= 400 then begin
-          Format.eprintf "HTTP %d %s@." status
-            (Obs_http.status_reason status);
-          exit 1
-        end
-  in
-  Cmd.v
-    (Cmd.info "fetch"
-       ~doc:
-         "Minimal scrape client: GET a path from a running collect \
-          --http endpoint, print the body (exit 1 on any 4xx/5xx, so /health doubles \
-          as a probe).")
-    Term.(const run $ addr $ path $ validate $ attempts)
-
-(* ------------------------------------------------------------------ *)
-(* collect                                                             *)
-
-let collect_cmd =
-  let listen =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "listen" ] ~docv:"ADDR"
-          ~doc:
-            "Where producers connect: $(b,unix:PATH) or $(b,HOST:PORT) \
-             (port 0 picks one).")
-  in
-  let http =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "http" ] ~docv:"ADDR"
-          ~doc:
-            "Also serve /metrics (live aggregated registry) and /health \
-             (503 while any alert fires) here.")
-  in
-  let producers =
-    Arg.(
-      value & opt int 1
-      & info [ "producers" ] ~docv:"N"
-          ~doc:"With $(b,--once): stop after $(docv) finalized streams.")
-  in
-  let once =
-    Arg.(
-      value & flag
-      & info [ "once" ]
-          ~doc:
-            "Exit after the expected number of streams (see \
-             $(b,--producers)) has been finalized — the deterministic \
-             mode for tests and CI.")
-  in
-  let out_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"DIR"
-          ~doc:
-            "Keep each stream's JSONL trace here as RUN_ID.jsonl \
-             (suffixed on collision).")
-  in
-  let rules_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "rules" ] ~docv:"FILE"
-          ~doc:"Health rules evaluated live against the merged stream.")
-  in
-  let rule_flags =
-    Arg.(
-      value & opt_all string []
-      & info [ "rule" ] ~docv:"RULE" ~doc:"Inline health rule; repeatable.")
-  in
-  let alert_every =
-    Arg.(
-      value & opt int 64
-      & info [ "alert-every" ] ~docv:"N"
-          ~doc:
-            "Evaluate the rules every $(docv) accepted events (plus at \
-             every stream finalization).")
-  in
-  let addr_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "addr-file" ] ~docv:"FILE"
-          ~doc:
-            "Write the bound listen address here once accepting — lets \
-             a script poll for readiness instead of racing the bind.")
-  in
-  let run listen http producers once out_dir rules_file rule_flags alert_every
-      addr_file =
-    let listen = addr_of_string_or_die listen in
-    let http = Option.map addr_of_string_or_die http in
-    (* Unlike `check`, alerting is optional: a collector with no rules
-       still merges traces and serves metrics. *)
-    let rules =
-      if rules_file = None && rule_flags = [] then []
-      else gather_rules rules_file rule_flags
-    in
-    (* Log lines come from per-connection threads; one mutex keeps
-       them whole. *)
-    let log_mu = Mutex.create () in
-    let log line =
-      Mutex.lock log_mu;
-      print_endline line;
-      flush stdout;
-      Mutex.unlock log_mu
-    in
-    let ready bound =
-      (match addr_file with
-      | Some f ->
-          write_lines f [ Format.asprintf "%a" Obs_http.pp_addr bound ]
-      | None -> ());
-      log (Format.asprintf "collecting on %a" Obs_http.pp_addr bound)
-    in
-    match
-      Obs_collect.run ?http ~producers ~once ?out_dir ~rules ~alert_every
-        ~log ~ready ~listen ()
-    with
-    | Error msg -> die_data msg
-    | Ok summary -> Format.printf "%a@." Obs_collect.pp_summary summary
-  in
-  Cmd.v
-    (Cmd.info "collect"
-       ~doc:
-         "Run the streaming telemetry collector: accept csctl \
-          --emit producers, merge their event streams into JSONL \
-          traces, serve live aggregated /metrics, and raise \
-          streaming alerts."
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             "Producers speak the length-prefixed Obs_stream frame \
-              protocol: HELLO carrying the run's provenance header, \
-              strictly sequenced events, heartbeats carrying drop \
-              counters, and BYE. Each stream is written back out as an \
-              ordinary JSONL trace — $(b,cstrace diff)-identical to \
-              the same run's locally written file — in the $(b,--out) \
-              directory. A stream that ends without BYE is \
-              finalized with an explicit truncation marker instead of \
-              passing for a complete run.";
-         ])
-    Term.(
-      const run $ listen $ http $ producers $ once $ out_dir $ rules_file
-      $ rule_flags $ alert_every $ addr_file)
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let doc =
     "trace analytics for cycle-stealing runs: summarise, diff, flamegraph, \
-     export, health-check and collect the observability layer's artifacts"
+     export and health-check the observability layer's artifacts"
   in
   let info = Cmd.info "cstrace" ~version:"1.0.0" ~doc in
   exit
     (Cmd.eval
-       (Cmd.group info
-          [
-            report_cmd;
-            diff_cmd;
-            flame_cmd;
-            prom_cmd;
-            check_cmd;
-            fetch_cmd;
-            collect_cmd;
-          ]))
+       (Cmd.group info [ report_cmd; diff_cmd; flame_cmd; prom_cmd; check_cmd ]))

@@ -10,14 +10,20 @@ type t =
 (* ------------------------------------------------------------------ *)
 (* Printing                                                           *)
 
+let shortest_g x =
+  let s = Printf.sprintf "%.15g" x in
+  if float_of_string s = x then s
+  else
+    let s = Printf.sprintf "%.16g" x in
+    if float_of_string s = x then s else Printf.sprintf "%.17g" x
+
 let float_repr x =
   if Float.is_integer x && Float.abs x < 1e16 then Printf.sprintf "%.1f" x
   else
-    let s = Printf.sprintf "%.15g" x in
-    if float_of_string s = x then s
-    else
-      let s = Printf.sprintf "%.16g" x in
-      if float_of_string s = x then s else Printf.sprintf "%.17g" x
+    (* [%.17g] prints an integral float in [1e16, 1e17) as bare digits,
+       which would read back as an [Int]. *)
+    let s = shortest_g x in
+    if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
 
 let escape_to buf s =
   Buffer.add_char buf '"';
@@ -175,34 +181,52 @@ let of_string s =
               utf8_encode buf cp;
               loop ()
           | _ -> fail "invalid escape")
+      | c when Char.code c < 0x20 -> fail "unescaped control character"
       | c -> advance (); Buffer.add_char buf c; loop ()
     in
     loop ();
     Buffer.contents buf
   in
+  (* RFC 8259 §6: -? (0 | [1-9][0-9]* ) (.[0-9]+ )? ([eE][+-]?[0-9]+ )? *)
   let parse_number () =
     let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
+    let digits () =
+      let first = !pos in
+      while
+        !pos < n && (match s.[!pos] with '0' .. '9' -> true | _ -> false)
+      do
+        advance ()
+      done;
+      if !pos = first then fail "invalid number: expected a digit"
     in
-    while !pos < n && is_num_char s.[!pos] do advance () done;
+    if peek () = Some '-' then advance ();
+    (match peek () with
+    | Some '0' -> (
+        advance ();
+        match peek () with
+        | Some '0' .. '9' -> fail "invalid number: leading zero"
+        | _ -> ())
+    | _ -> digits ());
+    let integral = ref true in
+    if peek () = Some '.' then begin
+      advance ();
+      integral := false;
+      digits ()
+    end;
+    (match peek () with
+    | Some ('e' | 'E') ->
+        advance ();
+        integral := false;
+        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
+        digits ()
+    | _ -> ());
     let text = String.sub s start (!pos - start) in
-    let has_frac =
-      String.exists (fun c -> c = '.' || c = 'e' || c = 'E') text
-    in
-    if has_frac then
-      match float_of_string_opt text with
-      | Some x -> Float x
-      | None -> fail (Printf.sprintf "invalid number %S" text)
-    else
-      match int_of_string_opt text with
-      | Some i -> Int i
-      | None -> (
-          match float_of_string_opt text with
-          | Some x -> Float x
-          | None -> fail (Printf.sprintf "invalid number %S" text))
+    match if !integral then int_of_string_opt text else None with
+    | Some i -> Int i
+    | None -> (
+        match float_of_string_opt text with
+        | Some x -> Float x
+        | None -> fail (Printf.sprintf "invalid number %S" text))
   in
   let rec parse_value () =
     skip_ws ();

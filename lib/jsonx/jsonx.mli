@@ -30,11 +30,19 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 (** [of_string s] parses exactly one JSON value (surrounding whitespace
-    allowed; trailing garbage is an error). Numbers without [.], [e] or
-    [E] that fit in an OCaml [int] parse as [Int], everything else as
-    [Float]. [\uXXXX] escapes (exactly four hex digits) are decoded to
+    allowed; trailing garbage is an error). Numbers follow the RFC 8259
+    §6 grammar exactly, so [0123], [1.], [.5] and [1.e5] are errors.
+    Numbers without [.], [e] or [E] that fit in an OCaml [int] parse as
+    [Int], everything else as [Float] (an exponent past the float range
+    reads as an infinity). A byte below 0x20 inside a string must be
+    escaped. [\uXXXX] escapes (exactly four hex digits) are decoded to
     UTF-8; a surrogate pair folds into one code point, and an unpaired
     surrogate is an error. Never raises: malformed input is [Error]. *)
+
+val shortest_g : float -> string
+(** The shortest of [%.15g], [%.16g] and [%.17g] that [float_of_string]
+    reads back as the same float: {!to_string}'s rule for non-integral
+    floats, shared by other printers that must round-trip. *)
 
 val member : string -> t -> t option
 (** [member k j] is the value bound to key [k] when [j] is an [Obj]. *)

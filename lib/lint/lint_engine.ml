@@ -32,19 +32,6 @@ let scope_of_path path : Lint_rules.scope =
     is_clock = ends_with_any [ "obs/obs_clock.ml"; "obs/obs_clock.mli" ] n;
     is_resource =
       ends_with_any [ "obs/obs_resource.ml"; "obs/obs_resource.mli" ] n;
-    is_socket =
-      ends_with_any
-        [
-          "obs/obs_http.ml";
-          "obs/obs_http.mli";
-          "obs/obs_stream.ml";
-          "obs/obs_stream.mli";
-          "obs/obs_remote.ml";
-          "obs/obs_remote.mli";
-          "obs/obs_collect.ml";
-          "obs/obs_collect.mli";
-        ]
-        n;
     in_sched = under "lib" n && under "sched" n;
   }
 

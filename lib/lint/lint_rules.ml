@@ -6,7 +6,6 @@ type scope = {
   in_parallel : bool;
   is_clock : bool;
   is_resource : bool;
-  is_socket : bool;
   in_sched : bool;
 }
 
@@ -94,16 +93,6 @@ let all_meta =
          .cseffects manifest (deep)";
       remedy =
         "review the drift, then re-lock with cslint --deep --write-effects";
-    };
-    {
-      id = "R13";
-      title =
-        "no socket I/O (Unix.socket, accept, bind, connect, ...) outside \
-         the lib/obs transport: obs_http.ml, obs_stream.ml, obs_remote.ml, \
-         obs_collect.ml";
-      remedy =
-        "go through Obs_http / Obs_remote / Obs_collect, whose bounded \
-         loops and validated exposition keep the network surface auditable";
     };
     {
       id = "R14";
@@ -277,20 +266,6 @@ let make_checker (scope : scope) =
         report "R8" loc
           "Sys.time reads the process clock directly; route timing through \
            Obs_clock"
-    | _ -> ());
-    (match lid with
-    | Longident.Ldot
-        ( Longident.Lident "Unix",
-          (( "socket" | "socketpair" | "accept" | "bind" | "listen"
-           | "connect" | "setsockopt" | "getsockname" | "getpeername"
-           | "send" | "recv" | "sendto" | "recvfrom" ) as fn) )
-      when not scope.is_socket ->
-        report "R13" loc
-          (Printf.sprintf
-             "Unix.%s opens a network surface outside the lib/obs \
-              transport modules; go through Obs_http / Obs_remote / \
-              Obs_collect so the socket code stays in one auditable place"
-             fn)
     | _ -> ());
     (match lid with
     | Longident.Ldot

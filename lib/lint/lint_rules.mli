@@ -17,16 +17,13 @@ type scope = {
   is_clock : bool;  (** [lib/obs/obs_clock.ml] itself: exempt from R8. *)
   is_resource : bool;
       (** [lib/obs/obs_resource.ml] itself: exempt from R9. *)
-  is_socket : bool;
-      (** The lib/obs transport modules ([obs_http.ml], [obs_stream.ml],
-          [obs_remote.ml], [obs_collect.ml]): exempt from R13. *)
   in_sched : bool;  (** Under [lib/sched/]: R14 applies. *)
 }
 
 type meta = { id : string; title : string; remedy : string }
 
 val all_meta : meta list
-(** One entry per rule, in id order (R1–R14 then the M-series
+(** One entry per rule, in id order (R1–R12, R14, then the M-series
     meta-rules); used by [cslint --rules] and kept in sync with
     DESIGN.md §8 and §13. *)
 

@@ -32,10 +32,6 @@ module Span = Obs_span
 module Meta = Obs_meta
 module Resource = Obs_resource
 module Health = Obs_health
-module Http = Obs_http
-module Stream = Obs_stream
-module Remote = Obs_remote
-module Collect = Obs_collect
 
 type t
 

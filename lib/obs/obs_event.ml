@@ -251,7 +251,7 @@ let of_json j =
     | other -> Error (Printf.sprintf "unknown event type %S" other)
 
 (* ------------------------------------------------------------------ *)
-(* Console rendering                                                  *)
+(* Human-readable rendering                                           *)
 
 let pp ppf = function
   | Run_started { time; source; seed } ->

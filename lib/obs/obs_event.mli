@@ -86,4 +86,4 @@ val of_json : Jsonx.t -> (t, string) result
     ill-typed, since {!to_json} never writes one. *)
 
 val pp : Format.formatter -> t -> unit
-(** One-line human-readable rendering (the [Console] sink format). *)
+(** One-line human-readable rendering ([cstrace diff]'s format). *)

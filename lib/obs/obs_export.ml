@@ -149,7 +149,8 @@ let prom_float v =
   else if v = Float.neg_infinity then "-Inf"
   else Jsonx.to_string (Jsonx.Float v)
 
-let prometheus_of_snapshot ?(namespace = "cs") (s : Obs_metrics.snapshot) =
+let prometheus ?(namespace = "cs") reg =
+  let s = Obs_metrics.snapshot reg in
   let full name = sanitize_metric_name (namespace ^ "_" ^ name) in
   let lines = ref [] in
   let out l = lines := l :: !lines in
@@ -179,9 +180,6 @@ let prometheus_of_snapshot ?(namespace = "cs") (s : Obs_metrics.snapshot) =
       out (Printf.sprintf "%s_count %d" n h.hs_count))
     s.Obs_metrics.snap_histograms;
   List.rev !lines
-
-let prometheus ?namespace reg =
-  prometheus_of_snapshot ?namespace (Obs_metrics.snapshot reg)
 
 (* --- validation --------------------------------------------------- *)
 

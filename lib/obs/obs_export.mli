@@ -39,12 +39,8 @@ val spans_of_chrome : Jsonx.t -> (Obs_span.span list, string) result
     [# TYPE] lines. *)
 
 val prometheus : ?namespace:string -> Obs_metrics.t -> string list
-(** Render a live registry ([namespace] defaults to ["cs"]). Lines are
+(** Render a registry ([namespace] defaults to ["cs"]). Lines are
     in name order within each instrument class. *)
-
-val prometheus_of_snapshot :
-  ?namespace:string -> Obs_metrics.snapshot -> string list
-(** Same, from a frozen {!Obs_metrics.snapshot}. *)
 
 val validate_prometheus : string list -> (int, string) result
 (** Check the lines against the exposition grammar: well-formed

@@ -194,10 +194,17 @@ let verdict_to_string = function
 
 let pp_op ppf op = Format.pp_print_string ppf (op_to_string op)
 
+(* [%g] when it reads back as the same float, so the usual short
+   thresholds print as they are written; otherwise Jsonx's round-trip
+   form. Either way a printed rule parses back to itself. *)
+let threshold_repr x =
+  let s = Printf.sprintf "%g" x in
+  if Tol.exactly (float_of_string s) x then s else Jsonx.shortest_g x
+
 let pp_rule ppf r =
-  Format.fprintf ppf "%s %s%s %a %g" (severity_to_string r.severity) r.selector
+  Format.fprintf ppf "%s %s%s %a %s" (severity_to_string r.severity) r.selector
     (if r.optional then "?" else "")
-    pp_op r.op r.threshold
+    pp_op r.op (threshold_repr r.threshold)
 
 let pp_status ppf = function
   | Pass -> Format.pp_print_string ppf "[PASS]"

@@ -1,11 +1,9 @@
 (** Declarative health rules (SLOs) over a metric snapshot.
 
     A rule is one line of text — [SEVERITY SELECTOR OP VALUE] — and a
-    rule set is evaluated against one {!Obs_metrics.snapshot}: the
-    registry {!Obs_query.metrics_of_events} builds from a finished
-    trace ([cstrace check]), or the live registry the collector folds
-    streamed events into ([cstrace collect]). The result is a typed
-    verdict report both share.
+    rule set is evaluated against one {!Obs_metrics.snapshot}, such as
+    the registry {!Obs_query.metrics_of_events} builds from a finished
+    trace ([cstrace check]). The result is a typed verdict report.
 
     {2 Grammar}
 
@@ -83,7 +81,13 @@ val exit_code : report -> int
     failure — the [cstrace check] exit convention. *)
 
 val pp_op : Format.formatter -> op -> unit
+
 val pp_rule : Format.formatter -> rule -> unit
+(** The rule as one line of the grammar above; {!parse_rule} reads it
+    back to an equal rule. The threshold prints as [%g] when that reads
+    back as the same float ([20], [5e+08]) and in {!Jsonx.shortest_g}
+    form otherwise ([1234567], and [0.30000000000000004] for
+    [0.1 +. 0.2]). *)
 
 val pp_report : Format.formatter -> report -> unit
 (** Deterministic human-readable listing, one rule per line

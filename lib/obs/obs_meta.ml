@@ -24,18 +24,6 @@ let make ?git_sha ?seed ?jobs ?scenario () =
   in
   { schema = Obs_event.schema_version; git_sha; seed; jobs; scenario }
 
-let run_id t =
-  let part = function Some s -> s | None -> "-" in
-  let key =
-    String.concat "\x00"
-      [
-        part t.git_sha;
-        part (Option.map Int64.to_string t.seed);
-        part t.scenario;
-      ]
-  in
-  String.sub (Digest.to_hex (Digest.string key)) 0 12
-
 let to_json t =
   let opt name f = function Some v -> [ (name, f v) ] | None -> [] in
   Jsonx.Obj

@@ -39,12 +39,6 @@ val capture_git_sha : unit -> string option
 (** [git rev-parse --short HEAD] of the working directory, or [None]
     when there is no repository (or no [git]) to ask. *)
 
-val run_id : t -> string
-(** The deterministic run id of a header: the first 12 hex digits of the
-    MD5 of [git_sha], [seed] and [scenario] joined by NUL, each absent
-    component standing in as ["-"]. Same triple, same id, on any
-    machine; [cstrace collect --out] names its trace files with it. *)
-
 val to_json : t -> Jsonx.t
 
 val of_json : Jsonx.t -> (t, string) result

@@ -2,7 +2,6 @@ type trace = {
   path : string;
   meta : Obs_meta.t option;
   events : Obs_event.t list;
-  truncated : int option;
 }
 
 let load path =
@@ -14,7 +13,6 @@ let load path =
         (fun () ->
           let events = ref [] in
           let meta = ref None in
-          let truncated = ref None in
           let line_no = ref 0 in
           let err = ref None in
           let fail msg =
@@ -33,22 +31,10 @@ let load path =
                      | Ok m ->
                          if !meta = None then meta := Some m
                          else fail "duplicate meta header")
-                 | Ok j when Obs_stream.is_truncation_json j -> (
-                     (* The collector's no-BYE marker: a partial trace
-                        is loadable and *reported* partial, not a load
-                        error and not silently complete. *)
-                     match Obs_stream.truncation_of_json j with
-                     | Error msg -> fail msg
-                     | Ok n ->
-                         if !truncated = None then truncated := Some n
-                         else fail "duplicate truncation marker")
                  | Ok j -> (
                      match Obs_event.of_json j with
                      | Error msg -> fail msg
-                     | Ok ev ->
-                         if !truncated <> None then
-                           fail "event after truncation marker"
-                         else events := ev :: !events)
+                     | Ok ev -> events := ev :: !events)
              done
            with
           | End_of_file -> ()
@@ -56,13 +42,7 @@ let load path =
           match !err with
           | Some msg -> Error msg
           | None ->
-              Ok
-                {
-                  path;
-                  meta = !meta;
-                  events = List.rev !events;
-                  truncated = !truncated;
-                })
+              Ok { path; meta = !meta; events = List.rev !events })
 
 (* ------------------------------------------------------------------ *)
 (* Filtering                                                          *)
@@ -271,7 +251,7 @@ let pp_divergence ppf d =
 (* ------------------------------------------------------------------ *)
 (* Metrics reconstruction                                             *)
 
-let metrics_updater ?accuracy () =
+let metrics_of_events ?accuracy events =
   let reg = Obs_metrics.create ?accuracy () in
   let c name = Obs_metrics.counter reg name in
   let h name = Obs_metrics.histogram reg name in
@@ -292,8 +272,9 @@ let metrics_updater ?accuracy () =
   let overhead_h = h "trace.overhead" in
   let pool_remaining = Obs_metrics.gauge reg "trace.pool_remaining" in
   let starts : (int * int, float) Hashtbl.t = Hashtbl.create 64 in
-  let feed (ev : Obs_event.t) =
-    match ev with
+  List.iter
+    (fun (ev : Obs_event.t) ->
+      match ev with
       | Episode_started { time; ws; ep } ->
           Obs_metrics.incr episodes_started;
           Hashtbl.replace starts (ws, ep) time
@@ -315,11 +296,6 @@ let metrics_updater ?accuracy () =
       | Pool_drained { remaining; _ } ->
           Obs_metrics.set pool_remaining remaining
       | Run_started _ | Plan_computed _ | Owner_returned _ | Run_finished _ ->
-        ()
-  in
-  (reg, feed)
-
-let metrics_of_events ?accuracy events =
-  let reg, feed = metrics_updater ?accuracy () in
-  List.iter feed events;
+          ())
+    events;
   reg

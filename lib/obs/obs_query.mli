@@ -16,20 +16,13 @@ type trace = {
   path : string;
   meta : Obs_meta.t option;  (** Provenance header, when the file has one. *)
   events : Obs_event.t list;  (** In file order. *)
-  truncated : int option;
-      (** When the file ends with an {!Obs_stream.truncation_marker}
-          (a collector-ingested stream whose producer vanished without
-          BYE): the marker's ingested-event count. [None] for a
-          complete trace. *)
 }
 
 val load : string -> (trace, string) result
 (** Parse a JSONL trace. Blank lines are skipped; a leading meta header
     is validated ({!Obs_meta.of_json}) and surfaced; malformed lines,
     bad headers and duplicate headers are errors with [file:line]
-    positions. A trailing truncation marker is accepted and surfaced
-    via [truncated] (events after it, or a second marker, are
-    errors). A path that cannot be read — missing, or a directory — is
+    positions. A path that cannot be read — missing, or a directory — is
     an [Error] naming it; [load] never raises. *)
 
 (** {1 Filtering} *)
@@ -109,10 +102,3 @@ val metrics_of_events : ?accuracy:float -> Obs_event.t list -> Obs_metrics.t
     wall-clock spans. A value a histogram cannot take (negative, such
     as an episode that finishes before it starts) is left out rather
     than raised on. [accuracy] as in {!Obs_metrics.create}. *)
-
-val metrics_updater :
-  ?accuracy:float -> unit -> Obs_metrics.t * (Obs_event.t -> unit)
-(** Incremental form of {!metrics_of_events}: returns the registry and
-    a feed function that folds one event into it. Feeding the whole
-    stream reproduces {!metrics_of_events} exactly; {!Obs_collect}
-    feeds events as they arrive from live producers. *)

@@ -1,10 +1,9 @@
 type t =
   | Null
   | Jsonl of out_channel
-  | Console of Format.formatter
   | Custom of (Obs_event.t -> unit)
 
-let consumes = function Null -> false | Jsonl _ | Console _ | Custom _ -> true
+let consumes = function Null -> false | Jsonl _ | Custom _ -> true
 
 let emit sink ev =
   match sink with
@@ -12,14 +11,7 @@ let emit sink ev =
   | Jsonl oc ->
       output_string oc (Jsonx.to_string (Obs_event.to_json ev));
       output_char oc '\n'
-  | Console ppf -> Format.fprintf ppf "%a@." Obs_event.pp ev
   | Custom f -> f ev
-
-let tee sinks =
-  match List.filter consumes sinks with
-  | [] -> Null
-  | [ s ] -> s
-  | live -> Custom (fun ev -> List.iter (fun s -> emit s ev) live)
 
 let with_jsonl_file ?meta path k =
   let oc = open_out path in

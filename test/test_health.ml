@@ -69,6 +69,70 @@ let test_parse_document () =
       Alcotest.(check bool) "error names line 2" true
         (contains ~affix:"line 2" e)
 
+let print_rule r = Format.asprintf "%a" Obs_health.pp_rule r
+
+let le_rule threshold =
+  {
+    Obs_health.severity = Obs_health.Warn;
+    selector = "x";
+    optional = false;
+    op = Obs_health.Le;
+    threshold;
+  }
+
+(* [%g] would print 1234567 as 1.23457e+06 and 0.1 +. 0.2 as 0.3. *)
+let test_printed_thresholds () =
+  List.iter
+    (fun (x, shown) ->
+      let r = le_rule x in
+      Alcotest.(check string) shown ("warn x <= " ^ shown) (print_rule r);
+      Alcotest.(check bool) (shown ^ " parses back") true
+        (Obs_health.parse_rule (print_rule r) = Ok r))
+    [
+      (1234567.0, "1234567");
+      (0.1 +. 0.2, "0.30000000000000004");
+      (5e8, "5e+08");
+      (20.0, "20");
+    ]
+
+(* Any threshold the grammar admits: every non-nan bit pattern,
+   integers and short decimals. *)
+let gen_rule =
+  QCheck.Gen.(
+    map
+      (fun ((severity, selector, optional), (op, threshold)) ->
+        { Obs_health.severity; selector; optional; op; threshold })
+      (pair
+         (triple
+            (oneofl [ Obs_health.Warn; Obs_health.Critical ])
+            (string_size ~gen:(oneofl [ 'a'; 'z'; '.'; '_'; '0'; '9' ])
+               (int_range 1 12))
+            bool)
+         (pair
+            (oneofl Obs_health.[ Lt; Le; Gt; Ge; Eq; Ne ])
+            (map
+               (fun x -> if Float.is_nan x then Float.infinity else x)
+               (frequency
+                  [
+                    (2, map Int64.float_of_bits int64);
+                    (1, map float_of_int small_signed_int);
+                    (1, float);
+                  ])))))
+
+let prop_rule_roundtrip =
+  QCheck.Test.make ~name:"parse_rule (pp_rule r) = Ok r" ~count:500
+    (QCheck.make ~print:print_rule gen_rule)
+    (fun r -> Obs_health.parse_rule (print_rule r) = Ok r)
+
+let prop_rule_mutations =
+  Mutation.total ~name:"mutated rules file parses or errors"
+    QCheck.Gen.(
+      map
+        (fun rules ->
+          String.concat "\n" ("# health rules" :: List.map print_rule rules))
+        (list_size (int_bound 8) gen_rule))
+    Obs_health.parse
+
 (* ---- resolution ---- *)
 
 let test_resolve () =
@@ -181,6 +245,10 @@ let () =
           Alcotest.test_case "rule line" `Quick test_parse_rule;
           Alcotest.test_case "rejects" `Quick test_parse_rejects;
           Alcotest.test_case "document" `Quick test_parse_document;
+          Alcotest.test_case "printed thresholds exact" `Quick
+            test_printed_thresholds;
+          QCheck_alcotest.to_alcotest prop_rule_roundtrip;
+          QCheck_alcotest.to_alcotest prop_rule_mutations;
         ] );
       ("resolve", [ Alcotest.test_case "selectors" `Quick test_resolve ]);
       ( "evaluate",

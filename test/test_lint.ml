@@ -209,43 +209,6 @@ let test_r9 () =
   check_rules "suppressed" []
     (lint "let s () = (Gc.quick_stat () [@lint.allow \"R9\"])\n")
 
-(* ---- R13: socket I/O outside the lib/obs transport modules ---- *)
-
-let test_r13 () =
-  check_rules "socket in lib" [ "R13" ]
-    (lint "let s () = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0\n");
-  check_rules "accept in bin" [ "R13" ]
-    (lint ~path:"bin/fixture.ml" "let a fd = Unix.accept fd\n");
-  check_rules "bind in bench" [ "R13" ]
-    (lint ~path:"bench/fixture.ml" "let b fd sa = Unix.bind fd sa\n");
-  check_rules "connect in lib" [ "R13" ]
-    (lint "let c fd sa = Unix.connect fd sa\n");
-  check_rules "obs_http exempt" []
-    (lint ~path:"lib/obs/obs_http.ml"
-       "let s () = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0\n");
-  check_rules "obs_stream exempt" []
-    (lint ~path:"lib/obs/obs_stream.ml"
-       "let s () = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0\n");
-  check_rules "obs_remote exempt" []
-    (lint ~path:"lib/obs/obs_remote.ml"
-       "let c fd sa = Unix.connect fd sa\n");
-  check_rules "obs_collect exempt" []
-    (lint ~path:"lib/obs/obs_collect.ml" "let a fd = Unix.accept fd\n");
-  (* Only the four transport modules are exempt, not all of lib/obs. *)
-  check_rules "other obs module still fenced" [ "R13" ]
-    (lint ~path:"lib/obs/obs_sink.ml"
-       "let s () = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0\n");
-  (* The rest of Unix stays available — only the socket surface is
-     fenced, and a bare [shutdown] is not Unix.shutdown. *)
-  check_rules "Unix.read fine" []
-    (lint "let r fd b = Unix.read fd b 0 1\n");
-  check_rules "local shutdown fine" []
-    (lint "let shutdown () = ()\nlet s = shutdown ()\n");
-  check_rules "suppressed" []
-    (lint
-       "let s () = (Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0) \
-        [@lint.allow \"R13\"]\n")
-
 (* ---- R14: no module-lifetime memo/cache state in lib/sched ---- *)
 
 let test_r14 () =
@@ -286,7 +249,7 @@ let test_r14 () =
     (lint ~path:sched
        "let memo = (Hashtbl.create 16 [@lint.allow \"R14\"])\n")
 
-(* ---- malformed suppression payloads, parse errors, baseline ---- *)
+(* ---- malformed suppression payloads, parse errors ---- *)
 
 let test_malformed_allow () =
   let r = lint "let f x = (x = 1.0) [@lint.allow]\n" in
@@ -302,23 +265,6 @@ let test_parse_error () =
       Alcotest.(check bool) "names the file" true
         (String.length e > 0
         && String.sub e 0 (min 10 (String.length e)) = "lib/bad.ml")
-
-let test_baseline_roundtrip () =
-  let f rule file line =
-    { Lint_finding.rule; file; line; col = 0; message = "m" }
-  in
-  let findings = [ f "R1" "lib/a.ml" 3; f "R2" "lib/b.ml" 7 ] in
-  let path = Filename.temp_file "cslint" ".baseline" in
-  Lint_baseline.save path findings;
-  (match Lint_baseline.load path with
-  | Error e -> Alcotest.fail e
-  | Ok entries ->
-      let fresh, baselined = Lint_baseline.apply entries findings in
-      Alcotest.(check int) "all baselined" 2 baselined;
-      Alcotest.(check int) "none fresh" 0 (List.length fresh);
-      let fresh, _ = Lint_baseline.apply entries (f "R1" "lib/a.ml" 9 :: findings) in
-      Alcotest.(check int) "moved finding is fresh" 1 (List.length fresh));
-  Sys.remove path
 
 (* ---- M1: stale suppressions ---- *)
 
@@ -580,12 +526,54 @@ let test_manifest_rejects_garbage () =
         && String.sub e 0 (String.length path) = path));
   Sys.remove path
 
+(* Distinct module names, each locking any subset of the effects. *)
+let gen_sigs =
+  QCheck.Gen.(
+    map
+      (List.mapi (fun k (suffix, effects) ->
+           (Printf.sprintf "M%d%s" k suffix, Lint_effect.of_list effects)))
+      (list_size (int_bound 12)
+         (pair
+            (string_size ~gen:(oneofl [ 'a'; 'z'; '_'; '0'; '9'; 'Q' ])
+               (int_bound 6))
+            (list_size (int_bound 3) (oneofl Lint_effect.all)))))
+
+let with_temp_manifest k =
+  let path = Filename.temp_file "cslint" ".cseffects" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> k path)
+
+let prop_manifest_roundtrip =
+  QCheck.Test.make ~name:"load of save gives back the signatures" ~count:200
+    (QCheck.make ~print:Lint_manifest.render gen_sigs)
+    (fun sigs ->
+      with_temp_manifest (fun path ->
+          Lint_manifest.save path sigs;
+          match Lint_manifest.load path with
+          | Error _ -> false
+          | Ok entries ->
+              List.map
+                (fun (e : Lint_manifest.entry) ->
+                  (e.mf_module, Lint_effect.to_list e.mf_effects))
+                entries
+              = List.map
+                  (fun (m, s) -> (m, Lint_effect.to_list s))
+                  (List.sort (fun (a, _) (b, _) -> String.compare a b) sigs)))
+
+let prop_manifest_mutations =
+  Mutation.total ~name:"mutated manifest loads or errors"
+    (QCheck.Gen.map Lint_manifest.render gen_sigs)
+    (fun text ->
+      with_temp_manifest (fun path ->
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc text);
+          Lint_manifest.load path))
+
 let test_rule_metadata_complete () =
   Alcotest.(check (list string))
     "rule ids"
     [
       "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "R7"; "R8"; "R9"; "R10"; "R11";
-      "R12"; "R13"; "R14"; "M1";
+      "R12"; "R14"; "M1";
     ]
     (List.map (fun (m : Lint_rules.meta) -> m.id) Lint_rules.all_meta)
 
@@ -618,7 +606,6 @@ let () =
       ("r7", [ Alcotest.test_case "raw Domain.spawn" `Quick test_r7 ]);
       ("r8", [ Alcotest.test_case "wall-clock reads" `Quick test_r8 ]);
       ("r9", [ Alcotest.test_case "direct Gc stats" `Quick test_r9 ]);
-      ("r13", [ Alcotest.test_case "socket I/O fence" `Quick test_r13 ]);
       ("r14", [ Alcotest.test_case "memo state fence" `Quick test_r14 ]);
       ("m1", [ Alcotest.test_case "unused allows" `Quick test_m1_unused_allow ]);
       ( "deep",
@@ -644,12 +631,13 @@ let () =
             test_manifest_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick
             test_manifest_rejects_garbage;
+          QCheck_alcotest.to_alcotest prop_manifest_roundtrip;
+          QCheck_alcotest.to_alcotest prop_manifest_mutations;
         ] );
       ( "machinery",
         [
           Alcotest.test_case "malformed allow" `Quick test_malformed_allow;
           Alcotest.test_case "parse error" `Quick test_parse_error;
-          Alcotest.test_case "baseline round-trip" `Quick test_baseline_roundtrip;
           Alcotest.test_case "rule metadata" `Quick test_rule_metadata_complete;
         ] );
     ]

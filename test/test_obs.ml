@@ -51,12 +51,16 @@ let test_jsonx_escapes () =
       | Error e -> Alcotest.failf "parse error: %s" e)
     [ {|"€ 😀 \n"|}; {|"\u20ac \uD83D\ude00 \n"|} ]
 
-let test_jsonx_errors () =
+let rejects label inputs () =
   List.iter
     (fun s ->
       match Jsonx.of_string s with
-      | Ok _ -> Alcotest.failf "accepted malformed %S" s
+      | Ok _ -> Alcotest.failf "%s: accepted %S" label s
       | Error _ -> ())
+    inputs
+
+let test_jsonx_errors =
+  rejects "malformed"
     [
       "";
       "{";
@@ -74,6 +78,73 @@ let test_jsonx_errors () =
       {|"\uD800"|};
       {|"\uDC00"|};
     ]
+
+(* RFC 8259 §6–7 forms that are not JSON, one case each. *)
+let test_jsonx_leading_zero =
+  rejects "leading zero" [ "0123"; "-0123"; "00"; "[1,007]"; "01.5" ]
+
+let test_jsonx_bare_point =
+  rejects "empty fraction" [ "1."; "-1."; "1.e5"; "[1.,2]"; ".5"; "-.5" ]
+
+let test_jsonx_raw_control =
+  rejects "raw control byte"
+    [ "\"a\nb\""; "\"\t\""; "\"\x00\""; "\"\x1f\""; "{\"k\x01\":1}" ]
+
+(* Any float bit pattern (nan, infinities, subnormals, integral floats
+   past 1e16), besides integers and the short decimals a trace holds. *)
+let gen_float =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map Int64.float_of_bits int64);
+        (1, map float_of_int int);
+        (1, float);
+      ])
+
+let gen_json =
+  QCheck.Gen.(
+    sized_size (int_bound 40)
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 return Jsonx.Null;
+                 map (fun b -> Jsonx.Bool b) bool;
+                 map (fun i -> Jsonx.Int i) int;
+                 map (fun x -> Jsonx.Float x) gen_float;
+                 map (fun s -> Jsonx.String s) string_small;
+               ]
+           in
+           if n <= 0 then leaf
+           else
+             let kids = list_size (int_bound 4) (self (n / 4)) in
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun l -> Jsonx.List l) kids);
+                 ( 1,
+                   map2
+                     (fun ks vs -> Jsonx.Obj (List.combine ks vs))
+                     (list_repeat 4 string_small)
+                     (list_repeat 4 (self (n / 4))) );
+               ]))
+
+(* What [to_string] keeps: a non-finite float has no JSON form. *)
+let rec finite_only = function
+  | Jsonx.Float x when not (Float.is_finite x) -> Jsonx.Null
+  | Jsonx.List l -> Jsonx.List (List.map finite_only l)
+  | Jsonx.Obj fields -> Jsonx.Obj (List.map (fun (k, v) -> (k, finite_only v)) fields)
+  | j -> j
+
+let prop_jsonx_roundtrip =
+  QCheck.Test.make ~name:"of_string (to_string j) = Ok j" ~count:500
+    (QCheck.make ~print:Jsonx.to_string gen_json)
+    (fun j -> Jsonx.of_string (Jsonx.to_string j) = Ok (finite_only j))
+
+let prop_jsonx_mutations =
+  Mutation.total ~name:"mutated JSON parses or errors" ~count:500 ~sep:','
+    (QCheck.Gen.map Jsonx.to_string gen_json)
+    Jsonx.of_string
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
@@ -332,6 +403,14 @@ let () =
           Alcotest.test_case "unicode escapes" `Quick test_jsonx_escapes;
           Alcotest.test_case "malformed input rejected" `Quick
             test_jsonx_errors;
+          Alcotest.test_case "leading zero rejected" `Quick
+            test_jsonx_leading_zero;
+          Alcotest.test_case "empty fraction rejected" `Quick
+            test_jsonx_bare_point;
+          Alcotest.test_case "raw control byte rejected" `Quick
+            test_jsonx_raw_control;
+          QCheck_alcotest.to_alcotest prop_jsonx_roundtrip;
+          QCheck_alcotest.to_alcotest prop_jsonx_mutations;
         ] );
       ( "metrics",
         [

@@ -79,43 +79,10 @@ let test_meta_rejects () =
     ]
 
 (* Obs_meta.make defaults git_sha to the enclosing repository's HEAD;
-   pin it (or its absence) explicitly so ids are reproducible here. *)
+   pin it (or its absence) explicitly so headers are reproducible here. *)
 let meta ?git_sha ?seed ?scenario () =
   let m = Obs_meta.make ?seed ?scenario () in
   { m with Obs_meta.git_sha }
-
-let test_run_id_deterministic () =
-  let m () = meta ~git_sha:"abc123" ~seed:7L ~scenario:"simulate u" () in
-  let id = Obs_meta.run_id (m ()) in
-  (* The acceptance contract: same (sha, seed, scenario), same id. *)
-  Alcotest.(check string) "same triple, same id" id (Obs_meta.run_id (m ()));
-  Alcotest.(check int) "12 digits" 12 (String.length id);
-  String.iter
-    (fun c ->
-      Alcotest.(check bool) "hex digit" true
-        (String.contains "0123456789abcdef" c))
-    id;
-  (* The digest itself is pinned: collect --out names files with it. *)
-  Alcotest.(check string) "pinned id" "b339797e9fb6"
-    (Obs_meta.run_id (meta ~git_sha:"aaaa111" ~seed:1L ~scenario:"demo" ()));
-  (* Fields outside the triple must not perturb the id: a re-run with
-     more domains is the same run. *)
-  Alcotest.(check string) "jobs not part of the identity" id
-    (Obs_meta.run_id { (m ()) with Obs_meta.jobs = Some 8 });
-  let differs label m' =
-    Alcotest.(check bool) label true (Obs_meta.run_id m' <> id)
-  in
-  differs "seed changes the id"
-    (meta ~git_sha:"abc123" ~seed:8L ~scenario:"simulate u" ());
-  differs "sha changes the id"
-    (meta ~git_sha:"abc124" ~seed:7L ~scenario:"simulate u" ());
-  differs "scenario changes the id"
-    (meta ~git_sha:"abc123" ~seed:7L ~scenario:"simulate g" ());
-  (* Absent fields fall back to "-": a bare header still derives a
-     stable id. *)
-  Alcotest.(check string) "bare header is stable"
-    (Obs_meta.run_id (meta ()))
-    (Obs_meta.run_id (meta ()))
 
 (* ------------------------------------------------------------------ *)
 (* Trace loading                                                      *)
@@ -386,10 +353,12 @@ let mc_trace =
      let schedule = (Guideline.plan lf ~c:1.0).Guideline.schedule in
      let emitted = ref [] in
      with_temp_file ".jsonl" (fun path ->
-         Obs.Sink.with_jsonl_file ~meta:(meta ~seed:3L ()) path (fun sink ->
+         Obs.Sink.with_jsonl_file ~meta:(meta ~seed:3L ()) path (fun file ->
              let sink =
-               Obs.Sink.tee
-                 [ sink; Obs.Sink.Custom (fun ev -> emitted := ev :: !emitted) ]
+               Obs.Sink.Custom
+                 (fun ev ->
+                   Obs.Sink.emit file ev;
+                   emitted := ev :: !emitted)
              in
              ignore
                (Monte_carlo.estimate ~obs:(Obs.create ~sink ()) ~trials:28 lf
@@ -553,8 +522,6 @@ let () =
         [
           Alcotest.test_case "round-trip" `Quick test_meta_roundtrip;
           Alcotest.test_case "strict decoding" `Quick test_meta_rejects;
-          Alcotest.test_case "run-id deterministic" `Quick
-            test_run_id_deterministic;
         ] );
       ( "load",
         [
