@@ -69,6 +69,26 @@ let jsonl_sink =
      at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
      Obs.Sink.Jsonl (open_out path))
 
+(* The e2e farm workload's fleet at its centres. A run of the guideline
+   policy plans each workstation once, so this row prices four plans and
+   the event loop of one run. *)
+let farm_config =
+  {
+    Farm.c = 1.0;
+    total_work = 300.0;
+    workstations =
+      List.map
+        (fun (ws_life, ws_presence_mean) -> { Farm.ws_life; ws_presence_mean })
+        [
+          (Families.uniform ~lifespan:100.0, 45.0);
+          (Families.geometric_decreasing ~a:(exp 0.03), 60.0);
+          (Families.geometric_increasing ~lifespan:40.0, 30.0);
+          (Families.weibull ~shape:1.5 ~scale:80.0, 50.0);
+        ];
+    policy = Farm.guideline_policy;
+    max_time = 1e7;
+  }
+
 (* (name, thunk, warmup iterations). Cheap thunks get large warmups;
    planner-grade ones only need a few calls to fault everything in. *)
 let serial_workloads : (string * (unit -> unit) * int) list =
@@ -110,6 +130,9 @@ let serial_workloads : (string * (unit -> unit) * int) list =
        and the 512-cell bracket scan measured. *)
     ( "guideline-plan (trace fit, unknown shape)",
       (fun () -> ignore (Guideline.plan fitted_lf ~c:1.0)),
+      5 );
+    ( "farm-run (guideline, 4 workstations)",
+      (fun () -> ignore (Farm.run farm_config ~seed:1L)),
       5 );
     ( "exact-uniform ([3] closed form)",
       (fun () -> ignore (Exact.uniform ~c:1.0 ~lifespan:100.0)),

@@ -217,7 +217,7 @@ let pp_report ppf r =
     (fun (rule, status) ->
       Format.fprintf ppf "%a %a" pp_status status pp_rule rule;
       (match status with
-      | Fail { value } -> Format.fprintf ppf "  (value %g)" value
+      | Fail { value } -> Format.fprintf ppf "  (value %s)" (threshold_repr value)
       | Missing -> Format.fprintf ppf "  (metric absent)"
       | Pass | Skipped -> ());
       Format.pp_print_newline ppf ())

@@ -92,7 +92,8 @@ val pp_rule : Format.formatter -> rule -> unit
 val pp_report : Format.formatter -> report -> unit
 (** Deterministic human-readable listing, one rule per line
     ([\[PASS\]]/[\[FAIL\]]/[\[MISS\]]/[\[SKIP\]]), then a final
-    [verdict:] line. *)
+    [verdict:] line. A failing rule's value prints in the threshold's
+    form, so it reads back as the same float. *)
 
 val verdict_to_string : verdict -> string
 (** ["ok"], ["warn"] or ["critical"]. *)

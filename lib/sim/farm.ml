@@ -12,7 +12,8 @@ let static_policy ~name plan =
         let periods = Schedule.periods schedule in
         let idx = ref 0 in
         fun ~elapsed ->
-          ignore elapsed;
+          (* Each episode replays the schedule from its first period. *)
+          if Float.equal elapsed 0.0 then idx := 0;
           if !idx >= Array.length periods then None
           else begin
             let t = periods.(!idx) in
@@ -93,8 +94,11 @@ type ws_state = {
   mutable epoch : int;  (** Bumped on every owner transition to invalidate
                             stale period-end events. *)
   mutable episode_start : float;
+  mutable plan : (elapsed:float -> float option) option;
+      (** The policy's closure for this workstation, made at its first
+          episode and kept for the rest of the run. *)
   mutable next_period : (elapsed:float -> float option) option;
-      (** The policy closure for the live episode, if any. *)
+      (** [plan] while the live episode still asks it for periods. *)
   mutable in_flight : float;  (** Work assigned to the running period. *)
   mutable ep_index : int;  (** 0-based ordinal of the live episode. *)
   mutable ep_done : float;  (** Work banked within the live episode. *)
@@ -145,6 +149,13 @@ let run ?(obs = Obs.disabled) ?(link = Unlimited) config ~seed =
   if config.total_work <= 0.0 then
     invalid_arg "Farm.run: total_work must be > 0";
   if config.max_time <= 0.0 then invalid_arg "Farm.run: max_time must be > 0";
+  (* The float spacing at max_time (its ulp): max_time = m 2^e with m in
+     [0.5, 1) puts it at 2^(e - 53). A period lasts at least c, so a c no
+     smaller than that ends every period strictly after its dispatch: a
+     policy sees elapsed = 0 only at an episode's first period. *)
+  let ulp = Float.ldexp 1.0 (snd (Float.frexp config.max_time) - 53) in
+  if config.c < ulp then
+    invalid_arg "Farm.run: c must be at least the float spacing at max_time";
   if config.workstations = [] then
     invalid_arg "Farm.run: need at least one workstation";
   List.iter
@@ -173,6 +184,7 @@ let run ?(obs = Obs.disabled) ?(link = Unlimited) config ~seed =
              rng = Prng.split root;
              epoch = 0;
              episode_start = 0.0;
+             plan = None;
              next_period = None;
              in_flight = 0.0;
              ep_index = -1;
@@ -272,8 +284,19 @@ let run ?(obs = Obs.disabled) ?(link = Unlimited) config ~seed =
           | Some m -> Obs.Metrics.incr m.m_episodes
           | None -> ()
         end;
-        st.next_period <-
-          Some (config.policy.fresh_episode st.cfg.ws_life ~c:config.c);
+        (* (ws_life, c) is fixed for the run, so the policy plans each
+           workstation once; its closure learns of every later episode
+           from elapsed = 0. *)
+        if Option.is_none st.plan then
+          st.plan <-
+            Some
+              (match spanner with
+              | None -> config.policy.fresh_episode st.cfg.ws_life ~c:config.c
+              | Some r ->
+                  Obs.Span.record ~attrs:[ ("ws", Jsonx.Int ws) ] r
+                    "farm.plan_workstation" (fun () ->
+                      config.policy.fresh_episode st.cfg.ws_life ~c:config.c));
+        st.next_period <- st.plan;
         start_period ws now
     | Owner_return { ws; epoch } ->
         let st = states.(ws) in

@@ -21,19 +21,30 @@
 type policy = {
   policy_name : string;
   fresh_episode : Life_function.t -> c:float -> (elapsed:float -> float option);
-      (** Called at each episode start; the returned closure yields the
-          next period length given the elapsed episode time, or [None] to
-          idle for the rest of the episode. Periods are clipped to the
-          work remaining in the pool. *)
+      (** The per-workstation stage. A workstation's [(p, c)] is fixed
+          for the run, so {!run} calls this at most once per workstation
+          per run, at that workstation's first episode, and keeps the
+          returned closure for all of its episodes. Nothing outlives the
+          run.
+
+          The closure is called at each period start with the time
+          elapsed in the current episode, and yields the next period
+          length, or [None] to idle for the rest of the episode. [elapsed]
+          is [0.] exactly at an episode's first period and [> 0.] at every
+          later one, so a closure with per-episode state resets it at
+          [0.]. An episode that starts with an empty pool makes no call.
+          Periods are clipped to the work remaining in the pool. *)
 }
 
 val static_policy : name:string -> (Life_function.t -> c:float -> Schedule.t)
   -> policy
-(** [static_policy ~name plan] computes one schedule per episode up front
-    and plays it out period by period. *)
+(** [static_policy ~name plan] computes one schedule per workstation per
+    run and plays it out period by period, from its first period in every
+    episode. *)
 
 val guideline_policy : policy
-(** Plays the {!Guideline.plan} schedule for each episode. *)
+(** Plays the {!Guideline.plan} schedule of each workstation's [(p, c)],
+    planned once per workstation per run. *)
 
 val adaptive_policy : policy
 (** Re-plans after every completed period via
@@ -103,9 +114,15 @@ val run : ?obs:Obs.t -> ?link:link_model -> config -> seed:int64 -> report
     [Owner_returned] / [Episode_finished], [Pool_drained] when the pool
     empties, [Run_finished]) stamped with absolute simulation times, and
     a metrics registry accumulates [farm.*] counters, histograms, and the
-    final pool gauge. {!Trace_report} folds such a trace back into this
-    function's own report numbers. Killed periods charge no overhead in
-    this accounting (the dispatch cost is only charged to completed
-    periods), so their [Period_killed] events carry [overhead = 0].
+    final pool gauge, and a span recorder gets the [farm.run] root, one
+    [farm.plan_workstation] span (attribute [ws]) around each
+    workstation's [fresh_episode] call and one [farm.next_period] span
+    around each closure call. {!Trace_report} folds such a trace back
+    into this function's own report numbers. Killed periods charge no
+    overhead in this accounting (the dispatch cost is only charged to
+    completed periods), so their [Period_killed] events carry
+    [overhead = 0].
     @raise Invalid_argument on nonpositive [c], [total_work], [max_time],
-    presence means, or an empty workstation list. *)
+    presence means, an empty workstation list, or a [c] below the float
+    spacing at [max_time] (a period that short could end at the instant
+    it was dispatched, and its successor would see [elapsed = 0.]). *)
