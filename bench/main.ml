@@ -11,7 +11,8 @@
    the same record to BENCH_HISTORY.jsonl. [--quick] shrinks the
    sampling quota and warmups so CI can exercise the pipeline without
    burning minutes; its numbers are for plumbing, not comparison.
-   [--jobs N] sizes the domain pool behind the "(parallel)" variants. *)
+   [--jobs N] sizes the domain pool behind the "(parallel)" variants;
+   it defaults to the host's recommended domain count. *)
 
 let usage () =
   print_endline "cycle-stealing reproduction harness";
@@ -24,7 +25,9 @@ let usage () =
   Printf.printf "  %-7s %s\n" "all" "tables + timing (default)"
 
 let quick = ref false
-let jobs = ref 4
+(* A pool wider than the host's cores makes the "(parallel)" rows read
+   slower than serial; Domain_pool.create caps the count at 128. *)
+let jobs = ref (Int.min 128 (Domain.recommended_domain_count ()))
 
 let run_one id =
   match List.find_opt (fun (eid, _, _) -> eid = id) Tables.all with
@@ -49,7 +52,8 @@ let () =
   (* --csv DIR mirrors every printed table into DIR/<experiment>.csv;
      --quick shrinks the timing suite's quota/warmups for CI; --jobs N
      sizes the domain pool behind the "(parallel)" timing variants
-     (default 4; results are bit-identical for any N). *)
+     (default: the host's recommended domain count; results are
+     bit-identical for any N). *)
   let rec split_flags acc = function
     | "--csv" :: dir :: rest ->
         Tbl.set_csv_dir (Some dir);

@@ -15,10 +15,8 @@
    The "episode-run (obs ...)" variants pin the observability overhead
    budget: disabled and null-sink must be statistically
    indistinguishable from the uninstrumented baseline (the ?obs default
-   — including the span-recorder test — is one branch), the metrics
-   variant bounds the live-registry cost, and the spans variant bounds
-   the live-recorder cost. "mc-estimate-20k (utilization on)"
-   does the same for the pool/merge accounting inside the estimator. *)
+   — including the span-recorder test — is one branch), and the spans
+   variant bounds the live-recorder cost. *)
 
 open Bechamel
 open Toolkit
@@ -170,13 +168,6 @@ let serial_workloads : (string * (unit -> unit) * int) list =
          ignore
            (Episode.run ~obs schedule ~c:1.0 ~reclaim_at:(Reclaim.draw sampler g))),
       2_000 );
-    ( "episode-run (obs metrics)",
-      (let g = Prng.create ~seed:1L in
-       let obs = Obs.create ~metrics:(Obs.Metrics.create ()) () in
-       fun () ->
-         ignore
-           (Episode.run ~obs schedule ~c:1.0 ~reclaim_at:(Reclaim.draw sampler g))),
-      2_000 );
     ( "episode-run (obs spans)",
       (let g = Prng.create ~seed:1L in
        (* A fresh recorder per call would measure allocation, not
@@ -224,16 +215,6 @@ let serial_workloads : (string * (unit -> unit) * int) list =
         ignore
           (Monte_carlo.estimate ~trials:20_000 uniform_lf ~c:1.0 ~schedule
              ~seed:7L)),
-      1 );
-    ( "mc-estimate-20k (utilization on)",
-      (* Serial estimate with a live registry: the utilization
-         accounting path (per-run clock reads, merge timing, gauge
-         publication) on top of the ordinary metrics cost. *)
-      (fun () ->
-        ignore
-          (Monte_carlo.estimate
-             ~obs:(Obs.create ~metrics:(Obs.Metrics.create ()) ())
-             ~trials:20_000 uniform_lf ~c:1.0 ~schedule ~seed:7L)),
       1 );
   ]
 

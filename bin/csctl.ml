@@ -13,11 +13,9 @@
 
    [schedule], [simulate] and [compare] accept --trace FILE (write a
    JSONL event trace of the run, opened by an Obs_meta provenance
-   header) and --metrics (print the metrics registry after, with one
-   gc.* sample taken at the end of the run; a pooled simulate also
-   prints the per-domain utilization split). Every view of a run —
-   summary, diff, Prometheus export, health verdict — is cstrace's,
-   read from the trace. Every command plans with Guideline.plan;
+   header). The trace is the one record of a run: every view of it —
+   summary, diff, metrics, Prometheus export, health verdict — is
+   cstrace's, read from that file. Every command plans with Guideline.plan;
    [table] hands its whole grid to Guideline.plan_batch. The
    Monte-Carlo and batch-planning commands ([simulate], [compare],
    [table]) accept --jobs N to run on N domains; output is bit-identical
@@ -113,18 +111,25 @@ let c_term =
     & info [ "c"; "overhead" ] ~docv:"C"
         ~doc:"Communication overhead per period (the paper's c).")
 
-(* The [try] covers the family constructor too: out-of-range parameters
-   (-L 0, -a 1) are rejected there with Invalid_argument. *)
+(* Out-of-range input is rejected by the library with Invalid_argument
+   (or Failure), or with Invalid_life_function when a life function
+   fails validation: report it as [error: ...] and exit 1. *)
+let or_exit k =
+  try k () with
+  | Invalid_argument msg | Failure msg
+  | Life_function.Invalid_life_function msg ->
+      prerr_endline ("error: " ^ msg);
+      exit 1
+
+(* [or_exit] covers the family constructor too: out-of-range parameters
+   (-L 0, -a 1, --shape nan) are rejected there. *)
 let with_family spec k =
-  try
-    match resolve_family spec with
-    | Error msg ->
-        prerr_endline msg;
-        exit 2
-    | Ok lf -> k lf
-  with Invalid_argument msg | Failure msg ->
-    prerr_endline ("error: " ^ msg);
-    exit 1
+  or_exit (fun () ->
+      match resolve_family spec with
+      | Error msg ->
+          prerr_endline msg;
+          exit 2
+      | Ok lf -> k lf)
 
 (* ------------------------------------------------------------------ *)
 (* Parallelism flag (shared by simulate, compare and table)            *)
@@ -145,7 +150,7 @@ let with_jobs jobs k =
   else Domain_pool.with_pool ~domains:jobs (fun p -> k (Some p))
 
 (* ------------------------------------------------------------------ *)
-(* Observability flags (shared by schedule and simulate)               *)
+(* Trace flag (shared by schedule, simulate and compare)              *)
 
 let trace_term =
   Arg.(
@@ -156,37 +161,16 @@ let trace_term =
           "Write a JSONL event trace of the run to $(docv) (one JSON \
            object per line; aggregate it back with $(b,cstrace report)).")
 
-let metrics_term =
-  Arg.(
-    value & flag
-    & info [ "metrics" ]
-        ~doc:
-          "Print the collected metrics registry after the run, \
-           including one $(b,gc.*) sample of the runtime taken at its \
-           end.")
-
-(* Build an [Obs.t] from the flags and run [k obs] with it. [meta] is a
+(* Build an [Obs.t] from the flag and run [k obs] with it. [meta] is a
    thunk so the git-sha capture only happens when a trace file is
-   actually being written. Under --metrics the registry also carries a
-   GC sampler, read once when [k] returns, just before the registry is
-   printed. *)
-let with_obs ~meta ~trace ~metrics k =
-  let registry = if metrics then Some (Obs.Metrics.create ()) else None in
-  let sampler = Option.map (fun m -> (m, Obs.Resource.create m)) registry in
-  let finish obs =
-    k obs;
-    match sampler with
-    | Some (m, r) ->
-        Obs.Resource.sample r;
-        Format.printf "%a" Obs.Metrics.pp m
-    | None -> ()
-  in
+   actually being written. *)
+let with_obs ~meta ~trace k =
   match trace with
-  | None -> finish (Obs.create ?metrics:registry ())
+  | None -> k Obs.disabled
   | Some path -> (
       try
         Obs.Sink.with_jsonl_file ~meta:(meta ()) path (fun sink ->
-            finish (Obs.create ~sink ?metrics:registry ()))
+            k (Obs.create ~sink ()))
       with Sys_error msg ->
         prerr_endline ("error: " ^ msg);
         exit 1)
@@ -195,14 +179,14 @@ let with_obs ~meta ~trace ~metrics k =
 (* schedule                                                            *)
 
 let schedule_cmd =
-  let run spec c trace metrics =
+  let run spec c trace =
     let meta () =
       Obs.Meta.make
         ~scenario:(Printf.sprintf "schedule family=%s c=%g" spec.family c)
         ()
     in
     with_family spec (fun lf ->
-        with_obs ~meta ~trace ~metrics (fun obs ->
+        with_obs ~meta ~trace (fun obs ->
             let plan = Guideline.plan ~obs lf ~c in
             let lo, hi = plan.Guideline.bracket in
             Format.printf "life function : %a@." Life_function.pp lf;
@@ -221,7 +205,7 @@ let schedule_cmd =
   in
   Cmd.v
     (Cmd.info "schedule" ~doc:"Compute the guideline schedule for a scenario.")
-    Term.(const run $ family_term $ c_term $ trace_term $ metrics_term)
+    Term.(const run $ family_term $ c_term $ trace_term)
 
 (* ------------------------------------------------------------------ *)
 (* bounds                                                              *)
@@ -264,7 +248,7 @@ let simulate_cmd =
     Arg.(
       value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
   in
-  let run spec c trials seed jobs trace metrics =
+  let run spec c trials seed jobs trace =
     let meta () =
       Obs.Meta.make ~seed:(Int64.of_int seed) ~jobs
         ~scenario:
@@ -273,7 +257,7 @@ let simulate_cmd =
         ()
     in
     with_family spec (fun lf ->
-        with_obs ~meta ~trace ~metrics (fun obs ->
+        with_obs ~meta ~trace (fun obs ->
             with_jobs jobs (fun pool ->
             let plan = Guideline.plan ~obs lf ~c in
             let est =
@@ -289,18 +273,14 @@ let simulate_cmd =
             Format.printf "interrupted   : %.2f%%@."
               (100.0 *. est.Monte_carlo.interrupted_fraction);
             Format.printf "mean overhead : %.6f ; mean work lost: %.6f@."
-              est.Monte_carlo.mean_overhead est.Monte_carlo.mean_lost;
-            match pool with
-            | Some p when metrics ->
-                Format.printf "%a" Domain_pool.pp_utilization p
-            | _ -> ())))
+              est.Monte_carlo.mean_overhead est.Monte_carlo.mean_lost)))
   in
   Cmd.v
     (Cmd.info "simulate"
        ~doc:"Monte-Carlo-validate the guideline schedule for a scenario.")
     Term.(
       const run $ family_term $ c_term $ trials $ seed $ jobs_term
-      $ trace_term $ metrics_term)
+      $ trace_term)
 
 (* ------------------------------------------------------------------ *)
 (* compare                                                             *)
@@ -316,7 +296,7 @@ let compare_cmd =
     Arg.(
       value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
   in
-  let run spec c trials seed jobs trace metrics =
+  let run spec c trials seed jobs trace =
     let meta () =
       Obs.Meta.make ~seed:(Int64.of_int seed) ~jobs
         ~scenario:
@@ -325,7 +305,7 @@ let compare_cmd =
         ()
     in
     with_family spec (fun lf ->
-        with_obs ~meta ~trace ~metrics (fun obs ->
+        with_obs ~meta ~trace (fun obs ->
             with_jobs jobs (fun pool ->
                 let plan = Guideline.plan ~obs lf ~c in
                 let policies =
@@ -356,7 +336,7 @@ let compare_cmd =
           baseline policies on a shared reclaim stream.")
     Term.(
       const run $ family_term $ c_term $ trials $ seed $ jobs_term
-      $ trace_term $ metrics_term)
+      $ trace_term)
 
 (* ------------------------------------------------------------------ *)
 (* table                                                               *)
@@ -498,6 +478,7 @@ let fit_cmd =
         prerr_endline msg;
         exit 2
     | Ok owner ->
+        or_exit @@ fun () ->
         let rng = Prng.create ~seed:(Int64.of_int seed) in
         let ds = Array.init samples (fun _ -> Owner_model.sample owner rng) in
         let est = Survival.of_durations ds in
@@ -546,7 +527,7 @@ let checkpoint_cmd =
     Arg.(value & opt int 11 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
   in
   let run c work mtbf restart seed =
-    try
+    or_exit @@ fun () ->
       let life = Families.exponential ~rate:(1.0 /. mtbf) in
       let plan = Checkpoint.plan_saves ~work life ~c in
       Format.printf "checkpoint every %.4f (first interval); %d intervals@."
@@ -564,9 +545,6 @@ let checkpoint_cmd =
          checkpoints written@."
         r.Checkpoint.makespan r.Checkpoint.failures r.Checkpoint.work_lost_total
         r.Checkpoint.checkpoints_written
-    with Invalid_argument msg ->
-      prerr_endline ("error: " ^ msg);
-      exit 1
   in
   Cmd.v
     (Cmd.info "checkpoint"
@@ -591,7 +569,7 @@ let worst_case_cmd =
           ~doc:"Warm-up before the guarantee applies (default 5c).")
   in
   let run c horizon grace =
-    try
+    or_exit @@ fun () ->
       let w = Worst_case.plan ?grace ~c ~horizon () in
       Format.printf "schedule : %a@." Schedule.pp w.Worst_case.schedule;
       Format.printf
@@ -604,9 +582,6 @@ let worst_case_cmd =
           Format.printf "  expected work under %-22s: %8.3f@." name
             (Schedule.expected_work ~c lf w.Worst_case.schedule))
         (Families.all_paper_scenarios ~c)
-    with Invalid_argument msg ->
-      prerr_endline ("error: " ^ msg);
-      exit 1
   in
   Cmd.v
     (Cmd.info "worst-case"

@@ -79,13 +79,12 @@ let () =
         lost ovh)
     policies;
 
-  (* Detail of one guideline run, with a metrics registry attached: the
-     same report numbers, plus farm.* counters and the period-length /
-     episode-duration histograms the registry accumulated along the way. *)
-  let metrics = Obs.Metrics.create () in
-  let r =
-    run ~obs:(Obs.create ~metrics ()) Farm.guideline_policy 42L
-  in
+  (* Detail of one guideline run, with its event trace collected: the
+     same report numbers, plus the trace.* counters and the period-length
+     / episode-duration histograms rebuilt from that trace. *)
+  let events = ref [] in
+  let sink = Obs.Sink.Custom (fun ev -> events := ev :: !events) in
+  let r = run ~obs:(Obs.create ~sink ()) Farm.guideline_policy 42L in
   Format.printf "@.One guideline run in detail (seed 42):@.";
   Format.printf "  finished: %b, makespan %.1f min@." r.Farm.finished
     r.Farm.makespan;
@@ -97,4 +96,5 @@ let () =
         w.Farm.ws_id w.Farm.work_done w.Farm.episodes w.Farm.periods_completed
         w.Farm.periods_killed w.Farm.work_lost)
     r.Farm.per_workstation;
-  Format.printf "@.Its metrics registry:@.%a" Obs.Metrics.pp metrics
+  Format.printf "@.Its metrics, rebuilt from the trace:@.%a" Obs.Metrics.pp
+    (Obs_query.metrics_of_events (List.rev !events))

@@ -30,12 +30,12 @@ let truncate_to_work schedule ~c ~work =
   | l -> Some (Schedule.of_periods (Array.of_list (List.rev l)))
 
 let plan_saves ?work lf ~c =
-  if c <= 0.0 then invalid_arg "Checkpoint.plan_saves: c must be > 0";
+  if not (c > 0.0) then invalid_arg "Checkpoint.plan_saves: c must be > 0";
   if c >= Life_function.horizon lf then
     invalid_arg "Checkpoint.plan_saves: c >= horizon";
   (match work with
-  | Some w when w <= 0.0 ->
-      invalid_arg "Checkpoint.plan_saves: work must be > 0"
+  | Some w when not (w > 0.0 && Float.is_finite w) ->
+      invalid_arg "Checkpoint.plan_saves: work must be finite and > 0"
   | Some _ | None -> ());
   let g = Guideline.plan lf ~c in
   let intervals =
@@ -62,8 +62,8 @@ let expected_committed_per_attempt ~work ~c lf =
   (plan_saves ~work lf ~c).expected_committed
 
 let simulate_restarts ~work ~c ~restart_cost lf g ~max_failures =
-  if work <= 0.0 || c <= 0.0 || restart_cost < 0.0 then
-    invalid_arg "Checkpoint.simulate_restarts: nonpositive parameters";
+  if not (work > 0.0 && Float.is_finite work && c > 0.0 && restart_cost >= 0.0)
+  then invalid_arg "Checkpoint.simulate_restarts: nonpositive parameters";
   if max_failures < 0 then
     invalid_arg "Checkpoint.simulate_restarts: max_failures must be >= 0";
   (* Progress is possible iff the guideline plan can commit anything in

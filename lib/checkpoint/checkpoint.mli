@@ -25,8 +25,8 @@ val plan_saves :
 (** [plan_saves p ~c] derives the guideline checkpoint plan for failure
     survival [p] and save cost [c]. With [?work] the plan is truncated once
     the committed (productive) time covers [work]; the final interval is
-    shortened to fit exactly. Requires [0 < c < horizon p]; [work > 0]
-    when given.
+    shortened to fit exactly. Requires [0 < c < horizon p]; a finite
+    [work > 0] when given.
     @raise Invalid_argument otherwise. *)
 
 type sim_result = {
@@ -49,8 +49,9 @@ val simulate_restarts :
     [restart_cost], resume from the last committed checkpoint with a fresh
     failure clock (machine-renewal assumption), replanning for the
     remaining work. Gives up after [max_failures] failures.
-    @raise Invalid_argument if parameters are nonpositive or the job cannot
-    make progress (no productive interval exists). *)
+    @raise Invalid_argument if parameters are nonpositive or NaN, [work]
+    is infinite, or the job cannot make progress (no productive interval
+    exists). *)
 
 val expected_committed_per_attempt :
   work:float -> c:float -> Life_function.t -> float

@@ -50,7 +50,7 @@ let tail_profile lf =
       (median, stable)
 
 let test ?(samples = 2048) lf ~c =
-  if c <= 0.0 then invalid_arg "Admissibility.test: c must be > 0";
+  if not (c > 0.0) then invalid_arg "Admissibility.test: c must be > 0";
   let hi = Life_function.horizon lf in
   if c >= hi then invalid_arg "Admissibility.test: c >= horizon";
   let g = margin lf ~c in

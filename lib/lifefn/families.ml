@@ -1,7 +1,12 @@
 let ln2 = log 2.0
 
+(* NaN-safe guards: [not (x > 0.0)] rejects NaN, where [x <= 0.0] would
+   let it through. *)
+let positive_finite x = x > 0.0 && Float.is_finite x
+
 let uniform ~lifespan =
-  if lifespan <= 0.0 then invalid_arg "Families.uniform: lifespan must be > 0";
+  if not (positive_finite lifespan) then
+    invalid_arg "Families.uniform: lifespan must be finite and > 0";
   let l = lifespan in
   Life_function.make
     ~name:(Printf.sprintf "uniform(L=%g)" l)
@@ -13,8 +18,8 @@ let uniform ~lifespan =
 
 let polynomial ~d ~lifespan =
   if d < 1 then invalid_arg "Families.polynomial: d must be >= 1";
-  if lifespan <= 0.0 then
-    invalid_arg "Families.polynomial: lifespan must be > 0";
+  if not (positive_finite lifespan) then
+    invalid_arg "Families.polynomial: lifespan must be finite and > 0";
   if d = 1 then uniform ~lifespan
   else begin
     let l = lifespan in
@@ -31,8 +36,8 @@ let polynomial ~d ~lifespan =
   end
 
 let geometric_decreasing ~a =
-  if a <= 1.0 then
-    invalid_arg "Families.geometric_decreasing: requires a > 1";
+  if not (a > 1.0 && Float.is_finite a) then
+    invalid_arg "Families.geometric_decreasing: requires finite a > 1";
   let lna = log a in
   Life_function.make
     ~name:(Printf.sprintf "geometric-decreasing(a=%g)" a)
@@ -47,7 +52,8 @@ let geometric_decreasing ~a =
     (fun t -> exp (-.lna *. t))
 
 let exponential ~rate =
-  if rate <= 0.0 then invalid_arg "Families.exponential: rate must be > 0";
+  if not (positive_finite rate) then
+    invalid_arg "Families.exponential: rate must be finite and > 0";
   Life_function.make
     ~name:(Printf.sprintf "exponential(rate=%g)" rate)
     ~support:Life_function.Unbounded
@@ -61,8 +67,9 @@ let exponential ~rate =
     (fun t -> exp (-.rate *. t))
 
 let geometric_increasing ~lifespan =
-  if lifespan <= 0.0 then
-    invalid_arg "Families.geometric_increasing: lifespan must be > 0";
+  if not (positive_finite lifespan) then
+    invalid_arg
+      "Families.geometric_increasing: lifespan must be finite and > 0";
   let l = lifespan in
   (* (2^L - 2^t)/(2^L - 1) = (1 - 2^{t-L})/(1 - 2^{-L}): stable for large L. *)
   let denom = -.Float.expm1 (-.l *. ln2) in
@@ -80,8 +87,8 @@ let geometric_increasing ~lifespan =
     p
 
 let weibull ~shape ~scale =
-  if shape <= 0.0 || scale <= 0.0 then
-    invalid_arg "Families.weibull: shape and scale must be > 0";
+  if not (positive_finite shape && positive_finite scale) then
+    invalid_arg "Families.weibull: shape and scale must be finite and > 0";
   let sh = shape and sc = scale in
   (* log p = −(t/scale)^shape is concave for shape >= 1; shape = 1 stays
      Convex, which also gives the Thm 3.3 bound. *)
@@ -111,7 +118,8 @@ let weibull ~shape ~scale =
     (fun t -> if t <= 0.0 then 1.0 else exp (-.Float.pow (t /. sc) sh))
 
 let power_law ~d =
-  if d <= 0.0 then invalid_arg "Families.power_law: d must be > 0";
+  if not (positive_finite d) then
+    invalid_arg "Families.power_law: d must be finite and > 0";
   Life_function.make
     ~name:(Printf.sprintf "power-law(d=%g)" d)
     ~support:Life_function.Unbounded
@@ -139,8 +147,8 @@ let of_interpolant ~name ip =
     ~inv p
 
 let scale_time ~factor lf =
-  if factor <= 0.0 then
-    invalid_arg "Families.scale_time: factor must be > 0";
+  if not (positive_finite factor) then
+    invalid_arg "Families.scale_time: factor must be finite and > 0";
   let support =
     match Life_function.support lf with
     | Life_function.Bounded l -> Life_function.Bounded (l *. factor)
@@ -162,8 +170,8 @@ let scale_time ~factor lf =
     (fun t -> Life_function.eval lf (t /. factor))
 
 let all_paper_scenarios ~c =
-  if c <= 0.0 then
-    invalid_arg "Families.all_paper_scenarios: c must be > 0";
+  if not (positive_finite c) then
+    invalid_arg "Families.all_paper_scenarios: c must be finite and > 0";
   [
     ("uniform-risk", uniform ~lifespan:(100.0 *. c));
     ("polynomial-d2", polynomial ~d:2 ~lifespan:(100.0 *. c));

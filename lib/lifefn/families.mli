@@ -16,43 +16,43 @@
 val uniform : lifespan:float -> Life_function.t
 (** [uniform ~lifespan] is [p(t) = 1 - t/L] — uniform risk across the
     episode (§3.1 scenario 3). Both concave and convex ({!Life_function.Linear}).
-    Requires [lifespan > 0]. *)
+    Requires a finite [lifespan > 0]. *)
 
 val polynomial : d:int -> lifespan:float -> Life_function.t
 (** [polynomial ~d ~lifespan] is [p_{d,L}(t) = 1 - t^d/L^d] (§4.1), concave
     for [d >= 2] and equal to {!uniform} at [d = 1].
-    Requires [d >= 1] and [lifespan > 0]. *)
+    Requires [d >= 1] and a finite [lifespan > 0]. *)
 
 val geometric_decreasing : a:float -> Life_function.t
 (** [geometric_decreasing ~a] is [p_a(t) = a^{-t}] (§3.1 scenario 2, §4.2):
     an unbounded episode with a "half-life". Convex.
-    Requires [a > 1]. *)
+    Requires a finite [a > 1]. *)
 
 val exponential : rate:float -> Life_function.t
 (** [exponential ~rate] is [p(t) = e^{-rate·t}], the natural
     parameterisation of {!geometric_decreasing} ([a = e^rate]).
-    Requires [rate > 0]. *)
+    Requires a finite [rate > 0]. *)
 
 val geometric_increasing : lifespan:float -> Life_function.t
 (** [geometric_increasing ~lifespan] is [p(t) = (2^L - 2^t)/(2^L - 1)]
     (§3.1 scenario 1, §4.3): the risk of interruption doubles each time
     unit, the "coffee break" model. Concave. Computed in the
     overflow-stable form [(1 - 2^{t-L})/(1 - 2^{-L})].
-    Requires [lifespan > 0]. *)
+    Requires a finite [lifespan > 0]. *)
 
 val weibull : shape:float -> scale:float -> Life_function.t
 (** [weibull ~shape ~scale] is [p(t) = exp(-(t/scale)^shape)]: the standard
     lifetime model used when fitting owner traces; convex for [shape <= 1],
     neither convex nor concave globally for [shape > 1], where
     [log p = −(t/scale)^shape] is concave and the hazard increases
-    (declared {!Life_function.Log_concave}). Requires [shape > 0] and
-    [scale > 0]. *)
+    (declared {!Life_function.Log_concave}). Requires finite [shape > 0]
+    and [scale > 0]. *)
 
 val power_law : d:float -> Life_function.t
 (** [power_law ~d] is [p(t) = 1/(t+1)^d]. For [d > 1] this is the paper's
     Corollary 3.2 example of a life function admitting {e no} optimal
     schedule; kept for the E11 experiment and negative tests. Convex.
-    Requires [d > 0]. *)
+    Requires a finite [d > 0]. *)
 
 val of_interpolant : name:string -> Interp.t -> Life_function.t
 (** [of_interpolant ~name ip] promotes a monotone interpolant (typically a
@@ -71,7 +71,7 @@ val scale_time : factor:float -> Life_function.t -> Life_function.t
     evaluation reads [p]'s own point at [t / factor]; that agrees with
     its [dp] wherever [t / factor] lies inside [p]'s support, so
     everywhere inside this support but within a rounding of its ends.
-    Requires [factor > 0]. *)
+    Requires a finite [factor > 0]. *)
 
 val all_paper_scenarios :
   c:float -> (string * Life_function.t) list

@@ -102,13 +102,13 @@ let int g ~bound =
 let bool g = Int64.compare (next_int64 g) 0L < 0
 
 let exponential g ~rate =
-  if rate <= 0.0 then invalid_arg "Prng.exponential: requires rate > 0";
+  if not (rate > 0.0) then invalid_arg "Prng.exponential: requires rate > 0";
   let u = float g in
   (* log1p (-u) is exact near u = 0 where -log (1 - u) cancels. *)
   -.Float.log1p (-.u) /. rate
 
 let normal g ~mu ~sigma =
-  if sigma < 0.0 then invalid_arg "Prng.normal: requires sigma >= 0";
+  if not (sigma >= 0.0) then invalid_arg "Prng.normal: requires sigma >= 0";
   let rec polar () =
     let u = float_range g ~lo:(-1.0) ~hi:1.0 in
     let v = float_range g ~lo:(-1.0) ~hi:1.0 in
@@ -119,7 +119,7 @@ let normal g ~mu ~sigma =
   mu +. (sigma *. polar ())
 
 let weibull g ~shape ~scale =
-  if shape <= 0.0 || scale <= 0.0 then
+  if not (shape > 0.0 && scale > 0.0) then
     invalid_arg "Prng.weibull: requires shape > 0 and scale > 0";
   let u = float g in
   scale *. Float.pow (-.Float.log1p (-.u)) (1.0 /. shape)

@@ -11,6 +11,13 @@ let require_nonempty name a =
   if Array.length a = 0 then
     invalid_arg (Printf.sprintf "Stats.%s: empty input" name)
 
+(* The survival estimators collapse ties by advancing while
+   [sorted.(j) = x], which is false for NaN, so a non-finite time is
+   rejected before it can stall them. *)
+let require_finite_time name t =
+  if not (Float.is_finite t) then
+    invalid_arg (Printf.sprintf "Stats.%s: times must be finite" name)
+
 let mean a =
   require_nonempty "mean" a;
   Kahan.sum a /. float_of_int (Array.length a)
@@ -80,6 +87,7 @@ let histogram a ~bins ~lo ~hi =
 
 let ecdf_survival samples =
   require_nonempty "ecdf_survival" samples;
+  Array.iter (require_finite_time "ecdf_survival") samples;
   let sorted = Array.copy samples in
   Array.sort Float.compare sorted;
   let n = Array.length sorted in
@@ -101,6 +109,7 @@ let ecdf_survival samples =
 let kaplan_meier observations =
   if Array.length observations = 0 then
     invalid_arg "Stats.kaplan_meier: empty input";
+  Array.iter (fun (t, _) -> require_finite_time "kaplan_meier" t) observations;
   let obs = Array.copy observations in
   Array.sort (fun (a, _) (b, _) -> Float.compare a b) obs;
   let n = Array.length obs in
@@ -132,6 +141,9 @@ let kaplan_meier observations =
 let kaplan_meier_greenwood observations =
   if Array.length observations = 0 then
     invalid_arg "Stats.kaplan_meier_greenwood: empty input";
+  Array.iter
+    (fun (t, _) -> require_finite_time "kaplan_meier_greenwood" t)
+    observations;
   let obs = Array.copy observations in
   Array.sort (fun (a, _) (b, _) -> Float.compare a b) obs;
   let n = Array.length obs in

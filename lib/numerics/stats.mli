@@ -52,14 +52,15 @@ val histogram :
 val ecdf_survival : float array -> (float * float) array
 (** [ecdf_survival samples] is the right-continuous empirical survival
     function of the (uncensored) samples: sorted distinct abscissae paired
-    with [Pr(X > x)]. @raise Invalid_argument on empty input. *)
+    with [Pr(X > x)].
+    @raise Invalid_argument on empty input or a non-finite sample. *)
 
 val kaplan_meier : (float * bool) array -> (float * float) array
 (** [kaplan_meier observations] is the Kaplan–Meier product-limit survival
     estimate from [(duration, observed)] pairs where [observed = false]
     marks right-censoring (e.g. a trace that ended while the owner was still
     absent). Returns event-time/survival steps.
-    @raise Invalid_argument on empty input. *)
+    @raise Invalid_argument on empty input or a non-finite duration. *)
 
 val kaplan_meier_greenwood :
   (float * bool) array -> (float * float * float) array
@@ -68,7 +69,8 @@ val kaplan_meier_greenwood :
     [(t, S(t), stddev(S(t)))] where
     [Var(S) = S² · Σ_{events ≤ t} d_i / (n_i·(n_i − d_i))] ([d_i] deaths
     among [n_i] at risk). Steps where the at-risk set is exhausted get the
-    last finite variance. @raise Invalid_argument on empty input. *)
+    last finite variance.
+    @raise Invalid_argument on empty input or a non-finite duration. *)
 
 val linear_regression : xs:float array -> ys:float array -> float * float
 (** [linear_regression ~xs ~ys] fits [y = slope·x + intercept] by ordinary

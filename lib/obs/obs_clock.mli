@@ -4,8 +4,9 @@
     clock is built on [Unix.gettimeofday] with a high-water-mark clamp: a
     backwards step of the system clock freezes the reading rather than
     producing a negative span. Resolution is therefore microseconds, and
-    readings are comparable only within one process — exactly what the
-    {!Obs_metrics} span timer needs and nothing more. *)
+    readings are comparable only within one process — exactly what
+    {!Obs_span} and the wall-time fields of trace events need and
+    nothing more. *)
 
 val now : unit -> float
 (** Seconds since the epoch, clamped to be non-decreasing across calls

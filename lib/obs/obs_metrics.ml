@@ -177,15 +177,6 @@ let quantile h ~q =
     clamp !result
   end
 
-let accuracy t = t.accuracy
-
-let time t name f =
-  let h = histogram t name in
-  let t0 = Obs_clock.now () in
-  Fun.protect
-    ~finally:(fun () -> observe h (Obs_clock.elapsed_since t0))
-    f
-
 (* ------------------------------------------------------------------ *)
 (* Export                                                             *)
 
@@ -193,45 +184,6 @@ let sorted_instruments t =
   List.sort
     (fun (a, _) (b, _) -> String.compare a b)
     (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.instruments [])
-
-(* Merging histograms bucket-by-bucket is exact in rank: both registries
-   must use the same gamma (checked below), so bucket index k means the
-   same value interval in both. *)
-let merge_histogram ~into:hd h =
-  if not (Tol.exactly hd.log_gamma h.log_gamma) then
-    invalid_arg
-      (Printf.sprintf "Obs_metrics.merge: histogram %S accuracy mismatch"
-         h.h_name);
-  let len = Array.length h.counts in
-  if len > 0 then begin
-    (* Ensure [hd.counts] covers the source index range, then add. *)
-    if Array.length hd.counts = 0 then grow hd h.base;
-    if h.base < hd.base then grow hd h.base;
-    if h.base + len - 1 - hd.base >= Array.length hd.counts then
-      grow hd (h.base + len - 1);
-    for off = 0 to len - 1 do
-      let n = h.counts.(off) in
-      if n > 0 then begin
-        let o = h.base + off - hd.base in
-        hd.counts.(o) <- hd.counts.(o) + n
-      end
-    done
-  end;
-  hd.zeros <- hd.zeros + h.zeros;
-  hd.h_count <- hd.h_count + h.h_count;
-  hd.h_sum <- hd.h_sum +. h.h_sum;
-  if h.h_min < hd.h_min then hd.h_min <- h.h_min;
-  if h.h_max > hd.h_max then hd.h_max <- h.h_max
-
-let merge ~into src =
-  List.iter
-    (fun (name, inst) ->
-      match inst with
-      | Counter c -> add (counter into name) c.c_count
-      | Gauge g ->
-          if not (Float.is_nan g.g_value) then set (gauge into name) g.g_value
-      | Histogram h -> merge_histogram ~into:(histogram into name) h)
-    (sorted_instruments src)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                          *)

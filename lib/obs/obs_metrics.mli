@@ -1,11 +1,12 @@
 (** A zero-dependency metrics registry: named counters, gauges, and
-    log-scale histograms with quantile extraction, plus a monotonic-clock
-    span timer.
+    log-scale histograms with quantile extraction.
 
-    Hot paths hold direct references to their instruments (one registry
-    lookup at setup, then a field update per event); the {!Obs} facade
-    adds the name-at-call-site convenience layer and the "disabled costs
-    one branch" guarantee on top.
+    A registry is the in-memory form of metrics that are derived, not
+    recorded live: {!Obs_query.metrics_of_events} rebuilds one from a
+    run's trace for [cstrace prom|check], and the bench harness's
+    {!Obs_resource} sampler records GC readings into one. Callers hold
+    direct references to their instruments (one registry lookup at
+    setup, then a field update per observation).
 
     Histograms use geometric buckets: an observation [v > 0] lands in
     bucket [⌊ln v / ln γ⌋] where [γ = (1 + α)/(1 − α)] for the registry's
@@ -72,28 +73,6 @@ val quantile : histogram -> q:float -> float
 val hist_min : histogram -> float
 val hist_max : histogram -> float
 (** Exact extremes; [nan] when empty. *)
-
-(** {1 Merging} *)
-
-val accuracy : t -> float
-(** The relative quantile accuracy the registry was created with. *)
-
-val merge : into:t -> t -> unit
-(** [merge ~into src] folds every instrument of [src] into [into],
-    find-or-creating by name: counters add, gauges take [src]'s value
-    when it has ever been set, histograms add bucket-by-bucket (exact in
-    rank — both registries must have the same {!accuracy}, or the merge
-    raises [Invalid_argument]). [src] is left untouched. The parallel
-    execution layer gives each worker chunk a private registry and merges
-    them through this in chunk-index order, so metrics stay race-free and
-    deterministic for any domain count. *)
-
-(** {1 Span timer} *)
-
-val time : t -> string -> (unit -> 'a) -> 'a
-(** [time t name f] runs [f ()] and observes its duration in seconds
-    ({!Obs_clock}) into histogram [name]. Exceptions propagate; the span
-    is recorded either way. *)
 
 (** {1 Snapshots} *)
 

@@ -98,7 +98,7 @@ val metrics_of_events : ?accuracy:float -> Obs_event.t list -> Obs_metrics.t
     [trace.periods_killed]; histograms [trace.period_length],
     [trace.episode_duration], [trace.banked], [trace.overhead]; gauge
     [trace.pool_remaining]. All values are simulation-time, so the
-    result is deterministic — unlike a live registry, which also times
-    wall-clock spans. A value a histogram cannot take (negative, such
-    as an episode that finishes before it starts) is left out rather
-    than raised on. [accuracy] as in {!Obs_metrics.create}. *)
+    result is deterministic. This is the one registry a run's counts
+    and distributions reach. A value a histogram cannot take (negative,
+    such as an episode that finishes before it starts) is left out
+    rather than raised on. [accuracy] as in {!Obs_metrics.create}. *)

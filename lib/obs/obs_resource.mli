@@ -1,18 +1,17 @@
-(** Sampled GC / allocation observability.
+(** Sampled GC / allocation observability for the bench harness.
 
     The paper's borrower must act on *observed* machine behavior; the
     first observable that matters on a real workstation is the runtime
     itself — allocation pressure, promotion rate, heap growth. This
     module turns [Gc.quick_stat] deltas into ordinary {!Obs_metrics}
-    instruments, so resource data prints and exports with everything
-    else in the registry.
+    instruments of a caller's registry.
 
     Samples are taken where the caller chooses, never on a wall-clock
-    timer: [csctl --metrics] samples once after the run, and the e2e
-    bench harness once per workload. Resource values are recorded into
-    the registry only; they never enter the event trace, so the
-    [--jobs 1] ≡ [--jobs 2] trace-diff gate is unaffected by the
-    (inherently domain-count-dependent) GC numbers.
+    timer: the e2e bench harness samples once per workload, which is
+    where its [gc.*] and [peak_heap_mb] figures come from. Resource
+    values never enter the event trace, so the [--jobs 1] ≡ [--jobs 2]
+    trace-diff gate is unaffected by the (inherently
+    domain-count-dependent) GC numbers.
 
     This file is the sole sanctioned call site of [Gc.stat] /
     [Gc.quick_stat] / [Gc.counters] (cslint rule R9): [Gc.stat] walks

@@ -23,22 +23,9 @@
     [Domain.spawn] (enforced by cslint rule R7): keeping domain creation
     centralised is what keeps the determinism contract auditable.
 
-    {2 Utilization accounting}
-
-    The pool keeps per-domain cumulative accounting — chunks executed,
-    busy seconds (inside chunk functions), queue-wait seconds
-    (submission to first claim), idle seconds (the rest of each job's
-    window) and caller-side merge seconds — folded into compensated
-    totals on the caller after each job's completion barrier, so the
-    accounting is as race-free as the results. {!utilization} reports
-    it post-run; {!publish} mirrors the aggregates into an
-    {!Obs_metrics} registry as [pool.*] {e gauges} (never counters:
-    the values are wall-time-like and must stay out of the
-    deterministic counter comparisons the trace-diff and snapshot
-    gates perform). Deterministic invariants of the report — total
-    chunks equals chunks submitted, {!chunk_order_violations} is 0 —
-    hold for any domain count; the time splits are where the
-    26ms-vs-6.8ms question lives (fixed overhead vs idle vs merge). *)
+    A per-chunk execution tripwire counts any chunk the claim protocol
+    ran twice or never ({!chunk_order_violations}); it stays 0 for any
+    domain count unless that protocol is broken. *)
 
 type t
 (** A pool. One parallel operation may be in flight at a time; the pool
@@ -87,70 +74,14 @@ val with_pool : domains:int -> (t -> 'a) -> 'a
 (** [with_pool ~domains f] is [f (create ~domains)] with a guaranteed
     {!shutdown}, also on exceptions. *)
 
-val run :
-  ?pool:t -> ?domains:int -> ?metrics:Obs_metrics.t -> chunks:int ->
-  (int -> unit) -> unit
-(** [run ?pool ?domains ?metrics ~chunks f] is the execution front-end
-    the instrumented hot paths share: with [?pool] it is
-    [parallel_for pool ~chunks f]; otherwise with [?domains] [> 1] it
-    runs on a transient pool ({!with_pool}); otherwise (the default) it
-    is a plain inline [for] loop with zero pool machinery. Because every
-    caller splits on the same fixed chunk grid, all three routes produce
-    bit-identical results.
-
-    With [?metrics], utilization is mirrored into the registry as
-    [pool.*] gauges after the chunks complete: a persistent pool
-    {!publish}es its cumulative totals (idempotent across reuse), while
-    the transient and inline routes add this run's totals to the
-    registry's running aggregates — either way the registry holds
-    consistent totals for the process's chosen execution mode. *)
-
-(** {1 Utilization} *)
-
-type domain_stat = {
-  d_domain : int;
-  d_chunks : int;  (** chunks this domain executed *)
-  d_busy_s : float;  (** seconds inside chunk functions *)
-  d_idle_s : float;  (** seconds awake but chunk-less during jobs *)
-  d_queue_wait_s : float;  (** seconds from job submission to first claim *)
-  d_merge_s : float;
-      (** caller-side merge seconds ({!note_merge}); domain 0 only *)
-}
-
-val utilization : t -> domain_stat array
-(** Cumulative per-domain accounting since {!create}, indexed by domain
-    (0 is the caller). Read it between jobs — never while a
-    [parallel_for] is in flight. *)
-
-val runs : t -> int
-(** Jobs completed (parallel and serial-path alike). *)
+val run : ?pool:t -> chunks:int -> (int -> unit) -> unit
+(** [run ?pool ~chunks f] is the execution front-end the instrumented
+    hot paths share: with [?pool] it is [parallel_for pool ~chunks f];
+    otherwise it is a plain inline [for] loop with zero pool machinery.
+    Because every caller splits on the same fixed chunk grid, both
+    routes produce bit-identical results. *)
 
 val chunk_order_violations : t -> int
-(** Chunks observed executed twice or not at all — 0 unless the claim
-    protocol is broken. Health rules pin this at 0. *)
-
-val merge_seconds : t -> float
-(** Total caller-side merge time recorded via {!note_merge}. *)
-
-val add_merge_seconds : t -> float -> unit
-(** Low-level accumulator behind {!note_merge}. *)
-
-val note_merge :
-  ?pool:t -> ?metrics:Obs_metrics.t -> seconds:float -> unit -> unit
-(** Record [seconds] of caller-side merge/gather time: added to the
-    pool's cumulative total when [?pool] is given (and re-published to
-    the [pool.merge_seconds] gauge when [?metrics] is too), otherwise
-    added directly to the gauge. Merging happens on the caller in
-    chunk-index order, outside any chunk, which is why it is not part
-    of busy time. *)
-
-val publish : t -> Obs_metrics.t -> unit
-(** Overwrite the [pool.domains], [pool.runs], [pool.chunks],
-    [pool.busy_seconds], [pool.idle_seconds],
-    [pool.queue_wait_seconds], [pool.merge_seconds] and
-    [pool.chunk_order_violations] gauges with the pool's cumulative
-    totals (domains summed). Idempotent; call after any batch of
-    jobs. *)
-
-val pp_utilization : Format.formatter -> t -> unit
-(** Human-readable per-domain table plus a pool summary line. *)
+(** Chunks observed executed twice or not at all, summed over the
+    pool's parallel jobs since {!create} — 0 unless the claim protocol
+    is broken. Read it between jobs. *)

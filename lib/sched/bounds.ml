@@ -12,8 +12,10 @@ let radical lf ~c ~deriv_at t =
     infinity
   else sqrt ((c *. c /. 4.0) -. (c *. p /. dp))
 
+(* The guards here are NaN-safe: [not (c > 0.0)] rejects a NaN that
+   [c <= 0.0] would let through to the bracket search. *)
 let guard_domain name lf ~c =
-  if c <= 0.0 then invalid_arg (name ^ ": c must be > 0");
+  if not (c > 0.0) then invalid_arg (name ^ ": c must be > 0");
   let hi = Life_function.horizon lf in
   if c >= hi then invalid_arg (name ^ ": c >= horizon");
   hi
@@ -107,18 +109,18 @@ let bracket lf ~c =
   if upper <= lower then (lower, Float.min (2.0 *. lower) hi) else (lower, upper)
 
 let lower_t0_concave_lifespan ~c ~lifespan =
-  if c <= 0.0 || lifespan <= 0.0 then
+  if not (c > 0.0 && lifespan > 0.0) then
     invalid_arg "Bounds.lower_t0_concave_lifespan: c and lifespan must be > 0";
   sqrt (c *. lifespan /. 2.0) +. (0.75 *. c)
 
 let lower_t0_concave_periods ~c ~lifespan ~m =
   if m < 1 then invalid_arg "Bounds.lower_t0_concave_periods: m must be >= 1";
-  if c <= 0.0 || lifespan <= 0.0 then
+  if not (c > 0.0 && lifespan > 0.0) then
     invalid_arg "Bounds.lower_t0_concave_periods: c and lifespan must be > 0";
   (lifespan /. float_of_int m) +. (float_of_int (m - 1) *. c /. 2.0)
 
 let max_periods_concave ~c ~lifespan =
-  if c <= 0.0 || lifespan <= 0.0 then
+  if not (c > 0.0 && lifespan > 0.0) then
     invalid_arg "Bounds.max_periods_concave: c and lifespan must be > 0";
   int_of_float
     (Float.ceil (sqrt ((2.0 *. lifespan /. c) +. 0.25) +. 0.5))

@@ -72,8 +72,6 @@ let plan ?(obs = Obs.disabled) lf ~c =
     let t_start = Obs_clock.now () in
     let r = Obs.span obs "guideline.plan" compute in
     let elapsed = Obs_clock.elapsed_since t_start in
-    Obs.incr obs "plan.guideline_calls";
-    Obs.observe obs "plan.guideline_seconds" elapsed;
     Obs.emit obs
       (Obs.Event.Plan_computed
          {
@@ -86,7 +84,7 @@ let plan ?(obs = Obs.disabled) lf ~c =
     r
   end
 
-let plan_batch ?(obs = Obs.disabled) ?pool ?domains scenarios =
+let plan_batch ?(obs = Obs.disabled) ?pool scenarios =
   match scenarios with
   | [] -> []
   | _ :: _ ->
@@ -124,18 +122,12 @@ let plan_batch ?(obs = Obs.disabled) ?pool ?domains scenarios =
          domain assignment yields the same slot contents; observability
          goes to per-unique-scenario children gathered in that order. *)
       let kids = Obs_fork.scatter obs ~n:m in
-      let meter = Obs.metrics obs in
-      let accounting = Option.is_some meter || Option.is_some pool in
       Obs.span obs "guideline.plan_batch" (fun () ->
-          Domain_pool.run ?pool ?domains ?metrics:meter ~chunks:m (fun u ->
+          Domain_pool.run ?pool ~chunks:m (fun u ->
               let lf, c = scen.(uniq.(u)) in
               slots.(u) <-
                 Some (plan ~obs:(Obs_fork.child kids u) lf ~c));
-          let merge_t0 = if accounting then Obs_clock.now () else 0.0 in
-          Obs_fork.gather obs kids;
-          if accounting then
-            Domain_pool.note_merge ?pool ?metrics:meter
-              ~seconds:(Obs_clock.elapsed_since merge_t0) ());
+          Obs_fork.gather obs kids);
       List.init n (fun i ->
           match slots.(canon.(i)) with
           | Some r -> r

@@ -32,8 +32,7 @@ val plan :
 
     [?obs] (default {!Obs.disabled}) records the planning step: a
     [Plan_computed] event (source ["guideline"], with the chosen [t_0],
-    period count, expected work, and wall seconds spent) and the
-    [plan.guideline_calls] / [plan.guideline_seconds] metrics. With a
+    period count, expected work, and wall seconds spent). With a
     span recorder attached it also profiles where the time goes — a
     [guideline.plan] root span over [plan.bracket] (Thm 3.2/3.3),
     [plan.search] with a [plan.evaluate] / [recurrence.generate] pair
@@ -45,13 +44,12 @@ val plan :
 val plan_batch :
   ?obs:Obs.t ->
   ?pool:Domain_pool.t ->
-  ?domains:int ->
   (Life_function.t * float) list ->
   result list
 (** [plan_batch scenarios] is [List.map (fun (p, c) -> plan p ~c)
     scenarios], except the scenarios may run concurrently — one chunk per
-    scenario on [?pool] (or a transient [?domains]-wide {!Domain_pool};
-    default inline). Plans are pure in [(p, c)], so the returned list is
+    scenario on [?pool] (default inline). Plans are pure in [(p, c)], so
+    the returned list is
     bit-identical for any domain count and keeps the input order. This is
     the batch entry point [csctl table] uses to sweep an overhead grid.
 
@@ -59,13 +57,12 @@ val plan_batch :
     the same overhead (bitwise, {!Tol.exactly}) — are deduplicated before
     the fan-out: each canonical scenario plans once and its single result
     is fanned back out to every occurrence (physically shared), keeping
-    input order. Scenario-count-dependent accounting below therefore
-    counts {e unique} scenarios.
+    input order.
 
     [?obs] observes the whole batch: each unique scenario records into a
     private child handle, merged back in first-occurrence order under a
-    [guideline.plan_batch] span ({!Obs_fork}), so counters like
-    [plan.guideline_calls] count unique scenarios and the profile groups
+    [guideline.plan_batch] span ({!Obs_fork}), so the trace holds one
+    [Plan_computed] event per unique scenario and the profile groups
     per-scenario [guideline.plan] spans. *)
 
 val plan_with_t0 :

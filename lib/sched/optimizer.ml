@@ -136,10 +136,7 @@ let optimal_schedule ?(obs = Obs.disabled) ?pool ?m_max ?(patience = 3)
         in
         Array.iteri (fun i result -> consider (m0 + i) result) results;
         m := m0 + count
-      done;
-      (match Obs.metrics obs with
-      | Some meter -> Domain_pool.publish p meter
-      | None -> ())
+      done
   | Some _ | None ->
       while !m <= m_cap && !stale < patience do
         let result =
@@ -179,9 +176,6 @@ let optimal_schedule ?(obs = Obs.disabled) ?pool ?m_max ?(patience = 3)
       | None -> ());
       if Obs.instrumented obs then begin
         let elapsed = Obs_clock.elapsed_since t_start in
-        Obs.incr obs "plan.optimizer_calls";
-        Obs.add obs "optimizer.sweeps" !sweeps;
-        Obs.observe obs "plan.optimizer_seconds" elapsed;
         Obs.emit obs
           (Obs.Event.Plan_computed
              {

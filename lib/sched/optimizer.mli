@@ -42,11 +42,9 @@ val optimal_schedule :
     one-domain pool (or no pool) takes the untouched serial path.
 
     [?obs] (default {!Obs.disabled}) records the search: a
-    [Plan_computed] event (source ["optimizer"]) plus the
-    [plan.optimizer_calls], [optimizer.sweeps], and
-    [plan.optimizer_seconds] metrics; a span recorder sees per-count
-    [optimizer.sweep] spans (serial) or per-block [optimizer.block]
-    spans (parallel). The result is unaffected. *)
+    [Plan_computed] event (source ["optimizer"]); a span recorder sees
+    per-count [optimizer.sweep] spans (serial) or per-block
+    [optimizer.block] spans (parallel). The result is unaffected. *)
 
 val expected_work_of_vector :
   Life_function.t -> c:float -> float array -> float

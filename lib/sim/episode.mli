@@ -43,10 +43,9 @@ val run :
     [Period_dispatched], [Period_completed] / [Period_killed],
     [Owner_returned] (iff interrupted) and [Episode_finished] events,
     stamped with episode-relative times and the [?ws] / [?ep] identity
-    (defaults 0, used by the Monte-Carlo and farm layers); with a metrics
-    registry it maintains [episode.*] counters and histograms. The
-    accounting itself is untouched: results are bit-identical with and
-    without [?obs]. *)
+    (defaults 0, used by the Monte-Carlo and farm layers); with a span
+    recorder it records one [episode.run] span. The accounting itself is
+    untouched: results are bit-identical with and without [?obs]. *)
 
 val work_if_reclaimed_at : Schedule.t -> c:float -> float -> float
 (** [work_if_reclaimed_at s ~c t] is just the banked work of {!run} — the

@@ -110,26 +110,6 @@ type ws_state = {
   mutable stats_killed : int;
 }
 
-(* Pre-resolved metric instruments for the event handlers. *)
-type meters = {
-  m_episodes : Obs.Metrics.counter;
-  m_completed : Obs.Metrics.counter;
-  m_killed : Obs.Metrics.counter;
-  m_period_length : Obs.Metrics.histogram;
-  m_episode_duration : Obs.Metrics.histogram;
-  m_pool_remaining : Obs.Metrics.gauge;
-}
-
-let meters_of m =
-  {
-    m_episodes = Obs.Metrics.counter m "farm.episodes";
-    m_completed = Obs.Metrics.counter m "farm.periods_completed";
-    m_killed = Obs.Metrics.counter m "farm.periods_killed";
-    m_period_length = Obs.Metrics.histogram m "farm.period_length";
-    m_episode_duration = Obs.Metrics.histogram m "farm.episode_duration";
-    m_pool_remaining = Obs.Metrics.gauge m "farm.pool_remaining";
-  }
-
 type event =
   | Period_end of { ws : int; epoch : int; assigned : float; period : float }
   | Owner_return of { ws : int; epoch : int }
@@ -164,9 +144,7 @@ let run ?(obs = Obs.disabled) ?(link = Unlimited) config ~seed =
         invalid_arg "Farm.run: presence mean must be > 0")
     config.workstations;
   let trace = Obs.tracing obs in
-  let meters = Option.map meters_of (Obs.metrics obs) in
   let spanner = Obs.span_recorder obs in
-  let instr = trace || meters <> None in
   (match spanner with
   | Some r -> Obs.Span.enter r "farm.run"
   | None -> ());
@@ -246,21 +224,16 @@ let run ?(obs = Obs.disabled) ?(link = Unlimited) config ~seed =
                       link_free := d +. config.c;
                       d
                 in
-                if instr then begin
-                  if trace then
-                    Obs.emit obs
-                      (Obs.Event.Period_dispatched
-                         {
-                           time = dispatch;
-                           ws = i;
-                           ep = st.ep_index;
-                           period = t;
-                           assigned;
-                         });
-                  match meters with
-                  | Some m -> Obs.Metrics.observe m.m_period_length t
-                  | None -> ()
-                end;
+                if trace then
+                  Obs.emit obs
+                    (Obs.Event.Period_dispatched
+                       {
+                         time = dispatch;
+                         ws = i;
+                         ep = st.ep_index;
+                         period = t;
+                         assigned;
+                       });
                 push (dispatch +. t)
                   (Period_end { ws = i; epoch = st.epoch; assigned; period = t })
               end
@@ -276,14 +249,9 @@ let run ?(obs = Obs.disabled) ?(link = Unlimited) config ~seed =
         st.stats_episodes <- st.stats_episodes + 1;
         st.ep_index <- st.stats_episodes - 1;
         st.ep_done <- 0.0;
-        if instr then begin
-          if trace then
-            Obs.emit obs
-              (Obs.Event.Episode_started { time = now; ws; ep = st.ep_index });
-          match meters with
-          | Some m -> Obs.Metrics.incr m.m_episodes
-          | None -> ()
-        end;
+        if trace then
+          Obs.emit obs
+            (Obs.Event.Episode_started { time = now; ws; ep = st.ep_index });
         (* (ws_life, c) is fixed for the run, so the policy plans each
            workstation once; its closure learns of every later episode
            from elapsed = 0. *)
@@ -311,36 +279,28 @@ let run ?(obs = Obs.disabled) ?(link = Unlimited) config ~seed =
             (unassigned := !unassigned +. st.in_flight) [@lint.allow "R2"];
             st.stats_killed <- st.stats_killed + 1
           end;
-          if instr then begin
-            if trace then begin
-              if was_in_flight then
-                Obs.emit obs
-                  (Obs.Event.Period_killed
-                     {
-                       time = now;
-                       ws;
-                       ep = st.ep_index;
-                       lost = st.in_flight;
-                       overhead = 0.0;
-                     });
+          if trace then begin
+            if was_in_flight then
               Obs.emit obs
-                (Obs.Event.Owner_returned { time = now; ws; ep = st.ep_index });
-              Obs.emit obs
-                (Obs.Event.Episode_finished
+                (Obs.Event.Period_killed
                    {
                      time = now;
                      ws;
                      ep = st.ep_index;
-                     work_done = st.ep_done;
-                     interrupted = was_in_flight;
-                   })
-            end;
-            match meters with
-            | Some m ->
-                if was_in_flight then Obs.Metrics.incr m.m_killed;
-                Obs.Metrics.observe m.m_episode_duration
-                  (now -. st.episode_start)
-            | None -> ()
+                     lost = st.in_flight;
+                     overhead = 0.0;
+                   });
+            Obs.emit obs
+              (Obs.Event.Owner_returned { time = now; ws; ep = st.ep_index });
+            Obs.emit obs
+              (Obs.Event.Episode_finished
+                 {
+                   time = now;
+                   ws;
+                   ep = st.ep_index;
+                   work_done = st.ep_done;
+                   interrupted = was_in_flight;
+                 })
           end;
           st.in_flight <- 0.0;
           st.next_period <- None;
@@ -359,22 +319,17 @@ let run ?(obs = Obs.disabled) ?(link = Unlimited) config ~seed =
           Kahan.add banked assigned;
           st.stats_completed <- st.stats_completed + 1;
           st.ep_done <- st.ep_done +. assigned;
-          if instr then begin
-            if trace then
-              Obs.emit obs
-                (Obs.Event.Period_completed
-                   {
-                     time = now;
-                     ws;
-                     ep = st.ep_index;
-                     period;
-                     banked = assigned;
-                     overhead = Float.min period config.c;
-                   });
-            match meters with
-            | Some m -> Obs.Metrics.incr m.m_completed
-            | None -> ()
-          end;
+          if trace then
+            Obs.emit obs
+              (Obs.Event.Period_completed
+                 {
+                   time = now;
+                   ws;
+                   ep = st.ep_index;
+                   period;
+                   banked = assigned;
+                   overhead = Float.min period config.c;
+                 });
           if
             Kahan.total banked >= config.total_work -. 1e-9
             && !finished_at = None
@@ -432,13 +387,7 @@ let run ?(obs = Obs.disabled) ?(link = Unlimited) config ~seed =
   let makespan =
     match !finished_at with Some t -> t | None -> config.max_time
   in
-  if instr then begin
-    if trace then Obs.emit obs (Obs.Event.Run_finished { time = makespan });
-    match meters with
-    | Some m ->
-        Obs.Metrics.set m.m_pool_remaining (!unassigned +. in_flight_total)
-    | None -> ()
-  end;
+  if trace then Obs.emit obs (Obs.Event.Run_finished { time = makespan });
   (match spanner with
   | Some r ->
       Obs.Span.exit r

@@ -113,8 +113,7 @@ val run : ?obs:Obs.t -> ?link:link_model -> config -> seed:int64 -> report
     [Period_dispatched] / [Period_completed] / [Period_killed] /
     [Owner_returned] / [Episode_finished], [Pool_drained] when the pool
     empties, [Run_finished]) stamped with absolute simulation times, and
-    a metrics registry accumulates [farm.*] counters, histograms, and the
-    final pool gauge, and a span recorder gets the [farm.run] root, one
+    a span recorder gets the [farm.run] root, one
     [farm.plan_workstation] span (attribute [ws]) around each
     workstation's [fresh_episode] call and one [farm.next_period] span
     around each closure call. {!Trace_report} folds such a trace back

@@ -16,8 +16,8 @@ let chunk_size = 512
 
 let n_chunks trials = (trials + chunk_size - 1) / chunk_size
 
-let estimate ?(obs = Obs.disabled) ?pool ?domains ?(trials = 20_000) lf ~c
-    ~schedule ~seed =
+let estimate ?(obs = Obs.disabled) ?pool ?(trials = 20_000) lf ~c ~schedule
+    ~seed =
   if trials < 2 then
     invalid_arg
       (Printf.sprintf "Monte_carlo.estimate: trials must be >= 2, got %d"
@@ -70,18 +70,11 @@ let estimate ?(obs = Obs.disabled) ?pool ?domains ?(trials = 20_000) lf ~c
             [ ("first", Jsonx.Int first); ("count", Jsonx.Int (stop - first)) ]
           body
   in
-  let meter = Obs.metrics obs in
-  let accounting = Option.is_some meter || Option.is_some pool in
-  Obs.time obs "mc.estimate_seconds" (fun () ->
-      Obs.span obs "mc.estimate" (fun () ->
-          Domain_pool.run ?pool ?domains ?metrics:meter ~chunks run_chunk;
-          (* Chunk-index order: child metrics, spans and buffered events
-             merge back identically for any domain count. *)
-          let merge_t0 = if accounting then Obs_clock.now () else 0.0 in
-          Obs_fork.gather obs kids;
-          if accounting then
-            Domain_pool.note_merge ?pool ?metrics:meter
-              ~seconds:(Obs_clock.elapsed_since merge_t0) ()));
+  Obs.span obs "mc.estimate" (fun () ->
+      Domain_pool.run ?pool ~chunks run_chunk;
+      (* Chunk-index order: child spans and buffered events merge back
+         identically for any domain count. *)
+      Obs_fork.gather obs kids);
   if Obs.tracing obs then Obs.emit obs (Obs.Event.Run_finished { time = 0.0 });
   let overhead = Kahan.create () in
   let lost = Kahan.create () in
@@ -109,8 +102,8 @@ type policy_run = {
   episodes : int;
 }
 
-let compare_policies ?(obs = Obs.disabled) ?pool ?domains ?(trials = 20_000) lf
-    ~c ~policies ~seed =
+let compare_policies ?(obs = Obs.disabled) ?pool ?(trials = 20_000) lf ~c
+    ~policies ~seed =
   if trials < 1 then
     invalid_arg
       (Printf.sprintf
@@ -168,15 +161,9 @@ let compare_policies ?(obs = Obs.disabled) ?pool ?domains ?(trials = 20_000) lf
             ]
           body
   in
-  let meter = Obs.metrics obs in
-  let accounting = Option.is_some meter || Option.is_some pool in
   Obs.span obs "mc.compare" (fun () ->
-      Domain_pool.run ?pool ?domains ?metrics:meter ~chunks:jobs run_job;
-      let merge_t0 = if accounting then Obs_clock.now () else 0.0 in
-      Obs_fork.gather obs kids;
-      if accounting then
-        Domain_pool.note_merge ?pool ?metrics:meter
-          ~seconds:(Obs_clock.elapsed_since merge_t0) ());
+      Domain_pool.run ?pool ~chunks:jobs run_job;
+      Obs_fork.gather obs kids);
   if Obs.tracing obs then Obs.emit obs (Obs.Event.Run_finished { time = 0.0 });
   let runs =
     List.mapi

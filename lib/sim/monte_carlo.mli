@@ -10,11 +10,11 @@
     {!Prng.split_n} child stream and accumulates its own compensated
     partial sums, which are reduced in chunk-index order afterwards. The
     grid's geometry depends only on the trial count, so results are
-    {e bit-identical} whether the chunks run inline (the default), on a
-    caller-supplied {!Domain_pool.t} ([?pool]) or on a transient pool
-    ([?domains]) — see DESIGN.md §10. Observability merges the same way:
-    each chunk records into a private handle that is folded back in chunk
-    order ({!Obs_fork}). *)
+    {e bit-identical} whether the chunks run inline (the default) or on a
+    caller-supplied {!Domain_pool.t} ([?pool]) — see DESIGN.md §10.
+    Observability merges the same way: each chunk records its events and
+    spans into a private handle that is folded back in chunk order
+    ({!Obs_fork}). *)
 
 val chunk_size : int
 (** Trials per chunk of the fixed grid (512). *)
@@ -32,28 +32,20 @@ type estimate = {
 val estimate :
   ?obs:Obs.t ->
   ?pool:Domain_pool.t ->
-  ?domains:int ->
   ?trials:int ->
   Life_function.t -> c:float -> schedule:Schedule.t -> seed:int64 ->
   estimate
 (** [estimate p ~c ~schedule ~seed] runs [trials] (default 20_000)
     independent episodes with reclaim times drawn from [p] and summarises
-    the outcomes. Deterministic in [seed] — and in [seed] only: [?pool] /
-    [?domains] change wall time, never a bit of the result. Requires
+    the outcomes. Deterministic in [seed] — and in [seed] only: [?pool]
+    changes wall time, never a bit of the result. Requires
     [trials >= 2].
 
     [?obs] (default {!Obs.disabled}) is forwarded to every
     {!Episode.run}, with the trial index as the episode ordinal [ep] (and
     [ws = 0]), bracketed by [Run_started] / [Run_finished] marker events;
-    with a metrics registry attached the whole sweep is additionally span-
-    timed into the [mc.estimate_seconds] histogram, and a span recorder
-    sees an [mc.estimate] span over per-chunk [mc.chunk] children.
-    Results are identical with and without [?obs].
-
-    When [?obs] carries a metrics registry, {!Domain_pool.run} also
-    mirrors utilization into [pool.*] gauges and the serial gather
-    loop's duration is recorded as [pool.merge_seconds]
-    ({!Domain_pool.note_merge}). *)
+    a span recorder sees an [mc.estimate] span over per-chunk [mc.chunk]
+    children. Results are identical with and without [?obs]. *)
 
 type policy_run = {
   policy_name : string;
@@ -64,7 +56,6 @@ type policy_run = {
 val compare_policies :
   ?obs:Obs.t ->
   ?pool:Domain_pool.t ->
-  ?domains:int ->
   ?trials:int ->
   Life_function.t -> c:float ->
   policies:(string * Schedule.t) list -> seed:int64 ->
@@ -74,8 +65,8 @@ val compare_policies :
     numbers, so policy differences are not drowned in sampling noise) and
     reports mean work per episode, sorted best-first. The reclaim stream
     is drawn serially up front; the policy × chunk grid then runs on
-    [?pool] / [?domains] with the same bit-identical guarantee as
-    {!estimate}. Requires [trials >= 1] and [policies <> []].
+    [?pool] with the same bit-identical guarantee as {!estimate}.
+    Requires [trials >= 1] and [policies <> []].
 
     [?obs] is forwarded to every {!Episode.run}; in the emitted events the
     [ws] field carries the {e policy index} (position in [policies]) and

@@ -14,10 +14,10 @@ type model =
 let rec sample model g =
   match model with
   | Exponential_absence { mean } ->
-      if mean <= 0.0 then invalid_arg "Owner_model: mean must be > 0";
+      if not (mean > 0.0) then invalid_arg "Owner_model: mean must be > 0";
       Prng.exponential g ~rate:(1.0 /. mean)
   | Uniform_absence { max } ->
-      if max <= 0.0 then invalid_arg "Owner_model: max must be > 0";
+      if not (max > 0.0) then invalid_arg "Owner_model: max must be > 0";
       (* Strictly positive: a zero-length absence is not an episode. *)
       let rec draw () =
         let x = Prng.float g *. max in
@@ -26,7 +26,7 @@ let rec sample model g =
       draw ()
   | Weibull_absence { shape; scale } -> Prng.weibull g ~shape ~scale
   | Coffee_break { typical; spread } ->
-      if typical <= 0.0 || spread <= 0.0 then
+      if not (typical > 0.0 && spread > 0.0) then
         invalid_arg "Owner_model: typical and spread must be > 0";
       (* Truncated normal: resample until positive. *)
       let rec draw () =
@@ -35,7 +35,7 @@ let rec sample model g =
       in
       draw ()
   | Day_night { short_mean; long_mean; long_fraction } ->
-      if long_fraction < 0.0 || long_fraction > 1.0 then
+      if not (long_fraction >= 0.0 && long_fraction <= 1.0) then
         invalid_arg "Owner_model: long_fraction must lie in [0, 1]";
       let mean =
         if Prng.float g < long_fraction then long_mean else short_mean

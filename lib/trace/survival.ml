@@ -57,9 +57,20 @@ let count_censored obs =
     (fun acc o -> if o.Owner_model.observed then acc else acc + 1)
     0 obs
 
+(* Reject what no absence can last (as Fit.check_durations does for
+   fits): a negative, NaN or infinite duration. *)
+let check_observations name obs =
+  if Array.length obs = 0 then invalid_arg (name ^ ": empty input");
+  Array.iter
+    (fun o ->
+      let d = o.Owner_model.duration in
+      if not (Float.is_finite d && d >= 0.0) then
+        invalid_arg (name ^ ": durations must be finite and >= 0"))
+    obs
+
 let raw_steps obs =
+  check_observations "Survival.of_observations" obs;
   let n = Array.length obs in
-  if n = 0 then invalid_arg "Survival.of_observations: empty input";
   let n_censored = count_censored obs in
   if n - n_censored = 0 then
     invalid_arg "Survival.of_observations: all observations censored";
@@ -93,8 +104,8 @@ type bands = {
 
 let confidence_bands ?(knots = 32) ?(z = 1.96) obs =
   if z < 0.0 then invalid_arg "Survival.confidence_bands: z must be >= 0";
+  check_observations "Survival.confidence_bands" obs;
   let n = Array.length obs in
-  if n = 0 then invalid_arg "Survival.confidence_bands: empty input";
   if n - count_censored obs = 0 then
     invalid_arg "Survival.confidence_bands: all observations censored";
   let steps =

@@ -21,7 +21,8 @@ val of_observations :
     The horizon is placed at the largest observation, extended by one
     inter-knot gap so the fitted survival reaches 0 smoothly rather than
     truncating at a positive value.
-    @raise Invalid_argument on empty input or all-censored data. *)
+    @raise Invalid_argument on empty input, all-censored data, or a
+    negative or non-finite duration. *)
 
 val of_durations : ?knots:int -> float array -> estimate
 (** [of_durations ds] is {!of_observations} on fully-observed data. *)

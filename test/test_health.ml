@@ -228,8 +228,9 @@ let test_labeled_exposition_validates () =
   | Error e -> Alcotest.failf "labeled exposition rejected: %s" e
 
 let test_gc_pool_exposition_validates () =
-  (* The registry a --metrics --jobs N run produces: gc.* and pool.*
-     series through the standard renderer must parse. *)
+  (* gc.* gauges (what the bench harness's Obs_resource sampler
+     records) beside other series: the standard renderer's output must
+     parse. *)
   let m = registry () in
   Obs_metrics.set (Obs_metrics.gauge m "gc.heap_words") 226962.0;
   Obs_metrics.set (Obs_metrics.gauge m "gc.minor_words") 607865.0;

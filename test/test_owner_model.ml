@@ -110,13 +110,30 @@ let test_sample_validation () =
   (match Owner_model.sample (Owner_model.Exponential_absence { mean = 0.0 }) rng with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "mean = 0 accepted");
-  match
-    Owner_model.sample
-      (Owner_model.Day_night { short_mean = 1.0; long_mean = 2.0; long_fraction = 1.5 })
-      rng
-  with
+  (match
+     Owner_model.sample
+       (Owner_model.Day_night { short_mean = 1.0; long_mean = 2.0; long_fraction = 1.5 })
+       rng
+   with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "fraction > 1 accepted"
+  | _ -> Alcotest.fail "fraction > 1 accepted");
+  (* NaN passes an [x <= 0] guard: the uniform and coffee-break draws
+     then resample forever, since no NaN draw is > 0. *)
+  List.iter
+    (fun (name, model) ->
+      match Owner_model.sample model rng with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s with a NaN parameter accepted" name)
+    Owner_model.
+      [
+        ("exponential", Exponential_absence { mean = Float.nan });
+        ("uniform", Uniform_absence { max = Float.nan });
+        ("weibull", Weibull_absence { shape = 2.0; scale = Float.nan });
+        ("coffee", Coffee_break { typical = Float.nan; spread = 1.0 });
+        ( "day-night",
+          Day_night
+            { short_mean = 1.0; long_mean = 2.0; long_fraction = Float.nan } );
+      ]
 
 let prop_empirical_survival_matches_truth =
   QCheck.Test.make

@@ -1,9 +1,8 @@
 (* The read side of the observability stack: meta headers and run
    ids, trace loading/filtering/diffing (Obs_query) and the loader's
    robustness to mutated traces, export format round-trips (Obs_export
-   folded stacks and Prometheus exposition), the determinism of a
-   run's final registry snapshot, and the Obs_fork gather edge
-   cases. *)
+   folded stacks and Prometheus exposition) and the Obs_fork gather
+   edge cases. *)
 
 let with_temp_file suffix k =
   let path = Filename.temp_file "cs_query" suffix in
@@ -427,36 +426,6 @@ let prop_load_total =
               true))
 
 (* ------------------------------------------------------------------ *)
-(* Registry snapshot                                                  *)
-
-let test_snapshot_determinism_across_domains () =
-  let lf = Families.uniform ~lifespan:30.0 in
-  let plan = Guideline.plan lf ~c:1.0 in
-  let run domains =
-    let reg = Obs_metrics.create () in
-    let obs = Obs.create ~metrics:reg () in
-    let (_ : Monte_carlo.estimate) =
-      Monte_carlo.estimate ~obs ?domains ~trials:2_000 lf ~c:1.0
-        ~schedule:plan.Guideline.schedule ~seed:99L
-    in
-    Obs_metrics.snapshot reg
-  in
-  let serial = run None and parallel = run (Some 2) in
-  Alcotest.(check bool) "episode counters present" true
-    (List.mem_assoc "episode.runs" serial.Obs_metrics.snap_counters);
-  (* Counters and sim-time histograms must agree bit-for-bit; wall-time
-     histograms (episode.elapsed) legitimately differ. *)
-  Alcotest.(check bool) "counters identical" true
-    (serial.Obs_metrics.snap_counters = parallel.Obs_metrics.snap_counters);
-  let period_length (s : Obs_metrics.snapshot) =
-    List.assoc_opt "episode.period_length" s.Obs_metrics.snap_histograms
-  in
-  Alcotest.(check bool) "sim-time histogram present" true
-    (period_length serial <> None);
-  Alcotest.(check bool) "sim-time histogram identical" true
-    (period_length serial = period_length parallel)
-
-(* ------------------------------------------------------------------ *)
 (* Obs_fork gather edge cases                                         *)
 
 let test_gather_zero_event_chunks () =
@@ -560,11 +529,6 @@ let () =
             test_prometheus_rejects;
           Alcotest.test_case "from trace events" `Quick
             test_prometheus_of_trace;
-        ] );
-      ( "snapshot",
-        [
-          Alcotest.test_case "deterministic across domains" `Quick
-            test_snapshot_determinism_across_domains;
         ] );
       ( "fork",
         [

@@ -95,6 +95,24 @@ let test_kaplan_meier_with_censoring () =
   feq 1e-12 0.375 (snd km.(1));
   feq 1e-12 0.0 (snd km.(2))
 
+let test_survival_non_finite_rejected () =
+  (* A NaN among the times used to stall the tie-collapsing loops, whose
+     [sorted.(j) = x] test is false for NaN. *)
+  List.iter
+    (fun bad ->
+      let xs = Array.init 10 (fun i -> if i = 4 then bad else float_of_int i) in
+      let pairs = Array.map (fun x -> (x, true)) xs in
+      let rejects name f =
+        match f () with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.failf "%s accepted %g" name bad
+      in
+      rejects "ecdf_survival" (fun () -> ignore (Stats.ecdf_survival xs));
+      rejects "kaplan_meier" (fun () -> ignore (Stats.kaplan_meier pairs));
+      rejects "kaplan_meier_greenwood" (fun () ->
+          ignore (Stats.kaplan_meier_greenwood pairs)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
 let test_linear_regression () =
   let xs = [| 0.0; 1.0; 2.0; 3.0 |] in
   let ys = [| 1.0; 3.0; 5.0; 7.0 |] in
@@ -146,6 +164,8 @@ let () =
             test_kaplan_meier_no_censoring_matches_ecdf;
           Alcotest.test_case "KM with censoring" `Quick
             test_kaplan_meier_with_censoring;
+          Alcotest.test_case "survival rejects non-finite" `Quick
+            test_survival_non_finite_rejected;
           Alcotest.test_case "linear regression" `Quick test_linear_regression;
           Alcotest.test_case "regression zero variance" `Quick
             test_linear_regression_zero_variance;

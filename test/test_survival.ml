@@ -106,6 +106,34 @@ let test_all_censored_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "all-censored accepted"
 
+let test_bad_durations_rejected () =
+  (* Ten durations with one bad one: a NaN used to hang the estimate, an
+     infinity raised Invalid_life_function and a negative was accepted.
+     Each is rejected on both paths, fully observed (ECDF) and censored
+     (Kaplan–Meier), and by the confidence bands. *)
+  List.iter
+    (fun bad ->
+      let duration i = if i = 4 then bad else float_of_int (i + 1) in
+      let obs ~censored =
+        Array.init 10 (fun i ->
+            {
+              Owner_model.duration = duration i;
+              observed = not (censored && i = 7);
+            })
+      in
+      let rejects name f =
+        match f () with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.failf "%s accepted %g" name bad
+      in
+      rejects "of_durations" (fun () ->
+          ignore (Survival.of_durations (Array.init 10 duration)));
+      rejects "of_observations (censored)" (fun () ->
+          ignore (Survival.of_observations (obs ~censored:true)));
+      rejects "confidence_bands" (fun () ->
+          ignore (Survival.confidence_bands (obs ~censored:true))))
+    [ Float.nan; Float.infinity; -3.0 ]
+
 let test_knots_recorded () =
   let rng = g () in
   let ds =
@@ -156,6 +184,8 @@ let () =
           Alcotest.test_case "all censored rejected" `Quick
             test_all_censored_rejected;
           Alcotest.test_case "knot budget" `Quick test_knots_recorded;
+          Alcotest.test_case "bad durations rejected" `Quick
+            test_bad_durations_rejected;
           QCheck_alcotest.to_alcotest prop_estimates_always_schedulable;
         ] );
     ]
