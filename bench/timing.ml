@@ -87,6 +87,11 @@ let farm_config =
     max_time = 1e7;
   }
 
+(* The e2e farm-adaptive workload's run at the same centres: the §6
+   progressive policy on 80 units of work. *)
+let adaptive_farm_config =
+  { farm_config with Farm.total_work = 80.0; policy = Farm.adaptive_policy }
+
 (* (name, thunk, warmup iterations). Cheap thunks get large warmups;
    planner-grade ones only need a few calls to fault everything in. *)
 let serial_workloads : (string * (unit -> unit) * int) list =
@@ -131,6 +136,9 @@ let serial_workloads : (string * (unit -> unit) * int) list =
       5 );
     ( "farm-run (guideline, 4 workstations)",
       (fun () -> ignore (Farm.run farm_config ~seed:1L)),
+      5 );
+    ( "farm-run (adaptive, 4 workstations)",
+      (fun () -> ignore (Farm.run adaptive_farm_config ~seed:1L)),
       5 );
     ( "exact-uniform ([3] closed form)",
       (fun () -> ignore (Exact.uniform ~c:1.0 ~lifespan:100.0)),

@@ -117,7 +117,8 @@ let c_term =
 let or_exit k =
   try k () with
   | Invalid_argument msg | Failure msg
-  | Life_function.Invalid_life_function msg ->
+  | Life_function.Invalid_life_function msg
+  | Schedule.Invalid_schedule msg ->
       prerr_endline ("error: " ^ msg);
       exit 1
 

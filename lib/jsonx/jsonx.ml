@@ -78,7 +78,7 @@ let to_string j =
 
 exception Fail of string
 
-let of_string s =
+let parse s =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Fail (Printf.sprintf "%s at offset %d" msg !pos)) in
@@ -287,6 +287,11 @@ let of_string s =
   with
   | v -> Ok v
   | exception Fail msg -> Error msg
+
+(* RFC 8259 §8.1: JSON text is UTF-8. Checked before parsing, which
+   copies the bytes of a string through as they are. *)
+let of_string s =
+  if String.is_valid_utf_8 s then parse s else Error "invalid UTF-8"
 
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                          *)

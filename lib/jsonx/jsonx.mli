@@ -26,7 +26,10 @@ type t =
 
 val to_string : t -> string
 (** Compact (single-line, no spaces) JSON text. Strings are escaped per
-    RFC 8259; non-finite floats become [null]. *)
+    RFC 8259; non-finite floats become [null]. A string's other bytes
+    are copied as they are, so a value whose strings are valid UTF-8
+    reads back through {!of_string} as itself (up to those [null]s);
+    one with any other bytes reads back as an [Error]. *)
 
 val of_string : string -> (t, string) result
 (** [of_string s] parses exactly one JSON value (surrounding whitespace
@@ -37,7 +40,10 @@ val of_string : string -> (t, string) result
     reads as an infinity). A byte below 0x20 inside a string must be
     escaped. [\uXXXX] escapes (exactly four hex digits) are decoded to
     UTF-8; a surrogate pair folds into one code point, and an unpaired
-    surrogate is an error. Never raises: malformed input is [Error]. *)
+    surrogate is an error. The whole input must be valid UTF-8 (RFC
+    8259 §8.1): a stray byte such as 0xFF, a truncated or overlong
+    sequence, or an encoded surrogate is an error. Never raises:
+    malformed input is [Error]. *)
 
 val shortest_g : float -> string
 (** The shortest of [%.15g], [%.16g] and [%.17g] that [float_of_string]

@@ -133,6 +133,41 @@ let conditional_survival t ~elapsed s =
   let pe = eval t elapsed in
   if pe <= 0.0 then 0.0 else eval t (elapsed +. s) /. pe
 
+(* Conditioning rescales p by a constant and shifts time, which keeps
+   concavity and convexity, and adds a constant to log p, which keeps
+   log-concavity; so the shape carries over. So does the inverse:
+   p(elapsed + s) / p(elapsed) = u at s = p⁻¹(u · p(elapsed)) − elapsed.
+   The fused closure reads p's own point at elapsed + s; it matches [dp]
+   wherever that instant lies inside p's support, so everywhere the
+   conditional survival is positive. *)
+let condition t ~elapsed =
+  if not (elapsed >= 0.0) then
+    invalid_arg "Life_function.condition: elapsed must be >= 0";
+  let pe = eval t elapsed in
+  if pe <= 0.0 then None
+  else
+    let support =
+      match t.support with
+      | Bounded l -> Bounded (l -. elapsed)
+      | Unbounded -> Unbounded
+    in
+    let inv = t.inv in
+    Some
+      {
+        name = t.name ^ " | survived";
+        support;
+        p = (fun s -> eval t (elapsed +. s) /. pe);
+        dp = Some (fun s -> deriv t (elapsed +. s) /. pe);
+        fused =
+          Some
+            (fun s pt ->
+              eval_deriv t (elapsed +. s) pt;
+              pt.p <- pt.p /. pe;
+              pt.dp <- pt.dp /. pe);
+        inv = (fun u -> inv (u *. pe) -. elapsed);
+        shape = t.shape;
+      }
+
 let mean_lifetime t =
   match t.support with
   | Bounded l -> Quadrature.adaptive_simpson (eval t) ~lo:0.0 ~hi:l

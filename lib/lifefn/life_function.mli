@@ -119,6 +119,20 @@ val conditional_survival : t -> elapsed:float -> float -> float
     [Pr(alive at elapsed + s | alive at elapsed) = p(elapsed+s)/p(elapsed)].
     Returns [0] if [p elapsed = 0]. *)
 
+val condition : t -> elapsed:float -> t option
+(** [condition p ~elapsed] is the conditional life function given
+    survival to [elapsed], [s ↦ p(elapsed + s) / p(elapsed)], that §6's
+    progressive scheduler plans against, or [None] when
+    [p elapsed <= 0]. Its support is [p]'s shifted by [elapsed] (a
+    lifespan [L] becomes [L − elapsed]); its declared shape is [p]'s,
+    since conditioning rescales [p] and shifts time; its inverse is
+    composed from [p]'s, [u ↦ p⁻¹(u · p(elapsed)) − elapsed]; and its
+    point at [s] is [p]'s point at [elapsed + s] ({!eval_deriv}), divided
+    by [p(elapsed)]. At [elapsed = 0.] it agrees with [p] bit for bit in
+    {!eval}, {!deriv} and {!inverse}. It is not validated, and its name
+    is [p]'s with [" | survived"] appended.
+    @raise Invalid_argument unless [elapsed >= 0]. *)
+
 val mean_lifetime : t -> float
 (** [mean_lifetime p] is [E(reclaim time) = ∫₀^∞ p(t) dt], by adaptive
     quadrature over the support. *)

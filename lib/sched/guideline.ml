@@ -28,18 +28,23 @@ let plan_with_t0 lf ~c ~t0 =
 (* Grid resolution of the t0 searches that cannot assume unimodality. *)
 let grid_steps = 128
 
-(* The t0 search over the bracket. On a certified shape E(t0) is
-   unimodal over the bracket (test_guideline checks this on a seeded
-   corpus), so golden-section pins the maximum in 44 iterations. A
-   trace-fitted (Unknown) p can make E multimodal, so it gets a grid
-   before the refine. *)
-let search lf objective ~lo ~hi =
+(* On a certified shape E(t0) is unimodal over the bracket
+   (test_guideline checks this on a seeded corpus). A trace-fitted
+   (Unknown) p can make E multimodal. *)
+let certified lf =
   match Life_function.shape lf with
   | Life_function.Concave | Life_function.Convex | Life_function.Linear
   | Life_function.Log_concave ->
-      Optimize.golden_section_max ~tol:(1e-9 *. (hi -. lo)) objective ~lo ~hi
-  | Life_function.Unknown ->
-      Optimize.grid_then_refine objective ~lo ~hi ~steps:grid_steps
+      true
+  | Life_function.Unknown -> false
+
+(* The t0 search over the bracket: golden-section pins a unimodal
+   maximum in 44 iterations; a p that may be multimodal gets a grid
+   before the refine. *)
+let search lf objective ~lo ~hi =
+  if certified lf then
+    Optimize.golden_section_max ~tol:(1e-9 *. (hi -. lo)) objective ~lo ~hi
+  else Optimize.grid_then_refine objective ~lo ~hi ~steps:grid_steps
 
 let plan ?(obs = Obs.disabled) lf ~c =
   let compute () =
@@ -152,46 +157,68 @@ let plan_risk_averse ~lambda_ lf ~c =
     stop = g.Recurrence.stop;
   }
 
+(* Relative offset of the two neighbours a seed is scored against. *)
+let certificate_step = 1e-6
+
+(* Whether [seed] is the t0 of [plan cond ~c] to within
+   [certificate_step], for a [cond] of certified shape: E(t0) is then
+   unimodal over the bracket, so a seed whose two neighbours lie in the
+   bracket and score no higher has the maximum within a step of it.
+   Three E passes, against the search's 48 and a regeneration. *)
+let certifies cond ~c seed =
+  seed > c
+  &&
+  let below = seed *. (1.0 -. certificate_step)
+  and above = seed *. (1.0 +. certificate_step) in
+  let lo, hi = Bounds.bracket cond ~c in
+  lo <= below && above <= hi
+  &&
+  let e t0 = Recurrence.expected_work_at cond ~c ~t0 in
+  let e_seed = e seed in
+  e_seed > 0.0 && e_seed >= e below && e_seed >= e above
+
+(* The first period of the plan against the conditional [cond]: [seed]
+   when it is certified, else the full plan's t0. [None] when no
+   productive period fits: the remaining horizon (the lifespan left, or
+   for unbounded support the time until the conditional survival drops
+   below 1e-12) is <= c, or the plan has no productive first period. *)
+let first_period cond ~c ~seed =
+  if Life_function.horizon cond <= c then None
+  else
+    match seed with
+    | Some t when certifies cond ~c t -> seed
+    | Some _ | None ->
+        let r = plan cond ~c in
+        if r.expected_work > 0.0 && r.t0 > c then Some r.t0 else None
+
 let next_period_online lf ~c ~elapsed =
   if elapsed < 0.0 then
     invalid_arg "Guideline.next_period_online: elapsed must be >= 0";
-  let p_elapsed = Life_function.eval lf elapsed in
-  if p_elapsed <= 0.0 then None
-  else begin
-    (* Conditional life function given survival to [elapsed]. Shape is
-       inherited: conditioning rescales p by a constant and shifts time,
-       which preserves concavity and convexity, and adds a constant to
-       log p, which preserves log-concavity. So is the inverse:
-       p(elapsed + s) / p(elapsed) = u at s = p⁻¹(u · p(elapsed)) − elapsed.
-       The fused closure reads p's own point at elapsed + s; it matches
-       [dp] wherever that instant lies inside p's support, so everywhere
-       the conditional survival is positive. *)
-    let support =
-      match Life_function.support lf with
-      | Life_function.Bounded l -> Life_function.Bounded (l -. elapsed)
-      | Life_function.Unbounded -> Life_function.Unbounded
+  Option.bind (Life_function.condition lf ~elapsed) (fun cond ->
+      first_period cond ~c ~seed:None)
+
+let progressive lf ~c =
+  let unimodal = certified lf in
+  (* The plan of p, made at the first episode start; and the answer of
+     the previous call. *)
+  let start = lazy (next_period_online lf ~c ~elapsed:0.0) in
+  let last = ref None in
+  fun ~elapsed ->
+    let answer =
+      if Float.equal elapsed 0.0 then Lazy.force start
+      else
+        Option.bind (Life_function.condition lf ~elapsed) (fun cond ->
+            (* Eq. 3.6's step from the previous period: on an
+               uninterrupted episode, the static plan's continuation,
+               which Bellman's principle makes the conditional optimum. *)
+            let seed =
+              match !last with
+              | Some prev when unimodal && elapsed >= prev ->
+                  Recurrence.next_period lf ~c ~prev_period:prev
+                    ~prev_end:elapsed
+              | Some _ | None -> None
+            in
+            first_period cond ~c ~seed)
     in
-    let conditional =
-      Life_function.make
-        ~name:(Life_function.name lf ^ " | survived")
-        ~support
-        ~dp:(fun s -> Life_function.deriv lf (elapsed +. s) /. p_elapsed)
-        ~fused:(fun s pt ->
-          Life_function.eval_deriv lf (elapsed +. s) pt;
-          pt.p <- pt.p /. p_elapsed;
-          pt.dp <- pt.dp /. p_elapsed)
-        ~inv:
-          (let inv = Life_function.inverse lf in
-           fun u -> inv (u *. p_elapsed) -. elapsed)
-        ~shape:(Life_function.shape lf)
-        ~validate:false
-        (fun s -> Life_function.eval lf (elapsed +. s) /. p_elapsed)
-    in
-    (* No productive period fits once the remaining horizon is <= c: the
-       lifespan left, or for unbounded support, the time until the
-       conditional survival drops below 1e-12. *)
-    if Life_function.horizon conditional <= c then None
-    else
-      let r = plan conditional ~c in
-      if r.expected_work > 0.0 && r.t0 > c then Some r.t0 else None
-  end
+    last := answer;
+    answer

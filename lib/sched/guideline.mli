@@ -94,12 +94,49 @@ val next_period_online :
 (** [next_period_online p ~c ~elapsed] supports the §6 "progressive"
     mode: given that the workstation has survived to [elapsed], it plans
     against the conditional life function
-    [s ↦ p(elapsed + s)/p(elapsed)] and returns only the first period of
-    that plan, or [None] when no productive period remains: when the
-    conditional's {!Life_function.horizon} (the lifespan left, or the time
-    until its survival drops below 1e-12) is at most [c], or when the
-    plan has no productive first period. The conditional keeps the
-    declared shape of [p] and composes its inverse and its fused
-    evaluation from [p]'s: its point at [s] is [p]'s point at
-    [elapsed + s], divided by [p(elapsed)] ({!Life_function.eval_deriv}). The simulator's adaptive policy calls this
-    after every completed period. *)
+    [s ↦ p(elapsed + s)/p(elapsed)] ({!Life_function.condition}) and
+    returns only the first period of that plan, or [None] when no
+    productive period remains: when [p elapsed = 0], when the
+    conditional's {!Life_function.horizon} (the lifespan left, or the
+    time until its survival drops below 1e-12) is at most [c], or when
+    the plan has no productive first period. Each call is a full
+    {!plan}: this is the reference that {!progressive} is checked
+    against, and its fallback.
+    @raise Invalid_argument when [elapsed < 0]. *)
+
+val progressive : Life_function.t -> c:float -> (elapsed:float -> float option)
+(** [progressive p ~c] is §6's progressive scheduler for one
+    workstation: a closure that answers [next_period_online p ~c
+    ~elapsed], planning in full only where it cannot certify a cheaper
+    answer. [Farm.adaptive_policy] makes one per workstation per run.
+
+    - At [elapsed = 0.] it returns [next_period_online p ~c ~elapsed:0.],
+      bit for bit, computed at the first such call and replayed at every
+      later one.
+    - At a later [elapsed] that is at least its previous answer [t′],
+      it seeds with eq. 3.6's continuation,
+      {!Recurrence.next_period}[ p ~c ~prev_period:t′ ~prev_end:elapsed],
+      which by Bellman's principle is the conditional plan's first
+      period on an uninterrupted episode. It returns the seed without
+      searching when [p]'s declared shape is certified (not
+      {!Life_function.Unknown}), the seed exceeds [c], [seed·(1 ± 1e-6)]
+      lies inside the conditional's Theorem 3.2/3.3 bracket
+      ({!Bounds.bracket}), and three {!Recurrence.expected_work_at}
+      passes give [E(seed) > 0] and [E(seed) >= E(seed·(1 ± 1e-6))].
+      {!plan}'s golden section already relies on [E(t_0)] being
+      unimodal over the bracket; under that premise the conditional
+      maximum lies within 1e-6 of the seed.
+    - Every other call, such as one on an Unknown-shape trace fit, after
+      a clipped or delayed period, or whose check fails, is
+      [next_period_online p ~c ~elapsed] itself.
+
+    The closure keeps state across calls, so it belongs to one caller.
+    An answer agrees with [next_period_online]'s on [Some]/[None] and,
+    on the corpus test_guideline checks, within 1e-6 relative (2.6e-7
+    at worst). It need not be closer: the continuation is the
+    conditional optimum only as exactly as the static plan is optimal,
+    which is within the recurrence's family and to the [t_0] search's
+    tolerance, and where the conditional [E] is flat a small shortfall
+    in [E] spans a wider gap in the period. A whole episode's expected
+    work does not move (within 1e-12 in test_guideline).
+    @raise Invalid_argument when [elapsed < 0]. *)

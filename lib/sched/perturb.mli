@@ -36,6 +36,12 @@ val perturbation_margin :
     [{0.001, 0.01, 0.05, 0.25} × min period]) and returns the worst case —
     the empirical Theorem 5.1 check. Requires at least 2 periods.
 
+    A perturbation moves the end [T_k] alone, so each margin is the
+    change of eq. 2.1's terms [k] and [k+1], computed in O(1) without
+    copying the schedule, and the sweep is O(n). It matches the full
+    recompute [E(S) − E(S')] to rounding at the scale of a term, where
+    the full recompute cancels at the scale of [E].
+
     Theorem 5.1 is proved with ordinary subtraction, valid exactly while
     every period stays above [c]; a perturbation that drags a period below
     [c] converts part of it into dead time under eq. 2.1's positive
@@ -47,4 +53,6 @@ val perturbation_margin :
 val shift_margin :
   ?deltas:float array -> Life_function.t -> c:float -> Schedule.t -> margin
 (** [shift_margin p ~c s] is the same sweep over [⟨k, ±δ⟩]-shifts — the
-    empirical Theorem 3.1 optimality precondition. *)
+    empirical Theorem 3.1 optimality precondition. A shift moves every
+    later end, so each margin is a full recompute of eq. 2.1, and the
+    sweep is O(n²). *)

@@ -29,9 +29,7 @@ let guideline_policy =
 let adaptive_policy =
   {
     policy_name = "adaptive-conditional";
-    fresh_episode =
-      (fun lf ~c ->
-        fun ~elapsed -> Guideline.next_period_online lf ~c ~elapsed);
+    fresh_episode = Guideline.progressive;
   }
 
 let greedy_policy =

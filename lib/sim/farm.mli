@@ -47,9 +47,15 @@ val guideline_policy : policy
     planned once per workstation per run. *)
 
 val adaptive_policy : policy
-(** Re-plans after every completed period via
-    {!Guideline.next_period_online} — the §6 "progressive" scheduler using
-    conditional probabilities. *)
+(** The §6 "progressive" scheduler using conditional probabilities: each
+    workstation's closure is {!Guideline.progressive}. It answers every
+    period start as {!Guideline.next_period_online} would, within 1e-6
+    relative: at an episode start it replays the plan of [p], made at the
+    workstation's first call; at a later period it returns eq. 3.6's
+    continuation where a three-point check of the conditional's expected
+    work certifies it, and runs the full conditional plan elsewhere (a
+    clipped or link-delayed period, a trace fit). On an unclipped episode
+    it plays the {!guideline_policy} schedule, up to rounding. *)
 
 val greedy_policy : policy
 (** Myopic per-period maximisation ({!Greedy.first_period} at each step). *)

@@ -279,28 +279,28 @@ let test_run_known_answers () =
            4637716949796444474L; 4629137466983448576L |],
         [ (3, 2, 2); (1, 6, 0); (3, 7, 1); (5, 0, 4) ] );
       ( "adaptive-conditional", "unlimited", 1L,
-        [| 4637480873790475133L; 4641240890982006783L;
-           4638031354215854746L; 4629700416936869888L |],
+        [| 4637480873790475133L; 4641240890982006784L;
+           4638031354227682398L; 4629700416936869888L |],
         [ (1, 7, 0); (3, 4, 2); (2, 4, 1); (5, 1, 4) ] );
       ( "adaptive-conditional", "unlimited", 2L,
-        [| 4638016378610921657L; 4641240890982006783L;
-           4634645333968127730L; 4629137466983448576L |],
+        [| 4638016378610921657L; 4641240890982006782L;
+           4634645333978064942L; 4629137466983448576L |],
         [ (2, 5, 1); (3, 4, 2); (1, 3, 0); (3, 3, 2) ] );
       ( "adaptive-conditional", "unlimited", 3L,
-        [| 4639917015655449594L; 4641240890982006784L;
-           4636836464173531395L; 4629137466983448576L |],
+        [| 4639917015653952395L; 4641240890982006784L;
+           4636836464171402682L; 4629137466983448576L |],
         [ (3, 2, 2); (1, 6, 0); (3, 7, 0); (5, 0, 4) ] );
       ( "adaptive-conditional", "serialized", 1L,
-        [| 4637483713134285152L; 4641240890982006783L;
-           4638031354215854746L; 4629700416936869888L |],
+        [| 4637483713155069022L; 4641240890982006784L;
+           4638031354227682398L; 4629700416936869888L |],
         [ (1, 7, 0); (3, 4, 2); (2, 4, 1); (5, 1, 4) ] );
       ( "adaptive-conditional", "serialized", 2L,
-        [| 4638793145796366983L; 4641240890982006783L;
-           4635366893269973830L; 4629137466983448576L |],
+        [| 4638793145796366983L; 4641240890982006782L;
+           4635366893279911044L; 4629137466983448576L |],
         [ (2, 6, 1); (3, 3, 3); (1, 3, 0); (3, 3, 2) ] );
       ( "adaptive-conditional", "serialized", 3L,
-        [| 4639933355168848186L; 4641240890982006784L;
-           4637774670016294409L; 4629137466983448576L |],
+        [| 4639933355158700169L; 4641240890982006784L;
+           4637774669994252456L; 4629137466983448576L |],
         [ (3, 2, 2); (1, 6, 0); (3, 7, 1); (5, 0, 4) ] );
       ( "greedy", "unlimited", 1L,
         [| 4643812607647365526L; 4641240890982006784L;

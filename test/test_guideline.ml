@@ -206,24 +206,6 @@ let test_numerical_inverse_plans_match_closed_form () =
    (Weibull with shape 0.3 to 3: convex up to 1, log-concave above),
    time-scaled one time in three, with c between 1e-3 and 0.4 of the
    horizon. *)
-(* [lf] conditioned on survival to [elapsed], built as
-   [Guideline.next_period_online] builds it: the declared shape carries
-   over. *)
-let survived lf ~elapsed =
-  let pe = Life_function.eval lf elapsed in
-  let support =
-    match Life_function.support lf with
-    | Life_function.Bounded l -> Life_function.Bounded (l -. elapsed)
-    | Life_function.Unbounded -> Life_function.Unbounded
-  in
-  Life_function.make ~validate:false
-    ~name:(Printf.sprintf "%s | survived %g" (Life_function.name lf) elapsed)
-    ~support
-    ~dp:(fun s -> Life_function.deriv lf (elapsed +. s) /. pe)
-    ~inv:(fun u -> Life_function.inverse lf (u *. pe) -. elapsed)
-    ~shape:(Life_function.shape lf)
-    (fun s -> Life_function.eval lf (elapsed +. s) /. pe)
-
 let certified_scenario seed =
   let g = Prng.create ~seed:(Int64.of_int seed) in
   let range lo hi = Prng.float_range g ~lo ~hi in
@@ -240,9 +222,10 @@ let certified_scenario seed =
     | _ ->
         (* A §6 conditional, as the adaptive policy plans against. *)
         let scale = range 10.0 300.0 in
-        survived
-          (Families.weibull ~shape:(range 1.0 3.0) ~scale)
-          ~elapsed:(scale *. range 0.0 2.0)
+        Option.get
+          (Life_function.condition
+             (Families.weibull ~shape:(range 1.0 3.0) ~scale)
+             ~elapsed:(scale *. range 0.0 2.0))
   in
   let lf =
     if Prng.int g ~bound:3 = 0 then Families.scale_time ~factor:(range 0.1 10.0) lf
@@ -429,6 +412,145 @@ let test_plan_known_answers () =
        (Recurrence.expected_work_at ~finish:Recurrence.Greedy_tail
           (Families.uniform ~lifespan:100.0) ~c:1.0 ~t0:30.0))
 
+(* --- §6 progressive planning ------------------------------------------- *)
+
+(* The ten families the progressive planner is checked on: every family,
+   Weibull on both sides of shape 1, and a scale_time p. *)
+let progressive_families =
+  [
+    ("uniform", Families.uniform ~lifespan:100.0);
+    ("polynomial d=2", Families.polynomial ~d:2 ~lifespan:100.0);
+    ("polynomial d=3", Families.polynomial ~d:3 ~lifespan:80.0);
+    ("geo-dec", Families.geometric_decreasing ~a:1.05);
+    ("exponential", Families.exponential ~rate:0.03);
+    ("geo-inc", Families.geometric_increasing ~lifespan:40.0);
+    ("weibull k=1.5", Families.weibull ~shape:1.5 ~scale:80.0);
+    ("weibull k=0.8", Families.weibull ~shape:0.8 ~scale:60.0);
+    ("weibull k=2.5", Families.weibull ~shape:2.5 ~scale:100.0);
+    ( "scale_time",
+      Families.scale_time ~factor:2.5 (Families.polynomial ~d:2 ~lifespan:50.0)
+    );
+  ]
+
+(* The periods [next] plays over one uninterrupted episode: from elapsed
+   0, each answer runs in full, until [None], [max] periods, or p below
+   the recurrence's 1e-15 tail threshold, beyond which no period adds
+   measurable work. *)
+let episode ~max lf next =
+  let rec go elapsed k acc =
+    if k >= max || Life_function.eval lf elapsed < 1e-15 then List.rev acc
+    else
+      match next ~elapsed with
+      | None -> List.rev acc
+      | Some t -> go (elapsed +. t) (k + 1) (t :: acc)
+  in
+  go 0.0 0 []
+
+(* Fails unless a progressive answer agrees with the full search at the
+   same state: both [None], or within 1e-6 relative. *)
+let agrees name ~c ~elapsed lf got =
+  let show = function Some t -> Printf.sprintf "%h" t | None -> "None" in
+  match (got, Guideline.next_period_online lf ~c ~elapsed) with
+  | None, None -> ()
+  | Some a, Some b when Float.abs (a -. b) <= 1e-6 *. b -> ()
+  | a, b ->
+      Alcotest.failf "%s, c=%g, elapsed %h: progressive %s, full search %s"
+        name c elapsed (show a) (show b)
+
+let test_progressive_bits () =
+  (* At an episode start the answer is the plan of p itself, made once
+     and replayed at the next start. *)
+  List.iter
+    (fun (name, lf) ->
+      let next = Guideline.progressive lf ~c:1.0 in
+      let reference = Guideline.next_period_online lf ~c:1.0 ~elapsed:0.0 in
+      let first = next ~elapsed:0.0 in
+      Option.iter (fun t -> ignore (next ~elapsed:t)) first;
+      List.iter
+        (fun (label, got) ->
+          Alcotest.(check (option int64))
+            (Printf.sprintf "%s %s" name label)
+            (Option.map Int64.bits_of_float reference)
+            (Option.map Int64.bits_of_float got))
+        [ ("first start", first); ("next start", next ~elapsed:0.0) ])
+    progressive_families;
+  (* A trace fit declares no shape, so every call is the full search. *)
+  let fit = Lazy.force pinned_fit in
+  let next = Guideline.progressive fit ~c:1.0 in
+  let calls = ref 0 in
+  ignore
+    (episode ~max:12 fit (fun ~elapsed ->
+         let got = next ~elapsed in
+         incr calls;
+         Alcotest.(check (option int64))
+           (Printf.sprintf "trace fit at %h" elapsed)
+           (Option.map Int64.bits_of_float
+              (Guideline.next_period_online fit ~c:1.0 ~elapsed))
+           (Option.map Int64.bits_of_float got);
+         got)
+      : float list);
+  Alcotest.(check bool) "trace fit episode has several calls" true (!calls > 2)
+
+let test_progressive_episodes () =
+  (* Each answer along an uninterrupted episode agrees with the full
+     search at the same state. *)
+  List.iter
+    (fun (name, lf) ->
+      List.iter
+        (fun c ->
+          let next = Guideline.progressive lf ~c in
+          ignore
+            (episode ~max:12 lf (fun ~elapsed ->
+                 let got = next ~elapsed in
+                 agrees name ~c ~elapsed lf got;
+                 got)
+              : float list))
+        [ 0.5; 1.0; 2.0 ])
+    progressive_families;
+  (* Whole episodes at c = 1: the played schedule's E(S; p) is the full
+     search walk's. Single answers may differ by ~1e-7 (guideline.mli),
+     but the whole schedule sits at E's maximum, where such moves are
+     second order. *)
+  List.iter
+    (fun (name, lf) ->
+      let c = 1.0 in
+      let e next =
+        Schedule.expected_work ~c lf
+          (Schedule.of_list (episode ~max:max_int lf next))
+      in
+      let played = e (Guideline.progressive lf ~c) in
+      let full = e (fun ~elapsed -> Guideline.next_period_online lf ~c ~elapsed) in
+      if not (Float.abs (played -. full) <= 1e-12 *. full) then
+        Alcotest.failf "%s: E %h played, %h by full search" name played full)
+    progressive_families
+
+let test_progressive_off_path () =
+  (* States an uninterrupted episode never reaches: a period clipped
+     short of the previous answer, and one that ended a gap before the
+     next call, as a link delay leaves it. *)
+  List.iter
+    (fun (name, lf) ->
+      List.iter
+        (fun c ->
+          let next = Guideline.progressive lf ~c in
+          match next ~elapsed:0.0 with
+          | None -> ()
+          | Some t0 ->
+              let clipped = 0.5 *. t0 in
+              let after_clip = next ~elapsed:clipped in
+              agrees name ~c ~elapsed:clipped lf after_clip;
+              Option.iter
+                (fun t ->
+                  let gapped = clipped +. t +. (0.25 *. t) in
+                  agrees name ~c ~elapsed:gapped lf (next ~elapsed:gapped))
+                after_clip;
+              (* A gap after an unclipped first period. *)
+              ignore (next ~elapsed:0.0);
+              let gapped = t0 +. (3.0 *. c) in
+              agrees name ~c ~elapsed:gapped lf (next ~elapsed:gapped))
+        [ 0.5; 1.0; 2.0 ])
+    progressive_families
+
 let () =
   Alcotest.run "guideline"
     [
@@ -481,6 +603,12 @@ let () =
           Alcotest.test_case "none when exhausted" `Quick
             test_online_none_when_exhausted;
           Alcotest.test_case "validation" `Quick test_online_validation;
+          Alcotest.test_case "progressive bits at 0 and on a fit" `Quick
+            test_progressive_bits;
+          Alcotest.test_case "progressive along episodes" `Quick
+            test_progressive_episodes;
+          Alcotest.test_case "progressive off the path" `Quick
+            test_progressive_off_path;
         ] );
       ( "known-answers",
         [ Alcotest.test_case "plans bit for bit" `Quick test_plan_known_answers ]

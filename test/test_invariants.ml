@@ -54,7 +54,7 @@ let test_dynamic_consistency_of_recurrence () =
             Alcotest.(check bool)
               (Printf.sprintf "%s: online %.4f ~ planned %.4f" name online_t1 t1)
               true
-              (Float.abs (online_t1 -. t1) <= 0.02 *. Float.max 1.0 t1)
+              (Float.abs (online_t1 -. t1) <= 1e-6 *. Float.max 1.0 t1)
         | None -> Alcotest.failf "%s: online planner gave up early" name
       end)
     (("weibull(1.5, 80)", Families.weibull ~shape:1.5 ~scale:80.0)
@@ -62,7 +62,9 @@ let test_dynamic_consistency_of_recurrence () =
 
 let test_adaptive_farm_policy_equals_static () =
   (* Farm-level consequence of dynamic consistency: adaptive re-planning
-     reproduces the static guideline run exactly (same seeds). *)
+     reproduces the static guideline run (same seeds) up to rounding. On
+     an unclipped episode it plays eq. 3.6's continuation, the static
+     schedule itself. *)
   let ws =
     { Farm.ws_life = Families.uniform ~lifespan:100.0; ws_presence_mean = 50.0 }
   in
@@ -80,10 +82,10 @@ let test_adaptive_farm_policy_equals_static () =
       let a = Farm.run (cfg Farm.guideline_policy) ~seed in
       let b = Farm.run (cfg Farm.adaptive_policy) ~seed in
       Alcotest.(check bool)
-        (Printf.sprintf "seed %Ld makespans within 1%%" seed)
+        (Printf.sprintf "seed %Ld makespans within 1e-9" seed)
         true
         (Float.abs (a.Farm.makespan -. b.Farm.makespan)
-        <= 0.01 *. a.Farm.makespan))
+        <= 1e-9 *. a.Farm.makespan))
     [ 1L; 2L; 3L ]
 
 let test_optimizer_dominates_every_other_planner () =

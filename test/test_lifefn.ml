@@ -373,25 +373,6 @@ let prop_inverse_round_trips =
 
 let bits = Int64.bits_of_float
 
-(* [lf] conditioned on survival to [elapsed], with the fused closure
-   [Guideline.next_period_online] gives its conditional: lf's own point
-   at elapsed + s, divided by p(elapsed). *)
-let conditioned lf ~elapsed =
-  let pe = Life_function.eval lf elapsed in
-  let support =
-    match Life_function.support lf with
-    | Life_function.Bounded l -> Life_function.Bounded (l -. elapsed)
-    | Life_function.Unbounded -> Life_function.Unbounded
-  in
-  Life_function.make ~validate:false ~name:"conditioned" ~support
-    ~dp:(fun s -> Life_function.deriv lf (elapsed +. s) /. pe)
-    ~fused:(fun s pt ->
-      Life_function.eval_deriv lf (elapsed +. s) pt;
-      pt.Life_function.p <- pt.Life_function.p /. pe;
-      pt.dp <- pt.dp /. pe)
-    ~shape:(Life_function.shape lf)
-    (fun s -> Life_function.eval lf (elapsed +. s) /. pe)
-
 (* A caller-built bounded p with no [?dp], [?fused] or [?inv]. *)
 let opaque_bounded ~d ~lifespan =
   Life_function.make ~name:"opaque" ~support:(Life_function.Bounded lifespan)
@@ -403,7 +384,9 @@ let fused_case (k, x, y, factor) =
   match k with
   | 8 ->
       let lf = round_trip_case (int_of_float (8.0 *. y), x, y, factor) in
-      conditioned lf ~elapsed:(0.5 *. x *. Life_function.horizon lf)
+      Option.get
+        (Life_function.condition lf
+           ~elapsed:(0.5 *. x *. Life_function.horizon lf))
   | 9 -> opaque_bounded ~d:(0.7 +. (3.0 *. y)) ~lifespan:(1.0 +. (499.0 *. x))
   | _ -> round_trip_case (k, x, y, factor)
 
@@ -436,6 +419,61 @@ let prop_eval_deriv_is_eval_and_deriv =
               (Life_function.deriv lf x);
           same)
         fracs)
+
+(* --- conditioning (§6) ---------------------------------------------- *)
+
+let test_condition_at_zero_is_p () =
+  List.iter
+    (fun lf ->
+      let cond = Option.get (Life_function.condition lf ~elapsed:0.0) in
+      let h = Life_function.horizon lf in
+      List.iter
+        (fun f ->
+          let x = f *. h in
+          Alcotest.(check int64)
+            (Printf.sprintf "%s: eval at %g" (Life_function.name lf) x)
+            (bits (Life_function.eval lf x))
+            (bits (Life_function.eval cond x));
+          Alcotest.(check int64)
+            (Printf.sprintf "%s: deriv at %g" (Life_function.name lf) x)
+            (bits (Life_function.deriv lf x))
+            (bits (Life_function.deriv cond x)))
+        [ 0.001; 0.1; 0.37; 0.5; 0.9 ];
+      List.iter
+        (fun u ->
+          Alcotest.(check int64)
+            (Printf.sprintf "%s: inverse at %g" (Life_function.name lf) u)
+            (bits (Life_function.inverse lf u))
+            (bits (Life_function.inverse cond u)))
+        [ 0.01; 0.3; 0.5; 0.99 ];
+      Alcotest.(check bool) "shape inherited" true
+        (Life_function.shape lf = Life_function.shape cond))
+    [
+      Families.uniform ~lifespan:100.0;
+      Families.polynomial ~d:3 ~lifespan:80.0;
+      Families.exponential ~rate:0.03;
+      Families.weibull ~shape:1.5 ~scale:80.0;
+      opaque_bounded ~d:2.0 ~lifespan:10.0;
+    ]
+
+let test_condition_shifts () =
+  let lf = Families.uniform ~lifespan:100.0 in
+  let cond = Option.get (Life_function.condition lf ~elapsed:40.0) in
+  Alcotest.(check bool) "lifespan left" true
+    (Life_function.support cond = Life_function.Bounded 60.0);
+  feq 1e-12 0.5 (Life_function.eval cond 30.0);
+  feq 1e-12 30.0 (Life_function.inverse cond 0.5);
+  (* Where p is 0 there is nothing to condition on. *)
+  List.iter
+    (fun (lf, elapsed) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s at %g" (Life_function.name lf) elapsed)
+        true
+        (Option.is_none (Life_function.condition lf ~elapsed)))
+    [ (lf, 100.0); (lf, 250.0); (Families.exponential ~rate:1.0, 1e4) ];
+  match Life_function.condition lf ~elapsed:(-1.0) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "negative elapsed accepted"
 
 let test_eval_deriv_clamped_region () =
   (* Where eval clamps, the point holds the clamp and a zero slope, and
@@ -535,6 +573,10 @@ let () =
             test_wrong_inverse_rejected;
           Alcotest.test_case "eval_deriv where eval clamps" `Quick
             test_eval_deriv_clamped_region;
+          Alcotest.test_case "condition at 0 is p" `Quick
+            test_condition_at_zero_is_p;
+          Alcotest.test_case "condition shifts, none at p = 0" `Quick
+            test_condition_shifts;
         ] );
       ( "properties",
         [

@@ -111,6 +111,64 @@ let prop_thm51_recurrence_schedules_locally_optimal =
       let m = Perturb.perturbation_margin ~min_period:c lf ~c s in
       m.Perturb.margin >= -1e-7)
 
+let test_margins_match_full_recompute () =
+  (* The sweep prices each perturbation from the two terms it moves;
+     the definition recomputes eq. 2.1 for a copied schedule. Compared
+     one delta at a time, and over all four. Which perturbation is the
+     worst is not compared: on uniform p every margin is delta^2 / L,
+     so rounding picks among ties. *)
+  let reference ~min_period ~deltas lf ~c s =
+    let e0 = Schedule.expected_work ~c lf s in
+    let worst = ref infinity in
+    for k = 0 to Schedule.num_periods s - 2 do
+      Array.iter
+        (fun d ->
+          List.iter
+            (fun delta ->
+              match Perturb.perturb s ~k ~delta with
+              | Some s'
+                when Array.for_all
+                       (fun t -> t > min_period)
+                       (Schedule.periods s') ->
+                  worst :=
+                    Float.min !worst (e0 -. Schedule.expected_work ~c lf s')
+              | Some _ | None -> ())
+            [ d; -.d ])
+        deltas
+    done;
+    (e0, if Float.is_finite !worst then !worst else 0.0)
+  in
+  let recurrence lf ~c ~t0 =
+    (Recurrence.generate lf ~c ~t0).Recurrence.schedule
+  in
+  let lfi = Families.geometric_increasing ~lifespan:30.0 in
+  let poly2 = Families.polynomial ~d:2 ~lifespan:120.0 in
+  let poly3 = Families.polynomial ~d:3 ~lifespan:120.0 in
+  List.iter
+    (fun (name, lf, c, s) ->
+      let tmin = Array.fold_left Float.min infinity (Schedule.periods s) in
+      let all = Array.map (fun f -> f *. tmin) [| 0.001; 0.01; 0.05; 0.25 |] in
+      List.iter
+        (fun (min_period, deltas) ->
+          let e0, m = reference ~min_period ~deltas lf ~c s in
+          let got = Perturb.perturbation_margin ~deltas ~min_period lf ~c s in
+          if not (Float.abs (got.Perturb.margin -. m) <= 1e-12 *. e0) then
+            Alcotest.failf "%s, min_period %g, %d deltas: margin %h, full %h"
+              name min_period (Array.length deltas) got.Perturb.margin m)
+        (List.concat_map
+           (fun min_period ->
+             (min_period, all)
+             :: List.map (fun d -> (min_period, [| d |])) (Array.to_list all))
+           [ 0.0; c ]))
+    [
+      ("uniform plan", lf, c, (Guideline.plan lf ~c).Guideline.schedule);
+      ("geo-inc plan", lfi, c, (Guideline.plan lfi ~c).Guideline.schedule);
+      ("equal periods", lf, c, Schedule.of_list [ 10.0; 10.0; 10.0; 10.0 ]);
+      ("decreasing", lf, c, Schedule.of_list [ 5.0; 4.0; 3.0; 0.8 ]);
+      ("poly d=2 from 12", poly2, 0.7, recurrence poly2 ~c:0.7 ~t0:12.0);
+      ("poly d=3 from 20", poly3, 1.3, recurrence poly3 ~c:1.3 ~t0:20.0);
+    ]
+
 let prop_shift_none_only_on_collapse =
   QCheck.Test.make ~name:"shift returns None exactly when period collapses"
     ~count:200
@@ -150,6 +208,8 @@ let () =
             test_optimal_schedule_beats_shifts;
           Alcotest.test_case "needs two periods" `Quick
             test_margin_requires_two_periods;
+          Alcotest.test_case "margins = full recompute" `Quick
+            test_margins_match_full_recompute;
           QCheck_alcotest.to_alcotest
             prop_thm51_recurrence_schedules_locally_optimal;
         ] );
