@@ -1,3 +1,7 @@
+(* Bench_record reads and writes BENCH_T1.json and its history: file I/O is
+   its job. *)
+[@@@lint.allow "R4"]
+
 type entry = { ns_per_call : float; r_square : float; advisory : bool }
 
 type t = {

@@ -1,3 +1,6 @@
+(* The linter reads its sources and walks directories: I/O is its job. *)
+[@@@lint.allow "R4"]
+
 type report = { findings : Lint_finding.t list; suppressed : int }
 
 let normalize path =
@@ -27,12 +30,10 @@ let scope_of_path path : Lint_rules.scope =
     file = path;
     in_lib = under "lib" n;
     in_bench = under "bench" n;
-    is_prng = ends_with_any [ "numerics/prng.ml"; "numerics/prng.mli" ] n;
     in_parallel = under "parallel" n;
     is_clock = ends_with_any [ "obs/obs_clock.ml"; "obs/obs_clock.mli" ] n;
     is_resource =
       ends_with_any [ "obs/obs_resource.ml"; "obs/obs_resource.mli" ] n;
-    in_sched = under "lib" n && under "sched" n;
   }
 
 let finding_of_raw file (r : Lint_rules.raw) : Lint_finding.t =
@@ -45,9 +46,7 @@ let finding_of_raw file (r : Lint_rules.raw) : Lint_finding.t =
     message = r.r_msg;
   }
 
-type parsed = Impl of Parsetree.structure | Intf of Parsetree.signature
-
-let parse_source ~path content =
+let check_source ~path content =
   let lexbuf = Lexing.from_string content in
   Lexing.set_filename lexbuf path;
   let fail exn =
@@ -58,20 +57,15 @@ let parse_source ~path content =
     in
     Error (Printf.sprintf "%s: parse error: %s" path (String.trim detail))
   in
+  let scope = scope_of_path path in
   if Filename.check_suffix path ".mli" then
     match Parse.interface lexbuf with
     | exception exn -> fail exn
-    | sg -> Ok (Intf sg)
+    | sg -> Ok (Lint_rules.check_signature scope sg)
   else
     match Parse.implementation lexbuf with
     | exception exn -> fail exn
-    | str -> Ok (Impl str)
-
-let check_parsed ~path parsed =
-  let scope = scope_of_path path in
-  match parsed with
-  | Impl str -> Lint_rules.check_structure scope str
-  | Intf sg -> Lint_rules.check_signature scope sg
+    | str -> Ok (Lint_rules.check_structure scope str)
 
 (* Match raws against allow spans; every matching allow is marked used
    so the M1 pass can report the rest as stale. *)
@@ -95,14 +89,11 @@ let apply_allows allows (used : bool array) raws =
     raws;
   (List.rev !kept, !dropped)
 
-let unused_allow_findings ~deep path allows (used : bool array) =
+let unused_allow_findings path allows (used : bool array) =
   let out = ref [] in
   List.iteri
     (fun i (a : Lint_rules.allow_span) ->
-      if
-        (not used.(i))
-        && (deep || not (List.mem a.a_rule Lint_rules.deep_rule_ids))
-      then
+      if not used.(i) then
         let p = a.a_loc.Location.loc_start in
         out :=
           {
@@ -121,15 +112,14 @@ let unused_allow_findings ~deep path allows (used : bool array) =
   List.rev !out
 
 let lint_source ~path content =
-  match parse_source ~path content with
+  match check_source ~path content with
   | Error _ as e -> e
-  | Ok parsed ->
-      let raws, allows = check_parsed ~path parsed in
+  | Ok (raws, allows) ->
       let used = Array.make (List.length allows) false in
       let kept, dropped = apply_allows allows used raws in
       let findings =
         List.map (finding_of_raw path) kept
-        @ unused_allow_findings ~deep:false path allows used
+        @ unused_allow_findings path allows used
       in
       Ok
         {
@@ -197,120 +187,28 @@ let collect_files paths =
     paths;
   List.sort_uniq String.compare (List.map normalize !out)
 
-type options = {
-  deep : bool;
-  manifest_path : string option;
-  warn_unused_allows : bool;
-}
-
-let default_options =
-  { deep = false; manifest_path = None; warn_unused_allows = false }
-
 type result = {
   all_findings : Lint_finding.t list;
-  warnings : Lint_finding.t list;
   total_suppressed : int;
   errors : string list;
-  effect_signatures : Lint_effects.module_sig list;
 }
 
-let run ?(options = default_options) paths =
+let run paths =
   let files = collect_files paths in
-  let errors = ref [] in
-  (* One parse per file, shared by the shallow rules and the deep
-     interprocedural pass. *)
-  let parsed =
-    List.filter_map
+  let reports, errors =
+    List.partition_map
       (fun f ->
-        match In_channel.with_open_bin f In_channel.input_all with
-        | exception Sys_error e ->
-            errors := e :: !errors;
-            None
-        | content -> (
-            match parse_source ~path:f content with
-            | Ok ast -> Some (f, ast)
-            | Error e ->
-                errors := e :: !errors;
-                None))
+        match lint_file f with
+        | Ok r -> Either.Left r
+        | Error e -> Either.Right e)
       files
   in
-  let checked =
-    List.map
-      (fun (path, ast) ->
-        let raws, allows = check_parsed ~path ast in
-        (path, raws, allows, Array.make (List.length allows) false))
-      parsed
-  in
-  let deep_by_file = Hashtbl.create 16 in
-  let effect_signatures =
-    if not options.deep then []
-    else begin
-      let impls =
-        List.filter_map
-          (fun (p, ast) ->
-            match ast with Impl str -> Some (p, str) | Intf _ -> None)
-          parsed
-      in
-      let graph = Lint_callgraph.build impls in
-      let table = Lint_effects.infer graph in
-      let manifest, manifest_path =
-        match options.manifest_path with
-        | None -> (Lint_deep.No_manifest_check, ".cseffects")
-        | Some p ->
-            if not (Sys.file_exists p) then (Lint_deep.Manifest_missing, p)
-            else (
-              match Lint_manifest.load p with
-              | Ok entries -> (Lint_deep.Manifest entries, p)
-              | Error e ->
-                  errors := e :: !errors;
-                  (Lint_deep.No_manifest_check, p))
-      in
-      List.iter
-        (fun (file, r) ->
-          let prev =
-            match Hashtbl.find_opt deep_by_file file with
-            | Some l -> l
-            | None -> []
-          in
-          Hashtbl.replace deep_by_file file (r :: prev))
-        (Lint_deep.run table ~manifest ~manifest_path);
-      Lint_effects.signatures table
-    end
-  in
-  let findings = ref [] in
-  let warnings = ref [] in
-  let suppressed = ref 0 in
-  let consumed = Hashtbl.create 16 in
-  List.iter
-    (fun (path, raws, allows, used) ->
-      let deep_raws =
-        match Hashtbl.find_opt deep_by_file path with
-        | Some l ->
-            Hashtbl.replace consumed path ();
-            List.rev l
-        | None -> []
-      in
-      let kept, dropped = apply_allows allows used (raws @ deep_raws) in
-      suppressed := !suppressed + dropped;
-      findings := List.map (finding_of_raw path) kept :: !findings;
-      let m1 =
-        unused_allow_findings ~deep:options.deep path allows used
-      in
-      if options.warn_unused_allows then warnings := m1 @ !warnings
-      else findings := m1 :: !findings)
-    checked;
-  (* Deep findings on files with no parsed AST: the manifest itself
-     (stale entries) — nothing to suppress against. *)
-  Hashtbl.iter
-    (fun file raws ->
-      if not (Hashtbl.mem consumed file) then
-        findings := List.map (finding_of_raw file) (List.rev raws) :: !findings)
-    deep_by_file;
-  findings := [ missing_mli_findings files ] @ !findings;
   {
-    all_findings = List.sort Lint_finding.compare (List.concat !findings);
-    warnings = List.sort Lint_finding.compare !warnings;
-    total_suppressed = !suppressed;
-    errors = List.rev !errors;
-    effect_signatures;
+    all_findings =
+      List.sort Lint_finding.compare
+        (missing_mli_findings files
+        @ List.concat_map (fun (r : report) -> r.findings) reports);
+    total_suppressed =
+      List.fold_left (fun n (r : report) -> n + r.suppressed) 0 reports;
+    errors;
   }

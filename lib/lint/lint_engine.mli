@@ -1,8 +1,6 @@
-(** The cslint driver: parse sources with compiler-libs (once per file),
-    run the shallow rule set, optionally the deep interprocedural pass
-    ({!Lint_effects} / {!Lint_deep}), honour [@lint.allow] suppressions,
-    report the stale ones (M1), and enforce the .mli pairing rule over a
-    file set.
+(** The cslint driver: parse sources with compiler-libs, run the rule
+    set, honour [@lint.allow] suppressions, report the stale ones (M1),
+    and enforce the .mli pairing rule over a file set.
 
     Everything here is pure over its inputs apart from {!lint_file},
     {!collect_files} and {!run}, which read the filesystem — tests
@@ -11,21 +9,19 @@
 type report = { findings : Lint_finding.t list; suppressed : int }
 
 val scope_of_path : string -> Lint_rules.scope
-(** Classify a path: under [lib/], under [bench/], or the PRNG module
-    itself (either side of the pair — [prng.ml] and [prng.mli] are both
-    exempt from R3). Leading "./" and backslash separators are
-    normalized. *)
+(** Classify a path: under [lib/], under [bench/], under [lib/parallel/],
+    or one of the two modules a primitive fence exempts ([obs_clock] from
+    R8, [obs_resource] from R9; either side of the pair). Leading "./" and
+    backslash separators are normalized. *)
 
 val lint_source : path:string -> string -> (report, string) result
 (** [lint_source ~path content] lints one compilation unit held in
     memory — an implementation, or an interface when [path] ends in
-    [.mli] (R3 on aliases/opens, attribute payloads, suppression
+    [.mli] (R3 and R4 on aliases/opens, attribute payloads, suppression
     spans). [path] determines rule scoping and appears in findings.
     Findings are sorted and include M1 reports for [@lint.allow]
-    attributes that suppressed nothing (allows naming deep-only rules
-    are exempt here: this entry point never runs the deep pass);
-    [suppressed] counts findings silenced by [@lint.allow]. Errors are
-    unparsable source. *)
+    attributes that suppressed nothing; [suppressed] counts findings
+    silenced by [@lint.allow]. Errors are unparsable source. *)
 
 val lint_file : string -> (report, string) result
 (** {!lint_source} over a file's contents. *)
@@ -40,33 +36,12 @@ val collect_files : string list -> string list
     return the sorted [.ml]/[.mli] paths beneath them. Nonexistent paths
     are ignored. *)
 
-type options = {
-  deep : bool;  (** Run the interprocedural pass (R10, R11, R12). *)
-  manifest_path : string option;
-      (** [Some p]: R12 diffs the inferred lib signatures against the
-          manifest at [p] (a missing file is itself an R12 finding).
-          [None]: R12 is skipped — the [--write-effects] run, which
-          regenerates the manifest instead of checking it. *)
-  warn_unused_allows : bool;
-      (** Demote M1 to {!result.warnings} (reported, never failing). *)
-}
-
-val default_options : options
-(** Shallow, no manifest check, M1 as findings. *)
-
 type result = {
   all_findings : Lint_finding.t list;  (** Sorted, post-suppression. *)
-  warnings : Lint_finding.t list;
-      (** Sorted; M1 reports when [warn_unused_allows]. *)
   total_suppressed : int;
   errors : string list;  (** Unreadable or unparsable files. *)
-  effect_signatures : Lint_effects.module_sig list;
-      (** Inferred per-module effect signatures; [[]] unless [deep]. *)
 }
 
-val run : ?options:options -> string list -> result
-(** [collect_files], parse each file once, lint shallow (and deep when
-    asked) off the shared ASTs, and append the R5 pairing check.
-    Deep findings attach to their source file and go through the same
-    [@lint.allow] suppression as shallow ones; manifest-file findings
-    (stale entries) cannot be suppressed. *)
+val run : string list -> result
+(** {!lint_file} over {!collect_files}, plus the R5 pairing check over
+    the same file set. *)

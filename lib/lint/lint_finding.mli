@@ -1,7 +1,9 @@
 (** A single rule violation at a source location. *)
 
 type t = {
-  rule : string;  (** "R1" .. "R6", or "E1" for a malformed suppression. *)
+  rule : string;
+      (** "R1" .. "R9", "R14", "M1" for a stale suppression, or "E1" for
+          a malformed one. *)
   file : string;  (** Path as given to the linter. *)
   line : int;  (** 1-based line of the offending node. *)
   col : int;  (** 0-based column, matching compiler convention. *)

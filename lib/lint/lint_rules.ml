@@ -2,11 +2,9 @@ type scope = {
   file : string;
   in_lib : bool;
   in_bench : bool;
-  is_prng : bool;
   in_parallel : bool;
   is_clock : bool;
   is_resource : bool;
-  in_sched : bool;
 }
 
 type meta = { id : string; title : string; remedy : string }
@@ -25,13 +23,19 @@ let all_meta =
     };
     {
       id = "R3";
-      title = "no stdlib Random outside lib/numerics/prng.ml";
+      title = "no stdlib Random";
       remedy = "thread an explicit Prng.t seeded from the experiment config";
     };
     {
       id = "R4";
-      title = "no direct printing from lib/";
-      remedy = "emit through Obs sinks or return values to the caller";
+      title =
+        "no ambient I/O from lib/: the std channels and their printers and \
+         readers, open/close/input/output on channels, In_channel, \
+         Out_channel, Sys.getenv and Sys file calls, Unix apart from R8's \
+         clock reads";
+      remedy =
+        "emit through Obs sinks, write to a formatter or channel the caller \
+         passes, or return values to the caller";
     };
     {
       id = "R5";
@@ -69,54 +73,21 @@ let all_meta =
          registry metrics at the caller's chosen points";
     };
     {
-      id = "R10";
-      title =
-        "planning core (lib/sched, lib/numerics, lib/lifefn, lib/workload) \
-         is effect-free apart from domain (deep)";
-      remedy =
-        "route instrumentation through the ?obs seam; hoist clock, random, \
-         io and shared mutation out of the planning core";
-    };
-    {
-      id = "R11";
-      title =
-        "closures passed to Domain_pool.run/map/map_reduce/parallel_for \
-         capture no toplevel mutable state (deep)";
-      remedy =
-        "pass state through chunk-local arguments and merge the results on \
-         the caller, as Obs_fork.scatter/gather does";
-    };
-    {
-      id = "R12";
-      title =
-        "each lib module's inferred effect signature matches the committed \
-         .cseffects manifest (deep)";
-      remedy =
-        "review the drift, then re-lock with cslint --deep --write-effects";
-    };
-    {
       id = "R14";
       title =
-        "no toplevel mutable memo/cache state (Hashtbl, Atomic, ref) in \
-         lib/sched; memo state lives in an explicit handle that the \
-         caller creates and passes";
+        "no toplevel mutable state in lib/ (ref, Atomic, Hashtbl, Buffer, \
+         Queue, Stack, or an Array or Bytes built by make/init/create)";
       remedy =
         "hold the state in an explicit handle that the caller creates and \
-         passes through call-sites; the planning core stays pure (R10) \
-         and bit-reproducible";
+         passes through call-sites, so answers stay independent of call \
+         history and bit-reproducible";
     };
     {
       id = "M1";
       title = "no unused [@lint.allow] suppression";
-      remedy =
-        "delete the stale attribute, or pass --allow-unused-allows to \
-         downgrade the report to a warning";
+      remedy = "delete the stale attribute";
     };
   ]
-
-(* Rules only the interprocedural pass can fire; in a shallow run an
-   unmatched allow naming one of these is not stale, just out of scope. *)
-let deep_rule_ids = [ "R10"; "R11"; "R12" ]
 
 open Parsetree
 
@@ -155,11 +126,6 @@ let is_float_operand e =
       true
   | _ -> false
 
-let rec longident_head = function
-  | Longident.Lident s -> s
-  | Longident.Ldot (l, _) -> longident_head l
-  | Longident.Lapply (l, _) -> longident_head l
-
 let deref_of_var name e =
   match e.pexp_desc with
   | Pexp_apply
@@ -169,15 +135,69 @@ let deref_of_var name e =
       String.equal v name
   | _ -> false
 
-let lib_printers =
+(* A module path as its segments, without a leading [Stdlib.]. *)
+let path_of lid =
+  let rec go acc = function
+    | Longident.Lident s -> Some (s :: acc)
+    | Longident.Ldot (l, s) -> go (s :: acc) l
+    | Longident.Lapply _ -> None
+  in
+  match go [] lid with
+  | Some ("Stdlib" :: (_ :: _ as rest)) -> Some rest
+  | p -> p
+
+(* R4: stdlib values that reach a std channel, open or close a file, or
+   move bytes through a channel. [flush] is not here: [Uniqueness] binds
+   its own, and a flush needs a channel, which these already flag. *)
+let ambient_io_values =
   [
-    "print_string";
-    "print_endline";
-    "print_newline";
-    "print_char";
-    "print_int";
-    "print_float";
+    "stdin"; "stdout"; "stderr"; "print_char"; "print_string"; "print_bytes";
+    "print_int"; "print_float"; "print_endline"; "print_newline";
+    "prerr_char"; "prerr_string"; "prerr_bytes"; "prerr_int"; "prerr_float";
+    "prerr_endline"; "prerr_newline"; "read_line"; "read_int"; "read_int_opt";
+    "read_float"; "read_float_opt"; "open_in"; "open_in_bin"; "open_in_gen";
+    "open_out"; "open_out_bin"; "open_out_gen"; "close_in"; "close_in_noerr";
+    "close_out"; "close_out_noerr"; "input_char"; "input_line"; "input_byte";
+    "input_binary_int"; "input_value"; "really_input"; "really_input_string";
+    "output_char"; "output_string"; "output_bytes"; "output_substring";
+    "output_byte"; "output_binary_int"; "output_value"; "flush_all";
   ]
+
+let sys_io =
+  [
+    "getenv"; "getenv_opt"; "command"; "file_exists"; "is_directory";
+    "is_regular_file"; "readdir"; "remove"; "rename"; "getcwd"; "chdir";
+    "mkdir"; "rmdir";
+  ]
+
+let is_ambient_io = function
+  | [ v ] -> List.mem v ambient_io_values
+  | [ "Sys"; f ] -> List.mem f sys_io
+  | [ "Unix"; ("gettimeofday" | "time") ] -> false (* R8's, reported once *)
+  | [ ("Printf" | "Format"); ("printf" | "eprintf") ]
+  | [ "Format"; ("std_formatter" | "err_formatter") ]
+  | [ "Fmt"; ("pr" | "epr" | "stdout" | "stderr") ]
+  | [ "Filename"; ("temp_file" | "open_temp_file" | "temp_dir") ]
+  | ("In_channel" | "Out_channel" | "Unix") :: _ :: _ ->
+      true
+  | _ -> false
+
+(* Modules whose every use from lib/ is ambient I/O, so an alias or an
+   [open] of one is flagged like a qualified call. *)
+let is_io_module = function
+  | [ ("Unix" | "In_channel" | "Out_channel") ] -> true
+  | _ -> false
+
+(* R14: calls that allocate a mutable container. *)
+let is_mutable_alloc = function
+  | [ "ref" ]
+  | [ "Hashtbl"; ("create" | "of_seq") ]
+  | [ "Atomic"; "make" ]
+  | [ ("Buffer" | "Queue" | "Stack"); "create" ]
+  | [ "Array"; ("make" | "init" | "make_matrix" | "create_float") ]
+  | [ "Bytes"; ("make" | "init" | "create") ] ->
+      true
+  | _ -> false
 
 (* Rules of the [@lint.allow "R2"] payload: one string constant naming one
    or more rule ids, separated by spaces or commas. *)
@@ -239,37 +259,43 @@ let make_checker (scope : scope) =
                  rule ids like \"R2\" or \"R1,R2\"")
       attrs
   in
+  (* R3 and R4 on a value path, or with [is_io_module] on a module alias
+     or open. *)
+  let check_path ~is_io lid loc =
+    match path_of lid with
+    | None -> ()
+    | Some p ->
+        if String.equal (List.hd p) "Random" then
+          report "R3" loc
+            "stdlib Random breaks reproducibility; thread an explicit Prng.t";
+        if scope.in_lib && is_io p then
+          report "R4" loc
+            (Printf.sprintf
+               "%s is ambient I/O in lib/; emit through Obs sinks, write to a \
+                formatter or channel the caller passes, or return values"
+               (String.concat "." p))
+  in
   let check_ident lid loc =
-    (match lid with
-    | Longident.Ldot (Longident.Lident "Obj", ("magic" | "repr")) ->
+    (match path_of lid with
+    | Some [ "Obj"; ("magic" | "repr") ] ->
         report "R6" loc
           "Obj.magic/Obj.repr defeat the type system; restructure the types"
-    | _ -> ());
-    (match lid with
-    | Longident.Ldot (Longident.Lident "Domain", "spawn")
-      when not scope.in_parallel ->
+    | Some [ "Domain"; "spawn" ] when not scope.in_parallel ->
         report "R7" loc
           "raw Domain.spawn outside lib/parallel/; run the work through \
            Domain_pool so the determinism contract stays auditable"
-    | _ -> ());
-    (match lid with
-    | Longident.Ldot
-        (Longident.Lident "Unix", (("gettimeofday" | "time") as fn))
+    | Some [ "Unix"; (("gettimeofday" | "time") as fn) ]
       when not scope.is_clock ->
         report "R8" loc
           (Printf.sprintf
              "Unix.%s reads the wall clock directly; route timing through \
               Obs_clock"
              fn)
-    | Longident.Ldot (Longident.Lident "Sys", "time") when not scope.is_clock
-      ->
+    | Some [ "Sys"; "time" ] when not scope.is_clock ->
         report "R8" loc
           "Sys.time reads the process clock directly; route timing through \
            Obs_clock"
-    | _ -> ());
-    (match lid with
-    | Longident.Ldot
-        (Longident.Lident "Gc", (("stat" | "quick_stat" | "counters") as fn))
+    | Some [ "Gc"; (("stat" | "quick_stat" | "counters") as fn) ]
       when not scope.is_resource ->
         report "R9" loc
           (Printf.sprintf
@@ -277,22 +303,7 @@ let make_checker (scope : scope) =
               which budgets the cost and keeps sampling points deterministic"
              fn)
     | _ -> ());
-    (if (not scope.is_prng) && String.equal (longident_head lid) "Random" then
-       report "R3" loc
-         "stdlib Random breaks reproducibility; thread an explicit Prng.t");
-    if scope.in_lib then
-      match lid with
-      | Longident.Lident p when List.mem p lib_printers ->
-          report "R4" loc
-            (Printf.sprintf
-               "%s prints directly from lib/; emit through Obs sinks or \
-                return values"
-               p)
-      | Longident.Ldot (Longident.Lident ("Printf" | "Format"), "printf") ->
-          report "R4" loc
-            "printf prints directly from lib/; emit through Obs sinks or \
-             return values"
-      | _ -> ()
+    check_path ~is_io:is_ambient_io lid loc
   in
   let check_expr (e : expression) =
     match e.pexp_desc with
@@ -351,37 +362,28 @@ let make_checker (scope : scope) =
         | _ -> ())
     | _ -> ()
   in
-  (* R14: a structure-level binding in lib/sched whose right-hand side
-     allocates a Hashtbl, an Atomic or a ref outside any function body is
-     module-lifetime mutable state — memoization smuggled into the pure
-     planning core. The scan descends only through constructors that
-     evaluate at module init (let/sequence/tuple/record/construct/if/
-     apply arguments...); anything else — in particular function and lazy
-     bodies, whose allocations are per-call — is skipped, so the local
-     scratch tables the planners build inside calls stay legal. *)
+  (* R14: a structure-level binding in lib/ whose right-hand side
+     allocates a mutable container outside any function body is
+     module-lifetime state — answers that depend on call history, and a
+     race once two pool chunks reach it. The scan descends only through
+     constructors that evaluate at module init (let/sequence/tuple/
+     record/construct/if/apply arguments...); anything else — in
+     particular function and lazy bodies, whose allocations are per-call
+     — is skipped, so the local scratch tables built inside calls stay
+     legal. *)
   let rec r14_scan_static e =
-    let alloc =
-      match e.pexp_desc with
-      | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _ :: _) -> (
-          match txt with
-          | Longident.Ldot
-              (Longident.Lident "Hashtbl", (("create" | "of_seq") as fn)) ->
-              Some ("Hashtbl." ^ fn)
-          | Longident.Ldot (Longident.Lident "Atomic", "make") ->
-              Some "Atomic.make"
-          | Longident.Lident "ref" -> Some "ref"
-          | _ -> None)
-      | _ -> None
-    in
-    (match alloc with
-    | Some what ->
-        report "R14" e.pexp_loc
-          (Printf.sprintf
-             "toplevel %s allocates module-lifetime mutable state in \
-              lib/sched; memo state belongs in an explicit handle that \
-              the caller creates and passes"
-             what)
-    | None -> ());
+    (match e.pexp_desc with
+    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _ :: _) -> (
+        match path_of txt with
+        | Some p when is_mutable_alloc p ->
+            report "R14" e.pexp_loc
+              (Printf.sprintf
+                 "toplevel %s allocates module-lifetime mutable state in \
+                  lib/; hold it in an explicit handle that the caller \
+                  creates and passes"
+                 (String.concat "." p))
+        | _ -> ())
+    | _ -> ());
     match e.pexp_desc with
     | Pexp_apply (_, args) -> List.iter (fun (_, a) -> r14_scan_static a) args
     | Pexp_let (_, vbs, body) ->
@@ -405,7 +407,7 @@ let make_checker (scope : scope) =
     | _ -> ()
   in
   let r14_check_structure str =
-    if scope.in_sched then
+    if scope.in_lib then
       List.iter
         (fun si ->
           match si.pstr_desc with
@@ -455,37 +457,21 @@ let make_checker (scope : scope) =
       module_expr =
         (fun it me ->
           (match me.pmod_desc with
-          | Pmod_ident { txt; loc } ->
-              if (not scope.is_prng) && String.equal (longident_head txt) "Random"
-              then
-                report "R3" loc
-                  "stdlib Random breaks reproducibility; thread an explicit \
-                   Prng.t"
+          | Pmod_ident { txt; loc } -> check_path ~is_io:is_io_module txt loc
           | _ -> ());
           default.module_expr it me);
-      (* Interface-side checks: the same R3 fence applies to aliases
-         ([module S = Random]) and opens written in a .mli, and attributes
-         on declarations still carry [@lint.allow] spans. *)
+      (* Interface-side checks: the same R3 and R4 fences apply to
+         aliases ([module S = Random]) and opens written in a .mli, and
+         attributes on declarations still carry [@lint.allow] spans. *)
       module_type =
         (fun it mt ->
           (match mt.pmty_desc with
-          | Pmty_alias { txt; loc }
-            when (not scope.is_prng)
-                 && String.equal (longident_head txt) "Random" ->
-              report "R3" loc
-                "stdlib Random breaks reproducibility; thread an explicit \
-                 Prng.t"
+          | Pmty_alias { txt; loc } -> check_path ~is_io:is_io_module txt loc
           | _ -> ());
           default.module_type it mt);
       open_description =
         (fun it od ->
-          (if
-             (not scope.is_prng)
-             && String.equal (longident_head od.popen_expr.txt) "Random"
-           then
-             report "R3" od.popen_expr.loc
-               "stdlib Random breaks reproducibility; thread an explicit \
-                Prng.t");
+          check_path ~is_io:is_io_module od.popen_expr.txt od.popen_expr.loc;
           default.open_description it od);
       module_declaration =
         (fun it md ->

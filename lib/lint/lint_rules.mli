@@ -5,32 +5,26 @@
     syntactic — the linter runs on unparsed source without type
     information — so they are scoped to the patterns that matter:
     comparisons against float literals or float-arithmetic expressions,
-    the [x := !x +. e] accumulation idiom, and module paths rooted at
-    [Random] / [Obj]. *)
+    the [x := !x +. e] accumulation idiom, the primitives that reach
+    ambient state (clock, [Random], I/O, GC probes, [Domain.spawn]), and
+    toplevel allocations of mutable containers. *)
 
 type scope = {
   file : string;  (** Path as reported in findings. *)
-  in_lib : bool;  (** Under [lib/]: R2 and R4 apply. *)
+  in_lib : bool;  (** Under [lib/]: R2, R4 and R14 apply. *)
   in_bench : bool;  (** Under [bench/]: R2 applies. *)
-  is_prng : bool;  (** [lib/numerics/prng.ml] itself: exempt from R3. *)
   in_parallel : bool;  (** Under [lib/parallel/]: exempt from R7. *)
   is_clock : bool;  (** [lib/obs/obs_clock.ml] itself: exempt from R8. *)
   is_resource : bool;
       (** [lib/obs/obs_resource.ml] itself: exempt from R9. *)
-  in_sched : bool;  (** Under [lib/sched/]: R14 applies. *)
 }
 
 type meta = { id : string; title : string; remedy : string }
 
 val all_meta : meta list
-(** One entry per rule, in id order (R1–R12, R14, then the M-series
-    meta-rules); used by [cslint --rules] and kept in sync with
-    DESIGN.md §8 and §13. *)
-
-val deep_rule_ids : string list
-(** Rules only [cslint --deep]'s interprocedural pass can fire (R10,
-    R11, R12). A shallow run does not report allows naming these as
-    unused (M1) — it never looked. *)
+(** One entry per rule, in id order (R1–R9, R14, then the M-series
+    meta-rule); used by [cslint --rules] and kept in sync with
+    DESIGN.md §8. *)
 
 type raw = {
   r_rule : string;

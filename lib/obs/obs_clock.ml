@@ -1,3 +1,7 @@
+(* The monotonic high-water mark is process-wide by design: every span
+   reads one clock. *)
+[@@@lint.allow "R14"]
+
 let high_water = ref 0.0
 
 let now () =

@@ -1,3 +1,7 @@
+(* Capturing the trace header asks git for the commit through a Unix
+   process. *)
+[@@@lint.allow "R4"]
+
 type t = {
   schema : int;
   git_sha : string option;

@@ -1,3 +1,6 @@
+(* Obs_query loads JSONL traces from disk: file I/O is its job. *)
+[@@@lint.allow "R4"]
+
 type trace = {
   path : string;
   meta : Obs_meta.t option;

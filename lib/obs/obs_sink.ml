@@ -1,3 +1,7 @@
+(* The Jsonl sink opens, writes and closes the trace file: file I/O is its
+   job. *)
+[@@@lint.allow "R4"]
+
 type t =
   | Null
   | Jsonl of out_channel

@@ -1,7 +1,7 @@
 (* Mutations of a decoder's input, shared by the QCheck properties that
    every decoder of outside bytes answers [Ok] or [Error] on a damaged
-   document and never raises: Jsonx.of_string (test_obs),
-   Lint_manifest.load (test_lint) and Obs_health.parse (test_health).
+   document and never raises: Jsonx.of_string (test_obs) and
+   Obs_health.parse (test_health).
    One mutation is applied to a valid document. [sep] splits it into
    the pieces that [Duplicate] and [Reorder] act on: lines by default,
    the comma-separated pieces of a one-line JSON value otherwise. *)
