@@ -14,8 +14,8 @@
    [schedule], [simulate] and [compare] accept --trace FILE (write a
    JSONL event trace of the run, opened by an Obs_meta provenance
    header). The trace is the one record of a run: every view of it —
-   summary, diff, metrics, Prometheus export, health verdict — is
-   cstrace's, read from that file. Every command plans with Guideline.plan;
+   summary, diff, health verdict — is cstrace's, read from that
+   file. Every command plans with Guideline.plan;
    [table] hands its whole grid to Guideline.plan_batch. The
    Monte-Carlo and batch-planning commands ([simulate], [compare],
    [table]) accept --jobs N to run on N domains; output is bit-identical

@@ -5,17 +5,16 @@
                       [--since T] [--until T] [--episodes]
      cstrace diff     a.jsonl b.jsonl [--context N] [--force]
      cstrace flame    profile_trace.json -o profile.folded
-     cstrace prom     trace.jsonl [-o FILE]
      cstrace check    trace.jsonl --rules FILE [--rule R]... [--json]
 
    [report] filters and summarises one JSONL event trace; [diff]
    compares two runs event-by-event and pinpoints the first divergence
    (exit 1) — the semantic form of the DESIGN.md §10 determinism check;
    [flame] folds a Chrome span profile into flamegraph.pl/speedscope
-   input; [prom] reconstructs deterministic trace.* metrics from the
-   events and renders Prometheus text exposition; [check] evaluates
-   health rules against those same metrics. Every subcommand reads a
-   finished file: the --trace file of a run is its one record.
+   input; [check] evaluates health rules against the named values of
+   the same fold that [report] prints (Trace_report), so the two never
+   disagree on a number. Every subcommand reads a finished file: the
+   --trace file of a run is its one record.
 
    Exit codes: 0 success (and "traces are identical" for diff), 1 data
    error or divergence, 2 usage error (including a refused
@@ -173,11 +172,10 @@ let diff_cmd =
            `P
              "Two same-seed runs must produce identical event streams for \
               any --jobs value (DESIGN.md \xc2\xa710). $(tname) checks that \
-              contract semantically: provenance headers and wall-time \
-              fields (planning elapsed seconds) are not compared (so a \
-              --jobs 1 and a --jobs 2 trace of the same run compare \
-              equal), and the first differing event is printed with its \
-              surrounding context.";
+              contract semantically: provenance headers are not compared \
+              (so a --jobs 1 and a --jobs 2 trace of the same run compare \
+              equal), every field of every event is, and the first \
+              differing event is printed with its surrounding context.";
          ])
     Term.(
       const run
@@ -235,44 +233,6 @@ let flame_cmd =
          "Fold a Chrome span profile into flamegraph.pl / speedscope input \
           (self time per call path).")
     Term.(const run $ file $ out)
-
-(* ------------------------------------------------------------------ *)
-(* prom                                                                *)
-
-let prom_cmd =
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"FILE"
-          ~doc:"Write to $(docv) instead of standard output.")
-  in
-  let namespace =
-    Arg.(
-      value & opt string "cs"
-      & info [ "namespace" ] ~docv:"NS" ~doc:"Metric name prefix.")
-  in
-  let run file out namespace =
-    let t = load_trace file in
-    let reg = Obs_query.metrics_of_events t.Obs_query.events in
-    let lines = Obs_export.prometheus ~namespace reg in
-    let samples =
-      match Obs_export.validate_prometheus lines with
-      | Ok n -> n
-      | Error msg -> die_data ("internal: invalid exposition: " ^ msg)
-    in
-    match out with
-    | None -> List.iter print_endline lines
-    | Some path ->
-        write_lines path lines;
-        Format.printf "wrote %d sample(s) to %s@." samples path
-  in
-  Cmd.v
-    (Cmd.info "prom"
-       ~doc:
-         "Reconstruct deterministic trace.* metrics from an event trace \
-          and render Prometheus text exposition.")
-    Term.(const run $ trace_pos ~docv:"TRACE" ~idx:0 $ out $ namespace)
 
 (* ------------------------------------------------------------------ *)
 (* check                                                               *)
@@ -337,8 +297,10 @@ let check_cmd =
     (* A trace without events has nothing to judge: unusable input,
        not a vacuous pass. *)
     if t.Obs_query.events = [] then die_check (file ^ ": empty file");
-    let reg = Obs_query.metrics_of_events t.Obs_query.events in
-    let report = Obs_health.evaluate ~rules (Obs.Metrics.snapshot reg) in
+    let values =
+      Trace_report.values (Trace_report.of_events t.Obs_query.events)
+    in
+    let report = Obs_health.evaluate ~rules values in
     if json then print_endline (Jsonx.to_string (Obs_health.report_to_json report))
     else Format.printf "%a" Obs_health.pp_report report;
     exit (Obs_health.exit_code report)
@@ -346,7 +308,7 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~doc:
-         "Evaluate declarative health rules against the trace.* metrics \
+         "Evaluate declarative health rules against the trace.* values \
           of a finished trace; exit 0 ok / 1 warn / 2 critical (3 on \
           unreadable input)."
        ~man:
@@ -354,11 +316,13 @@ let check_cmd =
            `S Manpage.s_description;
            `P
              "Rules come from a --rules file and/or repeated --rule flags. \
-              A selector reads a counter's count, a gauge's value, a \
-              histogram's mean, or a named stat (name.p99, name.count, \
-              ...). A trailing ? makes a rule skip silently when its \
-              metric is absent, letting one rules file serve traces that \
-              carry different series.";
+              A selector reads a count (trace.periods_killed), a \
+              distribution's stat (trace.period_length.p99, .count, \
+              .sum, .mean, .min, .max, .p50, .p95), or a distribution's \
+              bare name as its mean. The values are the exact numbers \
+              $(b,cstrace report) prints. A trailing ? makes a rule skip \
+              silently when its value is absent, letting one rules file \
+              serve traces that carry different values.";
          ])
     Term.(
       const run $ trace_pos ~docv:"TRACE" ~idx:0 $ rules_file $ rule_flags
@@ -368,10 +332,10 @@ let check_cmd =
 
 let () =
   let doc =
-    "trace analytics for cycle-stealing runs: summarise, diff, flamegraph, \
-     export and health-check the observability layer's artifacts"
+    "trace analytics for cycle-stealing runs: summarise, diff, flamegraph \
+     and health-check the observability layer's artifacts"
   in
   let info = Cmd.info "cstrace" ~version:"1.0.0" ~doc in
   exit
     (Cmd.eval
-       (Cmd.group info [ report_cmd; diff_cmd; flame_cmd; prom_cmd; check_cmd ]))
+       (Cmd.group info [ report_cmd; diff_cmd; flame_cmd; check_cmd ]))

@@ -80,8 +80,8 @@ let () =
     policies;
 
   (* Detail of one guideline run, with its event trace collected: the
-     same report numbers, plus the trace.* counters and the period-length
-     / episode-duration histograms rebuilt from that trace. *)
+     same report numbers, then the trace's own summary (the fold
+     cstrace report prints and cstrace check judges). *)
   let events = ref [] in
   let sink = Obs.Sink.Custom (fun ev -> events := ev :: !events) in
   let r = run ~obs:(Obs.create ~sink ()) Farm.guideline_policy 42L in
@@ -96,5 +96,6 @@ let () =
         w.Farm.ws_id w.Farm.work_done w.Farm.episodes w.Farm.periods_completed
         w.Farm.periods_killed w.Farm.work_lost)
     r.Farm.per_workstation;
-  Format.printf "@.Its metrics, rebuilt from the trace:@.%a" Obs.Metrics.pp
-    (Obs_query.metrics_of_events (List.rev !events))
+  Format.printf "@.The same run, folded back from its trace:@.%a"
+    Trace_report.pp
+    (Trace_report.of_events (List.rev !events))

@@ -31,6 +31,7 @@ let scope_of_path path : Lint_rules.scope =
     in_lib = under "lib" n;
     in_bench = under "bench" n;
     in_parallel = under "parallel" n;
+    in_obs = under "obs" n;
     is_clock = ends_with_any [ "obs/obs_clock.ml"; "obs/obs_clock.mli" ] n;
     is_resource =
       ends_with_any [ "obs/obs_resource.ml"; "obs/obs_resource.mli" ] n;
@@ -172,20 +173,21 @@ let missing_mli_findings files =
   |> List.sort Lint_finding.compare
 
 let collect_files paths =
-  let out = ref [] in
+  let out = ref [] and missing = ref [] in
   let rec walk p =
-    if Sys.is_directory p then
-      Sys.readdir p |> Array.to_list |> List.sort String.compare
-      |> List.iter (fun entry ->
-             if not (String.starts_with ~prefix:"." entry || entry = "_build")
-             then walk (Filename.concat p entry))
-    else if Filename.check_suffix p ".ml" || Filename.check_suffix p ".mli"
-    then out := p :: !out
+    match Sys.is_directory p with
+    | exception Sys_error e -> missing := e :: !missing
+    | true ->
+        Sys.readdir p |> Array.to_list |> List.sort String.compare
+        |> List.iter (fun entry ->
+               if not (String.starts_with ~prefix:"." entry || entry = "_build")
+               then walk (Filename.concat p entry))
+    | false ->
+        if Filename.check_suffix p ".ml" || Filename.check_suffix p ".mli"
+        then out := p :: !out
   in
-  List.iter
-    (fun p -> if Sys.file_exists p then walk p else ())
-    paths;
-  List.sort_uniq String.compare (List.map normalize !out)
+  List.iter walk paths;
+  (List.sort_uniq String.compare (List.map normalize !out), List.rev !missing)
 
 type result = {
   all_findings : Lint_finding.t list;
@@ -194,7 +196,7 @@ type result = {
 }
 
 let run paths =
-  let files = collect_files paths in
+  let files, missing = collect_files paths in
   let reports, errors =
     List.partition_map
       (fun f ->
@@ -210,5 +212,5 @@ let run paths =
         @ List.concat_map (fun (r : report) -> r.findings) reports);
     total_suppressed =
       List.fold_left (fun n (r : report) -> n + r.suppressed) 0 reports;
-    errors;
+    errors = missing @ errors;
   }

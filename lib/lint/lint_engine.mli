@@ -10,9 +10,9 @@ type report = { findings : Lint_finding.t list; suppressed : int }
 
 val scope_of_path : string -> Lint_rules.scope
 (** Classify a path: under [lib/], under [bench/], under [lib/parallel/],
-    or one of the two modules a primitive fence exempts ([obs_clock] from
-    R8, [obs_resource] from R9; either side of the pair). Leading "./" and
-    backslash separators are normalized. *)
+    under [lib/obs/], or one of the two modules a primitive fence exempts
+    ([obs_clock] from R8, [obs_resource] from R9; either side of the
+    pair). Leading "./" and backslash separators are normalized. *)
 
 val lint_source : path:string -> string -> (report, string) result
 (** [lint_source ~path content] lints one compilation unit held in
@@ -31,15 +31,19 @@ val missing_mli_findings : string list -> Lint_finding.t list
     [lib/**/*.ml] with no matching [.mli] in the same set, and one per
     orphan [lib/**/*.mli] whose implementation is gone. *)
 
-val collect_files : string list -> string list
+val collect_files : string list -> string list * string list
 (** Walk files and directories (skipping [_build] and dotted entries) and
-    return the sorted [.ml]/[.mli] paths beneath them. Nonexistent paths
-    are ignored. *)
+    return the sorted [.ml]/[.mli] paths beneath them, and one error per
+    path that does not exist ([no_such_dir: No such file or
+    directory]), so that a mistyped path fails instead of linting
+    nothing. *)
 
 type result = {
   all_findings : Lint_finding.t list;  (** Sorted, post-suppression. *)
   total_suppressed : int;
-  errors : string list;  (** Unreadable or unparsable files. *)
+  errors : string list;
+      (** Paths that do not exist, then unreadable or unparsable
+          files. *)
 }
 
 val run : string list -> result

@@ -3,6 +3,7 @@ type scope = {
   in_lib : bool;
   in_bench : bool;
   in_parallel : bool;
+  in_obs : bool;
   is_clock : bool;
   is_resource : bool;
 }
@@ -58,10 +59,12 @@ let all_meta =
       id = "R8";
       title =
         "no wall-clock reads (Unix.gettimeofday, Unix.time, Sys.time) \
-         outside lib/obs/obs_clock.ml";
+         outside lib/obs/obs_clock.ml, and no Obs_clock in lib/ outside \
+         lib/obs/";
       remedy =
         "route timing through Obs_clock, whose monotonic high-water clamp \
-         keeps span durations non-negative";
+         keeps span durations non-negative; in lib/, time a call with \
+         Obs.span, so that no answer can read the clock";
     };
     {
       id = "R9";
@@ -259,8 +262,8 @@ let make_checker (scope : scope) =
                  rule ids like \"R2\" or \"R1,R2\"")
       attrs
   in
-  (* R3 and R4 on a value path, or with [is_io_module] on a module alias
-     or open. *)
+  (* R3, R4 and R8's Obs_clock fence on a value path, or with
+     [is_io_module] on a module alias or open. *)
   let check_path ~is_io lid loc =
     match path_of lid with
     | None -> ()
@@ -268,6 +271,15 @@ let make_checker (scope : scope) =
         if String.equal (List.hd p) "Random" then
           report "R3" loc
             "stdlib Random breaks reproducibility; thread an explicit Prng.t";
+        if
+          scope.in_lib && (not scope.in_obs)
+          && String.equal (List.hd p) "Obs_clock"
+        then
+          report "R8" loc
+            (Printf.sprintf
+               "%s reads the wall clock in lib/ outside lib/obs; time a call \
+                with Obs.span, so that no answer can read the clock"
+               (String.concat "." p));
         if scope.in_lib && is_io p then
           report "R4" loc
             (Printf.sprintf

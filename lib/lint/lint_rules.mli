@@ -14,6 +14,9 @@ type scope = {
   in_lib : bool;  (** Under [lib/]: R2, R4 and R14 apply. *)
   in_bench : bool;  (** Under [bench/]: R2 applies. *)
   in_parallel : bool;  (** Under [lib/parallel/]: exempt from R7. *)
+  in_obs : bool;
+      (** Under [lib/obs/]: may name [Obs_clock], which R8 fences out of
+          the rest of [lib/]. *)
   is_clock : bool;  (** [lib/obs/obs_clock.ml] itself: exempt from R8. *)
   is_resource : bool;
       (** [lib/obs/obs_resource.ml] itself: exempt from R9. *)

@@ -56,21 +56,26 @@ let confidence_interval_95 a =
     invalid_arg "Stats.confidence_interval_95: need at least 2 samples";
   summary_ci95 (summarize a)
 
-let quantile a ~q =
+let quantiles a ~qs =
   require_nonempty "quantile" a;
-  if q < 0.0 || q > 1.0 then
+  if List.exists (fun q -> q < 0.0 || q > 1.0) qs then
     invalid_arg "Stats.quantile: q must lie in [0, 1]";
   let sorted = Array.copy a in
   Array.sort Float.compare sorted;
   let n = Array.length sorted in
-  if n = 1 then sorted.(0)
-  else begin
-    let pos = q *. float_of_int (n - 1) in
-    let lo = int_of_float (Float.floor pos) in
-    let hi = Int.min (lo + 1) (n - 1) in
-    let frac = pos -. float_of_int lo in
-    sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
-  end
+  List.map
+    (fun q ->
+      if n = 1 then sorted.(0)
+      else begin
+        let pos = q *. float_of_int (n - 1) in
+        let lo = int_of_float (Float.floor pos) in
+        let hi = Int.min (lo + 1) (n - 1) in
+        let frac = pos -. float_of_int lo in
+        sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
+      end)
+    qs
+
+let quantile a ~q = List.hd (quantiles a ~qs:[ q ])
 
 let histogram a ~bins ~lo ~hi =
   if bins < 1 then invalid_arg "Stats.histogram: bins must be >= 1";

@@ -43,6 +43,11 @@ val quantile : float array -> q:float -> float
     (type-7). Requires [0 <= q <= 1]; sorts a copy.
     @raise Invalid_argument on empty input or [q] out of range. *)
 
+val quantiles : float array -> qs:float list -> float list
+(** [quantiles a ~qs] is [List.map (fun q -> quantile a ~q) qs], bit for
+    bit, from one sorted copy of [a].
+    @raise Invalid_argument on empty input or any [q] out of range. *)
+
 val histogram :
   float array -> bins:int -> lo:float -> hi:float -> int array
 (** [histogram a ~bins ~lo ~hi] counts samples per uniform bin over

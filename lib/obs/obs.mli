@@ -5,9 +5,10 @@
     {!Obs_span} recorder. Instrumented functions take it as an optional
     [?obs] parameter defaulting to {!disabled}, so existing call sites
     compile (and behave) unchanged. The event trace is the one record of
-    a run: counts and distributions are rebuilt from it offline
-    ({!Obs_query.metrics_of_events}, [cstrace prom|check]), never kept
-    live beside it.
+    a run: its counts and distributions are folded back from it offline
+    by {!Trace_report}, the numbers [cstrace report] prints and
+    [cstrace check] judges, never kept live beside it. No event carries
+    wall time, so the trace is a pure function of the run's inputs.
 
     {2 Overhead discipline}
 

@@ -5,8 +5,10 @@
     backwards step of the system clock freezes the reading rather than
     producing a negative span. Resolution is therefore microseconds, and
     readings are comparable only within one process — exactly what
-    {!Obs_span} and the wall-time fields of trace events need and
-    nothing more. *)
+    {!Obs_span} needs and nothing more. Trace events carry no wall
+    time, and lint R8 keeps this module out of [lib/] outside
+    [lib/obs], so no library answer can read the clock; the bench
+    harness times its ops with it. *)
 
 val now : unit -> float
 (** Seconds since the epoch, clamped to be non-decreasing across calls

@@ -5,7 +5,6 @@ type t =
       t0 : float;
       periods : int;
       expected_work : float;
-      elapsed : float;
     }
   | Episode_started of { time : float; ws : int; ep : int }
   | Period_dispatched of {
@@ -41,7 +40,7 @@ type t =
   | Pool_drained of { time : float; remaining : float }
   | Run_finished of { time : float }
 
-let schema_version = 1
+let schema_version = 2
 
 (* ------------------------------------------------------------------ *)
 (* Accessors (the query layer keys on these)                          *)
@@ -97,14 +96,13 @@ let to_json = function
         (match seed with
         | Some s -> [ ("seed", Jsonx.Int (Int64.to_int s)) ]
         | None -> []))
-  | Plan_computed { source; t0; periods; expected_work; elapsed } ->
+  | Plan_computed { source; t0; periods; expected_work } ->
       obj "plan_computed"
         [
           ("source", Jsonx.String source);
           ("t0", Jsonx.Float t0);
           ("periods", Jsonx.Int periods);
           ("expected_work", Jsonx.Float expected_work);
-          ("elapsed", Jsonx.Float elapsed);
         ]
   | Episode_started { time; ws; ep } ->
       obj "episode_started"
@@ -200,8 +198,7 @@ let of_json j =
         let* t0 = f_float "t0" j in
         let* periods = f_int "periods" j in
         let* expected_work = f_float "expected_work" j in
-        let* elapsed = f_float "elapsed" j in
-        Ok (Plan_computed { source; t0; periods; expected_work; elapsed })
+        Ok (Plan_computed { source; t0; periods; expected_work })
     | "episode_started" ->
         let* time = f_float "t" j in
         let* ws = f_int "ws" j in
@@ -259,11 +256,10 @@ let pp ppf = function
         (match seed with
         | Some s -> Printf.sprintf " seed=%Ld" s
         | None -> "")
-  | Plan_computed { source; t0; periods; expected_work; elapsed } ->
+  | Plan_computed { source; t0; periods; expected_work } ->
       Format.fprintf ppf
-        "[    planner] plan_computed source=%s t0=%.4f periods=%d E=%.6f \
-         elapsed=%.3gs"
-        source t0 periods expected_work elapsed
+        "[    planner] plan_computed source=%s t0=%.4f periods=%d E=%.6f"
+        source t0 periods expected_work
   | Episode_started { time; ws; ep } ->
       Format.fprintf ppf "[%12.4f] ws%d ep%d episode_started" time ws ep
   | Period_dispatched { time; ws; ep; period; assigned } ->

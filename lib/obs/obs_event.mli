@@ -3,15 +3,16 @@
     One simulation run — a {!Monte_carlo} estimate, a {!Farm} run, or a
     planner invocation — emits a stream of these events through an
     {!Obs_sink}. Times are in simulation units ([Plan_computed] carries
-    wall seconds instead, since planning happens outside simulated time);
-    [ws] identifies the workstation (for {!Monte_carlo.compare_policies}
+    none, since planning happens outside simulated time; no event
+    carries wall time, so a trace is a pure function of the run's
+    inputs); [ws] identifies the workstation (for {!Monte_carlo.compare_policies}
     it carries the policy index) and [ep] the 0-based episode ordinal on
     that workstation.
 
     The JSONL encoding is schema-versioned and self-describing: every
     line is one object with ["v"] (= {!schema_version}) and ["type"]
     fields plus the payload, e.g.
-    [{"v":1,"type":"period_completed","t":12.5,"ws":0,"ep":3,
+    [{"v":2,"type":"period_completed","t":12.5,"ws":0,"ep":3,
       "period":10.0,"banked":9.0,"overhead":1.0}].
     {!of_json} rejects unknown types and missing fields rather than
     guessing, so {!Trace_report} aggregation can trust every record. *)
@@ -25,7 +26,6 @@ type t =
       t0 : float;  (** Chosen initial period. *)
       periods : int;
       expected_work : float;
-      elapsed : float;  (** Planning wall-time, seconds. *)
     }
   | Episode_started of { time : float; ws : int; ep : int }
   | Period_dispatched of {
@@ -64,7 +64,8 @@ type t =
   | Run_finished of { time : float }
 
 val schema_version : int
-(** Currently [1]. Bumped on any incompatible change to the encoding. *)
+(** Currently [2] ([1] carried [Plan_computed]'s planning wall time).
+    Bumped on any incompatible change to the encoding. *)
 
 val kind : t -> string
 (** The constructor's JSON ["type"] tag ([period_completed], ...) — the

@@ -125,194 +125,3 @@ let spans_of_chrome j =
       in
       Ok spans
   | _ -> Error "missing traceEvents"
-
-(* ------------------------------------------------------------------ *)
-(* Prometheus text exposition                                         *)
-
-let sanitize_metric_name name =
-  let mapped =
-    String.map
-      (fun c ->
-        match c with
-        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> c
-        | _ -> '_')
-      name
-  in
-  match mapped.[0] with
-  | '0' .. '9' -> "_" ^ mapped
-  | _ -> mapped
-  | exception Invalid_argument _ -> "_"
-
-let prom_float v =
-  if Float.is_nan v then "NaN"
-  else if v = Float.infinity then "+Inf"
-  else if v = Float.neg_infinity then "-Inf"
-  else Jsonx.to_string (Jsonx.Float v)
-
-let prometheus ?(namespace = "cs") reg =
-  let s = Obs_metrics.snapshot reg in
-  let full name = sanitize_metric_name (namespace ^ "_" ^ name) in
-  let lines = ref [] in
-  let out l = lines := l :: !lines in
-  List.iter
-    (fun (name, count) ->
-      let n = full name ^ "_total" in
-      out (Printf.sprintf "# HELP %s Counter %s." n name);
-      out (Printf.sprintf "# TYPE %s counter" n);
-      out (Printf.sprintf "%s %d" n count))
-    s.Obs_metrics.snap_counters;
-  List.iter
-    (fun (name, v) ->
-      let n = full name in
-      out (Printf.sprintf "# HELP %s Gauge %s." n name);
-      out (Printf.sprintf "# TYPE %s gauge" n);
-      out (Printf.sprintf "%s %s" n (prom_float v)))
-    s.Obs_metrics.snap_gauges;
-  List.iter
-    (fun (name, (h : Obs_metrics.hist_stats)) ->
-      let n = full name in
-      out (Printf.sprintf "# HELP %s Histogram %s." n name);
-      out (Printf.sprintf "# TYPE %s summary" n);
-      out (Printf.sprintf "%s{quantile=\"0.5\"} %s" n (prom_float h.hs_p50));
-      out (Printf.sprintf "%s{quantile=\"0.95\"} %s" n (prom_float h.hs_p95));
-      out (Printf.sprintf "%s{quantile=\"0.99\"} %s" n (prom_float h.hs_p99));
-      out (Printf.sprintf "%s_sum %s" n (prom_float h.hs_sum));
-      out (Printf.sprintf "%s_count %d" n h.hs_count))
-    s.Obs_metrics.snap_histograms;
-  List.rev !lines
-
-(* --- validation --------------------------------------------------- *)
-
-let is_name_start = function
-  | 'a' .. 'z' | 'A' .. 'Z' | '_' | ':' -> true
-  | _ -> false
-
-let is_name_char = function
-  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> true
-  | _ -> false
-
-let valid_metric_name s =
-  s <> ""
-  && is_name_start s.[0]
-  && String.for_all is_name_char (String.sub s 1 (String.length s - 1))
-
-let valid_types =
-  [ "counter"; "gauge"; "summary"; "histogram"; "untyped" ]
-
-let parse_value s =
-  match s with
-  | "NaN" | "+Inf" | "-Inf" -> true
-  | _ -> Option.is_some (float_of_string_opt s)
-
-(* An escape-aware scanner over a label block: comma-separated pairs of
-   key = double-quoted value, where a value may contain backslash,
-   quote and newline escapes (and therefore commas and quotes that a
-   naive comma-split would trip over). *)
-let valid_label_body body =
-  let len = String.length body in
-  let rec key i =
-    match String.index_from_opt body i '=' with
-    | None -> false
-    | Some eq ->
-        let k = String.sub body i (eq - i) in
-        valid_metric_name k && value (eq + 1)
-  and value i = i < len && body.[i] = '"' && scan (i + 1)
-  and scan i =
-    if i >= len then false
-    else
-      match body.[i] with
-      | '\\' ->
-          i + 1 < len
-          && (match body.[i + 1] with
-             | '\\' | '"' | 'n' -> true
-             | _ -> false)
-          && scan (i + 2)
-      | '"' -> after (i + 1)
-      | _ -> scan (i + 1)
-  and after i =
-    if i = len then true else body.[i] = ',' && i + 1 < len && key (i + 1)
-  in
-  len > 0 && key 0
-
-(* Split "name{labels}" into the name and a validity check on the label
-   block. *)
-let parse_sample_name s =
-  match String.index_opt s '{' with
-  | None -> if valid_metric_name s then Some s else None
-  | Some lb ->
-      if String.length s = 0 || s.[String.length s - 1] <> '}' then None
-      else
-        let name = String.sub s 0 lb in
-        let body = String.sub s (lb + 1) (String.length s - lb - 2) in
-        if valid_metric_name name && valid_label_body body then Some name
-        else None
-
-let strip_suffix name =
-  let drop suffix =
-    if String.ends_with ~suffix name then
-      Some (String.sub name 0 (String.length name - String.length suffix))
-    else None
-  in
-  match drop "_sum" with
-  | Some base -> Some base
-  | None -> drop "_count"
-
-let validate_prometheus lines =
-  let typed : (string, string) Hashtbl.t = Hashtbl.create 16 in
-  let samples = ref 0 in
-  let rec go i = function
-    | [] -> Ok !samples
-    | "" :: rest -> go (i + 1) rest
-    | line :: rest ->
-        let fail msg = Error (Printf.sprintf "line %d: %s" (i + 1) msg) in
-        if String.length line > 0 && line.[0] = '#' then begin
-          match String.split_on_char ' ' line with
-          | "#" :: "TYPE" :: name :: ty :: [] ->
-              if not (valid_metric_name name) then
-                fail (Printf.sprintf "invalid metric name %S" name)
-              else if not (List.mem ty valid_types) then
-                fail (Printf.sprintf "unknown type %S" ty)
-              else if Hashtbl.mem typed name then
-                fail (Printf.sprintf "duplicate TYPE for %S" name)
-              else begin
-                Hashtbl.replace typed name ty;
-                go (i + 1) rest
-              end
-          | "#" :: "HELP" :: name :: _ ->
-              if not (valid_metric_name name) then
-                fail (Printf.sprintf "invalid metric name %S" name)
-              else go (i + 1) rest
-          | _ -> fail "malformed comment (expected # HELP or # TYPE)"
-        end
-        else
-          match String.rindex_opt line ' ' with
-          | None -> fail "no value column"
-          | Some sp -> (
-              let head = String.sub line 0 sp in
-              let value = String.sub line (sp + 1) (String.length line - sp - 1)
-              in
-              match parse_sample_name head with
-              | None -> fail (Printf.sprintf "malformed sample name %S" head)
-              | Some name ->
-                  let known n = Hashtbl.mem typed n in
-                  let series_ok =
-                    known name
-                    ||
-                    match strip_suffix name with
-                    | Some base -> (
-                        match Hashtbl.find_opt typed base with
-                        | Some ("summary" | "histogram") -> true
-                        | _ -> false)
-                    | None -> false
-                  in
-                  if not series_ok then
-                    fail
-                      (Printf.sprintf "sample %S has no preceding # TYPE" name)
-                  else if not (parse_value value) then
-                    fail (Printf.sprintf "unparsable value %S" value)
-                  else begin
-                    Stdlib.incr samples;
-                    go (i + 1) rest
-                  end)
-  in
-  go 0 lines

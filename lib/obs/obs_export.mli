@@ -1,8 +1,8 @@
-(** Renderers from the observability layer's in-memory forms to external
-    tool formats: folded stacks for flamegraphs, Prometheus text
-    exposition for metrics — each paired with a validator for the exact
-    grammar it emits, so tests can round-trip outputs instead of
-    eyeballing them. *)
+(** The span profile in an external tool's format: folded stacks for
+    flamegraphs, paired with a validator for the exact grammar emitted,
+    so tests round-trip the output instead of eyeballing it, and with
+    the reader that turns a Chrome trace file back into spans. A run's
+    event trace needs no export: {!Trace_report} folds it. *)
 
 (** {1 Folded stacks}
 
@@ -28,27 +28,3 @@ val spans_of_chrome : Jsonx.t -> (Obs_span.span list, string) result
     order and nest strictly, so a depth-[d] span's parent is the most
     recent depth-[d-1] span. This is how [cstrace flame] turns a
     profile file back into {!folded_of_spans} input. *)
-
-(** {1 Prometheus text exposition}
-
-    Counters become [<ns>_<name>_total] counter families, gauges become
-    gauges, histograms become summaries with [quantile="0.5"/"0.95"/
-    "0.99"] series plus [_sum] and [_count]. Metric names are sanitized
-    to [[a-zA-Z0-9_:]]; non-finite values render as [NaN] / [+Inf] /
-    [-Inf] per the text-format grammar. Every family gets [# HELP] and
-    [# TYPE] lines. *)
-
-val prometheus : ?namespace:string -> Obs_metrics.t -> string list
-(** Render a registry ([namespace] defaults to ["cs"]). Lines are
-    in name order within each instrument class. *)
-
-val validate_prometheus : string list -> (int, string) result
-(** Check the lines against the exposition grammar: well-formed
-    [# HELP] / [# TYPE] comments, known types, metric and label names
-    matching [[a-zA-Z_:][a-zA-Z0-9_:]*], label values with well-formed
-    backslash escapes (scanned escape-aware, so escaped quotes and
-    commas inside values are handled), parsable values, and every
-    sample preceded by a [# TYPE] for its family ([_sum] / [_count]
-    resolve to their summary's family). Returns the sample count (not
-    counting comments). The error names the first offending 1-based
-    line. *)

@@ -1,4 +1,4 @@
-(* Declarative health rules evaluated over one metric snapshot. *)
+(* Declarative health rules evaluated over one list of named values. *)
 
 type severity = Warn | Critical
 
@@ -91,51 +91,22 @@ let parse doc =
 
 (* --- resolution ---------------------------------------------------- *)
 
-let finite v = if Float.is_nan v then None else Some v
-
-let hist_field (hs : Obs_metrics.hist_stats) = function
-  | "count" -> Some (float_of_int hs.hs_count)
-  | "sum" -> Some hs.hs_sum
-  | "mean" -> Some hs.hs_mean
-  | "min" -> Some hs.hs_min
-  | "max" -> Some hs.hs_max
-  | "p50" -> Some hs.hs_p50
-  | "p95" -> Some hs.hs_p95
-  | "p99" -> Some hs.hs_p99
-  | _ -> None
-
-let resolve (snap : Obs_metrics.snapshot) selector =
-  let counter name =
-    List.assoc_opt name snap.snap_counters |> Option.map float_of_int
+(* A name as listed; else a distribution's bare name, read as its mean;
+   else [name.count] of a value listed under the bare name. *)
+let resolve values selector =
+  let find name =
+    match List.assoc_opt name values with
+    | Some v when not (Float.is_nan v) -> Some v
+    | _ -> None
   in
-  let exact () =
-    match counter selector with
-    | Some v -> Some v
-    | None -> (
-        match List.assoc_opt selector snap.snap_gauges with
-        | Some v -> finite v
-        | None ->
-            Option.bind
-              (List.assoc_opt selector snap.snap_histograms)
-              (fun hs -> finite hs.Obs_metrics.hs_mean))
-  in
-  match exact () with
+  match find selector with
   | Some v -> Some v
   | None -> (
-      match String.rindex_opt selector '.' with
-      | None -> None
-      | Some i ->
-          let base = String.sub selector 0 i in
-          let stat =
-            String.sub selector (i + 1) (String.length selector - i - 1)
-          in
-          let from_hist =
-            Option.bind
-              (List.assoc_opt base snap.snap_histograms)
-              (fun hs -> Option.bind (hist_field hs stat) finite)
-          in
-          if from_hist <> None then from_hist
-          else if stat = "count" then counter base
+      match find (selector ^ ".mean") with
+      | Some v -> Some v
+      | None ->
+          if String.ends_with ~suffix:".count" selector then
+            find (String.sub selector 0 (String.length selector - 6))
           else None)
 
 (* --- evaluation ---------------------------------------------------- *)
@@ -149,14 +120,14 @@ let holds op value threshold =
   | Eq -> Tol.exactly value threshold
   | Ne -> not (Tol.exactly value threshold)
 
-let eval_rule snap rule =
-  match resolve snap rule.selector with
+let eval_rule values rule =
+  match resolve values rule.selector with
   | Some value ->
       if holds rule.op value rule.threshold then Pass else Fail { value }
   | None -> if rule.optional then Skipped else Missing
 
-let evaluate ~rules snap =
-  let outcomes = List.map (fun r -> (r, eval_rule snap r)) rules in
+let evaluate ~rules values =
+  let outcomes = List.map (fun r -> (r, eval_rule values r)) rules in
   let worst =
     List.fold_left
       (fun acc (rule, status) ->

@@ -1,9 +1,9 @@
-(** Declarative health rules (SLOs) over a metric snapshot.
+(** Declarative health rules (SLOs) over a trace's named values.
 
     A rule is one line of text — [SEVERITY SELECTOR OP VALUE] — and a
-    rule set is evaluated against one {!Obs_metrics.snapshot}, such as
-    the registry {!Obs_query.metrics_of_events} builds from a finished
-    trace ([cstrace check]). The result is a typed verdict report.
+    rule set is evaluated against one list of named values, such as the
+    one {!Trace_report.values} reads off a finished trace
+    ([cstrace check]). The result is a typed verdict report.
 
     {2 Grammar}
 
@@ -12,22 +12,22 @@
     {v
     rule     ::= severity selector op value
     severity ::= "warn" | "critical"
-    selector ::= metric-name [ "." stat ] [ "?" ]
+    selector ::= value-name [ "." stat ] [ "?" ]
     stat     ::= "count" | "sum" | "mean" | "min" | "max"
                | "p50" | "p95" | "p99"
     op       ::= "<" | "<=" | ">" | ">=" | "==" | "!="
     value    ::= float literal, not nan
     v}
 
-    A bare counter selector reads its count, a bare gauge its value, a
-    bare histogram its mean; [base.stat] reads one summary field of
-    histogram [base] ([counter.count] is also accepted). A trailing
-    [?] marks the rule optional: a selector that does not resolve is
-    then [Skipped] rather than [Missing], which lets one rules file
-    serve traces that carry different series — [trace.pool_remaining],
-    for one, exists only in traces whose task pool drained.
-    Gauge/histogram values that are [nan] (never set / empty) do not
-    resolve.
+    A selector reads the value listed under its name. Two more forms
+    resolve: a distribution's bare [name] reads [name.mean] (its stats
+    are listed as [name.count], [name.p99], ...), and [name.count]
+    reads a value listed under the bare [name], such as the count
+    [trace.periods_killed]. A trailing [?] marks the rule optional: a
+    selector that does not resolve is then [Skipped] rather than
+    [Missing], which lets one rules file serve traces that carry
+    different values — [trace.pool_remaining], for one, exists only in
+    traces whose task pool drained. A [nan] value does not resolve.
 
     {2 Semantics}
 
@@ -69,12 +69,12 @@ val parse : string -> (rule list, string) result
     numbers. An empty document is [Ok []]. A [nan] threshold is a
     parse error. *)
 
-val resolve : Obs_metrics.snapshot -> string -> float option
-(** [resolve snap selector] is the selected value, when present and
-    finite enough to compare (see grammar above). *)
+val resolve : (string * float) list -> string -> float option
+(** [resolve values selector] is the selected value, when present and
+    not [nan] (see grammar above). *)
 
-val evaluate : rules:rule list -> Obs_metrics.snapshot -> report
-(** Evaluate every rule against the snapshot. *)
+val evaluate : rules:rule list -> (string * float) list -> report
+(** Evaluate every rule against the named values. *)
 
 val exit_code : report -> int
 (** [0] healthy, [1] warn-level failures only, [2] any critical

@@ -4,7 +4,7 @@
     and scenario produced it, two traces cannot be meaningfully compared.
     The first line of every trace written through
     {!Obs_sink.with_jsonl_file}'s [?meta] argument is one self-describing
-    JSON object — [{"v":1,"type":"meta","schema":1,"git_sha":"...",
+    JSON object — [{"v":1,"type":"meta","schema":2,"git_sha":"...",
     "seed":42,"jobs":1,"scenario":"simulate ..."}] — that the trace
     loader ({!Obs_query.load}) validates: a malformed
     header or one written under a different event schema version is a

@@ -198,22 +198,14 @@ type divergence = {
   d_context : Obs_event.t list;
 }
 
-(* Events carry only floats, ints, bools and strings, and the simulator's
-   determinism contract is bit-exactness — so structural equality is the
-   right comparison, not a tolerance. The one exception is wall time:
-   [Plan_computed.elapsed] is measured in wall seconds, which no two runs
-   share, so it is zeroed before comparing — the contract covers
-   simulated time, not the clock on the wall. *)
-let canonical (ev : Obs_event.t) =
-  match ev with
-  | Plan_computed p -> Obs_event.Plan_computed { p with elapsed = 0.0 }
-  | _ -> ev
-
+(* Events carry only floats, ints, bools and strings, none of them wall
+   time, and the simulator's determinism contract is bit-exactness — so
+   structural equality is the right comparison, not a tolerance. *)
 let diff ?(context = 3) left right =
   let rec go i recent left right =
     match (left, right) with
     | [], [] -> None
-    | l :: ls, r :: rs when canonical l = canonical r ->
+    | l :: ls, r :: rs when l = r ->
         go (i + 1) (l :: recent) ls rs
     | l, r ->
         let take_context =
@@ -250,55 +242,3 @@ let pp_divergence ppf d =
   match d.d_right with
   | Some ev -> Format.fprintf ppf "  right: %a@." Obs_event.pp ev
   | None -> Format.fprintf ppf "  right: <trace ended>@."
-
-(* ------------------------------------------------------------------ *)
-(* Metrics reconstruction                                             *)
-
-let metrics_of_events ?accuracy events =
-  let reg = Obs_metrics.create ?accuracy () in
-  let c name = Obs_metrics.counter reg name in
-  let h name = Obs_metrics.histogram reg name in
-  (* A histogram takes finite values >= 0; a decoded trace can break
-     that (a negative field, a finish before its start), and such a
-     value is left out rather than raised on. *)
-  let observe h v =
-    if Float.is_finite v && v >= 0.0 then Obs_metrics.observe h v
-  in
-  let episodes_started = c "trace.episodes_started" in
-  let episodes_finished = c "trace.episodes_finished" in
-  let periods_dispatched = c "trace.periods_dispatched" in
-  let periods_completed = c "trace.periods_completed" in
-  let periods_killed = c "trace.periods_killed" in
-  let period_length = h "trace.period_length" in
-  let episode_duration = h "trace.episode_duration" in
-  let banked_h = h "trace.banked" in
-  let overhead_h = h "trace.overhead" in
-  let pool_remaining = Obs_metrics.gauge reg "trace.pool_remaining" in
-  let starts : (int * int, float) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (ev : Obs_event.t) ->
-      match ev with
-      | Episode_started { time; ws; ep } ->
-          Obs_metrics.incr episodes_started;
-          Hashtbl.replace starts (ws, ep) time
-      | Episode_finished { time; ws; ep; _ } -> (
-          Obs_metrics.incr episodes_finished;
-          match Hashtbl.find_opt starts (ws, ep) with
-          | Some t0 -> observe episode_duration (time -. t0)
-          | None -> ())
-      | Period_dispatched { period; _ } ->
-          Obs_metrics.incr periods_dispatched;
-          observe period_length period
-      | Period_completed { banked; overhead; _ } ->
-          Obs_metrics.incr periods_completed;
-          observe banked_h banked;
-          observe overhead_h overhead
-      | Period_killed { overhead; _ } ->
-          Obs_metrics.incr periods_killed;
-          observe overhead_h overhead
-      | Pool_drained { remaining; _ } ->
-          Obs_metrics.set pool_remaining remaining
-      | Run_started _ | Plan_computed _ | Owner_returned _ | Run_finished _ ->
-          ())
-    events;
-  reg

@@ -4,13 +4,12 @@
     {!Trace_report} folds a trace into one fixed summary; this module
     instead hands the events back as data: load with provenance, filter
     by kind / workstation / episode / time window, roll up per-episode
-    timelines, reconstruct a metrics registry, and — the cstrace
-    centrepiece — structurally diff two runs to the first diverging
-    event. Two same-seed runs must produce identical event streams for
-    any [--jobs] value (DESIGN.md §10), so {!diff} is a semantic
-    determinism check: byte-comparing files would also flag harmless
-    header differences, while [diff] pinpoints the first {e event} where
-    two runs genuinely disagree. *)
+    timelines, and — the cstrace centrepiece — structurally diff two
+    runs to the first diverging event. Two same-seed runs must produce
+    identical event streams for any [--jobs] value (DESIGN.md §10), so
+    {!diff} is a semantic determinism check: byte-comparing files would
+    also flag harmless header differences, while [diff] pinpoints the
+    first {e event} where two runs genuinely disagree. *)
 
 type trace = {
   path : string;
@@ -80,25 +79,11 @@ val diff :
   ?context:int -> Obs_event.t list -> Obs_event.t list -> divergence option
 (** [diff a b] is [None] when the streams are structurally identical,
     or the first divergence otherwise. Comparison is structural
-    equality — the determinism contract is bit-exactness, so no
-    tolerance is applied — except for wall-time fields
-    ([Plan_computed.elapsed]), which no two runs share and which are
-    ignored. [context] (default 3) bounds [d_context]. *)
+    equality of every field — the determinism contract is
+    bit-exactness, and no event carries wall time, so nothing is masked
+    and no tolerance is applied. [context] (default 3) bounds
+    [d_context]. *)
 
 val pp_divergence : Format.formatter -> divergence -> unit
 (** Multi-line rendering: index, shared context, then the two sides
     (or [<trace ended>]). *)
-
-(** {1 Metrics reconstruction} *)
-
-val metrics_of_events : ?accuracy:float -> Obs_event.t list -> Obs_metrics.t
-(** Rebuild a registry from the event stream alone, under the [trace.*]
-    namespace: counters [trace.episodes_started], [trace.episodes_finished],
-    [trace.periods_dispatched], [trace.periods_completed],
-    [trace.periods_killed]; histograms [trace.period_length],
-    [trace.episode_duration], [trace.banked], [trace.overhead]; gauge
-    [trace.pool_remaining]. All values are simulation-time, so the
-    result is deterministic. This is the one registry a run's counts
-    and distributions reach. A value a histogram cannot take (negative,
-    such as an episode that finishes before it starts) is left out
-    rather than raised on. [accuracy] as in {!Obs_metrics.create}. *)

@@ -13,7 +13,6 @@ type t = {
   g_major_words : Obs_metrics.gauge;
   g_heap_words : Obs_metrics.gauge;
   g_top_heap_words : Obs_metrics.gauge;
-  h_promoted_delta : Obs_metrics.histogram;
 }
 
 let create m =
@@ -30,7 +29,6 @@ let create m =
     g_major_words = Obs_metrics.gauge m "gc.major_words";
     g_heap_words = Obs_metrics.gauge m "gc.heap_words";
     g_top_heap_words = Obs_metrics.gauge m "gc.top_heap_words";
-    h_promoted_delta = Obs_metrics.histogram m "gc.promoted_words_delta";
   }
 
 let sample t =
@@ -47,8 +45,6 @@ let sample t =
   Obs_metrics.set t.g_major_words (cur.Gc.major_words -. t.base.Gc.major_words);
   Obs_metrics.set t.g_heap_words (float_of_int cur.Gc.heap_words);
   Obs_metrics.set t.g_top_heap_words (float_of_int cur.Gc.top_heap_words);
-  let d = cur.Gc.promoted_words -. t.last.Gc.promoted_words in
-  Obs_metrics.observe t.h_promoted_delta (if d > 0.0 then d else 0.0);
   t.last <- cur
 
 let samples t = Obs_metrics.count t.c_samples

@@ -25,9 +25,7 @@
     - gauges [gc.minor_words], [gc.promoted_words], [gc.major_words] —
       cumulative words allocated/promoted since {!create};
     - gauges [gc.heap_words], [gc.top_heap_words] — instantaneous
-      major-heap size and high-water mark;
-    - histogram [gc.promoted_words_delta] — words promoted between
-      consecutive samples (clamped at 0). *)
+      major-heap size and high-water mark. *)
 
 type t
 (** A sampler bound to one registry. *)

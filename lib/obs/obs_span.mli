@@ -2,8 +2,8 @@
     clock, with nesting, per-span attributes, and a Chrome trace-event
     exporter.
 
-    Where {!Obs_metrics} answers "how often / how long on average" and
-    {!Obs_event} answers "what happened in simulated time", a span
+    Where {!Trace_report} answers "how often / how long in simulated
+    time" and {!Obs_event} answers "what happened when", a span
     recorder answers {e where wall time goes} inside one call — which
     phase of [Guideline.plan] dominates, how the [Optimizer] sweeps
     scale, what a [Monte_carlo] batch costs. Spans nest strictly (a

@@ -22,9 +22,12 @@ type t = {
   total_lost : float;
   total_overhead : float;
   pool_drained_at : float option;
+  pool_remaining : float option;
   per_ws : ws_summary list;
   period_lengths : float array;
   episode_durations : float array;
+  banked : float array;
+  overheads : float array;
 }
 
 (* Mutable per-workstation accumulator; sums are compensated so the
@@ -66,6 +69,8 @@ let of_events events =
   let drained = ref None in
   let period_lengths = ref [] in
   let durations = ref [] in
+  let banked_values = ref [] in
+  let overheads = ref [] in
   List.iter
     (fun ev ->
       Stdlib.incr n;
@@ -92,15 +97,18 @@ let of_events events =
           let a = acc ws in
           a.a_completed <- a.a_completed + 1;
           Kahan.add a.a_done banked;
-          Kahan.add a.a_overhead overhead
+          Kahan.add a.a_overhead overhead;
+          banked_values := banked :: !banked_values;
+          overheads := overhead :: !overheads
       | Period_killed { ws; lost; overhead; _ } ->
           let a = acc ws in
           a.a_killed <- a.a_killed + 1;
           Kahan.add a.a_lost lost;
-          Kahan.add a.a_overhead overhead
+          Kahan.add a.a_overhead overhead;
+          overheads := overhead :: !overheads
       | Owner_returned _ -> ()
-      | Pool_drained { time; _ } ->
-          if !drained = None then drained := Some time)
+      | Pool_drained { time; remaining } ->
+          if !drained = None then drained := Some (time, remaining))
     events;
   let per_ws : ws_summary list =
     List.sort
@@ -138,10 +146,13 @@ let of_events events =
       Kahan.sum_by (fun (w : ws_summary) -> w.work_lost) (Array.of_list per_ws);
     total_overhead =
       Kahan.sum_by (fun (w : ws_summary) -> w.overhead) (Array.of_list per_ws);
-    pool_drained_at = !drained;
+    pool_drained_at = Option.map fst !drained;
+    pool_remaining = Option.map snd !drained;
     per_ws;
     period_lengths = Array.of_list (List.rev !period_lengths);
     episode_durations = Array.of_list (List.rev !durations);
+    banked = Array.of_list (List.rev !banked_values);
+    overheads = Array.of_list (List.rev !overheads);
   }
 
 let kill_rate t =
@@ -152,6 +163,44 @@ let kill_rate t =
 let overhead_fraction t =
   let busy = t.total_done +. t.total_lost +. t.total_overhead in
   if busy <= 0.0 then 0.0 else t.total_overhead /. busy
+
+(* A distribution's named stats: its count always, the rest only when
+   it holds a value. *)
+let distribution name xs =
+  let n = Array.length xs in
+  let stat s v = (name ^ "." ^ s, v) in
+  if n = 0 then [ stat "count" 0.0 ]
+  else
+    let sum = Kahan.sum xs in
+    let at =
+      [ ("min", 0.0); ("max", 1.0); ("p50", 0.5); ("p95", 0.95); ("p99", 0.99) ]
+    in
+    [
+      stat "count" (float_of_int n);
+      stat "sum" sum;
+      stat "mean" (sum /. float_of_int n);
+    ]
+    @ List.map2
+        (fun (s, _) v -> stat s v)
+        at
+        (Stats.quantiles xs ~qs:(List.map snd at))
+
+let values t =
+  let count name n = ("trace." ^ name, float_of_int n) in
+  [
+    count "episodes_started" t.episodes_started;
+    count "episodes_finished" t.episodes_finished;
+    count "periods_dispatched" t.periods_dispatched;
+    count "periods_completed" t.periods_completed;
+    count "periods_killed" t.periods_killed;
+  ]
+  @ (match t.pool_remaining with
+    | Some r -> [ ("trace.pool_remaining", r) ]
+    | None -> [])
+  @ distribution "trace.period_length" t.period_lengths
+  @ distribution "trace.episode_duration" t.episode_durations
+  @ distribution "trace.banked" t.banked
+  @ distribution "trace.overhead" t.overheads
 
 let pp ppf t =
   let per_episode x =
@@ -183,16 +232,11 @@ let pp ppf t =
   | None -> ());
   let quartet label xs =
     if Array.length xs > 0 then
-      Format.fprintf ppf
-        "  %s: min %.4f / p50 %.4f / p90 %.4f / p95 %.4f / p99 %.4f / max \
-         %.4f@."
-        label
-        (Stats.quantile xs ~q:0.0)
-        (Stats.quantile xs ~q:0.5)
-        (Stats.quantile xs ~q:0.9)
-        (Stats.quantile xs ~q:0.95)
-        (Stats.quantile xs ~q:0.99)
-        (Stats.quantile xs ~q:1.0)
+      Format.fprintf ppf "  %s: %s@." label
+        (String.concat " / "
+           (List.map2 (Printf.sprintf "%s %.4f")
+              [ "min"; "p50"; "p90"; "p95"; "p99"; "max" ]
+              (Stats.quantiles xs ~qs:[ 0.0; 0.5; 0.9; 0.95; 0.99; 1.0 ])))
   in
   quartet "period length" t.period_lengths;
   quartet "episode time " t.episode_durations;

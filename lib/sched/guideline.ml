@@ -74,9 +74,7 @@ let plan ?(obs = Obs.disabled) lf ~c =
   in
   if not (Obs.instrumented obs) then compute ()
   else begin
-    let t_start = Obs_clock.now () in
     let r = Obs.span obs "guideline.plan" compute in
-    let elapsed = Obs_clock.elapsed_since t_start in
     Obs.emit obs
       (Obs.Event.Plan_computed
          {
@@ -84,7 +82,6 @@ let plan ?(obs = Obs.disabled) lf ~c =
            t0 = r.t0;
            periods = Schedule.num_periods r.schedule;
            expected_work = r.expected_work;
-           elapsed;
          });
     r
   end

@@ -32,7 +32,7 @@ val plan :
 
     [?obs] (default {!Obs.disabled}) records the planning step: a
     [Plan_computed] event (source ["guideline"], with the chosen [t_0],
-    period count, expected work, and wall seconds spent). With a
+    period count and expected work; no wall time). With a
     span recorder attached it also profiles where the time goes — a
     [guideline.plan] root span over [plan.bracket] (Thm 3.2/3.3),
     [plan.search] with a [plan.evaluate] / [recurrence.generate] pair

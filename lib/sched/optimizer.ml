@@ -77,7 +77,6 @@ let optimal_schedule ?(obs = Obs.disabled) ?pool ?m_max ?(patience = 3)
   let horizon = Life_function.horizon lf in
   if c >= horizon then
     invalid_arg "Optimizer.optimal_schedule: c >= horizon";
-  let t_start = if Obs.instrumented obs then Obs_clock.now () else 0.0 in
   let m_cap =
     match m_max with
     | Some m -> m
@@ -174,8 +173,7 @@ let optimal_schedule ?(obs = Obs.disabled) ?pool ?m_max ?(patience = 3)
             ~attrs:
               [ ("m", Jsonx.Int m); ("sweeps", Jsonx.Int !sweeps) ]
       | None -> ());
-      if Obs.instrumented obs then begin
-        let elapsed = Obs_clock.elapsed_since t_start in
+      if Obs.instrumented obs then
         Obs.emit obs
           (Obs.Event.Plan_computed
              {
@@ -183,7 +181,5 @@ let optimal_schedule ?(obs = Obs.disabled) ?pool ?m_max ?(patience = 3)
                t0 = Schedule.period schedule 0;
                periods = Schedule.num_periods schedule;
                expected_work = r.expected_work;
-               elapsed;
-             })
-      end;
+             });
       r

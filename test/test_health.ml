@@ -1,23 +1,29 @@
-(* Health rules: the .cshealth grammar, resolution over a snapshot,
-   verdict/exit-code semantics — plus the exposition validator's
-   escape-aware label scan and the gc.*/pool.* exposition passing it,
-   since those series are what a registry carries. *)
-
-let snap_of m = Obs_metrics.snapshot m
+(* Health rules: the .cshealth grammar, resolution over a list of named
+   values (the shape Trace_report.values hands cstrace check), and
+   verdict/exit-code semantics. *)
 
 let contains ~affix s =
   let n = String.length affix and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
   n = 0 || go 0
 
-let registry () =
-  let m = Obs_metrics.create () in
-  Obs_metrics.add (Obs_metrics.counter m "gc.samples") 5;
-  Obs_metrics.set (Obs_metrics.gauge m "pool.chunk_order_violations") 0.0;
-  Obs_metrics.set (Obs_metrics.gauge m "pool.busy_seconds") 1.25;
-  let h = Obs_metrics.histogram m "episode.elapsed" in
-  List.iter (Obs_metrics.observe h) [ 1.0; 2.0; 3.0; 4.0 ];
-  m
+(* A count listed by its bare name, a distribution by its stats, and a
+   value that is nan. *)
+let values =
+  [
+    ("trace.periods_killed", 5.0);
+    ("trace.pool_remaining", 0.0);
+    ("episode.elapsed.count", 4.0);
+    ("episode.elapsed.sum", 10.0);
+    ("episode.elapsed.mean", 2.5);
+    ("episode.elapsed.min", 1.0);
+    ("episode.elapsed.max", 4.0);
+    ("episode.elapsed.p50", 2.5);
+    ("episode.elapsed.p95", 3.85);
+    ("episode.elapsed.p99", 3.97);
+    ("empty.dist.count", 0.0);
+    ("unset", Float.nan);
+  ]
 
 (* ---- parsing ---- *)
 
@@ -136,30 +142,25 @@ let prop_rule_mutations =
 (* ---- resolution ---- *)
 
 let test_resolve () =
-  let snap = snap_of (registry ()) in
-  let get sel = Obs_health.resolve snap sel in
-  Alcotest.(check (option (float 0.0))) "counter" (Some 5.0) (get "gc.samples");
-  Alcotest.(check (option (float 0.0)))
-    "counter.count" (Some 5.0) (get "gc.samples.count");
-  Alcotest.(check (option (float 0.0)))
-    "gauge" (Some 1.25) (get "pool.busy_seconds");
-  Alcotest.(check (option (float 0.0)))
-    "hist bare = mean" (Some 2.5) (get "episode.elapsed");
-  Alcotest.(check (option (float 0.0)))
-    "hist.count" (Some 4.0) (get "episode.elapsed.count");
-  Alcotest.(check (option (float 0.0)))
-    "hist.sum" (Some 10.0) (get "episode.elapsed.sum");
-  Alcotest.(check (option (float 0.0)))
-    "hist.min" (Some 1.0) (get "episode.elapsed.min");
-  Alcotest.(check (option (float 0.0)))
-    "hist.max" (Some 4.0) (get "episode.elapsed.max");
-  Alcotest.(check (option (float 0.0))) "absent" None (get "no.such");
-  (* A gauge that was created but never set is nan: must not resolve. *)
-  let m = Obs_metrics.create () in
-  ignore (Obs_metrics.gauge m "unset");
-  Alcotest.(check (option (float 0.0)))
-    "nan gauge unresolved" None
-    (Obs_health.resolve (snap_of m) "unset")
+  let get sel = Obs_health.resolve values sel in
+  let check name expected sel =
+    Alcotest.(check (option (float 0.0))) name expected (get sel)
+  in
+  check "count" (Some 5.0) "trace.periods_killed";
+  check "counter.count" (Some 5.0) "trace.periods_killed.count";
+  check "bare name = mean" (Some 2.5) "episode.elapsed";
+  check ".p99" (Some 3.97) "episode.elapsed.p99";
+  check ".count" (Some 4.0) "episode.elapsed.count";
+  check ".sum" (Some 10.0) "episode.elapsed.sum";
+  check "zero value" (Some 0.0) "trace.pool_remaining";
+  check "absent" None "no.such";
+  check "absent stat" None "trace.periods_killed.p99";
+  (* An empty distribution lists only its count: its bare name (the
+     mean) does not resolve. *)
+  check "empty count" (Some 0.0) "empty.dist.count";
+  check "empty mean" None "empty.dist";
+  (* A nan value must not resolve. *)
+  check "nan unresolved" None "unset"
 
 (* ---- evaluation ---- *)
 
@@ -169,20 +170,23 @@ let rules_of text =
   | Error e -> Alcotest.failf "rules: %s" e
 
 let test_evaluate_verdicts () =
-  let snap = snap_of (registry ()) in
-  let run text = Obs_health.evaluate ~rules:(rules_of text) snap in
+  let run text = Obs_health.evaluate ~rules:(rules_of text) values in
   let code text = Obs_health.exit_code (run text) in
   Alcotest.(check int) "all pass" 0
-    (code "critical pool.chunk_order_violations == 0\nwarn gc.samples >= 1\n");
-  Alcotest.(check int) "warn fail" 1 (code "warn gc.samples >= 100\n");
-  Alcotest.(check int) "critical fail" 2 (code "critical gc.samples >= 100\n");
+    (code
+       "critical trace.pool_remaining == 0\n\
+        warn trace.periods_killed >= 1\n\
+        warn episode.elapsed.p99 < 4\n");
+  Alcotest.(check int) "warn fail" 1 (code "warn trace.periods_killed >= 100\n");
+  Alcotest.(check int) "critical fail" 2
+    (code "critical trace.periods_killed >= 100\n");
   Alcotest.(check int) "critical dominates warn" 2
-    (code "warn gc.samples >= 1\ncritical episode.elapsed.max < 1\n");
+    (code "warn trace.periods_killed >= 1\ncritical episode.elapsed.max < 1\n");
   Alcotest.(check int) "missing non-optional is warn-level" 1
     (code "critical absent.metric == 0\n");
   Alcotest.(check int) "missing optional is skipped" 0
     (code "critical absent.metric? == 0\n");
-  let r = run "warn gc.samples >= 100\n" in
+  let r = run "warn trace.periods_killed >= 100\n" in
   (match r.Obs_health.outcomes with
   | [ (_, Obs_health.Fail { value }) ] ->
       Alcotest.(check (float 0.0)) "offending value" 5.0 value
@@ -193,8 +197,9 @@ let test_evaluate_verdicts () =
 let test_report_json () =
   let r =
     Obs_health.evaluate
-      ~rules:(rules_of "warn gc.samples >= 100\ncritical absent? == 0\n")
-      (snap_of (registry ()))
+      ~rules:
+        (rules_of "warn trace.periods_killed >= 100\ncritical absent? == 0\n")
+      values
   in
   let j = Obs_health.report_to_json r in
   match j with
@@ -209,34 +214,6 @@ let test_report_json () =
             (List.assoc "status" f2 = Jsonx.String "skipped")
       | _ -> Alcotest.fail "rules array shape")
   | _ -> Alcotest.fail "object expected"
-
-(* ---- Exposition validation ---- *)
-
-let test_labeled_exposition_validates () =
-  (* The label scan is escape-aware: an escaped quote, backslash or
-     newline inside a value, and a comma, do not end it. *)
-  let lines =
-    [
-      "# HELP cs_pool_domain_busy_seconds Per-domain busy time.";
-      "# TYPE cs_pool_domain_busy_seconds gauge";
-      {|cs_pool_domain_busy_seconds{domain="0"} 1.5|};
-      {|cs_pool_domain_busy_seconds{domain="1",host="a\"b\\c\nd,e"} 0.25|};
-    ]
-  in
-  match Obs_export.validate_prometheus lines with
-  | Ok n -> Alcotest.(check int) "two samples" 2 n
-  | Error e -> Alcotest.failf "labeled exposition rejected: %s" e
-
-let test_gc_pool_exposition_validates () =
-  (* gc.* gauges (what the bench harness's Obs_resource sampler
-     records) beside other series: the standard renderer's output must
-     parse. *)
-  let m = registry () in
-  Obs_metrics.set (Obs_metrics.gauge m "gc.heap_words") 226962.0;
-  Obs_metrics.set (Obs_metrics.gauge m "gc.minor_words") 607865.0;
-  match Obs_export.validate_prometheus (Obs_export.prometheus m) with
-  | Ok n -> Alcotest.(check bool) "samples present" true (n > 5)
-  | Error e -> Alcotest.failf "composite exposition rejected: %s" e
 
 let () =
   Alcotest.run "health"
@@ -257,12 +234,5 @@ let () =
           Alcotest.test_case "verdicts and exit codes" `Quick
             test_evaluate_verdicts;
           Alcotest.test_case "json report" `Quick test_report_json;
-        ] );
-      ( "exposition",
-        [
-          Alcotest.test_case "labeled series validate" `Quick
-            test_labeled_exposition_validates;
-          Alcotest.test_case "gc/pool composite validates" `Quick
-            test_gc_pool_exposition_validates;
         ] );
     ]

@@ -205,7 +205,8 @@ let test_r7 () =
   check_rules "suppressed" []
     (lint "let d f = (Domain.spawn f) [@lint.allow \"R7\"]\n")
 
-(* ---- R8: wall-clock reads outside lib/obs/obs_clock.ml ---- *)
+(* ---- R8: wall-clock reads outside lib/obs/obs_clock.ml, and
+   Obs_clock in lib/ outside lib/obs ---- *)
 
 let test_r8 () =
   check_rules "gettimeofday in lib" [ "R8" ]
@@ -226,7 +227,15 @@ let test_r8 () =
     (lint ~path:"bin/fixture.ml" "let pid () = Unix.getpid ()\n");
   check_rules "Sys.argv fine" [] (lint "let argv () = Sys.argv\n");
   check_rules "suppressed" []
-    (lint "let now () = (Unix.time () [@lint.allow \"R8\"])\n")
+    (lint "let now () = (Unix.time () [@lint.allow \"R8\"])\n");
+  (* Obs_clock is lib/obs's own clock: the rest of lib/ may not name
+     it, by value, alias or open; bench/ and bin/ time through it. *)
+  check_rules "Obs_clock alias in lib" [ "R8" ]
+    (lint ~path:"lib/sim/fixture.ml" "module C = Obs_clock\n");
+  check_rules "open Obs_clock in lib" [ "R8" ]
+    (lint ~path:"lib/sim/fixture.ml" "open Obs_clock\nlet t () = now ()\n");
+  check_rules "Obs_clock in bench fine" []
+    (lint ~path:"bench/e2e/fixture.ml" "let t0 () = Obs_clock.now ()\n")
 
 let test_r9 () =
   check_rules "Gc.stat in lib" [ "R9" ]
@@ -416,6 +425,13 @@ let probes =
       \  List.iter (fun t -> Format.fprintf ppf \"%g@ \" t) periods\n";
     probe "Unix.gettimeofday is R8 once" ~path:"lib/sim/fixture.ml" ~rule:"R8"
       "let now () = Unix.gettimeofday ()\n";
+    probe "Guideline.plan reads Obs_clock" ~path:"lib/sched/guideline.ml"
+      ~rule:"R8"
+      "let plan lf ~c =\n\
+      \  let started = Obs_clock.now () in\n\
+      \  (lf, c, started)\n";
+    clean "Obs_clock inside lib/obs silent" ~path:"lib/obs/obs_span.ml"
+      "let start () = Obs_clock.now ()\n";
   ]
 
 let test_rule_metadata_complete () =

@@ -197,43 +197,6 @@ let test_counter_gauge () =
     (Invalid_argument "Obs_metrics: \"jobs\" already registered as a non-gauge")
     (fun () -> ignore (Obs.Metrics.gauge m "jobs"))
 
-let test_histogram_quantiles () =
-  let m = Obs.Metrics.create () in
-  let h = Obs.Metrics.histogram m "lat" in
-  let xs = Array.init 1000 (fun i -> 0.5 +. (0.173 *. float_of_int i)) in
-  Array.iter (Obs.Metrics.observe h) xs;
-  Alcotest.(check int) "n" 1000 (Obs.Metrics.n_observations h);
-  Alcotest.(check (float 1e-6)) "sum exact" (Stats.mean xs *. 1000.0)
-    (Obs.Metrics.sum h);
-  Alcotest.(check (float 1e-9)) "min exact" xs.(0) (Obs.Metrics.hist_min h);
-  Alcotest.(check (float 1e-9)) "max exact" xs.(999) (Obs.Metrics.hist_max h);
-  List.iter
-    (fun q ->
-      let exact = Stats.quantile xs ~q in
-      let approx = Obs.Metrics.quantile h ~q in
-      Alcotest.(check bool)
-        (Printf.sprintf "q=%.2f within 2%% (exact %.4f, sketch %.4f)" q exact
-           approx)
-        true
-        (Float.abs (approx -. exact) <= 0.02 *. exact))
-    [ 0.1; 0.25; 0.5; 0.9; 0.99 ];
-  Alcotest.(check (float 0.0)) "q=0 is exact min" xs.(0)
-    (Obs.Metrics.quantile h ~q:0.0);
-  Alcotest.(check (float 0.0)) "q=1 is exact max" xs.(999)
-    (Obs.Metrics.quantile h ~q:1.0);
-  Alcotest.check_raises "negative observation"
-    (Invalid_argument "Obs_metrics.observe: value must be finite and >= 0")
-    (fun () -> Obs.Metrics.observe h (-1.0))
-
-let test_histogram_zeros () =
-  let m = Obs.Metrics.create () in
-  let h = Obs.Metrics.histogram m "z" in
-  List.iter (Obs.Metrics.observe h) [ 0.0; 0.0; 0.0; 10.0 ];
-  Alcotest.(check int) "n includes zeros" 4 (Obs.Metrics.n_observations h);
-  Alcotest.(check (float 0.0)) "p50 is zero" 0.0
-    (Obs.Metrics.quantile h ~q:0.5);
-  Alcotest.(check (float 0.0)) "max" 10.0 (Obs.Metrics.quantile h ~q:1.0)
-
 (* ------------------------------------------------------------------ *)
 (* Event codec                                                         *)
 
@@ -248,7 +211,6 @@ let all_events =
           t0 = 13.642857147877194;
           periods = 13;
           expected_work = 41.066071428571426;
-          elapsed = 1.9e-4;
         };
       Episode_started { time = 3.5; ws = 1; ep = 0 };
       Period_dispatched
@@ -277,20 +239,26 @@ let test_event_roundtrip () =
           | Error e -> Alcotest.failf "decode failed on %s: %s" line e))
     all_events
 
+(* Each line is rejected for the reason beside it, not for an earlier
+   one: all but the version cases carry the current schema version. *)
 let test_event_rejects () =
   List.iter
-    (fun s ->
+    (fun (s, reason) ->
       let j = Result.get_ok (Jsonx.of_string s) in
       match Obs.Event.of_json j with
       | Ok _ -> Alcotest.failf "accepted %s" s
-      | Error _ -> ())
+      | Error e ->
+          Alcotest.(check string) s reason
+            (String.sub e 0 (Int.min (String.length e) (String.length reason))))
     [
-      {|{"v":1,"type":"warp_drive","t":0.0}|};
-      {|{"v":99,"type":"run_finished","t":0.0}|};
-      {|{"type":"run_finished","t":0.0}|};
-      {|{"v":1,"type":"episode_started","t":0.0,"ws":"zero","ep":1}|};
-      {|{"v":1,"type":"episode_started","t":0.0}|};
-      {|{"v":1,"type":"run_finished","t":1e999}|};
+      ({|{"v":2,"type":"warp_drive","t":0.0}|}, "unknown event type");
+      ({|{"v":99,"type":"run_finished","t":0.0}|}, "unsupported schema version");
+      ({|{"v":1,"type":"run_finished","t":0.0}|}, "unsupported schema version");
+      ({|{"type":"run_finished","t":0.0}|}, {|missing field "v"|});
+      ( {|{"v":2,"type":"episode_started","t":0.0,"ws":"zero","ep":1}|},
+        {|ill-typed field "ws"|} );
+      ({|{"v":2,"type":"episode_started","t":0.0}|}, {|missing field "ws"|});
+      ({|{"v":2,"type":"run_finished","t":1e999}|}, {|ill-typed field "t"|});
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -384,14 +352,21 @@ let test_monte_carlo_trace_roundtrip () =
             (float_of_int tr.Trace_report.episodes_interrupted /. n))
 
 let test_metrics_match_report () =
-  (* The trace is the one record of a run: the trace.* counters rebuilt
-     from its events must restate the report's own sums. *)
+  (* The trace is the one record of a run: the trace.* values that
+     cstrace check judges, folded from its events, must restate the
+     report's own sums, and each is the fold's own number. *)
   let events = ref [] in
   let sink = Obs.Sink.Custom (fun ev -> events := ev :: !events) in
   let report = Farm.run ~obs:(Obs.create ~sink ()) farm_config ~seed:3L in
-  let m = Obs_query.metrics_of_events (List.rev !events) in
+  let tr = Trace_report.of_events (List.rev !events) in
+  let values = Trace_report.values tr in
   let live f = List.fold_left (fun a w -> a + f w) 0 report.Farm.per_workstation in
-  let count name = Obs.Metrics.count (Obs.Metrics.counter m name) in
+  let value name =
+    match List.assoc_opt name values with
+    | Some v -> v
+    | None -> Alcotest.failf "%s absent" name
+  in
+  let count name = int_of_float (value name) in
   Alcotest.(check int) "trace.periods_completed"
     (live (fun w -> w.Farm.periods_completed))
     (count "trace.periods_completed");
@@ -400,7 +375,33 @@ let test_metrics_match_report () =
     (count "trace.periods_killed");
   Alcotest.(check int) "trace.episodes_started"
     (live (fun w -> w.Farm.episodes))
-    (count "trace.episodes_started")
+    (count "trace.episodes_started");
+  Alcotest.(check int) "trace.banked.count"
+    (live (fun w -> w.Farm.periods_completed))
+    (count "trace.banked.count");
+  Alcotest.(check (float 1e-6)) "trace.banked.sum" report.Farm.total_done
+    (value "trace.banked.sum");
+  Alcotest.(check (float 1e-6)) "trace.overhead.sum"
+    report.Farm.total_overhead
+    (value "trace.overhead.sum");
+  Alcotest.(check (float 0.0)) "trace.pool_remaining"
+    (Option.get tr.Trace_report.pool_remaining)
+    (value "trace.pool_remaining");
+  (* Quantiles are the exact ones report prints, not bucketed. *)
+  List.iter
+    (fun (name, xs) ->
+      List.iter
+        (fun (stat, q) ->
+          Alcotest.(check (float 0.0)) (name ^ "." ^ stat)
+            (Stats.quantile xs ~q)
+            (value (name ^ "." ^ stat)))
+        [ ("min", 0.0); ("p50", 0.5); ("p95", 0.95); ("p99", 0.99); ("max", 1.0) ])
+    [
+      ("trace.period_length", tr.Trace_report.period_lengths);
+      ("trace.episode_duration", tr.Trace_report.episode_durations);
+      ("trace.banked", tr.Trace_report.banked);
+      ("trace.overhead", tr.Trace_report.overheads);
+    ]
 
 let test_disabled_obs_bit_identical () =
   (* The ?obs default must not perturb results in any way. *)
@@ -445,9 +446,6 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "counter and gauge" `Quick test_counter_gauge;
-          Alcotest.test_case "histogram quantiles vs exact" `Quick
-            test_histogram_quantiles;
-          Alcotest.test_case "histogram zeros" `Quick test_histogram_zeros;
         ] );
       ( "events",
         [

@@ -1,8 +1,8 @@
 (* The read side of the observability stack: meta headers and run
    ids, trace loading/filtering/diffing (Obs_query) and the loader's
-   robustness to mutated traces, export format round-trips (Obs_export
-   folded stacks and Prometheus exposition) and the Obs_fork gather
-   edge cases. *)
+   robustness to mutated traces, the fold cstrace check judges
+   (Trace_report.values), the folded-stack round-trip (Obs_export) and
+   the Obs_fork gather edge cases. *)
 
 let with_temp_file suffix k =
   let path = Filename.temp_file "cs_query" suffix in
@@ -185,23 +185,14 @@ let test_diff_identical () =
   Alcotest.(check bool) "identical" true
     (Obs_query.diff sample_events sample_events = None)
 
-let test_diff_ignores_wall_time () =
-  (* Planning wall time differs between every pair of runs; only the
-     simulated-time payload is under the determinism contract. *)
-  let plan elapsed =
-    Obs_event.Plan_computed
-      { source = "guideline"; t0 = 13.6; periods = 13; expected_work = 41.0; elapsed }
-  in
-  Alcotest.(check bool) "elapsed masked" true
-    (Obs_query.diff [ plan 0.0017 ] [ plan 0.0093 ] = None);
-  let other =
-    Obs_event.Plan_computed
-      { source = "guideline"; t0 = 14.0; periods = 13; expected_work = 41.0; elapsed = 0.0017 }
-  in
-  Alcotest.(check bool) "sim payload still compared" true
-    (Obs_query.diff [ plan 0.0017 ] [ other ] <> None)
-
 let test_diff_mutation () =
+  (* Planner decisions are compared like every other event. *)
+  let plan t0 =
+    Obs_event.Plan_computed
+      { source = "guideline"; t0; periods = 13; expected_work = 41.0 }
+  in
+  Alcotest.(check bool) "plan payload compared" true
+    (Obs_query.diff [ plan 13.6 ] [ plan 14.0 ] <> None);
   let mutated =
     List.mapi
       (fun i ev ->
@@ -274,72 +265,41 @@ let test_folded_rejects () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Prometheus exposition                                              *)
+(* The fold cstrace check judges                                      *)
 
-let test_prometheus_roundtrip () =
-  let reg = Obs_metrics.create () in
-  Obs_metrics.add (Obs_metrics.counter reg "episode.runs") 3;
-  Obs_metrics.set (Obs_metrics.gauge reg "farm.pool_remaining") 12.5;
-  let h = Obs_metrics.histogram reg "episode.period_length" in
-  List.iter (Obs_metrics.observe h) [ 1.0; 2.0; 3.0; 4.0 ];
-  let lines = Obs_export.prometheus reg in
-  let samples = ok (Obs_export.validate_prometheus lines) in
-  (* counter + gauge + (3 quantiles + sum + count). *)
-  Alcotest.(check int) "samples" 7 samples;
-  Alcotest.(check bool) "counter line present" true
-    (List.mem "cs_episode_runs_total 3" lines);
-  Alcotest.(check bool) "gauge line present" true
-    (List.mem "cs_farm_pool_remaining 12.5" lines);
-  Alcotest.(check bool) "count line present" true
-    (List.mem "cs_episode_period_length_count 4" lines);
-  (* An empty histogram renders NaN quantiles that still validate. *)
-  let reg2 = Obs_metrics.create () in
-  ignore (Obs_metrics.histogram reg2 "empty.hist");
-  Alcotest.(check int) "empty histogram samples" 5
-    (ok (Obs_export.validate_prometheus (Obs_export.prometheus reg2)))
-
-let test_prometheus_rejects () =
-  List.iter
-    (fun (label, lines) ->
-      match Obs_export.validate_prometheus lines with
-      | Ok _ -> Alcotest.failf "accepted %s" label
-      | Error _ -> ())
-    [
-      ("sample without TYPE", [ "cs_x 1" ]);
-      ("bad metric name", [ "# TYPE 9bad counter"; "9bad 1" ]);
-      ( "unknown type",
-        [ "# TYPE cs_x matrix"; "cs_x 1" ] );
-      ("unparsable value", [ "# TYPE cs_x gauge"; "cs_x twelve" ]);
-      ("malformed comment", [ "# NOPE cs_x gauge" ]);
-      ( "bad label grammar",
-        [ "# TYPE cs_x summary"; "cs_x{quantile=0.5} 1" ] );
-    ]
-
-let test_prometheus_of_trace () =
-  let reg = Obs_query.metrics_of_events sample_events in
-  let lines = Obs_export.prometheus reg in
-  let _ = ok (Obs_export.validate_prometheus lines) in
-  Alcotest.(check bool) "periods dispatched counted" true
-    (List.mem "cs_trace_periods_dispatched_total 3" lines);
-  Alcotest.(check bool) "pool gauge absent without Pool_drained" true
-    (List.exists
-       (String.ends_with ~suffix:"pool_remaining NaN")
-       lines);
-  (* A finish before its start and a negative period are left out of
-     the histograms instead of raising. *)
+let test_values_of_trace () =
+  let values = Trace_report.values (Trace_report.of_events sample_events) in
+  Alcotest.(check (option (float 0.0))) "periods dispatched counted"
+    (Some 3.0)
+    (List.assoc_opt "trace.periods_dispatched" values);
+  Alcotest.(check (option (float 0.0))) "exact p50 of 4, 6, 5"
+    (Some 5.0)
+    (List.assoc_opt "trace.period_length.p50" values);
+  Alcotest.(check bool) "pool value absent without Pool_drained" false
+    (List.mem_assoc "trace.pool_remaining" values);
+  (* A finish before its start and a negative period are kept as they
+     are, as report keeps them, and the fold does not raise on them. *)
   let odd =
-    Obs_query.metrics_of_events
-      Obs_event.
-        [
-          Episode_started { time = 5.0; ws = 0; ep = 0 };
-          Period_dispatched { time = 5.0; ws = 0; ep = 0; period = -1.0; assigned = 0.0 };
-          Episode_finished { time = 1.0; ws = 0; ep = 0; work_done = 0.0; interrupted = true };
-        ]
+    Trace_report.values
+      (Trace_report.of_events
+         Obs_event.
+           [
+             Episode_started { time = 5.0; ws = 0; ep = 0 };
+             Period_dispatched
+               { time = 5.0; ws = 0; ep = 0; period = -1.0; assigned = 0.0 };
+             Episode_finished
+               { time = 1.0; ws = 0; ep = 0; work_done = 0.0; interrupted = true };
+           ])
   in
-  Alcotest.(check bool) "impossible values left out" true
-    (List.for_all
-       (fun (_, h) -> h.Obs_metrics.hs_count = 0)
-       (Obs_metrics.snapshot odd).Obs_metrics.snap_histograms)
+  Alcotest.(check (option (float 0.0))) "negative period kept" (Some (-1.0))
+    (List.assoc_opt "trace.period_length.min" odd);
+  Alcotest.(check (option (float 0.0))) "negative duration kept" (Some (-4.0))
+    (List.assoc_opt "trace.episode_duration.max" odd);
+  Alcotest.(check (option (float 0.0))) "empty banked lists its count"
+    (Some 0.0)
+    (List.assoc_opt "trace.banked.count" odd);
+  Alcotest.(check bool) "empty banked has no mean" false
+    (List.mem_assoc "trace.banked.mean" odd)
 
 (* ------------------------------------------------------------------ *)
 (* Loader robustness                                                  *)
@@ -419,10 +379,9 @@ let prop_load_total =
           | Error _ -> true
           | Ok t ->
               let events = t.Obs_query.events in
-              ignore
-                (Format.asprintf "%a" Trace_report.pp
-                   (Trace_report.of_events events));
-              ignore (Obs_query.metrics_of_events events);
+              let tr = Trace_report.of_events events in
+              ignore (Format.asprintf "%a" Trace_report.pp tr);
+              ignore (Trace_report.values tr);
               true))
 
 (* ------------------------------------------------------------------ *)
@@ -510,8 +469,6 @@ let () =
       ( "diff",
         [
           Alcotest.test_case "identical streams" `Quick test_diff_identical;
-          Alcotest.test_case "wall time ignored" `Quick
-            test_diff_ignores_wall_time;
           Alcotest.test_case "mutation pinpointed" `Quick test_diff_mutation;
           Alcotest.test_case "truncation pinpointed" `Quick
             test_diff_truncation;
@@ -522,14 +479,8 @@ let () =
             test_folded_roundtrip;
           Alcotest.test_case "malformed rejected" `Quick test_folded_rejects;
         ] );
-      ( "prometheus",
-        [
-          Alcotest.test_case "round-trip" `Quick test_prometheus_roundtrip;
-          Alcotest.test_case "malformed rejected" `Quick
-            test_prometheus_rejects;
-          Alcotest.test_case "from trace events" `Quick
-            test_prometheus_of_trace;
-        ] );
+      ( "trace-fold",
+        [ Alcotest.test_case "values from trace events" `Quick test_values_of_trace ] );
       ( "fork",
         [
           Alcotest.test_case "zero-event chunks" `Quick

@@ -37,7 +37,12 @@ let test_quantiles () =
   feq 1e-12 1.0 (Stats.quantile xs ~q:0.0);
   feq 1e-12 3.0 (Stats.quantile xs ~q:0.5);
   feq 1e-12 5.0 (Stats.quantile xs ~q:1.0);
-  feq 1e-12 2.0 (Stats.quantile xs ~q:0.25)
+  feq 1e-12 2.0 (Stats.quantile xs ~q:0.25);
+  let ys = [| 3.5; -1.0; 8.25; 0.0; 2.0; 2.0; 7.0 |]
+  and qs = [ 0.0; 0.3; 0.5; 0.95; 1.0 ] in
+  Alcotest.(check (list (float 0.0))) "quantiles = quantile, bit for bit"
+    (List.map (fun q -> Stats.quantile ys ~q) qs)
+    (Stats.quantiles ys ~qs)
 
 let test_quantile_interpolates () =
   feq 1e-12 1.5 (Stats.quantile [| 1.0; 2.0 |] ~q:0.5)
