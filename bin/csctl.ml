@@ -122,6 +122,13 @@ let or_exit k =
       prerr_endline ("error: " ^ msg);
       exit 1
 
+(* A Monte-Carlo figure that is not finite (on a lifespan near the top
+   of the float range, episode sums overflow) is refused through
+   [or_exit] before anything is printed, never printed as nan. *)
+let finite what x =
+  if not (Float.is_finite x) then
+    failwith (Printf.sprintf "%s is %g, not a finite number" what x)
+
 (* [or_exit] covers the family constructor too: out-of-range parameters
    (-L 0, -a 1, --shape nan) are rejected there. *)
 let with_family spec k =
@@ -135,14 +142,21 @@ let with_family spec k =
 (* ------------------------------------------------------------------ *)
 (* Parallelism flag (shared by simulate, compare and table)            *)
 
+(* More domains than the host recommends only contend for its cores,
+   and answers are bit-identical for any count: the count is clamped to
+   the host's here, so the pool and the trace's meta line see the count
+   actually used. *)
 let jobs_term =
-  Arg.(
-    value & opt int 1
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Worker domains to run the Monte-Carlo / planning work on \
-           (default 1 = serial). Output is bit-identical for any $(docv); \
-           only wall time changes.")
+  Term.(
+    const (fun n -> Int.min n (Domain.recommended_domain_count ()))
+    $ Arg.(
+        value & opt int 1
+        & info [ "jobs"; "j" ] ~docv:"N"
+            ~doc:
+              "Worker domains to run the Monte-Carlo / planning work on \
+               (default 1 = serial), at most the host's recommended \
+               domain count. Output is bit-identical for any $(docv); \
+               only wall time changes."))
 
 (* [k] receives [None] for the untouched serial path, or a transient
    pool that is shut down when [k] returns. *)
@@ -266,6 +280,10 @@ let simulate_cmd =
                 ~schedule:plan.Guideline.schedule ~seed:(Int64.of_int seed)
             in
             let lo, hi = est.Monte_carlo.ci95 in
+            finite "MC mean" est.Monte_carlo.mean_work;
+            finite "95% CI lower end" lo;
+            finite "95% CI upper end" hi;
+            finite "mean work lost" est.Monte_carlo.mean_lost;
             Format.printf "schedule      : %a@." Schedule.pp
               plan.Guideline.schedule;
             Format.printf "analytic E    : %.6f@." est.Monte_carlo.analytic;
@@ -319,6 +337,12 @@ let compare_cmd =
                   Monte_carlo.compare_policies ~obs ?pool ~trials lf ~c
                     ~policies ~seed:(Int64.of_int seed)
                 in
+                List.iter
+                  (fun r ->
+                    finite
+                      (r.Monte_carlo.policy_name ^ " mean work")
+                      r.Monte_carlo.mean_work_per_episode)
+                  runs;
                 Format.printf "life function : %a@." Life_function.pp lf;
                 Format.printf "policies ranked by mean work per episode \
                                (n=%d, shared reclaim stream):@."

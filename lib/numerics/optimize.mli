@@ -2,8 +2,8 @@
 
     Two scheduler components depend on this module: the guideline scheduler
     searches for the best initial period [t_0] inside the Theorem 3.2/3.3
-    bracket (golden-section where the life function's shape makes the 1-D
-    problem unimodal, a grid and refine otherwise), and the independent
+    bracket with a grid and refine where the life function's shape does
+    not make the 1-D problem unimodal, and the independent
     ground-truth optimiser maximises expected work over whole period
     vectors by cyclic coordinate ascent with grid-and-refine line
     searches. *)

@@ -38,13 +38,94 @@ let certified lf =
       true
   | Life_function.Unknown -> false
 
-(* The t0 search over the bracket: golden-section pins a unimodal
-   maximum in 44 iterations; a p that may be multimodal gets a grid
-   before the refine. *)
-let search lf objective ~lo ~hi =
-  if certified lf then
-    Optimize.golden_section_max ~tol:(1e-9 *. (hi -. lo)) objective ~lo ~hi
-  else Optimize.grid_then_refine objective ~lo ~hi ~steps:grid_steps
+(* Whether E rises past a scored t0. Along eq. 3.6 every partial
+   ∂E/∂t_j is G, so G > 0 says it does and G <= 0 that it falls, an
+   exact 0 included: G reaches 0⁻ at every change of period count on the
+   exhausted side, and is 0 at the clamp. Where a cut leaves out a last
+   term that still counts, the cut moves E, not G. A tail cut falls: a
+   longer t0 only coarsens a schedule that already spans the lifespan. A
+   period cap rises: a longer t0 spans more of the lifespan the capped
+   schedule leaves out. Only an inadmissible p, such as a power law,
+   meets such a cut inside its bracket. *)
+let rises (s : Recurrence.score) =
+  let counts = s.last_term > 1e-9 *. s.work in
+  match s.stop with
+  | Recurrence.Exhausted_support | Recurrence.Unproductive -> s.slope > 0.0
+  | Recurrence.Tail_negligible -> s.slope > 0.0 && not counts
+  | Recurrence.Period_cap -> s.slope > 0.0 || counts
+
+(* The t0 search over the bracket. On a certified shape, E's maximum is
+   the + → − crossing of [rises], or a bracket end. Bisection on that
+   sign halves the bracket 34 times, to 1e-10 of its width: near a
+   repelling fixed point (geo-dec) E(t0) is a tent whose sides fall
+   ~0.2 of E per unit t0, so a 1e-9 bracket can miss by 1e-9 of E. Only
+   the sign is read, so every plan scores the same number of t0s; a
+   search that reads G's size (Brent) needs fewer on average, but G is a
+   sawtooth of period-count changes near the crossing, and Brent's count
+   ranged from 14 to 37 over geo-dec rates within 3% of each other. An
+   end is scored only when the halving closes onto it, which is where E
+   is monotone.
+
+   The answer is the best E among every t0 scored. Where E is flat at
+   its maximum (uniform), t0s ~1e-6 apart score the same E to 1e-12, and
+   rounding would pick among them; so of the t0s within 1e-12 of the
+   best E, the latest scored where E falls wins, else the latest scored:
+   the nearest the crossing, on the side whose schedule does not end in
+   a period <= c that carries no work. A p that may be multimodal gets a
+   grid before a refine on E. *)
+let search lf score ~lo ~hi =
+  if not (certified lf) then
+    Optimize.grid_then_refine
+      (fun t0 -> (score t0).Recurrence.work)
+      ~lo ~hi ~steps:grid_steps
+  else begin
+    (* Every scored t0 with its E and whether E rises there, the latest
+       first. *)
+    let scored = ref [] in
+    let rises_at t0 =
+      let s = score t0 in
+      let r = rises s in
+      scored := ({ Optimize.x = t0; fx = s.Recurrence.work }, r) :: !scored;
+      r
+    in
+    let tol = 1e-10 *. (hi -. lo) in
+    (* E rises at [a] unless it is [lo], and falls at [b] unless it is
+       [hi]. A bracket far from 0 can reach adjacent floats before
+       [tol]; the halving stops there too. *)
+    let rec halve a b =
+      let m = a +. (0.5 *. (b -. a)) in
+      if b -. a > tol && a < m && m < b then
+        if rises_at m then halve m b else halve a m
+      else begin
+        if Float.equal a lo then ignore (rises_at lo : bool);
+        if Float.equal b hi && hi > lo then ignore (rises_at hi : bool)
+      end
+    in
+    halve lo hi;
+    let top =
+      List.fold_left
+        (fun m ((p : Optimize.point), _) -> if p.fx > m then p.fx else m)
+        neg_infinity !scored
+    in
+    let ties =
+      List.filter
+        (fun ((p : Optimize.point), _) ->
+          p.fx >= top -. (1e-12 *. Float.abs top))
+        !scored
+    in
+    match (List.find_opt (fun (_, r) -> not r) ties, ties) with
+    | Some (p, _), _ | None, (p, _) :: _ -> p
+    | None, [] -> { Optimize.x = lo; fx = neg_infinity }
+  end
+
+(* The searched t0 and the bracket, with no schedule built. *)
+let best_t0 ?(obs = Obs.disabled) lf ~c =
+  let lo, hi = Obs.span obs "plan.bracket" (fun () -> Bounds.bracket lf ~c) in
+  let score t0 =
+    Obs.span obs "plan.evaluate" (fun () ->
+        Recurrence.score ~obs lf ~c ~t0)
+  in
+  (Obs.span obs "plan.search" (fun () -> search lf score ~lo ~hi), (lo, hi))
 
 let plan ?(obs = Obs.disabled) lf ~c =
   let compute () =
@@ -53,16 +134,15 @@ let plan ?(obs = Obs.disabled) lf ~c =
        the final regeneration at the winner. A candidate is scored in one
        pass of the recurrence without building its schedule; the score
        equals [evaluate]'s E bit for bit, so only the winner is built. *)
-    let lo, hi =
-      Obs.span obs "plan.bracket" (fun () -> Bounds.bracket lf ~c)
-    in
-    let objective t0 =
-      Obs.span obs "plan.evaluate" (fun () ->
-          Recurrence.expected_work_at ~obs lf ~c ~t0)
-    in
-    let best =
-      Obs.span obs "plan.search" (fun () -> search lf objective ~lo ~hi)
-    in
+    let best, (lo, hi) = best_t0 ~obs lf ~c in
+    (* Only a bracket collapsed onto the end of the support scores
+       nothing: its t0 is a period that ends where p is 0. *)
+    if not (best.Optimize.fx > 0.0) then
+      invalid_arg
+        (Printf.sprintf
+           "Guideline.plan: no t0 in the bracket [%g, %g] scores expected \
+            work > 0"
+           lo hi);
     let g, ew = evaluate ~obs lf ~c ~t0:best.Optimize.x in
     {
       schedule = g.Recurrence.schedule;
@@ -161,7 +241,7 @@ let certificate_step = 1e-6
    [certificate_step], for a [cond] of certified shape: E(t0) is then
    unimodal over the bracket, so a seed whose two neighbours lie in the
    bracket and score no higher has the maximum within a step of it.
-   Three E passes, against the search's 48 and a regeneration. *)
+   Three E passes, against the search's 35. *)
 let certifies cond ~c seed =
   seed > c
   &&
@@ -175,18 +255,21 @@ let certifies cond ~c seed =
   e_seed > 0.0 && e_seed >= e below && e_seed >= e above
 
 (* The first period of the plan against the conditional [cond]: [seed]
-   when it is certified, else the full plan's t0. [None] when no
-   productive period fits: the remaining horizon (the lifespan left, or
-   for unbounded support the time until the conditional survival drops
-   below 1e-12) is <= c, or the plan has no productive first period. *)
+   when it is certified, else the searched t0, whose schedule is not
+   built. [None] when no productive period fits: the remaining horizon
+   (the lifespan left, or for unbounded support the time until the
+   conditional survival drops below 1e-12) is <= c, or no t0 scores a
+   productive first period. [plan]'s refusal is never reached here. *)
 let first_period cond ~c ~seed =
   if Life_function.horizon cond <= c then None
   else
     match seed with
     | Some t when certifies cond ~c t -> seed
     | Some _ | None ->
-        let r = plan cond ~c in
-        if r.expected_work > 0.0 && r.t0 > c then Some r.t0 else None
+        let best, _ = best_t0 cond ~c in
+        if best.Optimize.fx > 0.0 && best.Optimize.x > c then
+          Some best.Optimize.x
+        else None
 
 let next_period_online lf ~c ~elapsed =
   if elapsed < 0.0 then

@@ -20,15 +20,27 @@ val plan :
   Life_function.t -> c:float ->
   result
 (** [plan p ~c] runs the full guideline pipeline. The [t_0] search inside
-    the bracket depends on the declared shape of [p]: for
-    {!Life_function.Concave}, [Convex], [Linear] and [Log_concave] [p],
-    [E(t_0)] is unimodal over the bracket and a golden-section search to
-    1e-9 of the bracket width finds its maximum (48 evaluations with the
-    final one); for {!Life_function.Unknown} [p], such as a trace fit,
-    which can make [E] multimodal, a 128-cell grid localises the maximum
-    and Brent refines it. Each candidate is scored by
-    {!Recurrence.expected_work_at}, which builds no schedule; only the
-    winner's schedule is generated. Requires [0 < c < horizon p].
+    the bracket depends on the declared shape of [p]:
+    - for {!Life_function.Concave}, [Convex], [Linear] and [Log_concave]
+      [p], [E(t_0)] is unimodal over the bracket, and its maximum is the
+      + → − crossing of the sign of eq. 3.6's stationarity residual
+      [G = p(T_m) + (t_m − c)·p′(T_m)] ({!Recurrence.score}), or a
+      bracket end. Bisection on that sign pins the crossing to 1e-10 of
+      the bracket width in 34 halvings, scoring an end only when the
+      halving closes onto it, and the plan takes the best [E] among
+      every [t_0] scored (of those within 1e-12 of it, the latest
+      scored where [E] falls): 35 evaluations with the final one, 36
+      where [E] is monotone (test_guideline bounds it at 36 on eight
+      families), whatever the parameters of [p]. A cut that leaves out
+      a last term that still counts moves [E] itself: a tail cut says
+      [E] falls, a period cap that it rises;
+    - for {!Life_function.Unknown} [p], such as a trace fit, which can
+      make [E] multimodal, a 128-cell grid localises the maximum and
+      Brent refines it.
+
+    Each candidate is scored by {!Recurrence.score}, which builds no
+    schedule; only the winner's schedule is generated. Requires
+    [0 < c < horizon p].
 
     [?obs] (default {!Obs.disabled}) records the planning step: a
     [Plan_computed] event (source ["guideline"], with the chosen [t_0],
@@ -39,7 +51,9 @@ val plan :
     per candidate, and the winner's [plan.evaluate] /
     [recurrence.generate] / [plan.expected_work]. The returned plan is
     unaffected.
-    @raise Invalid_argument when [c] is out of range. *)
+    @raise Invalid_argument when [c] is out of range, or when no [t_0]
+    scored has [E > 0], which only a bracket collapsed onto the end of
+    the support gives (at [-L 1e308], say). *)
 
 val plan_batch :
   ?obs:Obs.t ->
@@ -99,9 +113,10 @@ val next_period_online :
     productive period remains: when [p elapsed = 0], when the
     conditional's {!Life_function.horizon} (the lifespan left, or the
     time until its survival drops below 1e-12) is at most [c], or when
-    the plan has no productive first period. Each call is a full
-    {!plan}: this is the reference that {!progressive} is checked
-    against, and its fallback.
+    no [t_0] scores a productive first period. Each call is a full
+    [t_0] search, as {!plan} runs it but without building the winner's
+    schedule, and never raises {!plan}'s refusal: this is the reference
+    that {!progressive} is checked against, and its fallback.
     @raise Invalid_argument when [elapsed < 0]. *)
 
 val progressive : Life_function.t -> c:float -> (elapsed:float -> float option)
@@ -123,9 +138,9 @@ val progressive : Life_function.t -> c:float -> (elapsed:float -> float option)
       lies inside the conditional's Theorem 3.2/3.3 bracket
       ({!Bounds.bracket}), and three {!Recurrence.expected_work_at}
       passes give [E(seed) > 0] and [E(seed) >= E(seed·(1 ± 1e-6))].
-      {!plan}'s golden section already relies on [E(t_0)] being
-      unimodal over the bracket; under that premise the conditional
-      maximum lies within 1e-6 of the seed.
+      {!plan}'s search already relies on [E(t_0)] being unimodal over
+      the bracket; under that premise the conditional maximum lies
+      within 1e-6 of the seed.
     - Every other call, such as one on an Unknown-shape trace fit, after
       a clipped or delayed period, or whose check fails, is
       [next_period_online p ~c ~elapsed] itself.

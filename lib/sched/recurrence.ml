@@ -59,11 +59,13 @@ let stop_label = function
   | Period_cap -> "period-cap"
 
 (* Runs eq. 3.6 from [t0], hands each period to [emit] in order (the
-   greedy tail included), and returns why the recurrence stopped.
-   [generate] collects the periods and [expected_work_at] scores them,
+   greedy tail included), and returns why the recurrence stopped, with G
+   and the last term read at the recurrence's own last period end (see
+   [score]). [generate] collects the periods and [score] scores them,
    so the two see the same periods. Each period end costs one
    [eval_deriv]: its p serves the tail test, the next step and [emit],
-   which gets the point along with the period; its p' serves the step. *)
+   which gets the point along with the period; its p' serves the step
+   and G. *)
 let iterate ~max_periods ~finish lf ~c ~t0 emit =
   let at = Life_function.point () in
   Life_function.eval_deriv lf t0 at;
@@ -95,6 +97,10 @@ let iterate ~max_periods ~finish lf ~c ~t0 emit =
     end
   done;
   let stop = Option.get !stop in
+  (* G is the right-hand side the next step would solve for (on
+     [Exhausted_support], the one it just refused), so it costs no call. *)
+  let slope = at.p +. ((!prev_period -. c) *. at.dp) in
+  let last_term = (!prev_period -. c) *. at.p in
   (* Optional ad-hoc improvement: fill leftover lifespan with one greedy
      period when the recurrence stopped early. Its end has no point, and
      [at] still holds the previous one. *)
@@ -104,7 +110,7 @@ let iterate ~max_periods ~finish lf ~c ~t0 emit =
         (fun t -> emit t at)
         (greedy_tail lf ~c ~elapsed:!prev_end)
   | Greedy_tail, (Tail_negligible | Period_cap) | Faithful, _ -> ());
-  stop
+  (stop, slope, last_term)
 
 let check_args name ~c ~t0 =
   if t0 <= 0.0 then invalid_arg (name ^ ": t0 must be > 0");
@@ -140,25 +146,37 @@ let generate ?(obs = Obs.disabled) ?(max_periods = default_max_periods)
   check_args "Recurrence.generate" ~c ~t0;
   spanned obs (fun () ->
       let rev_periods = ref [] in
-      let stop =
+      let stop, _, _ =
         iterate ~max_periods ~finish lf ~c ~t0 (fun t _ ->
             rev_periods := t :: !rev_periods)
       in
       let schedule = Schedule.of_list (List.rev !rev_periods) in
       ({ schedule; stop }, Schedule.num_periods schedule, stop))
 
-let expected_work_at ?(obs = Obs.disabled) ?(finish = Faithful) lf ~c ~t0 =
-  check_args "Recurrence.expected_work_at" ~c ~t0;
+type score = {
+  work : float;
+  slope : float;
+  last_term : float;
+  stop : stop_reason;
+}
+
+let score ?(obs = Obs.disabled) ?(finish = Faithful) lf ~c ~t0 =
+  check_args "Recurrence.score" ~c ~t0;
   spanned obs (fun () ->
       let acc = Schedule.work_start () in
       let periods = ref 0 in
-      let stop =
+      let stop, slope, last_term =
         iterate ~max_periods:default_max_periods ~finish lf ~c ~t0
           (fun t at ->
             incr periods;
             Schedule.work_add acc ~c lf ~at t)
       in
-      (Schedule.work_total acc, !periods, stop))
+      ( { work = Schedule.work_total acc; slope; last_term; stop },
+        !periods,
+        stop ))
+
+let expected_work_at ?obs ?finish lf ~c ~t0 =
+  (score ?obs ?finish lf ~c ~t0).work
 
 let residuals lf ~c s =
   let { Schedule.periods; ends } = s in

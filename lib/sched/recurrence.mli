@@ -68,16 +68,32 @@ val generate :
     the whole generation is profiled as a [recurrence.generate] span
     carrying the period count and stop reason. *)
 
-val expected_work_at :
+type score = {
+  work : float;  (** [E], eq. 2.1, of the schedule {!generate} builds. *)
+  slope : float;
+      (** [G = p(T_m) + (t_m − c)·p′(T_m)], read at the end [T_m] of the
+          recurrence's last period [t_m] (a greedy tail's period is not
+          one). Along eq. 3.6 every partial [∂E/∂t_j] equals [G], and [G]
+          is the right-hand side eq. 3.6 would solve for period [m+1]: the
+          one {!Exhausted_support} refused. Where [T_m >= L] the point
+          holds the clamp, [p = p′ = 0], and [G = 0]. *)
+  last_term : float;
+      (** [(t_m − c)·p(T_m)], the last period's term of eq. 2.1: the work
+          a {!Tail_negligible} or {!Period_cap} cut leaves out is of this
+          order per period. *)
+  stop : stop_reason;  (** Why the recurrence stopped. *)
+}
+
+val score :
   ?obs:Obs.t ->
   ?finish:finish ->
   Life_function.t -> c:float -> t0:float ->
-  float
-(** [expected_work_at p ~c ~t0] is the expected work (eq. 2.1) of the
-    schedule {!generate} builds from [t0], computed in the same pass of
-    the recurrence without building the schedule: each period goes to
-    {!Schedule.work_add} as it is generated, with the point the loop
-    read at its end, so p is evaluated once per end. It equals
+  score
+(** [score p ~c ~t0] runs eq. 3.6 from [t0] once, without building the
+    schedule: each period goes to {!Schedule.work_add} as it is
+    generated, with the point the loop read at its end, so p is
+    evaluated once per end, and the point at the last end gives [G]
+    with no further call. Its [work] equals
     [Schedule.expected_work ~c p (generate p ~c ~t0).schedule] bit for
     bit, for either [?finish]. {!Guideline.plan} scores its [t_0]
     candidates with it. Requires [t0 > 0] and [c >= 0].
@@ -85,6 +101,13 @@ val expected_work_at :
     [?obs]: with a span recorder attached, the pass is recorded as a
     [recurrence.generate] span with the same [periods] and [stop]
     attributes {!generate} records. *)
+
+val expected_work_at :
+  ?obs:Obs.t ->
+  ?finish:finish ->
+  Life_function.t -> c:float -> t0:float ->
+  float
+(** [expected_work_at p ~c ~t0] is [(score p ~c ~t0).work]. *)
 
 val residuals : Life_function.t -> c:float -> Schedule.t -> float array
 (** [residuals p ~c s] evaluates, for each consecutive pair of periods, the

@@ -255,52 +255,52 @@ let test_run_known_answers () =
               ~seed)))
     [
       ( "guideline", "unlimited", 1L,
-        [| 4637480873790475133L; 4641240890982006784L;
-           4638031354227682398L; 4629700416936869888L |],
+        [| 4637480873790475133L; 4641240890982006783L;
+           4638031354226132941L; 4629700416936869888L |],
         [ (1, 7, 0); (3, 4, 2); (2, 4, 1); (5, 1, 4) ] );
       ( "guideline", "unlimited", 2L,
-        [| 4638613086344201290L; 4641240890982006783L;
-           4634645333978089376L; 4627448617123184640L |],
+        [| 4638613086344201290L; 4641240890982006782L;
+           4634645333970397287L; 4627448617123184640L |],
         [ (2, 5, 1); (3, 3, 2); (1, 2, 0); (3, 2, 2) ] );
       ( "guideline", "unlimited", 3L,
-        [| 4639917015653807086L; 4641240890982006784L;
-           4636836464170821445L; 4629137466983448576L |],
+        [| 4639917015668382028L; 4641240890982006782L;
+           4636836464213905575L; 4629137466983448576L |],
         [ (3, 2, 2); (1, 6, 0); (3, 7, 0); (5, 0, 4) ] );
       ( "guideline", "serialized", 1L,
-        [| 4637923111686642033L; 4641240890982006784L;
-           4638383197956211242L; 4629700416936869888L |],
+        [| 4637923111738435074L; 4641240890982006782L;
+           4638383197947053964L; 4629700416936869888L |],
         [ (1, 6, 1); (3, 5, 2); (2, 4, 1); (5, 1, 4) ] );
       ( "guideline", "serialized", 2L,
-        [| 4638613086344201290L; 4641240890982006783L;
-           4634645333978089376L; 4627448617123184640L |],
+        [| 4638613086344201290L; 4641240890982006782L;
+           4634645333970397287L; 4627448617123184640L |],
         [ (2, 5, 1); (3, 3, 2); (1, 2, 0); (3, 2, 2) ] );
       ( "guideline", "serialized", 3L,
-        [| 4639917015653807086L; 4641240890982006784L;
-           4637716949796444474L; 4629137466983448576L |],
+        [| 4639917015668382028L; 4641240890982006782L;
+           4637716949835821119L; 4629137466983448576L |],
         [ (3, 2, 2); (1, 6, 0); (3, 7, 1); (5, 0, 4) ] );
       ( "adaptive-conditional", "unlimited", 1L,
-        [| 4637480873790475133L; 4641240890982006784L;
-           4638031354227682398L; 4629700416936869888L |],
+        [| 4637480873790475133L; 4641240890982006782L;
+           4638031354226132941L; 4629700416936869888L |],
         [ (1, 7, 0); (3, 4, 2); (2, 4, 1); (5, 1, 4) ] );
       ( "adaptive-conditional", "unlimited", 2L,
-        [| 4638016378610921657L; 4641240890982006782L;
-           4634645333978064942L; 4629137466983448576L |],
+        [| 4638016378603313840L; 4641240890982006783L;
+           4634645333970374344L; 4629137466983448576L |],
         [ (2, 5, 1); (3, 4, 2); (1, 3, 0); (3, 3, 2) ] );
       ( "adaptive-conditional", "unlimited", 3L,
-        [| 4639917015653952395L; 4641240890982006784L;
-           4636836464171402682L; 4629137466983448576L |],
+        [| 4639917015668450248L; 4641240890982006782L;
+           4636836464214178455L; 4629137466983448576L |],
         [ (3, 2, 2); (1, 6, 0); (3, 7, 0); (5, 0, 4) ] );
       ( "adaptive-conditional", "serialized", 1L,
-        [| 4637483713155069022L; 4641240890982006784L;
-           4638031354227682398L; 4629700416936869888L |],
+        [| 4637483713160307520L; 4641240890982006783L;
+           4638031354226132941L; 4629700416936869888L |],
         [ (1, 7, 0); (3, 4, 2); (2, 4, 1); (5, 1, 4) ] );
       ( "adaptive-conditional", "serialized", 2L,
-        [| 4638793145796366983L; 4641240890982006782L;
-           4635366893279911044L; 4629137466983448576L |],
+        [| 4638793145792554224L; 4641240890982006783L;
+           4635366893272202742L; 4629137466983448576L |],
         [ (2, 6, 1); (3, 3, 3); (1, 3, 0); (3, 3, 2) ] );
       ( "adaptive-conditional", "serialized", 3L,
-        [| 4639933355158700169L; 4641240890982006784L;
-           4637774669994252456L; 4629137466983448576L |],
+        [| 4639933355176426061L; 4641240890982006782L;
+           4637774670044243889L; 4629137466983448576L |],
         [ (3, 2, 2); (1, 6, 0); (3, 7, 1); (5, 0, 4) ] );
       ( "greedy", "unlimited", 1L,
         [| 4643812607647365526L; 4641240890982006784L;

@@ -238,6 +238,30 @@ let prop_expected_work_at_is_bit_identical =
         (Int64.bits_of_float
            (Schedule.expected_work ~c lf g.Recurrence.schedule)))
 
+let prop_score_slope_is_g =
+  QCheck.Test.make
+    ~name:"score's G = p(T_m) + (t_m - c) p'(T_m) at generate's last end, bitwise"
+    ~count:300
+    (QCheck.make
+       ~print:(fun seed ->
+         let lf, c, _, t0 = scored_scenario seed in
+         Printf.sprintf "%s, c=%g, t0=%h" (Life_function.name lf) c t0)
+       QCheck.Gen.nat)
+    (fun seed ->
+      let lf, c, _, t0 = scored_scenario seed in
+      let periods =
+        Schedule.periods (Recurrence.generate lf ~c ~t0).Recurrence.schedule
+      in
+      (* T_m as the loop sums it: Thm 3.1's uncompensated T_k. *)
+      let t_end = Array.fold_left ( +. ) 0.0 periods in
+      let t_m = periods.(Array.length periods - 1) in
+      let at = Life_function.point () in
+      Life_function.eval_deriv lf t_end at;
+      let g = at.Life_function.p +. ((t_m -. c) *. at.Life_function.dp) in
+      Int64.equal
+        (Int64.bits_of_float (Recurrence.score lf ~c ~t0).Recurrence.slope)
+        (Int64.bits_of_float g))
+
 let test_expected_work_at_allocates_less () =
   (* Scoring a t0 builds no schedule: at most 3/4 of the minor words of
      generate followed by Schedule.expected_work. *)
@@ -445,6 +469,7 @@ let () =
       ( "work-at-t0",
         [
           QCheck_alcotest.to_alcotest prop_expected_work_at_is_bit_identical;
+          QCheck_alcotest.to_alcotest prop_score_slope_is_g;
           Alcotest.test_case "allocates less than generate" `Quick
             test_expected_work_at_allocates_less;
           Alcotest.test_case "one point per period end" `Quick
