@@ -54,6 +54,11 @@ let long_lf = Families.weibull ~shape:0.8 ~scale:60.0
 let long_schedule = (Guideline.plan long_lf ~c:1.0).Guideline.schedule
 let long_sampler = Reclaim.create long_lf
 
+(* The episode-play rows price a Monte-Carlo trial: one replay table per
+   schedule, built before sampling, and a draw played through it. *)
+let replay = Episode.replay schedule ~c:1.0
+let long_replay = Episode.replay long_schedule ~c:1.0
+
 (* The sink-emit fixture prices the trace writer itself, one event per
    call. It is lazy so that non-timing subcommands open no temporary
    file at module init; the warmup loop forces it before sampling. *)
@@ -162,6 +167,20 @@ let serial_workloads : (string * (unit -> unit) * int) list =
            (Episode.run long_schedule ~c:1.0
               ~reclaim_at:(Reclaim.draw long_sampler g))),
       2_000 );
+    ( "episode-play (13 periods)",
+      (let g = Prng.create ~seed:1L in
+       fun () ->
+         ignore (Episode.play replay ~reclaim_at:(Reclaim.draw sampler g))),
+      2_000 );
+    ( "episode-play (weibull k=0.8, 198 periods)",
+      (let g = Prng.create ~seed:1L in
+       fun () ->
+         ignore
+           (Episode.play long_replay ~reclaim_at:(Reclaim.draw long_sampler g))),
+      2_000 );
+    ( "episode-replay (198 periods)",
+      (fun () -> ignore (Episode.replay long_schedule ~c:1.0)),
+      200 );
     ( "episode-run (obs disabled)",
       (let g = Prng.create ~seed:1L in
        fun () ->

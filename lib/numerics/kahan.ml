@@ -2,17 +2,26 @@ type t = { mutable sum : float; mutable comp : float }
 
 let create () = { sum = 0.0; comp = 0.0 }
 
+let copy acc = { sum = acc.sum; comp = acc.comp }
+
 (* Neumaier's improvement on Kahan: swap roles when the addend dominates,
-   so cancellation is captured on whichever operand is smaller. Inlined,
-   so [sum]'s loop passes no boxed float. *)
+   so cancellation is captured on whichever operand is smaller. [comp_after
+   acc x t] is the compensation once [x] is folded in, [t] being the new
+   running sum. Inlined, so [sum]'s loop passes no boxed float. *)
+let[@inline] comp_after acc x t =
+  if Float.abs acc.sum >= Float.abs x then acc.comp +. ((acc.sum -. t) +. x)
+  else acc.comp +. ((x -. t) +. acc.sum)
+
 let[@inline] add acc x =
   let t = acc.sum +. x in
-  if Float.abs acc.sum >= Float.abs x then
-    acc.comp <- acc.comp +. ((acc.sum -. t) +. x)
-  else acc.comp <- acc.comp +. ((x -. t) +. acc.sum);
+  acc.comp <- comp_after acc x t;
   acc.sum <- t
 
 let total acc = acc.sum +. acc.comp
+
+let total_with acc x =
+  let t = acc.sum +. x in
+  t +. comp_after acc x t
 
 let sum a =
   let acc = create () in

@@ -17,6 +17,15 @@ val add : t -> float -> unit
 val total : t -> float
 (** [total acc] is the compensated value of everything added so far. *)
 
+val copy : t -> t
+(** [copy acc] is a fresh accumulator in [acc]'s state; adding to either
+    leaves the other unchanged. *)
+
+val total_with : t -> float -> float
+(** [total_with acc x] is what [add acc x; total acc] would return, bit for
+    bit, but [acc] is left unchanged. So one snapshot can settle many
+    different last addends, from several domains at once. *)
+
 val sum : float array -> float
 (** [sum a] is the compensated sum of all elements of [a]. *)
 

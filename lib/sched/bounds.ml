@@ -122,5 +122,7 @@ let lower_t0_concave_periods ~c ~lifespan ~m =
 let max_periods_concave ~c ~lifespan =
   if not (c > 0.0 && lifespan > 0.0) then
     invalid_arg "Bounds.max_periods_concave: c and lifespan must be > 0";
-  int_of_float
-    (Float.ceil (sqrt ((2.0 *. lifespan /. c) +. 0.25) +. 0.5))
+  let m = Float.ceil (sqrt ((2.0 *. (lifespan /. c)) +. 0.25) +. 0.5) in
+  (* [int_of_float] wraps a bound past the int range, an infinite one (2L/c
+     overflows near the float limit) included; saturate instead. *)
+  if m < Float.of_int max_int then int_of_float m else max_int

@@ -51,4 +51,5 @@ val lower_t0_concave_periods : c:float -> lifespan:float -> m:int -> float
 val max_periods_concave : c:float -> lifespan:float -> int
 (** Corollary 5.3: the number of periods of an optimal schedule for a
     concave life function is [< ceil(sqrt(2L/c + 1/4) + 1/2)]; this returns
-    that ceiling (an exclusive bound). Requires [c > 0] and [lifespan > 0]. *)
+    that ceiling (an exclusive bound), or [max_int] where the ceiling is
+    not below it or is not finite. Requires [c > 0] and [lifespan > 0]. *)

@@ -127,7 +127,27 @@ let best_t0 ?(obs = Obs.disabled) lf ~c =
   in
   (Obs.span obs "plan.search" (fun () -> search lf score ~lo ~hi), (lo, hi))
 
+(* Cor 5.2/5.3: an optimal schedule for a concave (or linear) p of lifespan
+   L has fewer than ceil(sqrt(2L/c + 1/4) + 1/2) periods. Where that bound
+   passes the recurrence's period cap, the cap would cut the plan short,
+   and near the float limit the bracket itself degenerates, so refuse such
+   a p before bracketing. Out-of-range c is left to the bracket's own
+   guard and message. *)
+let admit lf ~c =
+  match (Life_function.shape lf, Life_function.support lf) with
+  | (Life_function.Concave | Life_function.Linear), Life_function.Bounded l
+    when c > 0.0 && c < l ->
+      let bound = Bounds.max_periods_concave ~c ~lifespan:l in
+      if bound > Recurrence.default_max_periods then
+        invalid_arg
+          (Printf.sprintf
+             "Guideline.plan: at L/c = %g, Cor 5.3 allows a plan that the \
+              %d-period cap could cut short"
+             (l /. c) Recurrence.default_max_periods)
+  | _, _ -> ()
+
 let plan ?(obs = Obs.disabled) lf ~c =
+  admit lf ~c;
   let compute () =
     (* The guideline's three phases, each its own span: Thm 3.2/3.3
        bracketing, the t0 search (whose evaluations span themselves), and

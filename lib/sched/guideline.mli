@@ -51,9 +51,12 @@ val plan :
     per candidate, and the winner's [plan.evaluate] /
     [recurrence.generate] / [plan.expected_work]. The returned plan is
     unaffected.
-    @raise Invalid_argument when [c] is out of range, or when no [t_0]
-    scored has [E > 0], which only a bracket collapsed onto the end of
-    the support gives (at [-L 1e308], say). *)
+    @raise Invalid_argument when [c] is out of range; before any
+    bracketing, when [p] is concave or linear with lifespan [L] and
+    Cor 5.3's bound on the period count, [ceil(sqrt(2L/c + 1/4) + 1/2)],
+    exceeds {!Recurrence.default_max_periods}, since the cap could cut
+    such a plan short; or when no [t_0] scored has [E > 0], which only a
+    bracket collapsed onto the end of the support gives. *)
 
 val plan_batch :
   ?obs:Obs.t ->

@@ -48,6 +48,9 @@ type finish =
           [(t − c) · p(T + t)] — one of the "ad hoc improvements" the paper
           invites in §5. *)
 
+val default_max_periods : int
+(** The period cap of {!generate} and {!score}: 100_000. *)
+
 val generate :
   ?obs:Obs.t ->
   ?max_periods:int ->
@@ -56,10 +59,10 @@ val generate :
   generated
 (** [generate p ~c ~t0] iterates {!next_period} from the initial period
     [t0], truncating unbounded tails at survival 1e-15 and capping at
-    [max_periods] (default 100_000). Periods that come out [<= c] end the
-    iteration ({!Unproductive}) but the final sub-[c] period is kept only
-    if it still contributes work ([> c] check), matching the Prop 2.1
-    normal form. Each period end costs one {!Life_function.eval_deriv},
+    [max_periods] (default {!default_max_periods}). Periods that come out
+    [<= c] end the iteration ({!Unproductive}) but the final sub-[c]
+    period is kept only if it still contributes work ([> c] check),
+    matching the Prop 2.1 normal form. Each period end costs one {!Life_function.eval_deriv},
     whose p serves the tail test and whose p and p′ serve the next step,
     and each step one {!Life_function.inverse}. Requires [t0 > 0] and
     [c >= 0].

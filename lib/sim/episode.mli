@@ -36,7 +36,9 @@ val run :
     it visits, never with the schedule's length. Uninstrumented, it
     allocates the outcome and its two compensated sums (21 minor words),
     plus one boxed float per addend to those sums: two per completed
-    period, one for a killed one.
+    period, one for a killed one. It is the one-trial entry; many trials
+    of one schedule play a {!replay} instead, which sums each period
+    once for all of them.
 
     [?obs] (default {!Obs.disabled}) attaches observability: with a
     consuming sink the replay emits [Episode_started],
@@ -46,6 +48,34 @@ val run :
     (defaults 0, used by the Monte-Carlo and farm layers); with a span
     recorder it records one [episode.run] span. The accounting itself is
     untouched: results are bit-identical with and without [?obs]. *)
+
+type replay
+(** A schedule tabulated for many trials at one overhead: its work step
+    function [W_S] at every period end, and the overhead sum's state
+    there. Immutable once built, so one replay may be played from several
+    domains at once, like the schedule's own arrays. *)
+
+val replay : Schedule.t -> c:float -> replay
+(** [replay s ~c] builds, once, the compensated running sums of banked
+    work and overhead after each period [k = 0 … n] of [s]. It makes the
+    same {!Kahan.add} calls, in the same order, that {!run} makes, so
+    {!play} can return {!run}'s outcome bit for bit. O(n) time and about
+    [5n] words. Requires [c >= 0]. *)
+
+val play :
+  ?obs:Obs.t -> ?ws:int -> ?ep:int -> replay -> reclaim_at:float -> outcome
+(** [play r ~reclaim_at] is [run s ~c ~reclaim_at] for the schedule and
+    overhead [r] was built from: the same outcome, compared as bits, the
+    same events and the same [episode.run] span. It scans the schedule's
+    [ends] for the completed count [k] with {!run}'s loop condition, reads
+    both sums at [k], and adds only a killed period's [min in_flight c]
+    to the overhead, through {!Kahan.total_with} on the table's
+    read-only state. So a trial costs a scan of [ends] up to its reclaim
+    time and O(1) beyond it, and never re-sums a completed period.
+    Uninstrumented, it allocates the outcome (7 words), its boxed work,
+    overhead and lost-work figures, and one boxed addend for a killed
+    period: at most 15 minor words, whatever the schedule's length.
+    Requires [reclaim_at >= 0]. *)
 
 val work_if_reclaimed_at : Schedule.t -> c:float -> float -> float
 (** [work_if_reclaimed_at s ~c t] is just the banked work of {!run} — the

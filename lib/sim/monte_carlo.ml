@@ -28,6 +28,7 @@ let estimate ?(obs = Obs.disabled) ?pool ?(trials = 20_000) lf ~c ~schedule
          { time = 0.0; source = "monte_carlo"; seed = Some seed });
   let g = Prng.create ~seed in
   let sampler = Reclaim.create lf in
+  let replay = Episode.replay schedule ~c in
   let chunks = n_chunks trials in
   let gens = Prng.split_n g chunks in
   let works = Array.make trials 0.0 in
@@ -38,7 +39,7 @@ let estimate ?(obs = Obs.disabled) ?pool ?(trials = 20_000) lf ~c ~schedule
   let run_chunk k =
     let cobs = Obs_fork.child kids k in
     (* An uninstrumented chunk passes no [?obs]/[?ep], so a trial builds
-       no [Some] for them; [Episode.run] would observe nothing anyway. *)
+       no [Some] for them; [Episode.play] would observe nothing anyway. *)
     let instr = Obs.instrumented cobs in
     let gk = gens.(k) in
     let first = k * chunk_size in
@@ -50,8 +51,8 @@ let estimate ?(obs = Obs.disabled) ?pool ?(trials = 20_000) lf ~c ~schedule
       for i = first to stop - 1 do
         let reclaim_at = Reclaim.draw sampler gk in
         let o =
-          if instr then Episode.run ~obs:cobs ~ep:i schedule ~c ~reclaim_at
-          else Episode.run schedule ~c ~reclaim_at
+          if instr then Episode.play ~obs:cobs ~ep:i replay ~reclaim_at
+          else Episode.play replay ~reclaim_at
         in
         works.(i) <- o.Episode.work_done;
         Kahan.add overhead o.Episode.overhead;
@@ -121,6 +122,7 @@ let compare_policies ?(obs = Obs.disabled) ?pool ?(trials = 20_000) lf ~c
      serially so the stream is independent of the chunking below. *)
   let reclaims = Array.init trials (fun _ -> Reclaim.draw sampler g) in
   let pol = Array.of_list policies in
+  let replays = Array.map (fun (_, schedule) -> Episode.replay schedule ~c) pol in
   let npol = Array.length pol in
   let chunks = n_chunks trials in
   (* One flat job grid over policies × chunks, so a few policies still
@@ -131,7 +133,8 @@ let compare_policies ?(obs = Obs.disabled) ?pool ?(trials = 20_000) lf ~c
   let kids = Obs_fork.scatter obs ~n:jobs in
   let run_job j =
     let pi = j / chunks and k = j mod chunks in
-    let policy_name, schedule = pol.(pi) in
+    let policy_name, _ = pol.(pi) in
+    let replay = replays.(pi) in
     let cobs = Obs_fork.child kids j in
     let instr = Obs.instrumented cobs in
     let first = k * chunk_size in
@@ -141,9 +144,8 @@ let compare_policies ?(obs = Obs.disabled) ?pool ?(trials = 20_000) lf ~c
       for ti = first to stop - 1 do
         let reclaim_at = reclaims.(ti) in
         let o =
-          if instr then
-            Episode.run ~obs:cobs ~ws:pi ~ep:ti schedule ~c ~reclaim_at
-          else Episode.run schedule ~c ~reclaim_at
+          if instr then Episode.play ~obs:cobs ~ws:pi ~ep:ti replay ~reclaim_at
+          else Episode.play replay ~reclaim_at
         in
         Kahan.add acc o.Episode.work_done
       done;

@@ -209,6 +209,24 @@ let test_cor_5_3_period_bound () =
   Alcotest.(check int) "bound" 15
     (Bounds.max_periods_concave ~c:1.0 ~lifespan:100.0)
 
+(* Past the int range, and where 2L/c overflows, the bound saturates
+   instead of wrapping; L/c is formed first, so a huge L over a huge c
+   still gets its finite bound. *)
+let test_cor_5_3_saturates () =
+  List.iter
+    (fun (c, lifespan, want) ->
+      Alcotest.(check int)
+        (Printf.sprintf "L = %g, c = %g" lifespan c)
+        want
+        (Bounds.max_periods_concave ~c ~lifespan))
+    [
+      (1.0, 1e10, 141422);
+      (1.0, 1e200, max_int);
+      (1.0, 1e308, max_int);
+      (1e-300, 100.0, max_int);
+      (1e300, 1e308, 14143);
+    ]
+
 let test_cor_5_3_validation () =
   match Bounds.max_periods_concave ~c:0.0 ~lifespan:1.0 with
   | exception Invalid_argument _ -> ()
@@ -286,6 +304,8 @@ let () =
             test_cor_5_4_lower_given_m;
           Alcotest.test_case "Cor 5.3 period bound" `Quick
             test_cor_5_3_period_bound;
+          Alcotest.test_case "Cor 5.3 bound saturates" `Quick
+            test_cor_5_3_saturates;
           Alcotest.test_case "Cor 5.3 validation" `Quick
             test_cor_5_3_validation;
           Alcotest.test_case "uniform t0 meets Cor 5.4" `Quick

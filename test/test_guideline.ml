@@ -371,6 +371,31 @@ let test_narrow_bracket_far_from_zero () =
     Alcotest.failf "t0 %h in [%h, %h], E %h" r.Guideline.t0 lo hi
       r.Guideline.expected_work
 
+(* Cor 5.3 admission: a concave or linear p whose period bound reaches
+   the recurrence's cap is refused before bracketing, where it used to
+   print t0 = 2 (L = 1e308), a one-period plan (1e200) or a plan cut at
+   the cap (1e10). Just below the cap the plan stands. *)
+let test_refuses_past_the_period_cap () =
+  List.iter
+    (fun (lf, c) ->
+      match Guideline.plan lf ~c with
+      | exception Invalid_argument _ -> ()
+      | r ->
+          Alcotest.failf "%s at c = %g: planned %d periods"
+            (Life_function.name lf) c
+            (Schedule.num_periods r.Guideline.schedule))
+    [
+      (Families.uniform ~lifespan:1e308, 1.0);
+      (Families.uniform ~lifespan:1e200, 1.0);
+      (Families.uniform ~lifespan:1e10, 1.0);
+      (Families.uniform ~lifespan:100.0, 1e-300);
+      (Families.geometric_increasing ~lifespan:1e308, 1.0);
+      (Families.polynomial ~d:2 ~lifespan:1e308, 1.0);
+    ];
+  let r = Guideline.plan (Families.uniform ~lifespan:1e9) ~c:1.0 in
+  if r.Guideline.stop = Recurrence.Period_cap then
+    Alcotest.fail "L/c = 1e9 hit the period cap"
+
 let test_evaluations_by_shape () =
   List.iter
     (fun lf ->
@@ -666,6 +691,8 @@ let () =
             test_evaluations_steady;
           Alcotest.test_case "narrow bracket far from 0" `Quick
             test_narrow_bracket_far_from_zero;
+          Alcotest.test_case "refuses past the period cap" `Quick
+            test_refuses_past_the_period_cap;
         ] );
       ( "structure",
         [

@@ -43,6 +43,44 @@ let test_cumulative_last_equals_sum () =
   let c = Kahan.cumulative a in
   feq ~eps:1e-12 (Kahan.sum a) c.(999)
 
+(* [total_with acc x] against [add] then [total] on a copy, as bits, over
+   seeded running sums whose terms span twelve decades and both signs, so
+   that both of Neumaier's branches are taken; [acc] must not move. *)
+let test_total_with_is_add_then_total () =
+  let g = Prng.create ~seed:11L in
+  let term () =
+    let m = 10.0 ** Prng.float_range g ~lo:(-6.0) ~hi:6.0 in
+    if Prng.bool g then m else -.m
+  in
+  let bits = Int64.bits_of_float in
+  for _ = 1 to 500 do
+    let acc = Kahan.create () in
+    for _ = 1 to Prng.int g ~bound:40 do
+      Kahan.add acc (term ())
+    done;
+    let before = bits (Kahan.total acc) in
+    let x = term () in
+    let after = Kahan.copy acc in
+    Kahan.add after x;
+    if bits (Kahan.total_with acc x) <> bits (Kahan.total after) then
+      Alcotest.failf "total_with %h differs from add then total" x;
+    if bits (Kahan.total acc) <> before then
+      Alcotest.fail "total_with changed its accumulator"
+  done
+
+let test_copy_is_independent () =
+  let acc = Kahan.create () in
+  List.iter (Kahan.add acc) [ 1.0; 1e100; 1.0 ];
+  let snap = Kahan.copy acc in
+  Kahan.add acc (-1e100);
+  feq 2.0 (Kahan.total acc);
+  Alcotest.(check int64) "copy unchanged by adds to the original"
+    (Int64.bits_of_float (1e100 +. 2.0))
+    (Int64.bits_of_float (Kahan.total snap));
+  Kahan.add snap (-1e100);
+  feq 2.0 (Kahan.total snap);
+  feq 2.0 (Kahan.total acc)
+
 let prop_sum_matches_sorted_naive =
   QCheck.Test.make ~name:"kahan sum ~ naive sum on benign data" ~count:200
     QCheck.(array_of_size Gen.(int_range 1 50) (float_range (-1e3) 1e3))
@@ -68,6 +106,10 @@ let () =
           Alcotest.test_case "cumulative values" `Quick test_cumulative_values;
           Alcotest.test_case "cumulative last = sum" `Quick
             test_cumulative_last_equals_sum;
+          Alcotest.test_case "total_with = add then total" `Quick
+            test_total_with_is_add_then_total;
+          Alcotest.test_case "copy is independent" `Quick
+            test_copy_is_independent;
           QCheck_alcotest.to_alcotest prop_sum_matches_sorted_naive;
         ] );
     ]
