@@ -125,6 +125,17 @@ let serial_workloads : (string * (unit -> unit) * int) list =
     ( "t0-bracket (Thm 3.2/3.3, uniform)",
       (fun () -> ignore (Bounds.bracket uniform_lf ~c:1.0)),
       100 );
+    (* One constructor call per paper family, at the centres of the e2e
+       plan-cold draw: a plan-cold op builds one of them, then plans. *)
+    ( "family-make (six paper families)",
+      (fun () ->
+        ignore (Families.uniform ~lifespan:120.0);
+        ignore (Families.polynomial ~d:2 ~lifespan:120.0);
+        ignore (Families.geometric_decreasing ~a:(exp 0.045));
+        ignore (Families.exponential ~rate:0.045);
+        ignore (Families.geometric_increasing ~lifespan:40.0);
+        ignore (Families.weibull ~shape:1.55 ~scale:120.0)),
+      200 );
     ( "guideline-plan (uniform)",
       (fun () -> ignore (Guideline.plan uniform_lf ~c:1.0)),
       5 );

@@ -4,6 +4,10 @@ let ln2 = log 2.0
    let it through. *)
 let positive_finite x = x > 0.0 && Float.is_finite x
 
+(* The six paper families pass [~validate:false]: their O(1) guards
+   admit p, which is monotone with an exact inverse by construction.
+   test_lifefn re-runs [make]'s check on them over extreme parameters. *)
+
 let uniform ~lifespan =
   if not (positive_finite lifespan) then
     invalid_arg "Families.uniform: lifespan must be finite and > 0";
@@ -13,7 +17,7 @@ let uniform ~lifespan =
     ~support:(Life_function.Bounded l)
     ~dp:(fun t -> if t < 0.0 || t > l then 0.0 else -1.0 /. l)
     ~inv:(fun u -> l *. (1.0 -. u))
-    ~shape:Life_function.Linear
+    ~shape:Life_function.Linear ~validate:false
     (fun t -> 1.0 -. (t /. l))
 
 let polynomial ~d ~lifespan =
@@ -31,7 +35,7 @@ let polynomial ~d ~lifespan =
         if t < 0.0 || t > l then 0.0
         else -.df *. Float.pow (t /. l) (df -. 1.0) /. l)
       ~inv:(fun u -> l *. Float.pow (1.0 -. u) (1.0 /. df))
-      ~shape:Life_function.Concave
+      ~shape:Life_function.Concave ~validate:false
       (fun t -> 1.0 -. Float.pow (t /. l) df)
   end
 
@@ -48,7 +52,7 @@ let geometric_decreasing ~a =
       pt.Life_function.p <- e;
       pt.dp <- -.lna *. e)
     ~inv:(fun u -> -.log u /. lna)
-    ~shape:Life_function.Convex
+    ~shape:Life_function.Convex ~validate:false
     (fun t -> exp (-.lna *. t))
 
 let exponential ~rate =
@@ -63,7 +67,7 @@ let exponential ~rate =
       pt.Life_function.p <- e;
       pt.dp <- -.rate *. e)
     ~inv:(fun u -> -.log u /. rate)
-    ~shape:Life_function.Convex
+    ~shape:Life_function.Convex ~validate:false
     (fun t -> exp (-.rate *. t))
 
 let geometric_increasing ~lifespan =
@@ -84,12 +88,20 @@ let geometric_increasing ~lifespan =
   Life_function.make
     ~name:(Printf.sprintf "geometric-increasing(L=%g)" l)
     ~support:(Life_function.Bounded l) ~dp ~inv ~shape:Life_function.Concave
-    p
+    ~validate:false p
 
 let weibull ~shape ~scale =
   if not (positive_finite shape && positive_finite scale) then
     invalid_arg "Families.weibull: shape and scale must be finite and > 0";
   let sh = shape and sc = scale in
+  (* p reaches 1e-12 at t = scale * (-ln 1e-12)^(1/shape). Where t or
+     t / scale is not a float, p has no horizon in floats. Where t / scale
+     overflows first, the overflow fakes one: p drops from about e^-1
+     straight to 0, and [make]'s check finds p (p⁻¹ v) = 0. *)
+  if not (Float.is_finite (sc *. Float.pow (-.log 1e-12) (1.0 /. sh))) then
+    invalid_arg
+      "Families.weibull: p reaches 1e-12 only where t or t / scale passes \
+       the largest float (shape too small or scale too large)";
   (* log p = −(t/scale)^shape is concave for shape >= 1; shape = 1 stays
      Convex, which also gives the Thm 3.3 bound. *)
   let declared =
@@ -114,7 +126,7 @@ let weibull ~shape ~scale =
       pt.Life_function.p <- e;
       pt.dp <- -.sh /. t *. zs *. e)
     ~inv:(fun u -> sc *. Float.pow (-.log u) (1.0 /. sh))
-    ~shape:declared
+    ~shape:declared ~validate:false
     (fun t -> if t <= 0.0 then 1.0 else exp (-.Float.pow (t /. sc) sh))
 
 let power_law ~d =

@@ -4,10 +4,19 @@
     Bhatt–Chung–Leighton–Rosenberg [3] — uniform risk, geometric-decreasing
     lifespan, geometric-increasing risk — plus the polynomial generalisation
     [p_{d,L}] of uniform risk and the inadmissible power-law family of
-    Corollary 3.2. All constructors return fully-validated
-    {!Life_function.t} values carrying exact derivatives, declared shapes
-    and exact inverses [p⁻¹] (see {!Life_function.inverse}): closed-form
-    for every family, and the interpolant's own for {!of_interpolant}.
+    Corollary 3.2. All constructors return {!Life_function.t} values
+    carrying exact derivatives, declared shapes and exact inverses [p⁻¹]
+    (see {!Life_function.inverse}): closed-form for every family, and the
+    interpolant's own for {!of_interpolant}.
+
+    Each constructor checks its parameters in O(1) and raises
+    [Invalid_argument] on a bad one. The six closed-form paper families
+    ({!uniform}, {!polynomial}, {!geometric_decreasing}, {!exponential},
+    {!geometric_increasing}, {!weibull}) and {!scale_time} then skip
+    {!Life_function.make}'s 128-point check ([~validate:false]): their
+    [p] is monotone with an exact inverse by construction, so the check
+    would find nothing and only cost a plan. {!power_law} and
+    {!of_interpolant} keep it.
     Where p and p′ share their costly part ({!geometric_decreasing},
     {!exponential}, {!weibull}, {!of_interpolant} and {!scale_time}),
     the constructor also gives {!Life_function.make} a fused closure,
@@ -46,7 +55,12 @@ val weibull : shape:float -> scale:float -> Life_function.t
     neither convex nor concave globally for [shape > 1], where
     [log p = −(t/scale)^shape] is concave and the hazard increases
     (declared {!Life_function.Log_concave}). Requires finite [shape > 0]
-    and [scale > 0]. *)
+    and [scale > 0] for which [p] reaches 1e-12 within the floats: both
+    [(−ln 1e-12)^(1/shape)], that point over [scale], and [scale] times
+    it must be finite, which needs [shape] above ~0.0047. Otherwise [p]
+    has no horizon in floats: it stays above 1e-12 at every float, or
+    [t / scale] overflows first and the computed [p] falls from about
+    [e^-1] straight to 0 there. *)
 
 val power_law : d:float -> Life_function.t
 (** [power_law ~d] is [p(t) = 1/(t+1)^d]. For [d > 1] this is the paper's

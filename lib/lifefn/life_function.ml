@@ -17,17 +17,25 @@ exception Invalid_life_function of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Invalid_life_function s)) fmt
 
-let raw_horizon support p =
+(* Geometric search for the 1e-12 survival point: the first of 1, 2, 4,
+   ... where p is at most 1e-12, else the last finite one, 2^1023, which
+   [~refuse] refuses. *)
+let raw_horizon ~refuse ~name support p =
   match support with
   | Bounded l -> l
   | Unbounded ->
-      (* Geometric search for the 1e-12 survival point. *)
       let t = ref 1.0 in
-      let guard = ref 0 in
-      while p !t > 1e-12 && !guard < 80 do
-        incr guard;
-        t := !t *. 2.0
+      let v = ref (p 1.0) in
+      while !v > 1e-12 && Float.is_finite (2.0 *. !t) do
+        t := !t *. 2.0;
+        v := p !t
       done;
+      if refuse && not (!v <= 1e-12) then
+        invalid_arg
+          (Printf.sprintf
+             "Life_function.horizon: %s: p(%g) = %g, still above 1e-12 at \
+              the largest finite doubling"
+             name !t !v);
       !t
 
 let validate_fn ~name ~support ?inv p =
@@ -38,7 +46,7 @@ let validate_fn ~name ~support ?inv p =
   let p0 = p 0.0 in
   if Float.abs (p0 -. 1.0) > 1e-9 then
     fail "%s: p(0) = %g, expected 1" name p0;
-  let hi = raw_horizon support p in
+  let hi = raw_horizon ~refuse:false ~name support p in
   let samples = 128 in
   let prev = ref p0 in
   for i = 1 to samples do
@@ -123,15 +131,7 @@ let eval_deriv t x (pt : point) =
          pt.dp <- deriv t x);
   pt.x <- x
 
-let horizon t = raw_horizon t.support t.p
-
-let hazard t x =
-  let v = eval t x in
-  if v <= 0.0 then infinity else -.deriv t x /. v
-
-let conditional_survival t ~elapsed s =
-  let pe = eval t elapsed in
-  if pe <= 0.0 then 0.0 else eval t (elapsed +. s) /. pe
+let horizon t = raw_horizon ~refuse:true ~name:t.name t.support t.p
 
 (* Conditioning rescales p by a constant and shifts time, which keeps
    concavity and convexity, and adds a constant to log p, which keeps

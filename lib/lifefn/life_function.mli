@@ -24,7 +24,8 @@ type shape =
   | Unknown  (** No shape certificate; only the general bounds apply. *)
 
 type t
-(** A validated life function. *)
+(** A life function: [p] with its support, shape and inverse, checked
+    as {!make} states. *)
 
 type point = { mutable x : float; mutable p : float; mutable dp : float }
 (** [p] and [p'] read at one instant [x], as {!eval_deriv} fills them.
@@ -59,10 +60,17 @@ val make :
     [?inv] supplies the exact inverse [p⁻¹] on [(0, 1)]: [inv u] is the [t]
     with [p t = u]. Without it, {!inverse} solves [p t = u] numerically.
     [?shape] declares concavity, convexity or log-concavity — callers are
-    trusted, but [?validate] (default [true]) samples [p] on a grid to check
-    [p 0 = 1] within 1e-9, values in [[0, 1]], monotone nonincrease, and,
-    when [?inv] is given, [|p (inv v) − v| <= 1e-9] at every sampled value
-    [0 < v < 1]. [?fused] is not sampled.
+    trusted, but [?validate] (default [true]) samples [p] at 128 points of
+    [[0, horizon]] to check [p 0 = 1] within 1e-9, values in [[0, 1]],
+    monotone nonincrease, and, when [?inv] is given, [|p (inv v) − v| <=
+    1e-9] at every sampled value [0 < v < 1]. On unbounded support it
+    first runs {!horizon}'s doubling search, without its refusal.
+    [?fused] is not sampled. The six closed-form paper families and
+    {!Families.scale_time} pass [~validate:false], and {!condition}
+    checks nothing either: their [p] is monotone with an exact inverse
+    by construction, and the families' O(1) parameter guards admit it.
+    A caller-built [p], {!Families.of_interpolant} and
+    {!Families.power_law} keep the check.
     @raise Invalid_life_function on validation failure.
     @raise Invalid_argument when [?fused] is given without [?dp]. *)
 
@@ -107,17 +115,12 @@ val eval_deriv : t -> float -> point -> unit
 
 val horizon : t -> float
 (** [horizon p] is the lifespan [L] for bounded support, and for unbounded
-    support the abscissa where [p] first drops below 1e-12 (found by
-    geometric search) — a practical integration/search limit. *)
-
-val hazard : t -> float -> float
-(** [hazard p t] is the instantaneous reclaim rate [-p'(t) / p(t)].
-    Returns [infinity] where [p t = 0]. *)
-
-val conditional_survival : t -> elapsed:float -> float -> float
-(** [conditional_survival p ~elapsed s] is
-    [Pr(alive at elapsed + s | alive at elapsed) = p(elapsed+s)/p(elapsed)].
-    Returns [0] if [p elapsed = 0]. *)
+    support the first of [1, 2, 4, ...] where [p] is at most 1e-12 — a
+    practical integration/search limit. The search doubles while the
+    double is finite, up to [2^1023].
+    @raise Invalid_argument when an unbounded [p] is still above 1e-12
+    at [2^1023], such as exponential of rate [1e-308]: no float bounds
+    the horizon, so no plan or sampler can cover it. *)
 
 val condition : t -> elapsed:float -> t option
 (** [condition p ~elapsed] is the conditional life function given

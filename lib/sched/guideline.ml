@@ -6,14 +6,9 @@ type result = {
   stop : Recurrence.stop_reason;
 }
 
-let evaluate ?(obs = Obs.disabled) lf ~c ~t0 =
-  Obs.span obs "plan.evaluate" (fun () ->
-      let g = Recurrence.generate ~obs lf ~c ~t0 in
-      let ew =
-        Obs.span obs "plan.expected_work" (fun () ->
-            Schedule.expected_work ~c lf g.Recurrence.schedule)
-      in
-      (g, ew))
+let evaluate lf ~c ~t0 =
+  let g = Recurrence.generate lf ~c ~t0 in
+  (g, Schedule.expected_work ~c lf g.Recurrence.schedule)
 
 let plan_with_t0 lf ~c ~t0 =
   let g, ew = evaluate lf ~c ~t0 in
@@ -153,7 +148,9 @@ let plan ?(obs = Obs.disabled) lf ~c =
        bracketing, the t0 search (whose evaluations span themselves), and
        the final regeneration at the winner. A candidate is scored in one
        pass of the recurrence without building its schedule; the score
-       equals [evaluate]'s E bit for bit, so only the winner is built. *)
+       equals [Schedule.expected_work] of the schedule [generate] builds,
+       bit for bit, so only the winner is built, and its E is the
+       search's. *)
     let best, (lo, hi) = best_t0 ~obs lf ~c in
     (* Only a bracket collapsed onto the end of the support scores
        nothing: its t0 is a period that ends where p is 0. *)
@@ -163,11 +160,14 @@ let plan ?(obs = Obs.disabled) lf ~c =
            "Guideline.plan: no t0 in the bracket [%g, %g] scores expected \
             work > 0"
            lo hi);
-    let g, ew = evaluate ~obs lf ~c ~t0:best.Optimize.x in
+    let g =
+      Obs.span obs "plan.evaluate" (fun () ->
+          Recurrence.generate ~obs lf ~c ~t0:best.Optimize.x)
+    in
     {
       schedule = g.Recurrence.schedule;
       t0 = best.Optimize.x;
-      expected_work = ew;
+      expected_work = best.Optimize.fx;
       bracket = (lo, hi);
       stop = g.Recurrence.stop;
     }

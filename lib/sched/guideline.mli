@@ -39,8 +39,10 @@ val plan :
       Brent refines it.
 
     Each candidate is scored by {!Recurrence.score}, which builds no
-    schedule; only the winner's schedule is generated. Requires
-    [0 < c < horizon p].
+    schedule; only the winner's schedule is generated. The plan's
+    [expected_work] is the winner's score from the search, not a further
+    pass: it has the bits of [Schedule.expected_work ~c p schedule]
+    (test_guideline checks this). Requires [0 < c < horizon p].
 
     [?obs] (default {!Obs.disabled}) records the planning step: a
     [Plan_computed] event (source ["guideline"], with the chosen [t_0],
@@ -49,14 +51,16 @@ val plan :
     [guideline.plan] root span over [plan.bracket] (Thm 3.2/3.3),
     [plan.search] with a [plan.evaluate] / [recurrence.generate] pair
     per candidate, and the winner's [plan.evaluate] /
-    [recurrence.generate] / [plan.expected_work]. The returned plan is
-    unaffected.
+    [recurrence.generate] pair, which builds its schedule. The returned
+    plan is unaffected.
     @raise Invalid_argument when [c] is out of range; before any
     bracketing, when [p] is concave or linear with lifespan [L] and
     Cor 5.3's bound on the period count, [ceil(sqrt(2L/c + 1/4) + 1/2)],
     exceeds {!Recurrence.default_max_periods}, since the cap could cut
-    such a plan short; or when no [t_0] scored has [E > 0], which only a
-    bracket collapsed onto the end of the support gives. *)
+    such a plan short; when {!Life_function.horizon} refuses an
+    unbounded [p] whose 1e-12 survival point lies beyond the floats; or
+    when no [t_0] scored has [E > 0], which only a bracket collapsed onto
+    the end of the support gives. *)
 
 val plan_batch :
   ?obs:Obs.t ->

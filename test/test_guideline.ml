@@ -661,6 +661,68 @@ let test_progressive_off_path () =
         [ 0.5; 1.0; 2.0 ])
     progressive_families
 
+(* The plan's E is the search's score of the winner, taken without a
+   further pass. It must carry the bits of eq. 2.1 summed over the
+   schedule the plan returns, on every search path. *)
+let test_plan_e_is_its_schedules () =
+  let check name lf ~c =
+    let r = Guideline.plan lf ~c in
+    let e = Schedule.expected_work ~c lf r.Guideline.schedule in
+    if
+      not
+        (Int64.equal
+           (Int64.bits_of_float r.Guideline.expected_work)
+           (Int64.bits_of_float e))
+    then
+      Alcotest.failf "%s, c=%g: plan E %h, its schedule's E %h" name c
+        r.Guideline.expected_work e
+  in
+  for seed = 0 to 199 do
+    let lf, c = certified_scenario seed in
+    check (Life_function.name lf) lf ~c
+  done;
+  (* Trace fits declare no shape: the grid-and-refine search. *)
+  let fits =
+    List.map
+      (fun (name, seed, model) ->
+        ( name,
+          (Owner_model.collect ~censor_at:960.0 model (Prng.create ~seed)
+             ~n:300
+          |> Survival.of_observations)
+            .Survival.life ))
+      [
+        ( "day/night fit", 4L,
+          Owner_model.Day_night
+            { short_mean = 15.0; long_mean = 480.0; long_fraction = 0.15 } );
+        ( "coffee-break fit", 5L,
+          Owner_model.Coffee_break { typical = 12.0; spread = 3.0 } );
+        ( "weibull 0.8 fit", 6L,
+          Owner_model.Weibull_absence { shape = 0.8; scale = 60.0 } );
+        ( "weibull 2 fit", 7L,
+          Owner_model.Weibull_absence { shape = 2.0; scale = 100.0 } );
+      ]
+  in
+  List.iter
+    (fun (name, lf) -> List.iter (fun c -> check name lf ~c) [ 0.5; 1.0; 3.0 ])
+    fits;
+  (* Time-scaled p, and §6 conditionals of a family and of a fit. *)
+  List.iter
+    (fun (name, lf) ->
+      List.iter
+        (fun factor ->
+          check (name ^ " scaled") (Families.scale_time ~factor lf) ~c:1.0)
+        [ 0.3; 2.5; 40.0 ];
+      List.iter
+        (fun frac ->
+          match
+            Life_function.condition lf
+              ~elapsed:(frac *. Life_function.horizon lf)
+          with
+          | Some cond -> check (name ^ " conditioned") cond ~c:1.0
+          | None -> Alcotest.failf "%s: nothing to condition on" name)
+        [ 0.1; 0.3 ])
+    (progressive_families @ fits)
+
 let () =
   Alcotest.run "guideline"
     [
@@ -732,6 +794,10 @@ let () =
             test_progressive_off_path;
         ] );
       ( "known-answers",
-        [ Alcotest.test_case "plans bit for bit" `Quick test_plan_known_answers ]
+        [
+          Alcotest.test_case "plans bit for bit" `Quick test_plan_known_answers;
+          Alcotest.test_case "plan E is its schedule's, bit for bit" `Quick
+            test_plan_e_is_its_schedules;
+        ]
       );
     ]

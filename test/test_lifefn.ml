@@ -153,34 +153,21 @@ let test_numeric_derivative_fallback () =
   in
   feq 1e-5 (-0.1) (Life_function.deriv lf 5.0)
 
-let test_hazard_exponential_constant () =
-  let lf = Families.exponential ~rate:0.7 in
-  List.iter (fun t -> feq 1e-9 0.7 (Life_function.hazard lf t)) [ 0.5; 2.0; 10.0 ]
-
-let test_hazard_uniform_increasing () =
-  let lf = Families.uniform ~lifespan:10.0 in
-  let h1 = Life_function.hazard lf 1.0 in
-  let h9 = Life_function.hazard lf 9.0 in
-  Alcotest.(check bool) "hazard increases" true (h9 > h1);
-  (* h(t) = 1/(L - t) *)
-  feq 1e-9 (1.0 /. 9.0) h1
-
-let test_hazard_at_zero_survival () =
-  let lf = Families.uniform ~lifespan:1.0 in
-  Alcotest.(check bool) "infinite hazard" true
-    (Life_function.hazard lf 1.0 = infinity)
-
 let test_conditional_survival_memoryless () =
-  (* Exponential: P(T > s + e | T > e) = P(T > s). *)
+  (* Exponential: P(T > s + e | T > e) = P(T > s), so the §6 conditional
+     is p again, inverse included. *)
   let lf = Families.exponential ~rate:0.2 in
-  feq 1e-9
-    (Life_function.eval lf 3.0)
-    (Life_function.conditional_survival lf ~elapsed:5.0 3.0)
+  let cond = Option.get (Life_function.condition lf ~elapsed:5.0) in
+  List.iter
+    (fun s -> feq 1e-9 (Life_function.eval lf s) (Life_function.eval cond s))
+    [ 0.5; 3.0; 20.0 ];
+  feq 1e-9 (Life_function.inverse lf 0.3) (Life_function.inverse cond 0.3)
 
 let test_conditional_survival_uniform () =
   let lf = Families.uniform ~lifespan:10.0 in
+  let cond = Option.get (Life_function.condition lf ~elapsed:5.0) in
   (* P(T > 5+2 | T > 5) = p(7)/p(5) = 0.3/0.5 *)
-  feq 1e-9 0.6 (Life_function.conditional_survival lf ~elapsed:5.0 2.0)
+  feq 1e-9 0.6 (Life_function.eval cond 2.0)
 
 let test_quantile_time () =
   let lf = Families.uniform ~lifespan:10.0 in
@@ -196,6 +183,38 @@ let test_horizon_unbounded () =
   let lf = Families.exponential ~rate:1.0 in
   let h = Life_function.horizon lf in
   Alcotest.(check bool) "p(horizon) tiny" true (Life_function.eval lf h <= 1e-12)
+
+(* The doubling search runs past 2^80 to the 1e-12 point wherever that
+   is a float, and refuses a p still above 1e-12 at 2^1023. Stopping at
+   2^80 made each p below plan one period of 2^80, or 100,000 periods. *)
+let test_horizon_beyond_2_80 () =
+  let lf = Families.exponential ~rate:1e-30 in
+  let h = Life_function.horizon lf in
+  Alcotest.(check bool) "past 2^80" true (h > 0x1p80);
+  Alcotest.(check bool) "first doubling at 1e-12" true
+    (Life_function.eval lf h <= 1e-12 && Life_function.eval lf (h /. 2.0) > 1e-12)
+
+let test_horizon_refused_past_floats () =
+  List.iter
+    (fun lf ->
+      match Life_function.horizon lf with
+      | exception Invalid_argument _ -> ()
+      | h -> Alcotest.failf "%s: horizon %g" (Life_function.name lf) h)
+    [
+      Families.exponential ~rate:1e-308;
+      Families.scale_time ~factor:1e300 (Families.weibull ~shape:2.0 ~scale:1e10);
+    ]
+
+(* A Weibull whose 1e-12 point passes the floats is refused when built:
+   there, t / scale overflows before p drops, and p falls from about e^-1
+   straight to 0. *)
+let test_weibull_refused_past_floats () =
+  List.iter
+    (fun (shape, scale) ->
+      match Families.weibull ~shape ~scale with
+      | exception Invalid_argument _ -> ()
+      | lf -> Alcotest.failf "%s admitted" (Life_function.name lf))
+    [ (1e-300, 1.0); (1.0, 1e308); (1e-5, 1.0); (9.09324e-19, 2.90968e-59) ]
 
 (* --- shape classification ------------------------------------------- *)
 
@@ -276,16 +295,95 @@ let test_all_paper_scenarios_valid () =
 
 let prop_families_decreasing =
   QCheck.Test.make ~name:"all families decrease on their support" ~count:50
-    QCheck.(pair (float_range 1.5 8.0) (float_range 5.0 500.0))
-    (fun (a, l) ->
+    QCheck.(
+      triple (float_range 1.5 8.0) (float_range 5.0 500.0)
+        (float_range 0.3 3.0))
+    (fun (a, l, k) ->
       List.for_all Life_function.is_decreasing_on_grid
         [
           Families.uniform ~lifespan:l;
           Families.polynomial ~d:2 ~lifespan:l;
           Families.polynomial ~d:4 ~lifespan:l;
           Families.geometric_decreasing ~a;
+          Families.exponential ~rate:(log a /. l);
           Families.geometric_increasing ~lifespan:(Float.min l 100.0);
+          Families.weibull ~shape:k ~scale:l;
         ])
+
+(* --- the families' run-time check, kept as a test ------------------- *)
+
+(* The six paper families pass [~validate:false] to [make]. Where a
+   constructor's guard admits its parameters, this re-runs [make]'s
+   checks, at its tolerances, on the family's p and inverse; it returns
+   whether the guard admitted them. *)
+let revalidated make =
+  match make () with
+  | exception Invalid_argument _ -> false
+  | lf -> (
+      match
+        Life_function.make ~validate:true ~name:(Life_function.name lf)
+          ~support:(Life_function.support lf)
+          ~inv:(Life_function.inverse lf) (Life_function.eval lf)
+      with
+      | _ -> true
+      | exception Life_function.Invalid_life_function m ->
+          Alcotest.failf "make's check refuses %s" m)
+
+(* Every constructor call on an extreme grid; Weibull over shape x
+   scale. *)
+let test_families_pass_make_checks_on_grid () =
+  let grid =
+    [ 5e-324; 1e-300; 1e-100; 1e-20; 1e-9; 1e-3; 0.5; 1.0; 1.0 +. 1e-10;
+      1.5; 2.0; 10.0; 1e3; 1e9; 1e20; 1e100; 1e300; 1e308; max_float ]
+  in
+  let admitted = ref 0 in
+  let check make = if revalidated make then incr admitted in
+  List.iter
+    (fun x ->
+      check (fun () -> Families.uniform ~lifespan:x);
+      List.iter
+        (fun d -> check (fun () -> Families.polynomial ~d ~lifespan:x))
+        [ 2; 3; 5; 10; 50 ];
+      check (fun () -> Families.geometric_decreasing ~a:x);
+      check (fun () -> Families.exponential ~rate:x);
+      check (fun () -> Families.geometric_increasing ~lifespan:x);
+      List.iter
+        (fun y -> check (fun () -> Families.weibull ~shape:x ~scale:y))
+        grid)
+    grid;
+  (* 19 points each for uniform, exponential and geometric-increasing,
+     5 x 19 polynomials, the 11 with a > 1 for geometric-decreasing, and
+     the 234 of 19 x 19 Weibulls whose 1e-12 survival point is a float. *)
+  Alcotest.(check int) "admitted grid points" 397 !admitted
+
+(* 500 draws per family, parameters log-uniform over 600 decades, 10^-300
+   to 10^300; a for geometric-decreasing is 1 + such a draw. About half
+   of the a round to 1, and half of the Weibull shapes lie below 0.0047,
+   where the 1e-12 survival point passes the floats; the guards refuse
+   those. *)
+let test_families_pass_make_checks_on_sweep () =
+  let g = Prng.create ~seed:31L in
+  let draw () = 10.0 ** Prng.float_range g ~lo:(-300.0) ~hi:300.0 in
+  let admitted = Array.make 6 0 in
+  for _ = 1 to 500 do
+    let x = draw () and y = draw () in
+    let d = 2 + Prng.int g ~bound:49 in
+    List.iteri
+      (fun k make ->
+        if revalidated make then admitted.(k) <- admitted.(k) + 1)
+      [
+        (fun () -> Families.uniform ~lifespan:x);
+        (fun () -> Families.polynomial ~d ~lifespan:x);
+        (fun () -> Families.geometric_decreasing ~a:(1.0 +. x));
+        (fun () -> Families.exponential ~rate:x);
+        (fun () -> Families.geometric_increasing ~lifespan:x);
+        (fun () -> Families.weibull ~shape:x ~scale:y);
+      ]
+  done;
+  Array.iteri
+    (fun k n ->
+      if n < 200 then Alcotest.failf "family %d: %d of 500 draws admitted" k n)
+    admitted
 
 let prop_deriv_negative_in_interior =
   QCheck.Test.make ~name:"derivatives are nonpositive inside the support"
@@ -549,17 +647,15 @@ let () =
           Alcotest.test_case "pp output" `Quick test_pp_mentions_name_and_shape;
           Alcotest.test_case "paper scenarios valid" `Quick
             test_all_paper_scenarios_valid;
+          Alcotest.test_case "make's checks hold on an extreme grid" `Quick
+            test_families_pass_make_checks_on_grid;
+          Alcotest.test_case "make's checks hold on a log-uniform sweep"
+            `Quick test_families_pass_make_checks_on_sweep;
         ] );
       ( "calculus",
         [
           Alcotest.test_case "numeric derivative fallback" `Quick
             test_numeric_derivative_fallback;
-          Alcotest.test_case "exp hazard constant" `Quick
-            test_hazard_exponential_constant;
-          Alcotest.test_case "uniform hazard increases" `Quick
-            test_hazard_uniform_increasing;
-          Alcotest.test_case "hazard at zero survival" `Quick
-            test_hazard_at_zero_survival;
           Alcotest.test_case "memoryless conditional" `Quick
             test_conditional_survival_memoryless;
           Alcotest.test_case "uniform conditional" `Quick
@@ -567,6 +663,12 @@ let () =
           Alcotest.test_case "quantile time" `Quick test_quantile_time;
           Alcotest.test_case "horizon bounded" `Quick test_horizon_bounded;
           Alcotest.test_case "horizon unbounded" `Quick test_horizon_unbounded;
+          Alcotest.test_case "horizon past 2^80" `Quick
+            test_horizon_beyond_2_80;
+          Alcotest.test_case "horizon refused past the floats" `Quick
+            test_horizon_refused_past_floats;
+          Alcotest.test_case "weibull refused past the floats" `Quick
+            test_weibull_refused_past_floats;
           Alcotest.test_case "classify shapes" `Quick test_classify_shapes;
           Alcotest.test_case "scale time" `Quick test_scale_time;
           Alcotest.test_case "wrong inverse rejected" `Quick
