@@ -122,9 +122,10 @@ let or_exit k =
       prerr_endline ("error: " ^ msg);
       exit 1
 
-(* A Monte-Carlo figure that is not finite (on a lifespan near the top
-   of the float range, episode sums overflow) is refused through
-   [or_exit] before anything is printed, never printed as nan. *)
+(* A simulated figure that is not finite (on a lifespan near the top of
+   the float range, episode sums overflow; so does the clock of a few
+   restarts of ~1e308) is refused through [or_exit] before anything is
+   printed, never printed as nan. *)
 let finite what x =
   if not (Float.is_finite x) then
     failwith (Printf.sprintf "%s is %g, not a finite number" what x)
@@ -555,16 +556,18 @@ let checkpoint_cmd =
     or_exit @@ fun () ->
       let life = Families.exponential ~rate:(1.0 /. mtbf) in
       let plan = Checkpoint.plan_saves ~work life ~c in
-      Format.printf "checkpoint every %.4f (first interval); %d intervals@."
-        (Schedule.period plan.Checkpoint.intervals 0)
-        (Schedule.num_periods plan.Checkpoint.intervals);
-      Format.printf "expected committed before first failure: %.3f@."
-        plan.Checkpoint.expected_committed;
       let g = Prng.create ~seed:(Int64.of_int seed) in
       let r =
         Checkpoint.simulate_restarts ~work ~c ~restart_cost:restart life g
           ~max_failures:1_000_000
       in
+      finite "makespan" r.Checkpoint.makespan;
+      finite "recomputed work" r.Checkpoint.work_lost_total;
+      Format.printf "checkpoint every %.4f (first interval); %d intervals@."
+        (Schedule.period plan.Checkpoint.intervals 0)
+        (Schedule.num_periods plan.Checkpoint.intervals);
+      Format.printf "expected committed before first failure: %.3f@."
+        plan.Checkpoint.expected_committed;
       Format.printf
         "one simulated run: makespan %.1f, %d failures, %.1f recomputed, %d \
          checkpoints written@."

@@ -9,11 +9,13 @@
 let () =
   let c = 1.0 in
 
-  (* The workload: a 24x24-block matrix product, ~1.05 min per block. *)
-  let tasks = Apps.matrix_blocks ~n:24 ~block:64 ~flop_time:2e-6 in
-  let total = Task.total_duration tasks in
-  Format.printf "Workload: %d block-multiply tasks, %.1f min total@."
-    (List.length tasks) total;
+  (* The workload: a 24x24-block matrix product, each of the 576 blocks an
+     independent task of 2·64³ flops at 2e-6 min per flop (~1.05 min). *)
+  let blocks = 24 * 24 in
+  let per_block = 2.0 *. Float.pow 64.0 3.0 *. 2e-6 in
+  let total = Kahan.sum (Array.make blocks per_block) in
+  Format.printf "Workload: %d block-multiply tasks, %.1f min total@." blocks
+    total;
 
   (* The fleet: one predictable owner (uniform), one memoryless owner
      (geometric-decreasing), one coffee-breaker (geometric-increasing). *)

@@ -58,12 +58,11 @@ type sim_result = {
   checkpoints_written : int;
 }
 
-let expected_committed_per_attempt ~work ~c lf =
-  (plan_saves ~work lf ~c).expected_committed
-
 let simulate_restarts ~work ~c ~restart_cost lf g ~max_failures =
   if not (work > 0.0 && Float.is_finite work && c > 0.0 && restart_cost >= 0.0)
   then invalid_arg "Checkpoint.simulate_restarts: nonpositive parameters";
+  if not (Float.is_finite restart_cost) then
+    invalid_arg "Checkpoint.simulate_restarts: restart_cost must be finite";
   if max_failures < 0 then
     invalid_arg "Checkpoint.simulate_restarts: max_failures must be >= 0";
   (* Progress is possible iff the guideline plan can commit anything in

@@ -50,11 +50,5 @@ val simulate_restarts :
     failure clock (machine-renewal assumption), replanning for the
     remaining work. Gives up after [max_failures] failures.
     @raise Invalid_argument if parameters are nonpositive or NaN, [work]
-    is infinite, or the job cannot make progress (no productive interval
-    exists). *)
-
-val expected_committed_per_attempt :
-  work:float -> c:float -> Life_function.t -> float
-(** Expected committed work of one attempt under the guideline plan —
-    the quantity maximised by the paper's machinery, exposed for analysis
-    and tests. *)
+    or [restart_cost] is infinite, or the job cannot make progress (no
+    productive interval exists). *)

@@ -49,8 +49,9 @@ let tail_profile lf =
       let stable = median > 0.0 && newest >= 0.5 *. median in
       (median, stable)
 
-let test ?(samples = 2048) lf ~c =
+let test lf ~c =
   if not (c > 0.0) then invalid_arg "Admissibility.test: c must be > 0";
+  let samples = 2048 in
   let hi = Life_function.horizon lf in
   if c >= hi then invalid_arg "Admissibility.test: c >= horizon";
   let g = margin lf ~c in
@@ -93,8 +94,3 @@ let test ?(samples = 2048) lf ~c =
           Inadmissible (Heavy_tail { tail_ratio })
         else Admissible { witness = best_t; margin = best_g }
   end
-
-let is_admissible ?samples lf ~c =
-  match test ?samples lf ~c with
-  | Admissible _ -> true
-  | Inadmissible _ -> false

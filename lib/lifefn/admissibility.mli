@@ -60,10 +60,7 @@ type verdict =
 val margin : Life_function.t -> c:float -> float -> float
 (** [margin p ~c t] is [p(t) + (t - c)·p'(t)] — the Corollary 3.2 margin. *)
 
-val test : ?samples:int -> Life_function.t -> c:float -> verdict
-(** [test p ~c] runs the margin scan ([samples] points, default 2048) and,
-    for unbounded supports, the tail-weight analysis.
+val test : Life_function.t -> c:float -> verdict
+(** [test p ~c] runs the margin scan (2048 points) and, for unbounded
+    supports, the tail-weight analysis.
     Requires [0 < c < horizon p]. *)
-
-val is_admissible : ?samples:int -> Life_function.t -> c:float -> bool
-(** [is_admissible p ~c] is [true] iff {!test} returns {!Admissible}. *)

@@ -178,7 +178,8 @@ let quantile_time t ~q =
     invalid_arg "Life_function.quantile_time: q must lie in (0, 1)";
   t.inv q
 
-let classify_shape ?(samples = 256) t =
+let classify_shape t =
+  let samples = 256 in
   let hi = horizon t in
   (* Stay away from the support edges where one-sided noise dominates. *)
   let lo = 0.02 *. hi and span = 0.96 *. hi in
@@ -195,18 +196,6 @@ let classify_shape ?(samples = 256) t =
   | true, false -> Convex
   | false, true -> Concave
   | true, true -> Unknown
-
-let is_decreasing_on_grid ?(samples = 256) t =
-  let hi = horizon t in
-  let ok = ref true in
-  let prev = ref (eval t 0.0) in
-  for i = 1 to samples do
-    let x = float_of_int i /. float_of_int samples *. hi in
-    let v = eval t x in
-    if v > !prev +. 1e-9 then ok := false;
-    prev := v
-  done;
-  !ok
 
 let pp ppf t =
   let support_str =

@@ -144,16 +144,12 @@ val quantile_time : t -> q:float -> float
 (** [quantile_time p ~q] is [inverse p q]: the [t] with [p t = q], i.e.
     the [(1-q)]-quantile of the reclaim time. Requires [0 < q < 1]. *)
 
-val classify_shape : ?samples:int -> t -> shape
+val classify_shape : t -> shape
 (** [classify_shape p] estimates the shape numerically by testing the sign
-    of [p''] on a grid over the support interior (default 256 samples),
+    of [p''] on a grid of 256 points over the support interior,
     ignoring the declared shape. Returns {!Unknown} when the samples mix
     signs beyond tolerance, and never {!Log_concave}, which only a
     family's declaration certifies. Useful for trace-derived functions. *)
-
-val is_decreasing_on_grid : ?samples:int -> t -> bool
-(** [is_decreasing_on_grid p] re-runs the monotonicity validation; exposed
-    for property tests on programmatically-constructed functions. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints name, support and shape. *)

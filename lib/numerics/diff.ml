@@ -17,31 +17,6 @@ let backward ?h f x =
   let h = base_step x h in
   (f x -. f (x -. h)) /. h
 
-let richardson ?h ?(levels = 4) f x =
-  if levels < 1 then invalid_arg "Diff.richardson: levels must be >= 1";
-  let h0 =
-    match h with Some h -> h | None -> 1e-3 *. Float.max 1.0 (Float.abs x)
-  in
-  (* Romberg-style tableau over central differences with halving steps. *)
-  let tab = Array.make levels 0.0 in
-  for i = 0 to levels - 1 do
-    let hi = h0 /. Float.pow 2.0 (float_of_int i) in
-    let d = (f (x +. hi) -. f (x -. hi)) /. (2.0 *. hi) in
-    tab.(i) <- d
-  done;
-  let tab = ref (Array.to_list tab) in
-  let pow4 = ref 4.0 in
-  while List.length !tab > 1 do
-    let rec combine = function
-      | a :: (b :: _ as rest) ->
-          (((!pow4 *. b) -. a) /. (!pow4 -. 1.0)) :: combine rest
-      | [ _ ] | [] -> []
-    in
-    tab := combine !tab;
-    pow4 := !pow4 *. 4.0
-  done;
-  match !tab with [ d ] -> d | _ -> assert false
-
 let second ?h f x =
   let h =
     match h with

@@ -2,9 +2,7 @@
 
     Trace-estimated life functions come without an analytic derivative, yet
     the recurrence (paper eq. 3.6) and every [t_0] bound consume [p'].
-    These finite-difference schemes supply the fallback derivative; the
-    Richardson variants give near machine-precision accuracy on smooth
-    functions at the cost of extra evaluations. *)
+    These finite-difference schemes supply the fallback derivative. *)
 
 val central : ?h:float -> (float -> float) -> float -> float
 (** [central f x] is the central difference
@@ -18,11 +16,6 @@ val forward : ?h:float -> (float -> float) -> float -> float
 val backward : ?h:float -> (float -> float) -> float -> float
 (** [backward f x] is the one-sided O(h) difference from the left, for the
     right edge of a support interval. *)
-
-val richardson : ?h:float -> ?levels:int -> (float -> float) -> float -> float
-(** [richardson f x] extrapolates central differences at step sizes
-    [h, h/2, h/4, ...] through [levels] (default 4) Richardson levels,
-    achieving O(h^(2·levels)) accuracy on smooth functions. *)
 
 val second : ?h:float -> (float -> float) -> float -> float
 (** [second f x] is the standard O(h²) three-point second derivative,

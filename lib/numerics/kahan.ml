@@ -30,11 +30,6 @@ let sum a =
   done;
   total acc
 
-let sum_seq s =
-  let acc = create () in
-  Seq.iter (add acc) s;
-  total acc
-
 let sum_list l =
   let acc = create () in
   List.iter (add acc) l;

@@ -29,9 +29,6 @@ val total_with : t -> float -> float
 val sum : float array -> float
 (** [sum a] is the compensated sum of all elements of [a]. *)
 
-val sum_seq : float Seq.t -> float
-(** [sum_seq s] is the compensated sum of the (finite) sequence [s]. *)
-
 val sum_list : float list -> float
 (** [sum_list l] is the compensated sum of all elements of [l]. *)
 

@@ -123,11 +123,3 @@ let weibull g ~shape ~scale =
     invalid_arg "Prng.weibull: requires shape > 0 and scale > 0";
   let u = float g in
   scale *. Float.pow (-.Float.log1p (-.u)) (1.0 /. shape)
-
-let shuffle g a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int g ~bound:(i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

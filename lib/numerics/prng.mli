@@ -60,5 +60,3 @@ val weibull : t -> shape:float -> scale:float -> float
 (** [weibull g ~shape ~scale] samples Weibull(shape, scale) by inversion.
     Requires [shape > 0] and [scale > 0]. *)
 
-val shuffle : t -> 'a array -> unit
-(** [shuffle g a] permutes [a] uniformly in place (Fisher–Yates). *)

@@ -1,17 +1,3 @@
-let simpson f ~lo ~hi ~n =
-  if n < 2 then invalid_arg "Quadrature.simpson: n must be >= 2";
-  let n = if n mod 2 = 0 then n else n + 1 in
-  let h = (hi -. lo) /. float_of_int n in
-  let acc = Kahan.create () in
-  Kahan.add acc (f lo);
-  Kahan.add acc (f hi);
-  for i = 1 to n - 1 do
-    let x = lo +. (float_of_int i *. h) in
-    let w = if i mod 2 = 1 then 4.0 else 2.0 in
-    Kahan.add acc (w *. f x)
-  done;
-  Kahan.total acc *. h /. 3.0
-
 let adaptive_simpson ?(tol = 1e-10) ?(max_depth = 50) f ~lo ~hi =
   let simpson3 a fa b fb fm = (b -. a) /. 6.0 *. (fa +. (4.0 *. fm) +. fb) in
   let rec go a fa b fb m fm whole tol depth =
@@ -30,60 +16,6 @@ let adaptive_simpson ?(tol = 1e-10) ?(max_depth = 50) f ~lo ~hi =
   let m = 0.5 *. (lo +. hi) in
   let fm = f m in
   go lo fa hi fb m fm (simpson3 lo fa hi fb fm) tol max_depth
-
-(* Abscissae/weights on [-1, 1] for orders 2..8 (symmetric halves listed). *)
-let gl_nodes = function
-  | 2 -> [| (0.5773502691896257, 1.0) |]
-  | 3 -> [| (0.0, 0.8888888888888888); (0.7745966692414834, 0.5555555555555556) |]
-  | 4 ->
-      [|
-        (0.3399810435848563, 0.6521451548625461);
-        (0.8611363115940526, 0.3478548451374538);
-      |]
-  | 5 ->
-      [|
-        (0.0, 0.5688888888888889);
-        (0.5384693101056831, 0.47862867049936647);
-        (0.906179845938664, 0.23692688505618908);
-      |]
-  | 6 ->
-      [|
-        (0.2386191860831969, 0.46791393457269104);
-        (0.6612093864662645, 0.3607615730481386);
-        (0.932469514203152, 0.17132449237917036);
-      |]
-  | 7 ->
-      [|
-        (0.0, 0.4179591836734694);
-        (0.4058451513773972, 0.3818300505051189);
-        (0.7415311855993945, 0.27970539148927664);
-        (0.9491079123427585, 0.1294849661688697);
-      |]
-  | 8 ->
-      [|
-        (0.1834346424956498, 0.362683783378362);
-        (0.525532409916329, 0.31370664587788727);
-        (0.7966664774136267, 0.22238103445337448);
-        (0.9602898564975363, 0.10122853629037626);
-      |]
-  | n ->
-      invalid_arg
-        (Printf.sprintf "Quadrature.gauss_legendre: unsupported order %d" n)
-
-let gauss_legendre f ~lo ~hi ~order =
-  let nodes = gl_nodes order in
-  let half = 0.5 *. (hi -. lo) in
-  let mid = 0.5 *. (hi +. lo) in
-  let acc = Kahan.create () in
-  Array.iter
-    (fun (x, w) ->
-      if Tol.exactly x 0.0 then Kahan.add acc (w *. f mid)
-      else begin
-        Kahan.add acc (w *. f (mid +. (half *. x)));
-        Kahan.add acc (w *. f (mid -. (half *. x)))
-      end)
-    nodes;
-  half *. Kahan.total acc
 
 let integrate_to_infinity ?(tol = 1e-12) f ~lo =
   let acc = Kahan.create () in

@@ -4,23 +4,12 @@
     (a survival-function identity), normalisation constants for trace
     densities, and cross-checks of Monte-Carlo estimates. *)
 
-val simpson : (float -> float) -> lo:float -> hi:float -> n:int -> float
-(** [simpson f ~lo ~hi ~n] is composite Simpson's rule on [n] panels ([n]
-    rounded up to even). O(h⁴) on smooth integrands. Requires [n >= 2]. *)
-
 val adaptive_simpson :
   ?tol:float -> ?max_depth:int -> (float -> float) -> lo:float -> hi:float ->
   float
 (** [adaptive_simpson f ~lo ~hi] recursively bisects panels until the local
     Richardson error estimate is below [tol] (default 1e-10), to depth at
     most [max_depth] (default 50). *)
-
-val gauss_legendre : (float -> float) -> lo:float -> hi:float -> order:int ->
-  float
-(** [gauss_legendre f ~lo ~hi ~order] applies a fixed Gauss–Legendre rule of
-    [order] points ∈ {2..8} mapped to [[lo, hi]]; exact for polynomials of
-    degree [2·order - 1].
-    @raise Invalid_argument for unsupported orders. *)
 
 val integrate_to_infinity :
   ?tol:float -> (float -> float) -> lo:float -> float

@@ -1,7 +1,6 @@
 type outcome = { root : float; residual : float; iterations : int }
 
 exception No_bracket of string
-exception Did_not_converge of string
 
 let default_tol = 1e-12
 
@@ -126,77 +125,6 @@ let brent ?(tol = default_tol) ?(max_iter = 200) f ~lo ~hi =
     | None -> { root = !b; residual = !fb; iterations = !iter }
   end
 
-let secant ?(tol = default_tol) ?(max_iter = 100) f ~x0 ~x1 =
-  let x0 = ref x0 and x1 = ref x1 in
-  let f0 = ref (f !x0) and f1 = ref (f !x1) in
-  let iter = ref 0 in
-  let result = ref None in
-  while !result = None && !iter < max_iter do
-    incr iter;
-    if Tol.exactly !f1 0.0 || Float.abs (!x1 -. !x0) < tol then
-      result := Some { root = !x1; residual = !f1; iterations = !iter }
-    else begin
-      let denom = !f1 -. !f0 in
-      if Tol.exactly denom 0.0 then
-        raise (Did_not_converge "Rootfind.secant: flat step (f1 = f0)");
-      let x2 = !x1 -. (!f1 *. (!x1 -. !x0) /. denom) in
-      x0 := !x1;
-      f0 := !f1;
-      x1 := x2;
-      f1 := f x2
-    end
-  done;
-  match !result with
-  | Some r -> r
-  | None ->
-      raise
-        (Did_not_converge
-           (Printf.sprintf "Rootfind.secant: %d iterations, |f|=%g" !iter
-              (Float.abs !f1)))
-
-let newton ?(tol = default_tol) ?(max_iter = 100) ~f ~df x0 =
-  let x = ref x0 in
-  let fx = ref (f !x) in
-  let iter = ref 0 in
-  let result = ref None in
-  while !result = None && !iter < max_iter do
-    incr iter;
-    if Float.abs !fx < tol then
-      result := Some { root = !x; residual = !fx; iterations = !iter }
-    else begin
-      let d = df !x in
-      if Tol.exactly d 0.0 then
-        raise (Did_not_converge "Rootfind.newton: derivative vanished");
-      let step = ref (!fx /. d) in
-      (* Damping: halve the step until the residual magnitude decreases. *)
-      let attempts = ref 0 in
-      let accepted = ref false in
-      while (not !accepted) && !attempts < 20 do
-        incr attempts;
-        let cand = !x -. !step in
-        let fc = f cand in
-        if Float.abs fc < Float.abs !fx then begin
-          x := cand;
-          fx := fc;
-          accepted := true
-        end
-        else step := !step /. 2.0
-      done;
-      if not !accepted then begin
-        (* Accept the smallest damped step anyway to escape plateaus. *)
-        x := !x -. !step;
-        fx := f !x
-      end
-    end
-  done;
-  match !result with
-  | Some r -> r
-  | None ->
-      raise
-        (Did_not_converge
-           (Printf.sprintf "Rootfind.newton: %d iterations, |f|=%g" !iter
-              (Float.abs !fx)))
-
 let expand_bracket ?(grow = 1.6) ?(max_iter = 60) f ~lo ~hi =
   if not (lo < hi) then
     invalid_arg "Rootfind.expand_bracket: requires lo < hi";
@@ -223,17 +151,3 @@ let expand_bracket ?(grow = 1.6) ?(max_iter = 60) f ~lo ~hi =
          (Printf.sprintf "Rootfind.expand_bracket: no sign change in [%g, %g]"
             !lo !hi))
   else (!lo, !hi)
-
-let find_sign_change f ~lo ~hi ~steps =
-  if steps <= 0 then invalid_arg "Rootfind.find_sign_change: steps must be > 0";
-  let h = (hi -. lo) /. float_of_int steps in
-  let rec scan i x fx =
-    if i > steps then None
-    else
-      let x' = lo +. (float_of_int i *. h) in
-      let fx' = f x' in
-      if Tol.exactly fx 0.0 then Some (x, x)
-      else if not (same_sign fx fx') then Some (x, x')
-      else scan (i + 1) x' fx'
-  in
-  scan 1 lo (f lo)

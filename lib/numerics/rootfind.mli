@@ -4,7 +4,7 @@
     [p (T_{k-1} + t_k) = rhs] once per period, and the [t_0] bounds
     (Theorems 3.2/3.3) are implicit inequalities solved as fixed points, so
     robust bracketed solvers are on the hot path of every scheduler in this
-    repository. All solvers are derivative-free except [newton]. *)
+    repository. All solvers are derivative-free. *)
 
 type outcome = {
   root : float;  (** Final abscissa. *)
@@ -15,10 +15,6 @@ type outcome = {
 exception No_bracket of string
 (** Raised when a bracketing precondition [f lo * f hi <= 0] fails or when
     bracket expansion exhausts its budget. *)
-
-exception Did_not_converge of string
-(** Raised when an iterative method exceeds its iteration budget without
-    meeting its tolerance. *)
 
 val default_tol : float
 (** Absolute abscissa tolerance used when [?tol] is omitted (1e-12). *)
@@ -40,22 +36,6 @@ val brent :
     [f] while retaining the bisection guarantee.
     @raise No_bracket if the endpoint signs agree. *)
 
-val secant :
-  ?tol:float -> ?max_iter:int -> (float -> float) -> x0:float -> x1:float ->
-  outcome
-(** [secant f ~x0 ~x1] iterates unbracketed secant steps from the two seeds.
-    Fast on locally-linear residuals but may diverge; prefer [brent] when a
-    bracket is available.
-    @raise Did_not_converge on iteration exhaustion or a flat step. *)
-
-val newton :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> df:(float -> float) ->
-  float -> outcome
-(** [newton ~f ~df x0] is damped Newton iteration: full steps, halved up to
-    20 times whenever the residual fails to decrease.
-    @raise Did_not_converge on iteration exhaustion or a vanishing
-    derivative. *)
-
 val expand_bracket :
   ?grow:float -> ?max_iter:int -> (float -> float) -> lo:float -> hi:float ->
   float * float
@@ -63,11 +43,3 @@ val expand_bracket :
     [grow], default 1.6) alternating on both sides until [f] changes sign,
     returning the bracketing pair.
     @raise No_bracket if the budget (default 60 doublings) is exhausted. *)
-
-val find_sign_change :
-  (float -> float) -> lo:float -> hi:float -> steps:int ->
-  (float * float) option
-(** [find_sign_change f ~lo ~hi ~steps] scans the interval left-to-right on a
-    uniform grid of [steps] cells and returns the first cell on which [f]
-    changes sign, or [None]. Useful to seed [brent] when [f] has several
-    roots and the leftmost is wanted. *)

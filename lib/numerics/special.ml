@@ -46,38 +46,7 @@ let lambert_w0 x =
     halley_w x seed
   end
 
-let lambert_wm1 x =
-  if x < -.inv_e -. 1e-12 || x >= 0.0 then
-    invalid_arg "Special.lambert_wm1: argument must lie in [-1/e, 0)";
-  let x = Float.max x (-.inv_e) in
-  let seed =
-    if x > -.inv_e /. 2.0 then begin
-      (* asymptotic seed: w ~ ln(-x) - ln(-ln(-x)) as x -> 0^- *)
-      let l1 = log (-.x) in
-      let l2 = log (-.l1) in
-      l1 -. l2
-    end
-    else begin
-      let p = -.sqrt (2.0 *. ((Float.exp 1.0 *. x) +. 1.0)) in
-      -1.0 +. p -. (p *. p /. 3.0)
-    end
-  in
-  halley_w x seed
-
 let log2 x = log x /. log 2.0
-
-let logsumexp a =
-  let n = Array.length a in
-  if n = 0 then neg_infinity
-  else begin
-    let m = Array.fold_left Float.max neg_infinity a in
-    if m = neg_infinity then neg_infinity
-    else begin
-      let acc = Kahan.create () in
-      Array.iter (fun v -> Kahan.add acc (exp (v -. m))) a;
-      m +. log (Kahan.total acc)
-    end
-  end
 
 let smooth_clamp01 x =
   if Float.is_nan x then 0.0 else Float.min 1.0 (Float.max 0.0 x)

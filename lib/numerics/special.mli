@@ -2,8 +2,8 @@
 
     The optimal equal-period equation of the geometric-decreasing scenario
     (paper §4.2), [t + a^{-t}/ln a = c + 1/ln a], is solved exactly with the
-    Lambert W function; the trace-fitting code uses the numerically-stable
-    log/exp helpers. *)
+    Lambert W function; the trace-fitting code clamps its survival
+    estimates into [[0, 1]]. *)
 
 val lambert_w0 : float -> float
 (** [lambert_w0 x] is the principal branch W₀ of the Lambert W function —
@@ -11,18 +11,8 @@ val lambert_w0 : float -> float
     Halley iteration to near machine precision.
     @raise Invalid_argument for [x < -1/e]. *)
 
-val lambert_wm1 : float -> float
-(** [lambert_wm1 x] is the secondary branch W₋₁ — the solution [w <= -1] of
-    [w · e^w = x] — defined for [-1/e <= x < 0].
-    @raise Invalid_argument outside that range. *)
-
 val log2 : float -> float
 (** Base-2 logarithm. *)
-
-val logsumexp : float array -> float
-(** [logsumexp a] is [log (Σ exp a.(i))] computed without overflow, used by
-    the Weibull/exponential maximum-likelihood fitters.
-    Returns [neg_infinity] on the empty array. *)
 
 val smooth_clamp01 : float -> float
 (** [smooth_clamp01 x] clamps [x] into [[0, 1]]; NaN maps to [0.]. Survival

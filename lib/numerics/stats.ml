@@ -45,17 +45,6 @@ let summary_ci95 s =
   let se = s.stddev /. sqrt (float_of_int s.n) in
   (s.mean -. (1.96 *. se), s.mean +. (1.96 *. se))
 
-let standard_error a =
-  if Array.length a < 2 then
-    invalid_arg "Stats.standard_error: need at least 2 samples";
-  let s = summarize a in
-  s.stddev /. sqrt (float_of_int s.n)
-
-let confidence_interval_95 a =
-  if Array.length a < 2 then
-    invalid_arg "Stats.confidence_interval_95: need at least 2 samples";
-  summary_ci95 (summarize a)
-
 let quantiles a ~qs =
   require_nonempty "quantile" a;
   if List.exists (fun q -> q < 0.0 || q > 1.0) qs then
@@ -76,19 +65,6 @@ let quantiles a ~qs =
     qs
 
 let quantile a ~q = List.hd (quantiles a ~qs:[ q ])
-
-let histogram a ~bins ~lo ~hi =
-  if bins < 1 then invalid_arg "Stats.histogram: bins must be >= 1";
-  if not (lo < hi) then invalid_arg "Stats.histogram: requires lo < hi";
-  let counts = Array.make bins 0 in
-  let width = (hi -. lo) /. float_of_int bins in
-  Array.iter
-    (fun x ->
-      let i = int_of_float (Float.floor ((x -. lo) /. width)) in
-      let i = Int.max 0 (Int.min (bins - 1) i) in
-      counts.(i) <- counts.(i) + 1)
-    a;
-  counts
 
 let ecdf_survival samples =
   require_nonempty "ecdf_survival" samples;
@@ -178,24 +154,6 @@ let kaplan_meier_greenwood observations =
   done;
   Array.of_list (List.rev !steps)
 
-let linear_regression ~xs ~ys =
-  let n = Array.length xs in
-  if n <> Array.length ys then
-    invalid_arg "Stats.linear_regression: length mismatch";
-  if n < 2 then invalid_arg "Stats.linear_regression: need >= 2 points";
-  let mx = mean xs and my = mean ys in
-  let sxy = Kahan.create () and sxx = Kahan.create () in
-  for i = 0 to n - 1 do
-    let dx = xs.(i) -. mx in
-    Kahan.add sxy (dx *. (ys.(i) -. my));
-    Kahan.add sxx (dx *. dx)
-  done;
-  let sxx = Kahan.total sxx in
-  if Tol.exactly sxx 0.0 then
-    invalid_arg "Stats.linear_regression: zero-variance abscissae";
-  let slope = Kahan.total sxy /. sxx in
-  (slope, my -. (slope *. mx))
-
 let paired_check name predicted actual =
   let n = Array.length predicted in
   if n <> Array.length actual then
@@ -211,11 +169,3 @@ let rmse ~predicted ~actual =
     Kahan.add acc (d *. d)
   done;
   sqrt (Kahan.total acc /. float_of_int n)
-
-let max_abs_error ~predicted ~actual =
-  let n = paired_check "max_abs_error" predicted actual in
-  let m = ref 0.0 in
-  for i = 0 to n - 1 do
-    m := Float.max !m (Float.abs (predicted.(i) -. actual.(i)))
-  done;
-  !m

@@ -3,8 +3,7 @@
     The Monte-Carlo validation experiments (E8) need means with confidence
     intervals; the trace pipeline (E10) needs empirical survival curves —
     both the plain ECDF complement and the Kaplan–Meier estimator for
-    right-censored absence intervals — plus simple regression for fitting
-    life-function families to log-survival data. *)
+    right-censored absence intervals — and the error of a fitted curve. *)
 
 type summary = {
   n : int;
@@ -23,20 +22,11 @@ val summarize : float array -> summary
 val mean : float array -> float
 (** Compensated arithmetic mean. @raise Invalid_argument on empty input. *)
 
-val confidence_interval_95 : float array -> float * float
-(** [confidence_interval_95 a] is the normal-approximation 95% CI
-    [(mean - 1.96·se, mean + 1.96·se)] for the population mean.
-    @raise Invalid_argument when [n < 2]. *)
-
 val summary_ci95 : summary -> float * float
-(** [summary_ci95 s] is {!confidence_interval_95} of the sample [s]
-    summarizes, bit for bit, for a caller that also wants the summary:
-    the array is not walked again.
+(** [summary_ci95 s] is the normal-approximation 95% CI
+    [(mean - 1.96·se, mean + 1.96·se)], [se = stddev / sqrt n], for the
+    population mean of the sample [s] summarizes.
     @raise Invalid_argument when [s.n < 2]. *)
-
-val standard_error : float array -> float
-(** [standard_error a] is [stddev / sqrt n].
-    @raise Invalid_argument when [n < 2]. *)
 
 val quantile : float array -> q:float -> float
 (** [quantile a ~q] is the linearly-interpolated empirical [q]-quantile
@@ -47,12 +37,6 @@ val quantiles : float array -> qs:float list -> float list
 (** [quantiles a ~qs] is [List.map (fun q -> quantile a ~q) qs], bit for
     bit, from one sorted copy of [a].
     @raise Invalid_argument on empty input or any [q] out of range. *)
-
-val histogram :
-  float array -> bins:int -> lo:float -> hi:float -> int array
-(** [histogram a ~bins ~lo ~hi] counts samples per uniform bin over
-    [[lo, hi]]; out-of-range samples are clamped to the edge bins.
-    Requires [bins >= 1] and [lo < hi]. *)
 
 val ecdf_survival : float array -> (float * float) array
 (** [ecdf_survival samples] is the right-continuous empirical survival
@@ -77,16 +61,6 @@ val kaplan_meier_greenwood :
     last finite variance.
     @raise Invalid_argument on empty input or a non-finite duration. *)
 
-val linear_regression : xs:float array -> ys:float array -> float * float
-(** [linear_regression ~xs ~ys] fits [y = slope·x + intercept] by ordinary
-    least squares, returning [(slope, intercept)].
-    @raise Invalid_argument on mismatched lengths, [n < 2], or
-    zero-variance [xs]. *)
-
 val rmse : predicted:float array -> actual:float array -> float
 (** Root-mean-square error between two equal-length vectors.
-    @raise Invalid_argument on mismatch or empty input. *)
-
-val max_abs_error : predicted:float array -> actual:float array -> float
-(** L∞ error between two equal-length vectors.
     @raise Invalid_argument on mismatch or empty input. *)

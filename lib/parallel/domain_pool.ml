@@ -172,22 +172,6 @@ let parallel_for t ~chunks fn =
     reraise_first_failure job
   end
 
-let map t ~chunks f =
-  if chunks < 0 then invalid_arg "Domain_pool.map: chunks must be >= 0";
-  if chunks = 0 then [||]
-  else begin
-    let slots = Array.make chunks None in
-    parallel_for t ~chunks (fun i -> slots.(i) <- Some (f i));
-    Array.map
-      (function
-        | Some v -> v
-        | None -> invalid_arg "Domain_pool.map: chunk produced no result")
-      slots
-  end
-
-let map_reduce t ~chunks ~map:f ~reduce ~init =
-  Array.fold_left reduce init (map t ~chunks f)
-
 let shutdown t =
   Mutex.lock t.mutex;
   if t.shutting_down then Mutex.unlock t.mutex

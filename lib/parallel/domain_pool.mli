@@ -1,16 +1,16 @@
 (** A fixed-size pool of OCaml 5 domains with a deterministic
-    map-reduce discipline.
+    chunk discipline.
 
     The repository's parallelism contract (DESIGN.md §10) is that
     {e results are bit-identical for any domain count}. The pool supplies
     the execution half of that contract: callers split work into a fixed
     {e chunk grid} whose geometry depends only on the problem size (never
     on the domain count), each chunk computes an independent partial
-    result (with its own {!Prng} stream where randomness is involved),
-    and {!map_reduce} folds the partials {e on the calling domain, in
-    chunk-index order}. Which domain executed which chunk — and in what
-    interleaving — then cannot influence a single bit of the answer; it
-    only influences wall time.
+    result (with its own {!Prng} stream where randomness is involved)
+    into its own slot of a preallocated array, and the caller merges the
+    slots {e on the calling domain, in chunk-index order}. Which domain
+    executed which chunk — and in what interleaving — then cannot
+    influence a single bit of the answer; it only influences wall time.
 
     Chunks are claimed dynamically (an atomic counter), so uneven chunk
     costs load-balance automatically. The caller participates in chunk
@@ -53,18 +53,6 @@ val parallel_for : t -> chunks:int -> (int -> unit) -> unit
 
     Nested or concurrent [parallel_for] calls on the same pool are a
     programming error and raise [Invalid_argument]. *)
-
-val map : t -> chunks:int -> (int -> 'a) -> 'a array
-(** [map t ~chunks f] is [[| f 0; ...; f (chunks - 1) |]] computed on
-    the pool. Exception semantics as {!parallel_for}. *)
-
-val map_reduce :
-  t -> chunks:int -> map:(int -> 'a) -> reduce:('b -> 'a -> 'b) -> init:'b -> 'b
-(** [map_reduce t ~chunks ~map ~reduce ~init] computes every [map i] on
-    the pool, then folds [reduce] over the results {e in chunk-index
-    order on the calling domain}: deterministic in the domain count by
-    construction, including for non-associative reductions such as
-    compensated float sums. *)
 
 val shutdown : t -> unit
 (** Join and release the worker domains. Idempotent. Using the pool

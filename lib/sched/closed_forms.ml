@@ -1,13 +1,3 @@
-let ln2 = log 2.0
-
-let poly_next_period ~d ~t_prev ~t_end_prev ~c =
-  if d < 1 then invalid_arg "Closed_forms.poly_next_period: d must be >= 1";
-  if t_end_prev <= 0.0 then
-    invalid_arg "Closed_forms.poly_next_period: T_{k-1} must be > 0";
-  let df = float_of_int d in
-  let ratio = 1.0 +. (df *. (t_prev -. c) /. t_end_prev) in
-  (Float.pow ratio (1.0 /. df) -. 1.0) *. t_end_prev
-
 let poly_scale ~d ~c ~lifespan =
   let df = float_of_int d in
   Float.pow (c /. df) (1.0 /. (df +. 1.0))
@@ -16,8 +6,6 @@ let poly_scale ~d ~c ~lifespan =
 let poly_t0_lower ~d ~c ~lifespan = poly_scale ~d ~c ~lifespan
 
 let poly_t0_upper ~d ~c ~lifespan = (2.0 *. poly_scale ~d ~c ~lifespan) +. 1.0
-
-let uniform_next_period ~t_prev ~c = t_prev -. c
 
 let uniform_t0_lower ~c ~lifespan = sqrt (c *. lifespan)
 
@@ -28,13 +16,6 @@ let uniform_t0_optimal ~c ~lifespan = sqrt (2.0 *. c *. lifespan)
 let uniform_optimal_m ~c ~lifespan =
   int_of_float
     (Float.floor (sqrt ((2.0 *. lifespan /. c) +. 0.25) +. 0.5))
-
-let geo_dec_next_period ~a ~t_prev ~c =
-  if a <= 1.0 then
-    invalid_arg "Closed_forms.geo_dec_next_period: requires a > 1";
-  let lna = log a in
-  let rhs = 1.0 +. ((c -. t_prev) *. lna) in
-  if rhs <= 0.0 || rhs > 1.0 then None else Some (-.log rhs /. lna)
 
 let geo_dec_t0_lower ~a ~c =
   let lna = log a in
@@ -57,10 +38,6 @@ let geo_dec_t_optimal ~a ~c =
   let r = 1.0 +. (c *. lna) in
   let v = Special.lambert_w0 (-.exp (-.r)) in
   (r +. v) /. lna
-
-let geo_inc_next_period_guideline ~t_prev ~c =
-  let arg = ((t_prev -. c) *. ln2) +. 1.0 in
-  if arg <= 1.0 then None else Some (Special.log2 arg)
 
 let geo_inc_next_period_optimal ~t_prev ~c =
   let arg = t_prev -. c +. 2.0 in

@@ -1,16 +1,10 @@
-(** The explicit §4 formulas: per-family recurrences, [t_0] brackets, and
-    the provably-optimal values re-derived from Bhatt–Chung–Leighton–
-    Rosenberg [3]. These are the "paper numbers" that the E1–E5 experiments
-    print next to what the generic machinery ({!Bounds}, {!Recurrence},
-    {!Optimizer}) computes. *)
+(** The explicit §4 formulas: per-family [t_0] brackets, and the
+    provably-optimal values and recurrence re-derived from Bhatt–Chung–
+    Leighton–Rosenberg [3]. These are the "paper numbers" that the E1–E5
+    experiments print next to what the generic machinery ({!Bounds},
+    {!Recurrence}, {!Optimizer}) computes. *)
 
 (** {1 Polynomial family [p_{d,L}(t) = 1 − t^d/L^d] (§4.1)} *)
-
-val poly_next_period : d:int -> t_prev:float -> t_end_prev:float -> c:float ->
-  float
-(** The §4.1 instantiation of eq. 3.6:
-    [t_k = ((1 + d(t_{k−1}−c)/T_{k−1})^{1/d} − 1) · T_{k−1}].
-    Requires [d >= 1], [t_end_prev > 0]. *)
 
 val poly_t0_lower : d:int -> c:float -> lifespan:float -> float
 (** The simplified §4.1 lower bound [(c/d)^{1/(d+1)} · L^{d/(d+1)}]. *)
@@ -19,9 +13,6 @@ val poly_t0_upper : d:int -> c:float -> lifespan:float -> float
 (** The simplified §4.1 upper bound [2·(c/d)^{1/(d+1)} · L^{d/(d+1)} + 1]. *)
 
 (** {1 Uniform risk [p(t) = 1 − t/L] (d = 1 case; §4.1, eqs. 4.4–4.5)} *)
-
-val uniform_next_period : t_prev:float -> c:float -> float
-(** Eq. 4.1: [t_k = t_{k−1} − c] — identical to [3]'s optimal recurrence. *)
 
 val uniform_t0_lower : c:float -> lifespan:float -> float
 (** [sqrt(cL)] (eq. 4.4, left). *)
@@ -39,12 +30,6 @@ val uniform_optimal_m : c:float -> lifespan:float -> int
 
 (** {1 Geometric-decreasing [p_a(t) = a^{−t}] (§4.2)} *)
 
-val geo_dec_next_period : a:float -> t_prev:float -> c:float -> float option
-(** The guideline recurrence in explicit form (eq. 4.6):
-    [a^{−t_k} = 1 + c·ln a − t_{k−1}·ln a], hence
-    [t_k = −log_a(1 + (c − t_{k−1})·ln a)]. [None] when the right-hand side
-    leaves [(0, 1]], i.e. when [t_{k−1} >= c + 1/ln a]. Requires [a > 1]. *)
-
 val geo_dec_t0_lower : a:float -> c:float -> float
 (** [sqrt(c²/4 + c/ln a) + c/2] (§4.2). *)
 
@@ -57,10 +42,6 @@ val geo_dec_t_optimal : a:float -> c:float -> float
     the principal Lambert-W branch. Requires [a > 1], [c > 0]. *)
 
 (** {1 Geometric-increasing risk [p(t) = (2^L − 2^t)/(2^L − 1)] (§4.3)} *)
-
-val geo_inc_next_period_guideline : t_prev:float -> c:float -> float option
-(** Eq. 4.7: [t_{k+1} = log₂((t_k − c)·ln 2 + 1)]; [None] when the argument
-    is [<= 1] (period would not be positive). *)
 
 val geo_inc_next_period_optimal : t_prev:float -> c:float -> float option
 (** [3]'s optimal recurrence: [t_{k+1} = log₂(t_k − c + 2)]; [None] when

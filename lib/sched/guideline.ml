@@ -6,20 +6,6 @@ type result = {
   stop : Recurrence.stop_reason;
 }
 
-let evaluate lf ~c ~t0 =
-  let g = Recurrence.generate lf ~c ~t0 in
-  (g, Schedule.expected_work ~c lf g.Recurrence.schedule)
-
-let plan_with_t0 lf ~c ~t0 =
-  let g, ew = evaluate lf ~c ~t0 in
-  {
-    schedule = g.Recurrence.schedule;
-    t0;
-    expected_work = ew;
-    bracket = (t0, t0);
-    stop = g.Recurrence.stop;
-  }
-
 (* Grid resolution of the t0 searches that cannot assume unimodality. *)
 let grid_steps = 128
 
@@ -234,25 +220,6 @@ let plan_batch ?(obs = Obs.disabled) ?pool scenarios =
           match slots.(canon.(i)) with
           | Some r -> r
           | None -> assert false (* every chunk filled its slot *))
-
-let plan_risk_averse ~lambda_ lf ~c =
-  if lambda_ < 0.0 then
-    invalid_arg "Guideline.plan_risk_averse: lambda_ must be >= 0";
-  let lo, hi = Bounds.bracket lf ~c in
-  let score t0 =
-    let g = Recurrence.generate lf ~c ~t0 in
-    let d = Work_distribution.of_schedule lf ~c g.Recurrence.schedule in
-    d.Work_distribution.mean -. (lambda_ *. d.Work_distribution.stddev)
-  in
-  let best = Optimize.grid_then_refine score ~lo ~hi ~steps:grid_steps in
-  let g, ew = evaluate lf ~c ~t0:best.Optimize.x in
-  {
-    schedule = g.Recurrence.schedule;
-    t0 = best.Optimize.x;
-    expected_work = ew;
-    bracket = (lo, hi);
-    stop = g.Recurrence.stop;
-  }
 
 (* Relative offset of the two neighbours a seed is scored against. *)
 let certificate_step = 1e-6

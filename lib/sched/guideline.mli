@@ -86,29 +86,6 @@ val plan_batch :
     [Plan_computed] event per unique scenario and the profile groups
     per-scenario [guideline.plan] spans. *)
 
-val plan_with_t0 :
-  Life_function.t -> c:float -> t0:float ->
-  result
-(** [plan_with_t0 p ~c ~t0] skips the search and generates from a caller-
-    chosen initial period — used when comparing specific [t_0] choices
-    (e.g. the closed-form §4 values) under the same machinery. *)
-
-val plan_risk_averse :
-  lambda_:float ->
-  Life_function.t -> c:float ->
-  result
-(** [plan_risk_averse ~lambda_ p ~c] searches the same Theorem 3.2/3.3
-    bracket and recurrence family as {!plan}, but scores each candidate
-    schedule by the mean–deviation objective
-    [mean − lambda_ · stddev] of its exact banked-work law
-    ({!Work_distribution}). [lambda_ = 0] reduces to {!plan} (the reported
-    [expected_work] is always the plain eq. 2.1 mean); larger [lambda_]
-    trades expected work for a thinner low tail — e.g. a smaller
-    probability of a wasted episode. Whatever the shape of [p], the
-    search is the 128-cell grid with a Brent refine, since this objective
-    is not known to be unimodal. Requires [lambda_ >= 0] and
-    [0 < c < horizon p]. *)
-
 val next_period_online :
   Life_function.t -> c:float -> elapsed:float ->
   float option

@@ -38,7 +38,10 @@ let seeds ~horizon ~m =
 
 let n_seeds = 4 (* length of [seeds] *)
 
-let ascend_seed lf ~c ~horizon ~m ~tol init =
+(* Coordinate ascent's convergence tolerance. *)
+let tol = 1e-10
+
+let ascend_seed lf ~c ~horizon ~m init =
   let eps = 1e-9 in
   let lower = Array.make m eps in
   let upper = Array.make m horizon in
@@ -50,9 +53,9 @@ let best_candidate candidates =
     (fun (bx, bew) (x, ew) -> if ew > bew then (x, ew) else (bx, bew))
     (List.hd candidates) (List.tl candidates)
 
-let ascend lf ~c ~horizon ~m ~tol =
+let ascend lf ~c ~horizon ~m =
   best_candidate
-    (List.map (ascend_seed lf ~c ~horizon ~m ~tol) (seeds ~horizon ~m))
+    (List.map (ascend_seed lf ~c ~horizon ~m) (seeds ~horizon ~m))
 
 (* Speculative block: evaluate every (m, seed) ascent for [count]
    consecutive period counts starting at [m0] as one flat job grid, then
@@ -60,19 +63,19 @@ let ascend lf ~c ~horizon ~m ~tol =
    [ascend] performs, so each per-m result is bit-identical to the
    serial one. Ascents are pure float computations from their seed
    vector; which domain runs which job cannot change a bit. *)
-let ascend_block pool lf ~c ~horizon ~tol ~m0 ~count =
+let ascend_block pool lf ~c ~horizon ~m0 ~count =
   let jobs = count * n_seeds in
   let slots = Array.make jobs None in
   Domain_pool.parallel_for pool ~chunks:jobs (fun j ->
       let m = m0 + (j / n_seeds) and si = j mod n_seeds in
       let init = List.nth (seeds ~horizon ~m) si in
-      slots.(j) <- Some (ascend_seed lf ~c ~horizon ~m ~tol init));
+      slots.(j) <- Some (ascend_seed lf ~c ~horizon ~m init));
   Array.init count (fun i ->
       best_candidate
         (List.init n_seeds (fun si -> Option.get slots.((i * n_seeds) + si))))
 
-let optimal_schedule ?(obs = Obs.disabled) ?pool ?m_max ?(patience = 3)
-    ?(tol = 1e-10) lf ~c =
+let optimal_schedule ?(obs = Obs.disabled) ?pool ?m_max ?(patience = 3) lf
+    ~c =
   if c <= 0.0 then invalid_arg "Optimizer.optimal_schedule: c must be > 0";
   let horizon = Life_function.horizon lf in
   if c >= horizon then
@@ -125,13 +128,13 @@ let optimal_schedule ?(obs = Obs.disabled) ?pool ?m_max ?(patience = 3)
         let count = Int.min (m_cap - m0 + 1) (patience - !stale) in
         let results =
           match spanner with
-          | None -> ascend_block p lf ~c ~horizon ~tol ~m0 ~count
+          | None -> ascend_block p lf ~c ~horizon ~m0 ~count
           | Some r ->
               Obs.Span.record
                 ~attrs:
                   [ ("m_first", Jsonx.Int m0); ("count", Jsonx.Int count) ]
                 r "optimizer.block"
-                (fun () -> ascend_block p lf ~c ~horizon ~tol ~m0 ~count)
+                (fun () -> ascend_block p lf ~c ~horizon ~m0 ~count)
         in
         Array.iteri (fun i result -> consider (m0 + i) result) results;
         m := m0 + count
@@ -140,10 +143,10 @@ let optimal_schedule ?(obs = Obs.disabled) ?pool ?m_max ?(patience = 3)
       while !m <= m_cap && !stale < patience do
         let result =
           match spanner with
-          | None -> ascend lf ~c ~horizon ~m:!m ~tol
+          | None -> ascend lf ~c ~horizon ~m:!m
           | Some r ->
               Obs.Span.record ~attrs:[ ("m", Jsonx.Int !m) ] r
-                "optimizer.sweep" (fun () -> ascend lf ~c ~horizon ~m:!m ~tol)
+                "optimizer.sweep" (fun () -> ascend lf ~c ~horizon ~m:!m)
         in
         consider !m result;
         incr m

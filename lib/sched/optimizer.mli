@@ -20,15 +20,15 @@ val optimal_schedule :
   ?pool:Domain_pool.t ->
   ?m_max:int ->
   ?patience:int ->
-  ?tol:float ->
   Life_function.t -> c:float ->
   t
 (** [optimal_schedule p ~c] searches period counts [m = 1, 2, ...]:
     for each [m] it seeds an equal split of the horizon and runs coordinate
     ascent (periods bounded in [(0, horizon]]; completion times beyond a
-    bounded lifespan are harmless since [p] is 0 there). The [m]-scan stops
-    after [patience] (default 3) consecutive counts without improvement, or
-    at [m_max] (default: the Corollary 5.3 bound for concave [p], else 64).
+    bounded lifespan are harmless since [p] is 0 there), to a tolerance of
+    1e-10. The [m]-scan stops after [patience] (default 3) consecutive
+    counts without an improvement of more than 1e-10, or at [m_max]
+    (default: the Corollary 5.3 bound for concave [p], else 64).
     Requires [0 < c < horizon p].
 
     The returned schedule is in Proposition 2.1 productive normal form.

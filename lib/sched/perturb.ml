@@ -72,12 +72,3 @@ let perturbation_margin ?deltas ?(min_period = 0.0) lf ~c s =
         Some
           (term ts.(k) ends.(k) -. term a (ends.(k) +. delta)
           +. (term ts.(k + 1) ends.(k + 1) -. term b ends.(k + 1))))
-
-let shift_margin ?deltas lf ~c s =
-  let n = Schedule.num_periods s in
-  let deltas = match deltas with Some d -> d | None -> default_deltas s in
-  let e0 = Schedule.expected_work ~c lf s in
-  sweep ~k_limit:n deltas (fun ~k ~delta ->
-      Option.map
-        (fun s' -> e0 -. Schedule.expected_work ~c lf s')
-        (shift s ~k ~delta))

@@ -49,10 +49,3 @@ val perturbation_margin :
     [~min_period:c] (as {!Theory.local_optimality_check} does) to restrict
     the sweep to the theorem's domain; the default [0.] sweeps all valid
     schedules. *)
-
-val shift_margin :
-  ?deltas:float array -> Life_function.t -> c:float -> Schedule.t -> margin
-(** [shift_margin p ~c s] is the same sweep over [⟨k, ±δ⟩]-shifts — the
-    empirical Theorem 3.1 optimality precondition. A shift moves every
-    later end, so each margin is a full recompute of eq. 2.1, and the
-    sweep is O(n²). *)

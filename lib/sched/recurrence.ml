@@ -36,37 +36,21 @@ let next_period lf ~c ~prev_period ~prev_end =
         dp = Life_function.deriv lf prev_end;
       }
 
-type finish = Faithful | Greedy_tail
-
-let greedy_tail lf ~c ~elapsed =
-  (* Best single final period: maximize (t - c) p(elapsed + t) over t > c. *)
-  let objective t = (t -. c) *. Life_function.eval lf (elapsed +. t) in
-  let hi =
-    match Life_function.support lf with
-    | Life_function.Bounded l -> l -. elapsed
-    | Life_function.Unbounded -> Life_function.horizon lf -. elapsed
-  in
-  if hi <= c then None
-  else begin
-    let best = Optimize.grid_then_refine objective ~lo:c ~hi ~steps:256 in
-    if best.Optimize.fx > 0.0 then Some best.Optimize.x else None
-  end
-
 let stop_label = function
   | Exhausted_support -> "exhausted-support"
   | Unproductive -> "unproductive"
   | Tail_negligible -> "tail-negligible"
   | Period_cap -> "period-cap"
 
-(* Runs eq. 3.6 from [t0], hands each period to [emit] in order (the
-   greedy tail included), and returns why the recurrence stopped, with G
-   and the last term read at the recurrence's own last period end (see
-   [score]). [generate] collects the periods and [score] scores them,
-   so the two see the same periods. Each period end costs one
+(* Runs eq. 3.6 from [t0], hands each period to [emit] in order, and
+   returns why the recurrence stopped, with G and the last term read at
+   the recurrence's own last period end (see [score]). [generate]
+   collects the periods and [score] scores them, so the two see the
+   same periods. Each period end costs one
    [eval_deriv]: its p serves the tail test, the next step and [emit],
    which gets the point along with the period; its p' serves the step
    and G. *)
-let iterate ~max_periods ~finish lf ~c ~t0 emit =
+let iterate ~max_periods lf ~c ~t0 emit =
   let at = Life_function.point () in
   Life_function.eval_deriv lf t0 at;
   emit t0 at;
@@ -101,15 +85,6 @@ let iterate ~max_periods ~finish lf ~c ~t0 emit =
      [Exhausted_support], the one it just refused), so it costs no call. *)
   let slope = at.p +. ((!prev_period -. c) *. at.dp) in
   let last_term = (!prev_period -. c) *. at.p in
-  (* Optional ad-hoc improvement: fill leftover lifespan with one greedy
-     period when the recurrence stopped early. Its end has no point, and
-     [at] still holds the previous one. *)
-  (match (finish, stop) with
-  | Greedy_tail, (Exhausted_support | Unproductive) ->
-      Option.iter
-        (fun t -> emit t at)
-        (greedy_tail lf ~c ~elapsed:!prev_end)
-  | Greedy_tail, (Tail_negligible | Period_cap) | Faithful, _ -> ());
   (stop, slope, last_term)
 
 let check_args name ~c ~t0 =
@@ -141,13 +116,13 @@ let spanned obs body =
 
 let default_max_periods = 100_000
 
-let generate ?(obs = Obs.disabled) ?(max_periods = default_max_periods)
-    ?(finish = Faithful) lf ~c ~t0 =
+let generate ?(obs = Obs.disabled) ?(max_periods = default_max_periods) lf
+    ~c ~t0 =
   check_args "Recurrence.generate" ~c ~t0;
   spanned obs (fun () ->
       let rev_periods = ref [] in
       let stop, _, _ =
-        iterate ~max_periods ~finish lf ~c ~t0 (fun t _ ->
+        iterate ~max_periods lf ~c ~t0 (fun t _ ->
             rev_periods := t :: !rev_periods)
       in
       let schedule = Schedule.of_list (List.rev !rev_periods) in
@@ -160,13 +135,13 @@ type score = {
   stop : stop_reason;
 }
 
-let score ?(obs = Obs.disabled) ?(finish = Faithful) lf ~c ~t0 =
+let score ?(obs = Obs.disabled) lf ~c ~t0 =
   check_args "Recurrence.score" ~c ~t0;
   spanned obs (fun () ->
       let acc = Schedule.work_start () in
       let periods = ref 0 in
       let stop, slope, last_term =
-        iterate ~max_periods:default_max_periods ~finish lf ~c ~t0
+        iterate ~max_periods:default_max_periods lf ~c ~t0
           (fun t at ->
             incr periods;
             Schedule.work_add acc ~c lf ~at t)
@@ -175,8 +150,7 @@ let score ?(obs = Obs.disabled) ?(finish = Faithful) lf ~c ~t0 =
         !periods,
         stop ))
 
-let expected_work_at ?obs ?finish lf ~c ~t0 =
-  (score ?obs ?finish lf ~c ~t0).work
+let expected_work_at ?obs lf ~c ~t0 = (score ?obs lf ~c ~t0).work
 
 let residuals lf ~c s =
   let { Schedule.periods; ends } = s in

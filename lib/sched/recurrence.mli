@@ -39,22 +39,12 @@ val next_period :
     [p] that never drops to it). Requires [c >= 0],
     [prev_period > 0], [prev_end >= prev_period]. *)
 
-type finish =
-  | Faithful
-      (** Stop exactly when the recurrence stops — the paper's guideline. *)
-  | Greedy_tail
-      (** When the recurrence stops with usable lifespan left, append one
-          final period chosen to maximise its own expected contribution
-          [(t − c) · p(T + t)] — one of the "ad hoc improvements" the paper
-          invites in §5. *)
-
 val default_max_periods : int
 (** The period cap of {!generate} and {!score}: 100_000. *)
 
 val generate :
   ?obs:Obs.t ->
   ?max_periods:int ->
-  ?finish:finish ->
   Life_function.t -> c:float -> t0:float ->
   generated
 (** [generate p ~c ~t0] iterates {!next_period} from the initial period
@@ -75,11 +65,11 @@ type score = {
   work : float;  (** [E], eq. 2.1, of the schedule {!generate} builds. *)
   slope : float;
       (** [G = p(T_m) + (t_m − c)·p′(T_m)], read at the end [T_m] of the
-          recurrence's last period [t_m] (a greedy tail's period is not
-          one). Along eq. 3.6 every partial [∂E/∂t_j] equals [G], and [G]
-          is the right-hand side eq. 3.6 would solve for period [m+1]: the
-          one {!Exhausted_support} refused. Where [T_m >= L] the point
-          holds the clamp, [p = p′ = 0], and [G = 0]. *)
+          recurrence's last period [t_m]. Along eq. 3.6 every partial
+          [∂E/∂t_j] equals [G], and [G] is the right-hand side eq. 3.6
+          would solve for period [m+1]: the one {!Exhausted_support}
+          refused. Where [T_m >= L] the point holds the clamp,
+          [p = p′ = 0], and [G = 0]. *)
   last_term : float;
       (** [(t_m − c)·p(T_m)], the last period's term of eq. 2.1: the work
           a {!Tail_negligible} or {!Period_cap} cut leaves out is of this
@@ -89,7 +79,6 @@ type score = {
 
 val score :
   ?obs:Obs.t ->
-  ?finish:finish ->
   Life_function.t -> c:float -> t0:float ->
   score
 (** [score p ~c ~t0] runs eq. 3.6 from [t0] once, without building the
@@ -98,8 +87,8 @@ val score :
     evaluated once per end, and the point at the last end gives [G]
     with no further call. Its [work] equals
     [Schedule.expected_work ~c p (generate p ~c ~t0).schedule] bit for
-    bit, for either [?finish]. {!Guideline.plan} scores its [t_0]
-    candidates with it. Requires [t0 > 0] and [c >= 0].
+    bit. {!Guideline.plan} scores its [t_0] candidates with it. Requires
+    [t0 > 0] and [c >= 0].
 
     [?obs]: with a span recorder attached, the pass is recorded as a
     [recurrence.generate] span with the same [periods] and [stop]
@@ -107,7 +96,6 @@ val score :
 
 val expected_work_at :
   ?obs:Obs.t ->
-  ?finish:finish ->
   Life_function.t -> c:float -> t0:float ->
   float
 (** [expected_work_at p ~c ~t0] is [(score p ~c ~t0).work]. *)

@@ -91,24 +91,6 @@ let productive_normal_form ~c s =
   done;
   build (Array.of_list (List.rev !out))
 
-let is_productive ~c s =
-  let n = Array.length s.periods in
-  let ok = ref true in
-  for i = 0 to n - 2 do
-    if s.periods.(i) <= c then ok := false
-  done;
-  !ok && n > 0
-
-let truncate_after s ~duration =
-  let n = Array.length s.periods in
-  let keep = ref 0 in
-  (* ends is increasing: count the prefix of periods completing in time. *)
-  while !keep < n && s.ends.(!keep) <= duration do
-    incr keep
-  done;
-  if !keep = 0 then None
-  else Some (build (Array.sub s.periods 0 !keep))
-
 let append s t =
   if not (Float.is_finite t) || t <= 0.0 then
     raise (Invalid_schedule (Printf.sprintf "Schedule.append: period %g" t));

@@ -99,14 +99,6 @@ val productive_normal_form : c:float -> t -> t
     [p], because merging preserves later completion times and can only
     lengthen the productive part of the absorbing period. *)
 
-val is_productive : c:float -> t -> bool
-(** [is_productive ~c s] checks the Proposition 2.1 normal form: all periods
-    strictly exceed [c], except possibly the last. *)
-
-val truncate_after : t -> duration:float -> t option
-(** [truncate_after s ~duration] keeps the maximal prefix of periods that
-    complete within [duration]; [None] if even the first period does not. *)
-
 val append : t -> float -> t
 (** [append s t] extends the schedule with one final period of length [t].
     @raise Invalid_schedule if [t <= 0] or not finite. *)

@@ -4,9 +4,9 @@ type point = {
   efficiency : float;
 }
 
-let default_factors = [| 0.25; 0.5; 0.8; 1.0; 1.25; 2.0; 4.0 |]
+let factors = [ 0.25; 0.5; 0.8; 1.0; 1.25; 2.0; 4.0 ]
 
-let c_misspecification ?(factors = default_factors) lf ~c =
+let c_misspecification lf ~c =
   if c <= 0.0 then invalid_arg "Sensitivity.c_misspecification: c must be > 0";
   let horizon = Life_function.horizon lf in
   if c >= horizon then
@@ -14,7 +14,7 @@ let c_misspecification ?(factors = default_factors) lf ~c =
   let baseline =
     Schedule.expected_work ~c lf (Guideline.plan lf ~c).Guideline.schedule
   in
-  Array.to_list factors
+  factors
   |> List.filter_map (fun factor ->
          let c' = factor *. c in
          if c' <= 0.0 || c' >= horizon then None
@@ -31,7 +31,7 @@ let c_misspecification ?(factors = default_factors) lf ~c =
              }
          end)
 
-let lifespan_misspecification ?(factors = default_factors) ~lifespan c =
+let lifespan_misspecification ~lifespan c =
   if not (c > 0.0 && c < lifespan) then
     invalid_arg
       "Sensitivity.lifespan_misspecification: requires 0 < c < lifespan";
@@ -39,7 +39,7 @@ let lifespan_misspecification ?(factors = default_factors) ~lifespan c =
   let baseline =
     Schedule.expected_work ~c truth (Guideline.plan truth ~c).Guideline.schedule
   in
-  Array.to_list factors
+  factors
   |> List.filter_map (fun factor ->
          let l' = factor *. lifespan in
          if l' <= c then None

@@ -15,18 +15,16 @@ type point = {
           loss. *)
 }
 
-val c_misspecification :
-  ?factors:float array -> Life_function.t -> c:float -> point list
+val c_misspecification : Life_function.t -> c:float -> point list
 (** [c_misspecification p ~c] plans with [c' = factor·c] for each factor
-    (default [{0.25, 0.5, 0.8, 1.0, 1.25, 2.0, 4.0}]) and evaluates every
+    in [{0.25, 0.5, 0.8, 1.0, 1.25, 2.0, 4.0}] and evaluates every
     resulting schedule under the true [(p, c)]. Factors making [c']
     infeasible (at or beyond the horizon) are skipped.
     Requires [0 < c < horizon p]. *)
 
-val lifespan_misspecification :
-  ?factors:float array -> lifespan:float -> float -> point list
-(** [lifespan_misspecification ~lifespan c] is the same exercise for a
-    uniform-risk planner that believes the episode lasts
-    [factor · lifespan]: plans against [uniform(factor·L)], evaluated
+val lifespan_misspecification : lifespan:float -> float -> point list
+(** [lifespan_misspecification ~lifespan c] is the same exercise, over the
+    same factors, for a uniform-risk planner that believes the episode
+    lasts [factor · lifespan]: plans against [uniform(factor·L)], evaluated
     under [uniform(L)]. Quantifies the cost of optimistic/pessimistic
     horizon estimates. Requires [0 < c < lifespan]. *)

@@ -3,8 +3,8 @@ type check = { name : string; holds : bool; detail : string }
 let pass name detail = { name; holds = true; detail }
 let fail name detail = { name; holds = false; detail }
 
-let decrement_check ?(tol = 1e-7) lf ~c s =
-  let name = "thm-5.2-decrement" in
+let decrement_check lf ~c s =
+  let name = "thm-5.2-decrement" and tol = 1e-7 in
   let ts = Schedule.periods s in
   let n = Array.length ts in
   if n < 2 then pass name "single period: vacuous"
@@ -55,8 +55,8 @@ let period_count_check lf ~c s =
           (Printf.sprintf "m = %d vs bound %d (t0/c = %d)" m bound t0_bound)
   | _, _ -> pass name "not concave-bounded: vacuous"
 
-let t0_bounds_check ?(tol = 1e-6) lf ~c s =
-  let name = "thm-3.2/3.3-t0-bracket" in
+let t0_bounds_check lf ~c s =
+  let name = "thm-3.2/3.3-t0-bracket" and tol = 1e-6 in
   let lo, hi = Bounds.bracket lf ~c in
   let t0 = Schedule.period s 0 in
   let slack = tol *. Float.max 1.0 (Float.abs t0) in
@@ -64,8 +64,8 @@ let t0_bounds_check ?(tol = 1e-6) lf ~c s =
     pass name (Printf.sprintf "t0 = %.6g inside [%.6g, %.6g]" t0 lo hi)
   else fail name (Printf.sprintf "t0 = %.6g outside [%.6g, %.6g]" t0 lo hi)
 
-let recurrence_check ?(tol = 1e-6) lf ~c s =
-  let name = "cor-3.1-recurrence" in
+let recurrence_check lf ~c s =
+  let name = "cor-3.1-recurrence" and tol = 1e-6 in
   let res = Recurrence.residuals lf ~c s in
   if Array.length res = 0 then pass name "single period: vacuous"
   else begin

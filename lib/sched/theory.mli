@@ -12,11 +12,10 @@ type check = {
   detail : string;  (** Human-readable witness or worst-violation report. *)
 }
 
-val decrement_check : ?tol:float -> Life_function.t -> c:float ->
-  Schedule.t -> check
+val decrement_check : Life_function.t -> c:float -> Schedule.t -> check
 (** Theorem 5.2 / Corollary 5.1: for concave [p], every internal period
     satisfies [t_{i+1} <= t_i − c] (and hence strict decrease); for convex
-    [p], [t_{i+1} >= t_i − c]. Dispatches on the declared shape; for
+    [p], [t_{i+1} >= t_i − c]; each within 1e-7. Dispatches on the declared shape; for
     {!Life_function.Log_concave} and {!Life_function.Unknown}, which the
     theorem does not cover, the check passes vacuously, each with its
     own note. *)
@@ -26,16 +25,14 @@ val period_count_check : Life_function.t -> c:float -> Schedule.t -> check
     fewer than [⌈sqrt(2L/c + 1/4) + 1/2⌉] periods and at most [t_0/c]
     periods. Vacuous for non-concave shapes. *)
 
-val t0_bounds_check : ?tol:float -> Life_function.t -> c:float ->
-  Schedule.t -> check
+val t0_bounds_check : Life_function.t -> c:float -> Schedule.t -> check
 (** Theorems 3.2/3.3 (+ Corollary 5.5 for concave [p]): the schedule's
-    initial period lies inside the computed bracket, within a relative
-    [tol] (default 1e-6). *)
+    initial period lies inside the computed bracket, within 1e-6
+    relative. *)
 
-val recurrence_check : ?tol:float -> Life_function.t -> c:float ->
-  Schedule.t -> check
+val recurrence_check : Life_function.t -> c:float -> Schedule.t -> check
 (** Corollary 3.1: consecutive periods satisfy eq. 3.6 with residual below
-    [tol] (default 1e-6) relative to [p]'s scale. *)
+    1e-6 relative to [p]'s scale. *)
 
 val local_optimality_check : Life_function.t -> c:float -> Schedule.t -> check
 (** Theorem 5.1: for concave [p], a schedule satisfying the recurrence

@@ -21,7 +21,10 @@ let work_if_killed_at s ~c t =
    completions (numerator constant, denominator growing), so the infimum
    over [grace, horizon] is attained at t = grace, just before each later
    completion, and at the horizon. "Just before T_k" compares the work
-   banked strictly before T_k against an omniscient run to that instant. *)
+   banked strictly before T_k against an omniscient run to that instant.
+   Those instants rise with k, so one running sum [banked] over the
+   periods ending by each of them makes the adds [work_if_killed_at]
+   would make there, in the same order: the same bits in one pass. *)
 let competitive_ratio s ~c ~grace ~horizon =
   if not (grace > c) then
     invalid_arg "Worst_case.competitive_ratio: grace must exceed c";
@@ -31,12 +34,15 @@ let competitive_ratio s ~c ~grace ~horizon =
   let n = Array.length periods in
   let denom t = Float.max 1e-300 (t -. c) in
   let worst = ref (work_if_killed_at s ~c grace /. denom grace) in
+  let banked = Kahan.create () and next = ref 0 in
   for k = 0 to n - 1 do
     if ends.(k) > grace && ends.(k) <= horizon then begin
-      let w_before =
-        work_if_killed_at s ~c (ends.(k) *. (1.0 -. 1e-12) -. 1e-12)
-      in
-      worst := Float.min !worst (w_before /. denom ends.(k))
+      let before = (ends.(k) *. (1.0 -. 1e-12)) -. 1e-12 in
+      while !next < n && ends.(!next) <= before do
+        Kahan.add banked (Schedule.positive_sub periods.(!next) c);
+        incr next
+      done;
+      worst := Float.min !worst (Kahan.total banked /. denom ends.(k))
     end
   done;
   worst := Float.min !worst (work_if_killed_at s ~c horizon /. denom horizon);
@@ -48,7 +54,7 @@ let geometric_schedule ~horizon ~t0 ~factor =
     invalid_arg "Worst_case.geometric_schedule: factor must be >= 1";
   if horizon < t0 then
     invalid_arg "Worst_case.geometric_schedule: horizon < t0";
-  let rev = ref [] in
+  let rev = ref [] and count = ref 0 in
   let elapsed = ref 0.0 in
   let t = ref t0 in
   let continue = ref true in
@@ -60,16 +66,17 @@ let geometric_schedule ~horizon ~t0 ~factor =
     end
     else begin
       rev := !t :: !rev;
+      incr count;
       (* Running end-time for a geometric schedule; the final period is
          clamped to [horizon -. elapsed], so drift cannot overrun. *)
       (elapsed := !elapsed +. !t) [@lint.allow "R2"];
       t := !t *. factor;
-      if List.length !rev > 10_000 then continue := false
+      if !count > 10_000 then continue := false
     end
   done;
   Schedule.of_periods (Array.of_list (List.rev !rev))
 
-let plan ?(polish = true) ?grace ~c ~horizon () =
+let plan ?grace ~c ~horizon () =
   let grace = match grace with Some g -> g | None -> 5.0 *. c in
   if not (grace > c) then invalid_arg "Worst_case.plan: grace must exceed c";
   if not (horizon > grace) then
@@ -97,23 +104,20 @@ let plan ?(polish = true) ?grace ~c ~horizon () =
     [ 1.0; 1.1; 1.2; 1.3; 1.4; 1.5; 1.6; 1.8; 2.0; 2.2; 2.5; 3.0; 4.0 ];
   let ratio0, t0, factor = !best in
   let seed = geometric_schedule ~horizon ~t0 ~factor in
+  (* Coordinate ascent on the raw periods; the objective is piecewise
+     smooth in each period so the grid+refine line search applies. *)
+  let m = Schedule.num_periods seed in
+  let objective ts =
+    if Array.exists (fun t -> t <= 0.0) ts then neg_infinity
+    else competitive_ratio (Schedule.of_periods ts) ~c ~grace ~horizon
+  in
+  let lower = Array.make m (c /. 100.0) in
+  let upper = Array.make m horizon in
+  let xs, r =
+    Optimize.coordinate_ascent ~f:objective ~lower ~upper
+      (Schedule.periods seed)
+  in
   let schedule, ratio =
-    if not polish then (seed, ratio0)
-    else begin
-      (* Coordinate ascent on the raw periods; the objective is piecewise
-         smooth in each period so the grid+refine line search applies. *)
-      let m = Schedule.num_periods seed in
-      let objective ts =
-        if Array.exists (fun t -> t <= 0.0) ts then neg_infinity
-        else competitive_ratio (Schedule.of_periods ts) ~c ~grace ~horizon
-      in
-      let lower = Array.make m (c /. 100.0) in
-      let upper = Array.make m horizon in
-      let xs, r =
-        Optimize.coordinate_ascent ~f:objective ~lower ~upper
-          (Schedule.periods seed)
-      in
-      if r > ratio0 then (Schedule.of_periods xs, r) else (seed, ratio0)
-    end
+    if r > ratio0 then (Schedule.of_periods xs, r) else (seed, ratio0)
   in
   { schedule; ratio; grace; horizon }

@@ -39,7 +39,8 @@ val competitive_ratio :
     [W_S(t)/(t − c)] over [t ∈ [grace, horizon]]. The ratio is piecewise
     decreasing between completions, so the infimum is evaluated exactly at
     the critical instants (grace, just-before each completion, horizon).
-    Requires [c < grace <= horizon]. *)
+    Requires [c < grace <= horizon]. One pass, O(n) for [n] periods,
+    with the bits of {!work_if_killed_at} at every instant. *)
 
 val geometric_schedule :
   horizon:float -> t0:float -> factor:float -> Schedule.t
@@ -48,8 +49,9 @@ val geometric_schedule :
     to end exactly at [horizon]). Requires [t0 > 0], [factor >= 1],
     [horizon >= t0]. *)
 
-val plan : ?polish:bool -> ?grace:float -> c:float -> horizon:float -> unit -> t
+val plan : ?grace:float -> c:float -> horizon:float -> unit -> t
 (** [plan ~c ~horizon ()] maximises the competitive ratio over geometric
-    schedules (grid + refine over [(t0, γ)]), then (when [polish], default
-    [true]) runs coordinate ascent directly on the period vector. [grace]
-    defaults to [5c]. Requires [c < grace < horizon]. *)
+    schedules (grid + refine over [(t0, γ)]), then polishes the best one by
+    coordinate ascent directly on the period vector, keeping the polished
+    vector only if its ratio is higher. [grace] defaults to [5c]. Requires
+    [c < grace < horizon]. *)

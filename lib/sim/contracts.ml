@@ -1,13 +1,3 @@
-let run_with_suspension s ~c ~reclaim_at =
-  let o = Episode.run s ~c ~reclaim_at in
-  (* The draconian run already computed the in-flight productive time as
-     work_lost; the suspend contract banks it instead. *)
-  {
-    o with
-    Episode.work_done = o.Episode.work_done +. o.Episode.work_lost;
-    work_lost = 0.0;
-  }
-
 let expected_work_suspended ~c lf s =
   if c < 0.0 then
     invalid_arg "Contracts.expected_work_suspended: c must be >= 0";

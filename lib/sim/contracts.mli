@@ -12,18 +12,12 @@
     quantifies exactly how much productivity the draconian clause costs
     (experiment E19). *)
 
-val run_with_suspension :
-  Schedule.t -> c:float -> reclaim_at:float -> Episode.outcome
-(** [run_with_suspension s ~c ~reclaim_at] replays a schedule under the
-    suspend contract: identical to {!Episode.run} except that an
-    interrupted period's productive time completed so far is {e banked}
-    rather than lost ([work_lost] is always 0; the [c]-long setup of the
-    interrupted period is still spent). *)
-
 val expected_work_suspended :
   c:float -> Life_function.t -> Schedule.t -> float
-(** [expected_work_suspended ~c p s] is the closed-form expectation of
-    {!run_with_suspension}'s banked work:
+(** [expected_work_suspended ~c p s] is the closed-form expectation of the
+    work [s] banks under the suspend contract, where an interrupted
+    period's productive time completed so far is banked rather than lost
+    (the [c]-long setup of the interrupted period is still spent):
 
     [E_suspend(S; p) = Σ_i ∫_{τ_i + c}^{T_i} p(t) dt]
 

@@ -3,13 +3,14 @@ type policy = {
   fresh_episode : Life_function.t -> c:float -> (elapsed:float -> float option);
 }
 
-let static_policy ~name plan =
+let guideline_policy =
   {
-    policy_name = name;
+    policy_name = "guideline";
     fresh_episode =
       (fun lf ~c ->
-        let schedule = plan lf ~c in
-        let periods = Schedule.periods schedule in
+        let periods =
+          Schedule.periods (Guideline.plan lf ~c).Guideline.schedule
+        in
         let idx = ref 0 in
         fun ~elapsed ->
           (* Each episode replays the schedule from its first period. *)
@@ -21,10 +22,6 @@ let static_policy ~name plan =
             Some t
           end);
   }
-
-let guideline_policy =
-  static_policy ~name:"guideline" (fun lf ~c ->
-      (Guideline.plan lf ~c).Guideline.schedule)
 
 let adaptive_policy =
   {

@@ -36,15 +36,10 @@ type policy = {
           Periods are clipped to the work remaining in the pool. *)
 }
 
-val static_policy : name:string -> (Life_function.t -> c:float -> Schedule.t)
-  -> policy
-(** [static_policy ~name plan] computes one schedule per workstation per
-    run and plays it out period by period, from its first period in every
-    episode. *)
-
 val guideline_policy : policy
 (** Plays the {!Guideline.plan} schedule of each workstation's [(p, c)],
-    planned once per workstation per run. *)
+    planned once per workstation per run, period by period from its first
+    period in every episode. *)
 
 val adaptive_policy : policy
 (** The §6 "progressive" scheduler using conditional probabilities: each

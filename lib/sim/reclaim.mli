@@ -19,11 +19,3 @@ val draw : sampler -> Prng.t -> float
 (** [draw s g] samples a reclaim time: a value [t] with
     [Pr(T > t) = p(t)]. Bounded-support functions return at most the
     lifespan. *)
-
-val draw_exact : Life_function.t -> Prng.t -> float
-(** [draw_exact p g] inverts [p] by bisection per draw, independently of
-    {!Life_function.inverse}; used by tests as the reference for {!draw}. *)
-
-val mean_of_draws : sampler -> Prng.t -> n:int -> float
-(** [mean_of_draws s g ~n] averages [n] draws — convenience for calibration
-    tests against {!Life_function.mean_lifetime}. Requires [n > 0]. *)

@@ -45,7 +45,7 @@ let uniform_fit ds =
   finish "uniform" (Families.uniform ~lifespan:l) [ ("lifespan", l) ]
     (Stats.ecdf_survival ds)
 
-let weibull_mle ?(tol = 1e-10) ?(max_iter = 200) ds =
+let weibull_mle ds =
   check_durations "Fit.weibull_mle" ds;
   let n = Array.length ds in
   let distinct = Array.exists (fun d -> d <> ds.(0)) ds in
@@ -66,7 +66,7 @@ let weibull_mle ?(tol = 1e-10) ?(max_iter = 200) ds =
     (Kahan.total num /. Kahan.total den) -. (1.0 /. k) -. mean_log
   in
   let lo, hi = Rootfind.expand_bracket g ~lo:0.05 ~hi:5.0 in
-  let r = Rootfind.brent ~tol ~max_iter g ~lo ~hi in
+  let r = Rootfind.brent ~tol:1e-10 ~max_iter:200 g ~lo ~hi in
   let shape = r.Rootfind.root in
   let scale =
     let acc = Kahan.create () in
@@ -95,9 +95,8 @@ let geometric_increasing_fit ds =
     [ ("lifespan", l) ]
     steps
 
-let polynomial_fit ?(d_max = 5) ds =
+let polynomial_fit ds =
   check_durations "Fit.polynomial_fit" ds;
-  if d_max < 1 then invalid_arg "Fit.polynomial_fit: d_max must be >= 1";
   let mx = Array.fold_left Float.max ds.(0) ds in
   let steps = Stats.ecdf_survival ds in
   let candidate d =
@@ -116,7 +115,7 @@ let polynomial_fit ?(d_max = 5) ds =
         let d, l, s = candidate dcand in
         if s < bs then (d, l, s) else (bd, bl, bs))
       (candidate 1)
-      (List.init (d_max - 1) (fun i -> i + 2))
+      [ 2; 3; 4; 5 ]
   in
   finish
     (Printf.sprintf "polynomial(d=%d)" d)
@@ -124,7 +123,7 @@ let polynomial_fit ?(d_max = 5) ds =
     [ ("d", float_of_int d); ("lifespan", l) ]
     steps
 
-let best_fit ?d_max ds =
+let best_fit ds =
   check_durations "Fit.best_fit" ds;
   if Array.length ds < 2 then
     invalid_arg "Fit.best_fit: need at least 2 observations";
@@ -132,7 +131,7 @@ let best_fit ?d_max ds =
     [
       exponential_mle ds;
       uniform_fit ds;
-      polynomial_fit ?d_max ds;
+      polynomial_fit ds;
       geometric_increasing_fit ds;
     ]
     @ (try [ weibull_mle ds ] with Invalid_argument _ -> [])

@@ -22,11 +22,11 @@ val uniform_fit : float array -> fitted
 (** Uniform-risk fit with the unbiased endpoint estimator
     [L = max · (n+1)/n]. *)
 
-val weibull_mle : ?tol:float -> ?max_iter:int -> float array -> fitted
+val weibull_mle : float array -> fitted
 (** Weibull maximum likelihood: the shape solves the standard profile
-    fixed point [Σ x^k ln x / Σ x^k − 1/k = mean(ln x)] (bracketed root
-    find), the scale follows in closed form. Requires at least 2 distinct
-    positive durations. *)
+    fixed point [Σ x^k ln x / Σ x^k − 1/k = mean(ln x)] (Brent's method to
+    1e-10 on an expanded bracket), the scale follows in closed form.
+    Requires at least 2 distinct positive durations. *)
 
 val geometric_increasing_fit : float array -> fitted
 (** Geometric-increasing-risk fit (the §4.3 "coffee break" family): the
@@ -34,12 +34,12 @@ val geometric_increasing_fit : float array -> fitted
     over [(max duration, 4·max duration]]. Captures absence data whose
     return risk accelerates sharply near a deadline. *)
 
-val polynomial_fit : ?d_max:int -> float array -> fitted
-(** Best [p_{d,L}] family member: for each [d <= d_max] (default 5) the
-    lifespan is chosen by 1-D least squares against the empirical survival,
-    and the best [d] wins. *)
+val polynomial_fit : float array -> fitted
+(** Best [p_{d,L}] family member: for each [d] from 1 to 5 the lifespan is
+    chosen by 1-D least squares against the empirical survival, and the
+    best [d] wins. *)
 
-val best_fit : ?d_max:int -> float array -> fitted
+val best_fit : float array -> fitted
 (** [best_fit ds] fits all families above (exponential, uniform,
     polynomial, geometric-increasing, and Weibull when the data allow) and
     returns the lowest-SSE one.

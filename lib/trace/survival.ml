@@ -23,8 +23,10 @@ let thin target steps =
 (* Assemble a life function from (time, survival) steps: prepend the
    boundary knot (0, 1), extend past the last event so the curve reaches
    exactly 0, deduplicate abscissae, force monotone nonincreasing values,
-   and fit a monotone PCHIP. *)
-let life_of_steps ~name ~knots steps =
+   and fit a monotone PCHIP. A knot within 1e-12 of the previous one is
+   dropped, so steps that all lie within 1e-12 of 0 and reach 0 leave
+   (0, 1) alone, and [caller] refuses them. *)
+let life_of_steps ~caller ~name ~knots steps =
   let target = Int.max 4 (Int.min knots (Array.length steps)) in
   let thinned = thin target steps in
   let last_t, last_s = thinned.(Array.length thinned - 1) in
@@ -48,6 +50,8 @@ let life_of_steps ~name ~knots steps =
       end)
     raw;
   let pts = Array.of_list (List.rev !cleaned) in
+  if Array.length pts < 2 then
+    invalid_arg (caller ^ ": every duration lies within 1e-12 of 0");
   let xs = Array.map fst pts and ys = Array.map snd pts in
   let ip = Interp.pchip ~xs ~ys in
   (Families.of_interpolant ~name ip, pts)
@@ -88,7 +92,9 @@ let of_observations ?(knots = 32) obs =
       (if n_censored > 0 then Printf.sprintf ", %d censored" n_censored
        else "")
   in
-  let life, pts = life_of_steps ~name ~knots steps in
+  let life, pts =
+    life_of_steps ~caller:"Survival.of_observations" ~name ~knots steps
+  in
   { life; knots = pts; n_observed = n - n_censored; n_censored }
 
 let of_durations ?knots ds =
@@ -120,8 +126,10 @@ let confidence_bands ?(knots = 32) ?(z = 1.96) obs =
   in
   let point_steps = Array.map (fun (t, s, _) -> (t, s)) steps in
   let mk tag curve =
-    fst (life_of_steps ~name:(Printf.sprintf "trace-%s(n=%d, z=%g)" tag n z)
-           ~knots curve)
+    fst
+      (life_of_steps ~caller:"Survival.confidence_bands"
+         ~name:(Printf.sprintf "trace-%s(n=%d, z=%g)" tag n z)
+         ~knots curve)
   in
   {
     lower = mk "lower" (shifted (-1.0));

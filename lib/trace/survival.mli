@@ -21,8 +21,10 @@ val of_observations :
     The horizon is placed at the largest observation, extended by one
     inter-knot gap so the fitted survival reaches 0 smoothly rather than
     truncating at a positive value.
-    @raise Invalid_argument on empty input, all-censored data, or a
-    negative or non-finite duration. *)
+    @raise Invalid_argument on empty input, all-censored data, a
+    negative or non-finite duration, or durations that all lie within
+    1e-12 of 0 (knots closer than 1e-12 merge, and one knot is no
+    curve). *)
 
 val of_durations : ?knots:int -> float array -> estimate
 (** [of_durations ds] is {!of_observations} on fully-observed data. *)
@@ -44,7 +46,8 @@ val confidence_bands :
     life function ([z] defaults to 1.96, [knots] to 32). Bands are clamped
     into [[0, 1]] and forced monotone, so each is itself a valid life
     function; the lower band typically reaches 0 earlier (a shorter
-    pessimistic horizon). Same input requirements as {!of_observations}.
+    pessimistic horizon). Same input requirements, and the same
+    [Invalid_argument], as {!of_observations}.
     Experiment E16 measures the value of scheduling against the lower band
     at small sample sizes. *)
 

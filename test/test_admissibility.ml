@@ -1,14 +1,19 @@
+let admissible lf ~c =
+  match Admissibility.test lf ~c with
+  | Admissibility.Admissible _ -> true
+  | Admissibility.Inadmissible _ -> false
+
 let test_uniform_admissible () =
   Alcotest.(check bool) "uniform admits optimal schedule" true
-    (Admissibility.is_admissible (Families.uniform ~lifespan:100.0) ~c:1.0)
+    (admissible (Families.uniform ~lifespan:100.0) ~c:1.0)
 
 let test_geometric_decreasing_admissible () =
   Alcotest.(check bool) "geometric-decreasing admissible" true
-    (Admissibility.is_admissible (Families.geometric_decreasing ~a:2.0) ~c:0.5)
+    (admissible (Families.geometric_decreasing ~a:2.0) ~c:0.5)
 
 let test_geometric_increasing_admissible () =
   Alcotest.(check bool) "geometric-increasing admissible" true
-    (Admissibility.is_admissible
+    (admissible
        (Families.geometric_increasing ~lifespan:30.0)
        ~c:1.0)
 
@@ -20,7 +25,7 @@ let test_power_law_inadmissible () =
       Alcotest.(check bool)
         (Printf.sprintf "power-law d=%g inadmissible" d)
         false
-        (Admissibility.is_admissible (Families.power_law ~d) ~c:1.0))
+        (admissible (Families.power_law ~d) ~c:1.0))
     [ 1.5; 2.0; 3.0 ]
 
 let test_power_law_d1_boundary () =
@@ -82,14 +87,14 @@ let prop_paper_families_admissible =
     QCheck.(float_range 0.1 2.0)
     (fun c ->
       List.for_all
-        (fun (_, lf) -> Admissibility.is_admissible lf ~c)
+        (fun (_, lf) -> admissible lf ~c)
         (Families.all_paper_scenarios ~c))
 
 let prop_power_law_heavy_tails_inadmissible =
   QCheck.Test.make ~name:"power laws with d > 1.2 are inadmissible" ~count:50
     QCheck.(pair (float_range 1.2 5.0) (float_range 0.2 3.0))
     (fun (d, c) ->
-      not (Admissibility.is_admissible (Families.power_law ~d) ~c))
+      not (admissible (Families.power_law ~d) ~c))
 
 let () =
   Alcotest.run "admissibility"

@@ -32,7 +32,9 @@ let test_plan_validation () =
   | _ -> Alcotest.fail "negative work accepted"
 
 let test_expected_committed_per_attempt () =
-  let e = Checkpoint.expected_committed_per_attempt ~work:10.0 ~c lf in
+  let e =
+    (Checkpoint.plan_saves ~work:10.0 lf ~c).Checkpoint.expected_committed
+  in
   Alcotest.(check bool) "bounded by work" true (e > 0.0 && e <= 10.0)
 
 let test_simulate_restarts_completes () =
@@ -106,9 +108,10 @@ let prop_checkpoint_cost_tradeoff =
     QCheck.(float_range 0.2 2.0)
     (fun c1 ->
       let c2 = c1 *. 2.0 in
-      Checkpoint.expected_committed_per_attempt ~work:100.0 ~c:c1 lf
-      >= Checkpoint.expected_committed_per_attempt ~work:100.0 ~c:c2 lf
-         -. 1e-9)
+      let committed c =
+        (Checkpoint.plan_saves ~work:100.0 lf ~c).Checkpoint.expected_committed
+      in
+      committed c1 >= committed c2 -. 1e-9)
 
 let prop_simulation_conserves_work =
   QCheck.Test.make ~name:"simulation completes exactly the requested work"

@@ -2,25 +2,6 @@ let feq ?(eps = 1e-9) a b = Alcotest.(check (float eps)) "value" a b
 
 (* --- §4.1 polynomial / uniform ---------------------------------------- *)
 
-let test_poly_next_period_d1_is_decrement () =
-  feq 7.0
-    (Closed_forms.poly_next_period ~d:1 ~t_prev:8.0 ~t_end_prev:20.0 ~c:1.0)
-
-let test_poly_next_period_formula () =
-  (* d=2, t_prev=8, T=20, c=1: ratio = 1 + 2*7/20 = 1.7;
-     t = (sqrt(1.7) - 1) * 20. *)
-  feq ~eps:1e-12
-    ((sqrt 1.7 -. 1.0) *. 20.0)
-    (Closed_forms.poly_next_period ~d:2 ~t_prev:8.0 ~t_end_prev:20.0 ~c:1.0)
-
-let test_poly_next_period_validation () =
-  (match Closed_forms.poly_next_period ~d:0 ~t_prev:1.0 ~t_end_prev:1.0 ~c:0.1 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "d = 0 accepted");
-  match Closed_forms.poly_next_period ~d:1 ~t_prev:1.0 ~t_end_prev:0.0 ~c:0.1 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "T = 0 accepted"
-
 let test_poly_t0_bounds_scaling () =
   (* (c/d)^{1/(d+1)} L^{d/(d+1)} for c=1, d=2, L=1000: (1/2)^{1/3} * 100. *)
   feq ~eps:1e-9
@@ -55,19 +36,22 @@ let test_uniform_bounds_bracket_optimal () =
 
 let test_geo_dec_next_period_fixpoint () =
   (* The optimal equal period t* is the recurrence's fixed point:
-     applying (4.6) to t* returns t*. *)
+     applying eq. 3.6 (§4.2's eq. 4.6) to t* returns t*. *)
   let a = exp 0.07 and c = 1.0 in
   let t_star = Closed_forms.geo_dec_t_optimal ~a ~c in
-  match Closed_forms.geo_dec_next_period ~a ~t_prev:t_star ~c with
+  let lf = Families.geometric_decreasing ~a in
+  match Recurrence.next_period lf ~c ~prev_period:t_star ~prev_end:t_star with
   | Some t -> feq ~eps:1e-9 t_star t
   | None -> Alcotest.fail "fixed point must exist"
 
 let test_geo_dec_next_period_domain () =
-  (* t_prev >= c + 1/ln a makes the rhs nonpositive: None. *)
+  (* t_prev >= c + 1/ln a makes eq. 4.6's rhs nonpositive: None. *)
   let a = exp 0.1 and c = 1.0 in
   let too_big = c +. (1.0 /. log a) +. 0.5 in
   Alcotest.(check bool) "no solution" true
-    (Closed_forms.geo_dec_next_period ~a ~t_prev:too_big ~c = None)
+    (Recurrence.next_period (Families.geometric_decreasing ~a) ~c
+       ~prev_period:too_big ~prev_end:too_big
+    = None)
 
 let test_geo_dec_t_optimal_satisfies_equation () =
   (* t* + a^{-t*}/ln a = c + 1/ln a (the [3] optimality equation). *)
@@ -115,14 +99,6 @@ let test_geo_dec_upper_tight_for_large_risk () =
 
 (* --- §4.3 geometric-increasing ----------------------------------------- *)
 
-let test_geo_inc_guideline_recurrence () =
-  (* t' = log2((t - c) ln 2 + 1), t = 5, c = 1. *)
-  feq ~eps:1e-12
-    (Special.log2 ((4.0 *. log 2.0) +. 1.0))
-    (match Closed_forms.geo_inc_next_period_guideline ~t_prev:5.0 ~c:1.0 with
-    | Some t -> t
-    | None -> Float.nan)
-
 let test_geo_inc_optimal_recurrence () =
   (* t' = log2(t - c + 2), t = 5, c = 1 -> log2 6. *)
   feq ~eps:1e-12
@@ -133,7 +109,9 @@ let test_geo_inc_optimal_recurrence () =
 
 let test_geo_inc_recurrences_stop () =
   Alcotest.(check bool) "guideline stops" true
-    (Closed_forms.geo_inc_next_period_guideline ~t_prev:0.5 ~c:1.0 = None);
+    (Recurrence.next_period (Families.geometric_increasing ~lifespan:30.0)
+       ~c:1.0 ~prev_period:0.5 ~prev_end:0.5
+    = None);
   Alcotest.(check bool) "optimal stops" true
     (Closed_forms.geo_inc_next_period_optimal ~t_prev:0.5 ~c:2.0 = None)
 
@@ -169,11 +147,6 @@ let () =
     [
       ( "polynomial-4.1",
         [
-          Alcotest.test_case "d=1 decrement" `Quick
-            test_poly_next_period_d1_is_decrement;
-          Alcotest.test_case "d=2 formula" `Quick test_poly_next_period_formula;
-          Alcotest.test_case "validation" `Quick
-            test_poly_next_period_validation;
           Alcotest.test_case "t0 bound scaling" `Quick
             test_poly_t0_bounds_scaling;
           Alcotest.test_case "uniform t0 forms" `Quick test_uniform_t0_forms;
@@ -198,8 +171,6 @@ let () =
         ] );
       ( "geometric-increasing-4.3",
         [
-          Alcotest.test_case "guideline recurrence" `Quick
-            test_geo_inc_guideline_recurrence;
           Alcotest.test_case "optimal recurrence" `Quick
             test_geo_inc_optimal_recurrence;
           Alcotest.test_case "recurrences stop" `Quick

@@ -10,14 +10,6 @@ let test_forward_backward () =
   feq 1e-4 (cos 1.0) (Diff.forward sin 1.0);
   feq 1e-4 (cos 1.0) (Diff.backward sin 1.0)
 
-let test_richardson_high_accuracy () =
-  feq 1e-10 (cos 1.0) (Diff.richardson sin 1.0)
-
-let test_richardson_validation () =
-  Alcotest.check_raises "levels >= 1"
-    (Invalid_argument "Diff.richardson: levels must be >= 1") (fun () ->
-      ignore (Diff.richardson ~levels:0 sin 1.0))
-
 let test_second_derivative () =
   (* d2/dx2 (x^4) at 1 = 12 *)
   feq 1e-3 12.0 (Diff.second (fun x -> x ** 4.0) 1.0)
@@ -70,10 +62,6 @@ let () =
           Alcotest.test_case "central polynomial" `Quick test_central_polynomial;
           Alcotest.test_case "central exp" `Quick test_central_exp;
           Alcotest.test_case "forward/backward" `Quick test_forward_backward;
-          Alcotest.test_case "richardson accuracy" `Quick
-            test_richardson_high_accuracy;
-          Alcotest.test_case "richardson validation" `Quick
-            test_richardson_validation;
           Alcotest.test_case "second derivative" `Quick test_second_derivative;
           Alcotest.test_case "second of linear" `Quick
             test_second_of_linear_is_zero;

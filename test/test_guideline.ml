@@ -51,56 +51,25 @@ let test_guideline_beats_naive_singleperiod () =
         (g.Guideline.expected_work >= naive.Baselines.expected_work -. 1e-9))
     (Families.all_paper_scenarios ~c:1.0)
 
-let test_plan_with_t0 () =
-  let lf = Families.uniform ~lifespan:100.0 in
-  let r = Guideline.plan_with_t0 lf ~c:1.0 ~t0:15.0 in
-  feq ~eps:0.0 15.0 r.Guideline.t0;
-  feq ~eps:0.0 15.0 (Schedule.period r.Guideline.schedule 0);
-  Alcotest.(check bool) "positive E" true (r.Guideline.expected_work > 0.0)
-
 let test_plan_validation () =
   let lf = Families.uniform ~lifespan:10.0 in
   match Guideline.plan lf ~c:0.0 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "c = 0 accepted"
 
+(* Proposition 2.1's normal form: every period but the last exceeds c. *)
+let productive ~c s =
+  let n = Schedule.num_periods s in
+  n > 0
+  && List.for_all (fun i -> Schedule.period s i > c) (List.init (n - 1) Fun.id)
+
 let test_schedule_is_productive () =
   List.iter
     (fun (name, lf) ->
       let g = Guideline.plan lf ~c:1.0 in
       Alcotest.(check bool) (name ^ " productive") true
-        (Schedule.is_productive ~c:1.0 g.Guideline.schedule))
+        (productive ~c:1.0 g.Guideline.schedule))
     (Families.all_paper_scenarios ~c:1.0)
-
-(* --- risk-averse planning ---------------------------------------------- *)
-
-let test_risk_averse_lambda_zero_matches_plan () =
-  let lf = Families.uniform ~lifespan:100.0 in
-  let a = Guideline.plan lf ~c:1.0 in
-  let b = Guideline.plan_risk_averse ~lambda_:0.0 lf ~c:1.0 in
-  Alcotest.(check (float 1e-6)) "same expected work" a.Guideline.expected_work
-    b.Guideline.expected_work
-
-let test_risk_averse_trades_mean_for_tail () =
-  let lf = Families.uniform ~lifespan:100.0 in
-  let c = 1.0 in
-  let neutral = Guideline.plan_risk_averse ~lambda_:0.0 lf ~c in
-  let averse = Guideline.plan_risk_averse ~lambda_:2.0 lf ~c in
-  let law r = Work_distribution.of_schedule lf ~c r.Guideline.schedule in
-  let dn = law neutral and da = law averse in
-  Alcotest.(check bool) "mean can only drop" true
-    (da.Work_distribution.mean <= dn.Work_distribution.mean +. 1e-9);
-  Alcotest.(check bool)
-    (Printf.sprintf "stddev shrinks (%.3f -> %.3f)" dn.Work_distribution.stddev
-       da.Work_distribution.stddev)
-    true
-    (da.Work_distribution.stddev <= dn.Work_distribution.stddev +. 1e-9)
-
-let test_risk_averse_validation () =
-  let lf = Families.uniform ~lifespan:10.0 in
-  match Guideline.plan_risk_averse ~lambda_:(-1.0) lf ~c:1.0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative lambda accepted"
 
 (* --- online / conditional scheduling (§6) ------------------------------ *)
 
@@ -257,7 +226,7 @@ let prop_certified_search_finds_unimodal_max =
       let e =
         Array.init m (fun i ->
             let t0 = lo +. (float_of_int i *. (hi -. lo) /. float_of_int (m - 1)) in
-            (Guideline.plan_with_t0 lf ~c ~t0).Guideline.expected_work)
+            Recurrence.expected_work_at lf ~c ~t0)
       in
       let e_max = Array.fold_left Float.max neg_infinity e in
       let left = Array.copy e and right = Array.copy e in
@@ -515,12 +484,7 @@ let test_plan_known_answers () =
       ("weibull k=1.5", lazy (Families.weibull ~shape:1.5 ~scale:80.0), 10.0,
        4624369128189066972L);
       ("trace fit", pinned_fit, 20.0, 4624586954762885681L);
-    ];
-  (* A t0 that leaves lifespan unused, so the greedy tail adds a period. *)
-  Alcotest.(check int64) "greedy tail E" 4630214108769366835L
-    (Int64.bits_of_float
-       (Recurrence.expected_work_at ~finish:Recurrence.Greedy_tail
-          (Families.uniform ~lifespan:100.0) ~c:1.0 ~t0:30.0))
+    ]
 
 (* --- §6 progressive planning ------------------------------------------- *)
 
@@ -762,18 +726,9 @@ let () =
             test_guideline_t0_inside_own_bracket;
           Alcotest.test_case "beats single period" `Quick
             test_guideline_beats_naive_singleperiod;
-          Alcotest.test_case "plan_with_t0" `Quick test_plan_with_t0;
           Alcotest.test_case "validation" `Quick test_plan_validation;
           Alcotest.test_case "productive schedules" `Quick
             test_schedule_is_productive;
-        ] );
-      ( "risk-averse",
-        [
-          Alcotest.test_case "lambda 0 = plan" `Quick
-            test_risk_averse_lambda_zero_matches_plan;
-          Alcotest.test_case "trades mean for tail" `Quick
-            test_risk_averse_trades_mean_for_tail;
-          Alcotest.test_case "validation" `Quick test_risk_averse_validation;
         ] );
       ( "online",
         [

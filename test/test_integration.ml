@@ -31,47 +31,6 @@ let test_trace_to_farm_pipeline () =
     true
     (e_p >= 0.95 *. e_true)
 
-let test_schedule_task_farm_with_pool () =
-  (* Task-granular farm episode: guideline periods + pool checkout/commit,
-     with kills returning bundles. *)
-  let lf = Families.uniform ~lifespan:100.0 in
-  let c = 1.0 in
-  let g = Guideline.plan lf ~c in
-  let tasks = Apps.monte_carlo_batches ~batches:200 ~samples_per_batch:50 ~sample_time:0.01 in
-  let pool = Pool.create tasks in
-  let sampler = Reclaim.create lf in
-  let rng = Prng.create ~seed:11L in
-  (* Run episodes until the pool drains. *)
-  let episodes = ref 0 in
-  while (not (Pool.is_finished pool)) && !episodes < 10_000 do
-    incr episodes;
-    let reclaim_at = Reclaim.draw sampler rng in
-    let elapsed = ref 0.0 in
-    let periods = Schedule.periods g.Guideline.schedule in
-    (try
-       Array.iter
-         (fun t ->
-           if Pool.is_finished pool then raise Exit;
-           let budget = Schedule.positive_sub t c in
-           match Pool.checkout pool ~budget with
-           | None -> raise Exit
-           | Some bundle ->
-               let period_len = c +. bundle.Pool.work in
-               if !elapsed +. period_len <= reclaim_at then begin
-                 elapsed := !elapsed +. period_len;
-                 Pool.commit pool bundle
-               end
-               else begin
-                 Pool.return_bundle pool bundle;
-                 raise Exit
-               end)
-         periods
-     with Exit -> ())
-  done;
-  Alcotest.(check bool) "pool drained" true (Pool.is_finished pool);
-  Alcotest.(check (float 1e-6)) "all work done"
-    (Task.total_duration tasks) (Pool.done_work pool)
-
 let test_checkpoint_vs_cyclestealing_duality () =
   (* The same (p, c) pair through both front ends gives identical
      schedules — the paper's formal correspondence. *)
@@ -120,8 +79,10 @@ let test_admissibility_gates_scheduling () =
      schedule (finite horizon truncation) but the user can detect the
      situation with the admissibility API. *)
   let lf = Families.power_law ~d:2.0 in
-  Alcotest.(check bool) "detected inadmissible" false
-    (Admissibility.is_admissible lf ~c:1.0);
+  Alcotest.(check bool) "detected inadmissible" true
+    (match Admissibility.test lf ~c:1.0 with
+    | Admissibility.Inadmissible _ -> true
+    | Admissibility.Admissible _ -> false);
   (* The machinery still degrades gracefully rather than diverging. *)
   let g = Guideline.plan lf ~c:1.0 in
   Alcotest.(check bool) "finite schedule" true
@@ -134,8 +95,6 @@ let () =
         [
           Alcotest.test_case "trace -> fit -> schedule -> evaluate" `Slow
             test_trace_to_farm_pipeline;
-          Alcotest.test_case "schedule + task pool episode loop" `Quick
-            test_schedule_task_farm_with_pool;
           Alcotest.test_case "checkpoint/cycle-stealing duality" `Quick
             test_checkpoint_vs_cyclestealing_duality;
           Alcotest.test_case "theory report on trace-derived p" `Quick

@@ -22,10 +22,6 @@ let test_incremental_matches_batch () =
   Array.iter (Kahan.add acc) values;
   feq (Kahan.sum values) (Kahan.total acc)
 
-let test_sum_seq () =
-  let s = Seq.init 100 (fun i -> float_of_int i) in
-  feq 4950.0 (Kahan.sum_seq s)
-
 let test_sum_by () =
   feq 14.0 (Kahan.sum_by (fun x -> x *. x) [| 1.0; 2.0; 3.0 |])
 
@@ -100,7 +96,6 @@ let () =
           Alcotest.test_case "many small terms" `Quick test_many_small_terms;
           Alcotest.test_case "incremental = batch" `Quick
             test_incremental_matches_batch;
-          Alcotest.test_case "sum of sequence" `Quick test_sum_seq;
           Alcotest.test_case "sum_by" `Quick test_sum_by;
           Alcotest.test_case "cumulative empty" `Quick test_cumulative_empty;
           Alcotest.test_case "cumulative values" `Quick test_cumulative_values;

@@ -19,11 +19,17 @@ let test_resulting_schedule_matches_reported_e () =
   Alcotest.(check (float 1e-9)) "E consistent" o.Optimizer.expected_work
     (Schedule.expected_work ~c:1.0 lf o.Optimizer.schedule)
 
+(* Proposition 2.1's normal form: every period but the last exceeds c. *)
+let productive ~c s =
+  let n = Schedule.num_periods s in
+  n > 0
+  && List.for_all (fun i -> Schedule.period s i > c) (List.init (n - 1) Fun.id)
+
 let test_schedule_is_productive () =
   let lf = Families.geometric_increasing ~lifespan:25.0 in
   let o = Optimizer.optimal_schedule lf ~c:1.0 in
   Alcotest.(check bool) "productive normal form" true
-    (Schedule.is_productive ~c:1.0 o.Optimizer.schedule)
+    (productive ~c:1.0 o.Optimizer.schedule)
 
 let test_m_max_cap_respected () =
   let lf = Families.uniform ~lifespan:100.0 in

@@ -211,14 +211,6 @@ let test_weibull_median () =
   Alcotest.(check (float 0.02)) "weibull median" expected
     (Stats.quantile xs ~q:0.5)
 
-let test_shuffle_permutes () =
-  let g = Prng.create ~seed:29L in
-  let a = Array.init 100 (fun i -> i) in
-  let b = Array.copy a in
-  Prng.shuffle g b;
-  Array.sort compare b;
-  Alcotest.(check bool) "same multiset" true (a = b)
-
 let test_float_range_args () =
   let g = Prng.create ~seed:31L in
   Alcotest.check_raises "lo >= hi rejected"
@@ -241,7 +233,6 @@ let () =
           Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
           Alcotest.test_case "normal moments" `Quick test_normal_moments;
           Alcotest.test_case "weibull median" `Quick test_weibull_median;
-          Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutes;
           Alcotest.test_case "float_range validation" `Quick
             test_float_range_args;
           Alcotest.test_case "known streams" `Quick test_known_streams;

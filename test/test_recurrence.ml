@@ -2,6 +2,28 @@ let feq ?(eps = 1e-9) a b = Alcotest.(check (float eps)) "value" a b
 
 (* --- next_period against the closed forms of §4 ---------------------- *)
 
+(* §4's explicit forms of eq. 3.6, the paper's own formulas.
+   §4.1, p = 1 − t^d/L^d:
+   t_k = ((1 + d·(t_{k−1} − c)/T_{k−1})^{1/d} − 1)·T_{k−1}. *)
+let poly_next_period ~d ~t_prev ~t_end_prev ~c =
+  let df = float_of_int d in
+  let ratio = 1.0 +. (df *. (t_prev -. c) /. t_end_prev) in
+  (Float.pow ratio (1.0 /. df) -. 1.0) *. t_end_prev
+
+(* §4.2 eq. 4.6, p = a^{−t}: a^{−t_k} = 1 + (c − t_{k−1})·ln a;
+   [None] once the right-hand side leaves (0, 1]. *)
+let geo_dec_next_period ~a ~t_prev ~c =
+  let lna = log a in
+  let rhs = 1.0 +. ((c -. t_prev) *. lna) in
+  if rhs <= 0.0 || rhs > 1.0 then None else Some (-.log rhs /. lna)
+
+(* §4.3 eq. 4.7, p = (2^L − 2^t)/(2^L − 1):
+   t_k = log₂((t_{k−1} − c)·ln 2 + 1); [None] when the argument is
+   <= 1. *)
+let geo_inc_next_period ~t_prev ~c =
+  let arg = ((t_prev -. c) *. log 2.0) +. 1.0 in
+  if arg <= 1.0 then None else Some (Special.log2 arg)
+
 let test_uniform_recurrence_is_decrement () =
   (* §4.1 eq. (4.1): for p = 1 - t/L, the recurrence gives exactly
      t_k = t_{k-1} - c. *)
@@ -31,7 +53,7 @@ let test_geo_dec_recurrence_matches_closed_form () =
   let t_prev = 5.0 in
   (match Recurrence.next_period lf ~c:1.0 ~prev_period:t_prev ~prev_end:12.0 with
   | Some t -> (
-      match Closed_forms.geo_dec_next_period ~a ~t_prev ~c:1.0 with
+      match geo_dec_next_period ~a ~t_prev ~c:1.0 with
       | Some expected -> feq ~eps:1e-7 expected t
       | None -> Alcotest.fail "closed form should exist")
   | None -> Alcotest.fail "expected a next period");
@@ -50,7 +72,7 @@ let test_geo_inc_recurrence_matches_closed_form () =
   let t_prev = 5.0 in
   match Recurrence.next_period lf ~c:1.0 ~prev_period:t_prev ~prev_end:10.0 with
   | Some t -> (
-      match Closed_forms.geo_inc_next_period_guideline ~t_prev ~c:1.0 with
+      match geo_inc_next_period ~t_prev ~c:1.0 with
       | Some expected -> feq ~eps:1e-7 expected t
       | None -> Alcotest.fail "closed form should exist")
   | None -> Alcotest.fail "expected a next period"
@@ -64,7 +86,7 @@ let test_polynomial_recurrence_matches_closed_form () =
   with
   | Some t ->
       feq ~eps:1e-7
-        (Closed_forms.poly_next_period ~d ~t_prev ~t_end_prev ~c:1.0)
+        (poly_next_period ~d ~t_prev ~t_end_prev ~c:1.0)
         t
   | None -> Alcotest.fail "expected a next period"
 
@@ -169,17 +191,6 @@ let test_generate_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "t0 = 0 accepted"
 
-let test_greedy_tail_improves_or_matches () =
-  let lf = Families.uniform ~lifespan:100.0 in
-  let c = 1.0 in
-  (* A deliberately bad t0 leaves lifespan unused; the greedy tail must not
-     hurt and usually helps. *)
-  let faithful = Recurrence.generate ~finish:Recurrence.Faithful lf ~c ~t0:30.0 in
-  let greedy = Recurrence.generate ~finish:Recurrence.Greedy_tail lf ~c ~t0:30.0 in
-  let ef = Schedule.expected_work ~c lf faithful.Recurrence.schedule in
-  let eg = Schedule.expected_work ~c lf greedy.Recurrence.schedule in
-  Alcotest.(check bool) "greedy tail no worse" true (eg >= ef -. 1e-12)
-
 (* --- expected_work_at -------------------------------------------------- *)
 
 (* A trace fit, built once: the one p here with no declared shape. *)
@@ -192,7 +203,7 @@ let fitted =
      Owner_model.collect ~censor_at:960.0 model (Prng.create ~seed:4L) ~n:400
      |> Survival.of_observations)
 
-(* A p, a c, a finish and a t0 in the Thm 3.2/3.3 bracket, from [seed]. *)
+(* A p, a c and a t0 in the Thm 3.2/3.3 bracket, from [seed]. *)
 let scored_scenario seed =
   let g = Prng.create ~seed:(Int64.of_int seed) in
   let range lo hi = Prng.float_range g ~lo ~hi in
@@ -215,11 +226,8 @@ let scored_scenario seed =
     else lf
   in
   let c = Life_function.horizon lf *. exp (range (log 1e-3) (log 0.4)) in
-  let finish =
-    if Prng.bool g then Recurrence.Greedy_tail else Recurrence.Faithful
-  in
   let lo, hi = Bounds.bracket lf ~c in
-  (lf, c, finish, range lo hi)
+  (lf, c, range lo hi)
 
 let prop_expected_work_at_is_bit_identical =
   QCheck.Test.make
@@ -227,14 +235,14 @@ let prop_expected_work_at_is_bit_identical =
     ~count:300
     (QCheck.make
        ~print:(fun seed ->
-         let lf, c, _, t0 = scored_scenario seed in
+         let lf, c, t0 = scored_scenario seed in
          Printf.sprintf "%s, c=%g, t0=%h" (Life_function.name lf) c t0)
        QCheck.Gen.nat)
     (fun seed ->
-      let lf, c, finish, t0 = scored_scenario seed in
-      let g = Recurrence.generate ~finish lf ~c ~t0 in
+      let lf, c, t0 = scored_scenario seed in
+      let g = Recurrence.generate lf ~c ~t0 in
       Int64.equal
-        (Int64.bits_of_float (Recurrence.expected_work_at ~finish lf ~c ~t0))
+        (Int64.bits_of_float (Recurrence.expected_work_at lf ~c ~t0))
         (Int64.bits_of_float
            (Schedule.expected_work ~c lf g.Recurrence.schedule)))
 
@@ -244,11 +252,11 @@ let prop_score_slope_is_g =
     ~count:300
     (QCheck.make
        ~print:(fun seed ->
-         let lf, c, _, t0 = scored_scenario seed in
+         let lf, c, t0 = scored_scenario seed in
          Printf.sprintf "%s, c=%g, t0=%h" (Life_function.name lf) c t0)
        QCheck.Gen.nat)
     (fun seed ->
-      let lf, c, _, t0 = scored_scenario seed in
+      let lf, c, t0 = scored_scenario seed in
       let periods =
         Schedule.periods (Recurrence.generate lf ~c ~t0).Recurrence.schedule
       in
@@ -463,8 +471,6 @@ let () =
           Alcotest.test_case "stop reason" `Quick test_generate_stops_with_reason;
           Alcotest.test_case "period cap" `Quick test_generate_period_cap;
           Alcotest.test_case "validation" `Quick test_generate_validation;
-          Alcotest.test_case "greedy tail no worse" `Quick
-            test_greedy_tail_improves_or_matches;
         ] );
       ( "work-at-t0",
         [

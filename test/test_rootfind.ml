@@ -42,25 +42,6 @@ let test_brent_no_bracket () =
   | exception Rootfind.No_bracket _ -> ()
   | _ -> Alcotest.fail "expected No_bracket"
 
-let test_secant_quadratic () =
-  check_root ~eps:1e-8 (sqrt 2.0)
-    (Rootfind.secant (fun x -> (x *. x) -. 2.0) ~x0:1.0 ~x1:2.0)
-
-let test_secant_flat_raises () =
-  match Rootfind.secant (fun _ -> 1.0) ~x0:0.0 ~x1:1.0 with
-  | exception Rootfind.Did_not_converge _ -> ()
-  | _ -> Alcotest.fail "expected Did_not_converge"
-
-let test_newton_cubic () =
-  let f x = (x *. x *. x) -. 8.0 in
-  let df x = 3.0 *. x *. x in
-  check_root ~eps:1e-8 2.0 (Rootfind.newton ~f ~df 3.0)
-
-let test_newton_zero_derivative () =
-  match Rootfind.newton ~f:(fun _ -> 1.0) ~df:(fun _ -> 0.0) 0.0 with
-  | exception Rootfind.Did_not_converge _ -> ()
-  | _ -> Alcotest.fail "expected Did_not_converge"
-
 let test_expand_bracket () =
   let lo, hi = Rootfind.expand_bracket (fun x -> x -. 100.0) ~lo:0.0 ~hi:1.0 in
   Alcotest.(check bool) "brackets 100" true (lo <= 100.0 && hi >= 100.0)
@@ -71,18 +52,6 @@ let test_expand_bracket_fails () =
   with
   | exception Rootfind.No_bracket _ -> ()
   | _ -> Alcotest.fail "expected No_bracket"
-
-let test_find_sign_change () =
-  match Rootfind.find_sign_change sin ~lo:1.0 ~hi:7.0 ~steps:100 with
-  | Some (a, b) ->
-      Alcotest.(check bool) "brackets pi" true (a <= Float.pi && Float.pi <= b)
-  | None -> Alcotest.fail "expected a sign change"
-
-let test_find_sign_change_none () =
-  Alcotest.(check bool) "no sign change" true
-    (Rootfind.find_sign_change (fun x -> (x *. x) +. 1.0) ~lo:0.0 ~hi:1.0
-       ~steps:10
-    = None)
 
 let prop_brent_residual_small =
   (* For random monotone cubics with a bracketed root, the residual at the
@@ -109,18 +78,9 @@ let () =
           Alcotest.test_case "brent beats bisect" `Quick
             test_brent_faster_than_bisect;
           Alcotest.test_case "brent no bracket" `Quick test_brent_no_bracket;
-          Alcotest.test_case "secant quadratic" `Quick test_secant_quadratic;
-          Alcotest.test_case "secant flat raises" `Quick
-            test_secant_flat_raises;
-          Alcotest.test_case "newton cubic" `Quick test_newton_cubic;
-          Alcotest.test_case "newton zero derivative" `Quick
-            test_newton_zero_derivative;
           Alcotest.test_case "expand bracket" `Quick test_expand_bracket;
           Alcotest.test_case "expand bracket fails" `Quick
             test_expand_bracket_fails;
-          Alcotest.test_case "find sign change" `Quick test_find_sign_change;
-          Alcotest.test_case "find sign change none" `Quick
-            test_find_sign_change_none;
           QCheck_alcotest.to_alcotest prop_brent_residual_small;
         ] );
     ]

@@ -96,25 +96,6 @@ let test_productive_normal_form_no_change () =
   Alcotest.(check bool) "already productive unchanged" true
     (Schedule.equal s (Schedule.productive_normal_form ~c:1.0 s))
 
-let test_is_productive () =
-  Alcotest.(check bool) "productive" true
-    (Schedule.is_productive ~c:1.0 (Schedule.of_list [ 2.0; 3.0; 0.5 ]));
-  Alcotest.(check bool) "unproductive inner" false
-    (Schedule.is_productive ~c:1.0 (Schedule.of_list [ 2.0; 0.5; 3.0 ]))
-
-let test_truncate_after () =
-  let s = Schedule.of_list [ 2.0; 3.0; 4.0 ] in
-  (match Schedule.truncate_after s ~duration:5.5 with
-  | Some s' ->
-      Alcotest.(check int) "keeps two" 2 (Schedule.num_periods s')
-  | None -> Alcotest.fail "expected a prefix");
-  (match Schedule.truncate_after s ~duration:1.0 with
-  | None -> ()
-  | Some _ -> Alcotest.fail "expected None");
-  match Schedule.truncate_after s ~duration:9.0 with
-  | Some s' -> Alcotest.(check int) "keeps all" 3 (Schedule.num_periods s')
-  | None -> Alcotest.fail "expected full schedule"
-
 let test_append () =
   let s = Schedule.append (Schedule.of_list [ 1.0 ]) 2.0 in
   Alcotest.(check int) "two periods" 2 (Schedule.num_periods s);
@@ -157,11 +138,17 @@ let prop_normal_form_never_decreases_E =
           >= Schedule.expected_work ~c:1.0 lf s -. 1e-12)
         lfs)
 
+(* Proposition 2.1's normal form: every period but the last exceeds c. *)
+let productive ~c s =
+  let n = Schedule.num_periods s in
+  n > 0
+  && List.for_all (fun i -> Schedule.period s i > c) (List.init (n - 1) Fun.id)
+
 let prop_normal_form_is_productive =
   QCheck.Test.make ~name:"normal form satisfies Prop 2.1 structure" ~count:300
     gen_periods (fun ts ->
       let s' = Schedule.productive_normal_form ~c:1.0 (Schedule.of_periods ts) in
-      Schedule.is_productive ~c:1.0 s')
+      productive ~c:1.0 s')
 
 let prop_expected_work_le_capacity =
   QCheck.Test.make ~name:"E(S;p) <= work capacity" ~count:300 gen_periods
@@ -193,7 +180,6 @@ let () =
           Alcotest.test_case "completion times" `Quick test_completion_times;
           Alcotest.test_case "append" `Quick test_append;
           Alcotest.test_case "equal" `Quick test_equal;
-          Alcotest.test_case "truncate_after" `Quick test_truncate_after;
         ] );
       ( "expected-work",
         [
@@ -217,7 +203,6 @@ let () =
             test_productive_normal_form_keeps_last;
           Alcotest.test_case "no change when productive" `Quick
             test_productive_normal_form_no_change;
-          Alcotest.test_case "is_productive" `Quick test_is_productive;
           QCheck_alcotest.to_alcotest prop_normal_form_never_decreases_E;
           QCheck_alcotest.to_alcotest prop_normal_form_is_productive;
           QCheck_alcotest.to_alcotest prop_expected_work_le_capacity;

@@ -20,50 +20,17 @@ let test_w0_domain () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument below -1/e"
 
-let test_wm1_identity () =
-  (* W-1(x e^x) = x for x <= -1 *)
-  List.iter
-    (fun x ->
-      let arg = x *. exp x in
-      feq 1e-8 x (Special.lambert_wm1 arg))
-    [ -1.2; -2.0; -3.0; -5.0; -10.0 ]
-
-let test_wm1_domain () =
-  (match Special.lambert_wm1 0.1 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument for positive arg");
-  match Special.lambert_wm1 (-1.0) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument below -1/e"
-
 let test_w_branches_bracket () =
-  (* For x in (-1/e, 0), W0(x) > -1 > W-1(x). *)
+  (* For x in (-1/e, 0), two w solve w·e^w = x; W0 is the one above -1. *)
   let x = -0.1 in
   let w0 = Special.lambert_w0 x in
-  let wm1 = Special.lambert_wm1 x in
-  Alcotest.(check bool) "branch order" true (w0 > -1.0 && wm1 < -1.0);
-  feq 1e-10 x (w0 *. exp w0);
-  feq 1e-10 x (wm1 *. exp wm1)
+  Alcotest.(check bool) "principal branch" true (w0 > -1.0);
+  feq 1e-10 x (w0 *. exp w0)
 
 let test_log2 () =
   feq 1e-12 10.0 (Special.log2 1024.0);
   feq 1e-12 0.0 (Special.log2 1.0);
   feq 1e-12 0.5 (Special.log2 (sqrt 2.0))
-
-let test_logsumexp_basic () =
-  (* log(e^0 + e^0) = log 2 *)
-  feq 1e-12 (log 2.0) (Special.logsumexp [| 0.0; 0.0 |])
-
-let test_logsumexp_overflow_safe () =
-  (* Naive exp(1000) overflows; LSE must not. *)
-  feq 1e-9 (1000.0 +. log 2.0) (Special.logsumexp [| 1000.0; 1000.0 |])
-
-let test_logsumexp_dominant_term () =
-  feq 1e-12 100.0 (Special.logsumexp [| 100.0; -1000.0 |])
-
-let test_logsumexp_empty () =
-  Alcotest.(check bool) "empty is -inf" true
-    (Special.logsumexp [||] = neg_infinity)
 
 let test_clamp () =
   feq 0.0 0.0 (Special.smooth_clamp01 (-0.5));
@@ -86,17 +53,9 @@ let () =
           Alcotest.test_case "W0 identity" `Quick test_w0_identity;
           Alcotest.test_case "W0 known values" `Quick test_w0_known_values;
           Alcotest.test_case "W0 domain" `Quick test_w0_domain;
-          Alcotest.test_case "W-1 identity" `Quick test_wm1_identity;
-          Alcotest.test_case "W-1 domain" `Quick test_wm1_domain;
           Alcotest.test_case "branch bracketing" `Quick
             test_w_branches_bracket;
           Alcotest.test_case "log2" `Quick test_log2;
-          Alcotest.test_case "logsumexp basic" `Quick test_logsumexp_basic;
-          Alcotest.test_case "logsumexp overflow" `Quick
-            test_logsumexp_overflow_safe;
-          Alcotest.test_case "logsumexp dominant" `Quick
-            test_logsumexp_dominant_term;
-          Alcotest.test_case "logsumexp empty" `Quick test_logsumexp_empty;
           Alcotest.test_case "clamp01" `Quick test_clamp;
           QCheck_alcotest.to_alcotest prop_w0_inverse;
         ] );

@@ -22,12 +22,14 @@ let test_summarize_single () =
   feq 0.0 0.0 s.Stats.variance
 
 let test_standard_error () =
-  (* For [0;2], stddev = sqrt(2), se = 1. *)
-  feq 1e-12 1.0 (Stats.standard_error [| 0.0; 2.0 |])
+  (* For [0;2], stddev = sqrt(2), se = 1: the CI is mean ± 1.96. *)
+  let lo, hi = Stats.summary_ci95 (Stats.summarize [| 0.0; 2.0 |]) in
+  feq 1e-12 (1.0 -. 1.96) lo;
+  feq 1e-12 (1.0 +. 1.96) hi
 
 let test_ci_contains_mean () =
   let xs = Array.init 1000 (fun i -> float_of_int (i mod 10)) in
-  let lo, hi = Stats.confidence_interval_95 xs in
+  let lo, hi = Stats.summary_ci95 (Stats.summarize xs) in
   let mu = Stats.mean xs in
   Alcotest.(check bool) "mean inside CI" true (lo < mu && mu < hi);
   Alcotest.(check bool) "CI narrow for large n" true (hi -. lo < 0.5)
@@ -51,14 +53,6 @@ let test_quantile_validation () =
   match Stats.quantile [| 1.0 |] ~q:1.5 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
-
-let test_histogram () =
-  let h = Stats.histogram [| 0.1; 0.2; 0.6; 0.9 |] ~bins:2 ~lo:0.0 ~hi:1.0 in
-  Alcotest.(check (array int)) "bins" [| 2; 2 |] h
-
-let test_histogram_clamps () =
-  let h = Stats.histogram [| -5.0; 5.0 |] ~bins:2 ~lo:0.0 ~hi:1.0 in
-  Alcotest.(check (array int)) "clamped" [| 1; 1 |] h
 
 let test_ecdf_survival () =
   let s = Stats.ecdf_survival [| 1.0; 2.0; 2.0; 3.0 |] in
@@ -118,22 +112,9 @@ let test_survival_non_finite_rejected () =
           ignore (Stats.kaplan_meier_greenwood pairs)))
     [ Float.nan; Float.infinity; Float.neg_infinity ]
 
-let test_linear_regression () =
-  let xs = [| 0.0; 1.0; 2.0; 3.0 |] in
-  let ys = [| 1.0; 3.0; 5.0; 7.0 |] in
-  let slope, intercept = Stats.linear_regression ~xs ~ys in
-  feq 1e-12 2.0 slope;
-  feq 1e-12 1.0 intercept
-
-let test_linear_regression_zero_variance () =
-  match Stats.linear_regression ~xs:[| 1.0; 1.0 |] ~ys:[| 0.0; 1.0 |] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument"
-
-let test_rmse_and_linf () =
+let test_rmse () =
   let predicted = [| 1.0; 2.0; 3.0 |] and actual = [| 1.0; 2.0; 7.0 |] in
-  feq 1e-12 (4.0 /. sqrt 3.0) (Stats.rmse ~predicted ~actual);
-  feq 1e-12 4.0 (Stats.max_abs_error ~predicted ~actual)
+  feq 1e-12 (4.0 /. sqrt 3.0) (Stats.rmse ~predicted ~actual)
 
 let prop_variance_nonnegative =
   QCheck.Test.make ~name:"variance is nonnegative" ~count:200
@@ -162,8 +143,6 @@ let () =
             test_quantile_interpolates;
           Alcotest.test_case "quantile validation" `Quick
             test_quantile_validation;
-          Alcotest.test_case "histogram" `Quick test_histogram;
-          Alcotest.test_case "histogram clamps" `Quick test_histogram_clamps;
           Alcotest.test_case "ecdf survival" `Quick test_ecdf_survival;
           Alcotest.test_case "KM = ECDF without censoring" `Quick
             test_kaplan_meier_no_censoring_matches_ecdf;
@@ -171,10 +150,7 @@ let () =
             test_kaplan_meier_with_censoring;
           Alcotest.test_case "survival rejects non-finite" `Quick
             test_survival_non_finite_rejected;
-          Alcotest.test_case "linear regression" `Quick test_linear_regression;
-          Alcotest.test_case "regression zero variance" `Quick
-            test_linear_regression_zero_variance;
-          Alcotest.test_case "rmse and Linf" `Quick test_rmse_and_linf;
+          Alcotest.test_case "rmse" `Quick test_rmse;
           QCheck_alcotest.to_alcotest prop_variance_nonnegative;
           QCheck_alcotest.to_alcotest prop_quantile_monotone;
         ] );

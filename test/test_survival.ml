@@ -1,3 +1,10 @@
+(* p never rises by more than 1e-9 from one point to the next of a
+   256-cell grid over [0, horizon]. *)
+let decreasing_on_grid lf =
+  let hi = Life_function.horizon lf in
+  let at i = Life_function.eval lf (float_of_int i /. 256.0 *. hi) in
+  List.for_all (fun i -> at i <= at (i - 1) +. 1e-9) (List.init 256 succ)
+
 let g () = Prng.create ~seed:7L
 
 let test_estimate_is_valid_life_function () =
@@ -10,7 +17,7 @@ let test_estimate_is_valid_life_function () =
   Alcotest.(check (float 1e-6)) "p(0) = 1" 1.0
     (Life_function.eval e.Survival.life 0.0);
   Alcotest.(check bool) "monotone" true
-    (Life_function.is_decreasing_on_grid e.Survival.life);
+    (decreasing_on_grid e.Survival.life);
   Alcotest.(check int) "observed count" 500 e.Survival.n_observed;
   Alcotest.(check int) "no censored" 0 e.Survival.n_censored
 
@@ -86,12 +93,12 @@ let test_schedulable_end_to_end () =
 let test_small_sample () =
   let e = Survival.of_durations [| 3.0; 1.0; 4.0; 1.5; 9.0 |] in
   Alcotest.(check bool) "valid" true
-    (Life_function.is_decreasing_on_grid e.Survival.life)
+    (decreasing_on_grid e.Survival.life)
 
 let test_ties_handled () =
   let e = Survival.of_durations [| 2.0; 2.0; 2.0; 5.0; 5.0 |] in
   Alcotest.(check bool) "valid with ties" true
-    (Life_function.is_decreasing_on_grid e.Survival.life)
+    (decreasing_on_grid e.Survival.life)
 
 let test_empty_rejected () =
   match Survival.of_durations [||] with
@@ -133,6 +140,29 @@ let test_bad_durations_rejected () =
       rejects "confidence_bands" (fun () ->
           ignore (Survival.confidence_bands (obs ~censored:true))))
     [ Float.nan; Float.infinity; -3.0 ]
+
+let test_durations_near_zero_rejected () =
+  (* Knots within 1e-12 of the previous one merge, so durations that all
+     lie within 1e-12 of 0 leave the knot (0, 1) alone: a clean
+     Invalid_argument naming the cause, not Interp's Bad_grid. *)
+  let expected name =
+    Invalid_argument (name ^ ": every duration lies within 1e-12 of 0")
+  in
+  List.iter
+    (fun ds ->
+      Alcotest.check_raises "of_durations"
+        (expected "Survival.of_observations") (fun () ->
+          ignore (Survival.of_durations ds));
+      Alcotest.check_raises "confidence_bands"
+        (expected "Survival.confidence_bands") (fun () ->
+          ignore
+            (Survival.confidence_bands
+               (Array.map
+                  (fun d -> { Owner_model.duration = d; observed = true })
+                  ds))))
+    [ [| 0.0; 0.0 |]; [| 1e-13; 2e-13; 5e-13 |] ];
+  (* One duration 1e-12 past the others keeps a second knot. *)
+  ignore (Survival.of_durations [| 0.0; 2e-12 |])
 
 let test_knots_recorded () =
   let rng = g () in
@@ -186,6 +216,8 @@ let () =
           Alcotest.test_case "knot budget" `Quick test_knots_recorded;
           Alcotest.test_case "bad durations rejected" `Quick
             test_bad_durations_rejected;
+          Alcotest.test_case "durations near 0 rejected" `Quick
+            test_durations_near_zero_rejected;
           QCheck_alcotest.to_alcotest prop_estimates_always_schedulable;
         ] );
     ]

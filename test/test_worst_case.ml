@@ -131,6 +131,61 @@ let prop_ratio_monotone_in_horizon =
       let r2 = Worst_case.competitive_ratio s ~c ~grace ~horizon:40.0 in
       r2 <= r1 +. 1e-12)
 
+(* The ratio as first written: W_S re-summed from the first period at
+   each critical instant, O(n²). The one-pass library version must give
+   its bits. *)
+let quadratic_ratio s ~c ~grace ~horizon =
+  let denom t = Float.max 1e-300 (t -. c) in
+  let w = Worst_case.work_if_killed_at s ~c in
+  let worst = ref (w grace /. denom grace) in
+  Array.iter
+    (fun e ->
+      if e > grace && e <= horizon then
+        worst :=
+          Float.min !worst (w ((e *. (1.0 -. 1e-12)) -. 1e-12) /. denom e))
+    s.Schedule.ends;
+  Float.max 0.0 (Float.min !worst (w horizon /. denom horizon))
+
+(* A schedule of 1–60 periods (some at or under c), a c, a grace and a
+   horizon from [seed]. Every other grace lies within 1e-12 relative of a
+   completion, and the horizon often cuts the schedule short. *)
+let ratio_case seed =
+  let g = Prng.create ~seed:(Int64.of_int seed) in
+  let range lo hi = Prng.float_range g ~lo ~hi in
+  let c = range 0.1 2.0 in
+  let ts =
+    Array.init (1 + Prng.int g ~bound:60) (fun _ ->
+        if Prng.int g ~bound:5 = 0 then range 1e-3 c else range c (10.0 *. c))
+  in
+  let s = Schedule.of_periods ts in
+  let ends = s.Schedule.ends in
+  let total = ends.(Array.length ends - 1) in
+  let grace =
+    if Prng.bool g then
+      let e = ends.(Prng.int g ~bound:(Array.length ends)) in
+      e *. (1.0 +. range (-1e-12) 1e-12)
+    else range c (c +. total)
+  in
+  let grace = if grace > c then grace else c *. (1.0 +. 1e-9) in
+  let horizon = grace +. range 0.0 (1.2 *. Float.max c (total -. grace)) in
+  (s, c, grace, horizon)
+
+let prop_one_pass_ratio_is_bitwise =
+  QCheck.Test.make ~name:"one-pass ratio = the O(n^2) ratio, bitwise"
+    ~count:300
+    (QCheck.make
+       ~print:(fun seed ->
+         let s, c, grace, horizon = ratio_case seed in
+         Printf.sprintf "%d periods, c=%h, grace=%h, horizon=%h"
+           (Schedule.num_periods s) c grace horizon)
+       QCheck.Gen.nat)
+    (fun seed ->
+      let s, c, grace, horizon = ratio_case seed in
+      Int64.equal
+        (Int64.bits_of_float
+           (Worst_case.competitive_ratio s ~c ~grace ~horizon))
+        (Int64.bits_of_float (quadratic_ratio s ~c ~grace ~horizon)))
+
 let () =
   Alcotest.run "worst_case"
     [
@@ -160,5 +215,6 @@ let () =
           Alcotest.test_case "plan validation" `Quick test_plan_validation;
           QCheck_alcotest.to_alcotest prop_sampled_infimum_matches_exact;
           QCheck_alcotest.to_alcotest prop_ratio_monotone_in_horizon;
+          QCheck_alcotest.to_alcotest prop_one_pass_ratio_is_bitwise;
         ] );
     ]
