@@ -1,12 +1,3 @@
-type summary = {
-  n : int;
-  mean : float;
-  variance : float;
-  stddev : float;
-  min : float;
-  max : float;
-}
-
 let require_nonempty name a =
   if Array.length a = 0 then
     invalid_arg (Printf.sprintf "Stats.%s: empty input" name)
@@ -22,28 +13,38 @@ let mean a =
   require_nonempty "mean" a;
   Kahan.sum a /. float_of_int (Array.length a)
 
-let summarize a =
-  require_nonempty "summarize" a;
-  let n = Array.length a in
-  let mu = mean a in
-  let acc = Kahan.create () in
-  let mn = ref a.(0) and mx = ref a.(0) in
-  for i = 0 to n - 1 do
-    let x = a.(i) in
-    let d = x -. mu in
-    Kahan.add acc (d *. d);
-    if x < !mn then mn := x;
-    if x > !mx then mx := x
-  done;
-  let variance =
-    if n < 2 then 0.0 else Kahan.total acc /. float_of_int (n - 1)
+let tally_mean_variance ~counts ~value =
+  let n =
+    Array.fold_left
+      (fun n m ->
+        if m < 0 then invalid_arg "Stats.tally_mean_variance: negative count";
+        n + m)
+      0 counts
   in
-  { n; mean = mu; variance; stddev = sqrt variance; min = !mn; max = !mx }
+  if n < 2 then
+    invalid_arg "Stats.tally_mean_variance: need at least 2 samples";
+  (* Each populated slot adds its count times its value's term: the
+     mean, then the squared deviations from it. *)
+  let weighted f =
+    let acc = Kahan.create () in
+    Array.iteri
+      (fun j m -> if m > 0 then Kahan.add acc (float_of_int m *. f (value j)))
+      counts;
+    Kahan.total acc
+  in
+  let mean = weighted Fun.id /. float_of_int n in
+  let variance =
+    weighted (fun x ->
+        let d = x -. mean in
+        d *. d)
+    /. float_of_int (n - 1)
+  in
+  (mean, variance)
 
-let summary_ci95 s =
-  if s.n < 2 then invalid_arg "Stats.summary_ci95: need at least 2 samples";
-  let se = s.stddev /. sqrt (float_of_int s.n) in
-  (s.mean -. (1.96 *. se), s.mean +. (1.96 *. se))
+let ci95 ~mean ~variance ~n =
+  if n < 2 then invalid_arg "Stats.ci95: need at least 2 samples";
+  let se = sqrt variance /. sqrt (float_of_int n) in
+  (mean -. (1.96 *. se), mean +. (1.96 *. se))
 
 let quantiles a ~qs =
   require_nonempty "quantile" a;

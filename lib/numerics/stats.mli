@@ -1,32 +1,29 @@
 (** Descriptive statistics, confidence intervals and survival estimation.
 
-    The Monte-Carlo validation experiments (E8) need means with confidence
-    intervals; the trace pipeline (E10) needs empirical survival curves —
+    The Monte-Carlo estimate (E8) needs the mean, variance and confidence
+    interval of a sample it keeps as counts of equal values; the trace
+    fits need means, and the trace reports and benchmarks quantiles; the
+    trace pipeline (E10) needs empirical survival curves —
     both the plain ECDF complement and the Kaplan–Meier estimator for
     right-censored absence intervals — and the error of a fitted curve. *)
-
-type summary = {
-  n : int;
-  mean : float;
-  variance : float;  (** Unbiased (n-1) sample variance; 0 when n < 2. *)
-  stddev : float;
-  min : float;
-  max : float;
-}
-
-val summarize : float array -> summary
-(** [summarize a] computes all fields in two compensated passes: the
-    mean, then the squared deviations from it.
-    @raise Invalid_argument on the empty array. *)
 
 val mean : float array -> float
 (** Compensated arithmetic mean. @raise Invalid_argument on empty input. *)
 
-val summary_ci95 : summary -> float * float
-(** [summary_ci95 s] is the normal-approximation 95% CI
-    [(mean - 1.96·se, mean + 1.96·se)], [se = stddev / sqrt n], for the
-    population mean of the sample [s] summarizes.
-    @raise Invalid_argument when [s.n < 2]. *)
+val tally_mean_variance :
+  counts:int array -> value:(int -> float) -> float * float
+(** [tally_mean_variance ~counts ~value] is [(mean, variance)] of the
+    sample of [n = Σ counts.(j)] values that holds [counts.(j)] copies of
+    [value j]: two compensated passes over the populated slots, the mean,
+    then the squared deviations from it. The variance is the unbiased
+    [(n - 1)] one. [value j] is read only where [counts.(j) > 0].
+    @raise Invalid_argument on a negative count or when [n < 2]. *)
+
+val ci95 : mean:float -> variance:float -> n:int -> float * float
+(** [ci95 ~mean ~variance ~n] is the normal-approximation 95% CI
+    [(mean - 1.96·se, mean + 1.96·se)], [se = sqrt variance / sqrt n],
+    for the population mean of a sample of [n] with that sample mean and
+    variance. @raise Invalid_argument when [n < 2]. *)
 
 val quantile : float array -> q:float -> float
 (** [quantile a ~q] is the linearly-interpolated empirical [q]-quantile

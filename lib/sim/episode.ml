@@ -57,6 +57,59 @@ let completed_by (ends : float array) (reclaim_at : float) =
   done;
   !k
 
+(* A float-only record, so its fields hold their floats unboxed: writing
+   one boxes nothing. *)
+type settlement = {
+  mutable banked : float;
+  mutable lost : float;
+  mutable spent : float;
+  mutable ended : float;
+}
+
+let settlement () = { banked = 0.0; lost = 0.0; spent = 0.0; ended = 0.0 }
+
+(* The settlement of period [k], the first that did not complete, into
+   [st]: its lost work, the overhead sum's total once that period's share
+   is added to [overhead] (the state after the first [k] periods, read and
+   never changed), and the episode's end. [st.banked] is the caller's. *)
+let close st s ~c ~reclaim_at ~k overhead =
+  let { Schedule.periods; ends } = s in
+  let n = Array.length periods in
+  if k = n then begin
+    st.lost <- 0.0;
+    st.spent <- Kahan.total overhead;
+    st.ended <- ends.(n - 1)
+  end
+  else begin
+    let t_start = ends.(k) -. periods.(k) in
+    if t_start < reclaim_at then begin
+      (* Kill mid-period: all of this period's productive time is lost. *)
+      let in_flight = reclaim_at -. t_start in
+      st.lost <- pos_sub in_flight c;
+      st.spent <- Kahan.total_with overhead (min_of in_flight c)
+    end
+    else begin
+      (* The reclaim arrived in the gap at t_start = reclaim_at: episode
+         over before this period started. *)
+      st.lost <- 0.0;
+      st.spent <- Kahan.total overhead
+    end;
+    st.ended <- reclaim_at
+  end
+
+let work_after r k = r.work_at.(k)
+
+let fill r st ~reclaim_at =
+  let k = completed_by r.schedule.Schedule.ends reclaim_at in
+  st.banked <- r.work_at.(k);
+  close st r.schedule ~c:r.c ~reclaim_at ~k r.overhead_at.(k);
+  k
+
+let settle r st ~reclaim_at =
+  if reclaim_at < 0.0 then
+    invalid_arg "Episode.settle: reclaim_at must be >= 0";
+  fill r st ~reclaim_at
+
 let enter_span obs =
   let spanner = Obs.span_recorder obs in
   (match spanner with
@@ -64,15 +117,13 @@ let enter_span obs =
   | None -> ());
   spanner
 
-(* Everything after the first [k] periods completed: their events, the
-   settlement of period [k], the closing events and span. [work_done] is
-   the banked work of those [k] periods and [overhead] the overhead sum's
-   state after them, read and never changed. *)
-let settle obs spanner ~ws ~ep s ~c ~reclaim_at ~k ~work_done ~overhead =
+(* The events, the closing span and the outcome of an episode whose first
+   [k] periods completed and whose settlement is [st]. *)
+let report obs spanner ~ws ~ep s ~c ~reclaim_at ~k st =
   let { Schedule.periods; ends } = s in
   let n = Array.length periods in
-  let trace = Obs.tracing obs in
-  if trace then begin
+  let interrupted = k < n in
+  if Obs.tracing obs then begin
     Obs.emit obs (Obs.Event.Episode_started { time = 0.0; ws; ep });
     for i = 0 to k - 1 do
       let t = periods.(i) in
@@ -90,72 +141,44 @@ let settle obs spanner ~ws ~ep s ~c ~reclaim_at ~k ~work_done ~overhead =
              banked = pos_sub t c;
              overhead = min_of t c;
            })
-    done
-  end;
-  let o =
-    if k = n then
-      {
-        work_done;
-        work_lost = 0.0;
-        overhead = Kahan.total overhead;
-        periods_completed = k;
-        interrupted = false;
-        elapsed = ends.(n - 1);
-      }
-    else begin
+    done;
+    if interrupted then begin
       let t = periods.(k) in
       let t_start = ends.(k) -. t in
       if t_start < reclaim_at then begin
-        (* Kill mid-period: all of this period's productive time is lost. *)
-        let in_flight = reclaim_at -. t_start in
-        let lost = pos_sub in_flight c in
-        let spent = min_of in_flight c in
-        if trace then begin
-          Obs.emit obs
-            (Obs.Event.Period_dispatched
-               { time = t_start; ws; ep; period = t; assigned = pos_sub t c });
-          Obs.emit obs
-            (Obs.Event.Period_killed
-               { time = reclaim_at; ws; ep; lost; overhead = spent })
-        end;
-        {
-          work_done;
-          work_lost = lost;
-          overhead = Kahan.total_with overhead spent;
-          periods_completed = k;
-          interrupted = true;
-          elapsed = reclaim_at;
-        }
-      end
-      else
-        (* The reclaim arrived in the gap at t_start = reclaim_at: episode
-           over before this period started. *)
-        {
-          work_done;
-          work_lost = 0.0;
-          overhead = Kahan.total overhead;
-          periods_completed = k;
-          interrupted = true;
-          elapsed = reclaim_at;
-        }
-    end
-  in
-  if trace then begin
-    if o.interrupted then
-      Obs.emit obs (Obs.Event.Owner_returned { time = reclaim_at; ws; ep });
+        Obs.emit obs
+          (Obs.Event.Period_dispatched
+             { time = t_start; ws; ep; period = t; assigned = pos_sub t c });
+        Obs.emit obs
+          (Obs.Event.Period_killed
+             {
+               time = reclaim_at;
+               ws;
+               ep;
+               lost = st.lost;
+               overhead = min_of (reclaim_at -. t_start) c;
+             })
+      end;
+      Obs.emit obs (Obs.Event.Owner_returned { time = reclaim_at; ws; ep })
+    end;
     Obs.emit obs
       (Obs.Event.Episode_finished
-         { time = o.elapsed; ws; ep; work_done; interrupted = o.interrupted })
+         { time = st.ended; ws; ep; work_done = st.banked; interrupted })
   end;
   (match spanner with
   | Some r ->
       Obs.Span.exit r
         ~attrs:
-          [
-            ("completed", Jsonx.Int k); ("interrupted", Jsonx.Bool o.interrupted);
-          ]
+          [ ("completed", Jsonx.Int k); ("interrupted", Jsonx.Bool interrupted) ]
   | None -> ());
-  o
+  {
+    work_done = st.banked;
+    work_lost = st.lost;
+    overhead = st.spent;
+    periods_completed = k;
+    interrupted;
+    elapsed = st.ended;
+  }
 
 let run ?(obs = Obs.disabled) ?(ws = 0) ?(ep = 0) s ~c ~reclaim_at =
   if c < 0.0 then invalid_arg "Episode.run: c must be >= 0";
@@ -172,14 +195,14 @@ let run ?(obs = Obs.disabled) ?(ws = 0) ?(ep = 0) s ~c ~reclaim_at =
     Kahan.add done_acc (pos_sub t c);
     Kahan.add overhead (min_of t c)
   done;
-  settle obs spanner ~ws ~ep s ~c ~reclaim_at ~k
-    ~work_done:(Kahan.total done_acc) ~overhead
+  let st = settlement () in
+  st.banked <- Kahan.total done_acc;
+  close st s ~c ~reclaim_at ~k overhead;
+  report obs spanner ~ws ~ep s ~c ~reclaim_at ~k st
 
 let play ?(obs = Obs.disabled) ?(ws = 0) ?(ep = 0) r ~reclaim_at =
   if reclaim_at < 0.0 then invalid_arg "Episode.play: reclaim_at must be >= 0";
   let spanner = enter_span obs in
-  let k = completed_by r.schedule.Schedule.ends reclaim_at in
-  settle obs spanner ~ws ~ep r.schedule ~c:r.c ~reclaim_at ~k
-    ~work_done:r.work_at.(k) ~overhead:r.overhead_at.(k)
-
-let work_if_reclaimed_at s ~c t = (run s ~c ~reclaim_at:t).work_done
+  let st = settlement () in
+  let k = fill r st ~reclaim_at in
+  report obs spanner ~ws ~ep r.schedule ~c:r.c ~reclaim_at ~k st

@@ -33,12 +33,14 @@ val run :
 
     The replay reads the schedule's [periods] and [ends] arrays in place
     and copies neither, so its cost and allocation grow with the periods
-    it visits, never with the schedule's length. Uninstrumented, it
-    allocates the outcome and its two compensated sums (21 minor words),
-    plus one boxed float per addend to those sums: two per completed
-    period, one for a killed one. It is the one-trial entry; many trials
-    of one schedule play a {!replay} instead, which sums each period
-    once for all of them.
+    it visits, never with the schedule's length. It sums the completed
+    periods itself, then settles the first one that did not complete
+    with the code {!settle} runs. Uninstrumented, it allocates a
+    {!settlement}, the outcome with its four boxed figures and its two
+    compensated sums (about 30 minor words), plus about 2 words per
+    completed period for the addends boxed into those sums. It is the
+    one-trial entry; many trials of one schedule play a {!replay}
+    instead, which sums each period once for all of them.
 
     [?obs] (default {!Obs.disabled}) attaches observability: with a
     consuming sink the replay emits [Episode_started],
@@ -62,6 +64,37 @@ val replay : Schedule.t -> c:float -> replay
     {!play} can return {!run}'s outcome bit for bit. O(n) time and about
     [5n] words. Requires [c >= 0]. *)
 
+type settlement = private {
+  mutable banked : float;
+      (** Banked work: {!outcome}'s [work_done], [W_S] at the reclaim. *)
+  mutable lost : float;  (** {!outcome}'s [work_lost]. *)
+  mutable spent : float;  (** {!outcome}'s [overhead]. *)
+  mutable ended : float;  (** {!outcome}'s [elapsed]. *)
+}
+(** One trial's figures, held where their caller can reuse them: a
+    float-only record, so its fields store their floats unboxed. Only
+    {!settle} writes one. *)
+
+val settlement : unit -> settlement
+(** [settlement ()] is a fresh settlement, every field [0.0]. One per
+    domain: {!settle} overwrites it. *)
+
+val settle : replay -> settlement -> reclaim_at:float -> int
+(** [settle r st ~reclaim_at] plays one trial as {!play} does and returns
+    its completed period count [k]; the trial was interrupted iff [k] is
+    less than the schedule's period count. Its figures go into [st], each
+    bit for bit the field of {!play}'s outcome that [st]'s field names.
+    It emits nothing and allocates no outcome: uninstrumented callers
+    that fold many trials, such as {!Monte_carlo}, settle every trial
+    into one [st]. It allocates only the floats boxed across the call
+    into {!Kahan} for the overhead total: 2 to 4 minor words, whatever
+    the schedule's length. Requires [reclaim_at >= 0]. *)
+
+val work_after : replay -> int -> float
+(** [work_after r k] is the work banked by the first [k] periods of [r]'s
+    schedule, [0 <= k <= n]: the [banked] figure of every trial that
+    completes exactly [k] periods. *)
+
 val play :
   ?obs:Obs.t -> ?ws:int -> ?ep:int -> replay -> reclaim_at:float -> outcome
 (** [play r ~reclaim_at] is [run s ~c ~reclaim_at] for the schedule and
@@ -72,14 +105,8 @@ val play :
     to the overhead, through {!Kahan.total_with} on the table's
     read-only state. So a trial costs a scan of [ends] up to its reclaim
     time and O(1) beyond it, and never re-sums a completed period.
-    Uninstrumented, it allocates the outcome (7 words), its boxed work,
-    overhead and lost-work figures, and one boxed addend for a killed
-    period: at most 15 minor words, whatever the schedule's length.
-    Requires [reclaim_at >= 0]. *)
-
-val work_if_reclaimed_at : Schedule.t -> c:float -> float -> float
-(** [work_if_reclaimed_at s ~c t] is just the banked work of {!run} — the
-    deterministic work function [W_S(t)] whose expectation under [p] is
-    eq. 2.1. Exposed separately because tests integrate it directly against
-    the life function density as an independent check of
-    {!Schedule.expected_work}. *)
+    It is {!settle} into a fresh settlement, then the events and the
+    outcome built from it. Uninstrumented, it allocates the settlement,
+    the outcome and its four boxed figures on top of {!settle}'s: 22 to
+    24 minor words, whatever the schedule's length. Requires
+    [reclaim_at >= 0]. *)

@@ -7,7 +7,6 @@ type 'a t = {
 }
 
 let create () = { heap = [||]; size = 0; next_seq = 0 }
-let is_empty q = q.size = 0
 let size q = q.size
 
 let earlier a b =
@@ -74,5 +73,3 @@ let pop q =
     end;
     Some (top.time, top.payload)
   end
-
-let peek_time q = if q.size = 0 then None else Some q.heap.(0).time

@@ -11,8 +11,6 @@ type 'a t
 
 val create : unit -> 'a t
 
-val is_empty : 'a t -> bool
-
 val size : 'a t -> int
 
 val push : 'a t -> time:float -> tie:int -> 'a -> unit
@@ -21,6 +19,3 @@ val push : 'a t -> time:float -> tie:int -> 'a -> unit
 val pop : 'a t -> (float * 'a) option
 (** [pop q] removes and returns the earliest event (breaking time ties by
     the lower [tie], then insertion order) or [None] when empty. *)
-
-val peek_time : 'a t -> float option
-(** [peek_time q] is the earliest timestamp without removing it. *)

@@ -6,6 +6,7 @@ type estimate = {
   mean_lost : float;
   interrupted_fraction : float;
   analytic : float;
+  completed : int array;
 }
 
 (* The fixed chunk grid (DESIGN.md §10): geometry depends only on the
@@ -29,39 +30,59 @@ let estimate ?(obs = Obs.disabled) ?pool ?(trials = 20_000) lf ~c ~schedule
   let g = Prng.create ~seed in
   let sampler = Reclaim.create lf in
   let replay = Episode.replay schedule ~c in
+  let n = Schedule.num_periods schedule in
   let chunks = n_chunks trials in
   let gens = Prng.split_n g chunks in
-  let works = Array.make trials 0.0 in
+  (* Completed-period tallies of n + 1 slots, one per chunk running at
+     once: a chunk takes a spare one, or makes one, and gives it back.
+     Counts add exactly, so which chunks shared a tally changes no
+     count, and a 100,000-period schedule costs n + 1 words per domain,
+     not per chunk. *)
+  let spare = ref [] and lock = Mutex.create () in
+  let take () =
+    Mutex.protect lock (fun () ->
+        match !spare with
+        | tally :: rest ->
+            spare := rest;
+            tally
+        | [] -> Array.make (n + 1) 0)
+  in
+  let give tally = Mutex.protect lock (fun () -> spare := tally :: !spare) in
   let overhead_parts = Array.make chunks 0.0 in
   let lost_parts = Array.make chunks 0.0 in
-  let interrupted_parts = Array.make chunks 0 in
   let kids = Obs_fork.scatter obs ~n:chunks in
   let run_chunk k =
     let cobs = Obs_fork.child kids k in
-    (* An uninstrumented chunk passes no [?obs]/[?ep], so a trial builds
-       no [Some] for them; [Episode.play] would observe nothing anyway. *)
+    (* An uninstrumented chunk settles each trial into one settlement and
+       builds no outcome; [Episode.play] would observe nothing anyway. *)
     let instr = Obs.instrumented cobs in
     let gk = gens.(k) in
     let first = k * chunk_size in
     let stop = Int.min trials (first + chunk_size) in
     let body () =
+      let st = Episode.settlement () in
+      let tally = take () in
       let overhead = Kahan.create () in
       let lost = Kahan.create () in
-      let interrupted = ref 0 in
       for i = first to stop - 1 do
         let reclaim_at = Reclaim.draw sampler gk in
-        let o =
-          if instr then Episode.play ~obs:cobs ~ep:i replay ~reclaim_at
-          else Episode.play replay ~reclaim_at
-        in
-        works.(i) <- o.Episode.work_done;
-        Kahan.add overhead o.Episode.overhead;
-        Kahan.add lost o.Episode.work_lost;
-        if o.Episode.interrupted then incr interrupted
+        if instr then begin
+          let o = Episode.play ~obs:cobs ~ep:i replay ~reclaim_at in
+          let j = o.Episode.periods_completed in
+          tally.(j) <- tally.(j) + 1;
+          Kahan.add overhead o.Episode.overhead;
+          Kahan.add lost o.Episode.work_lost
+        end
+        else begin
+          let j = Episode.settle replay st ~reclaim_at in
+          tally.(j) <- tally.(j) + 1;
+          Kahan.add overhead st.Episode.spent;
+          Kahan.add lost st.Episode.lost
+        end
       done;
+      give tally;
       overhead_parts.(k) <- Kahan.total overhead;
-      lost_parts.(k) <- Kahan.total lost;
-      interrupted_parts.(k) <- !interrupted
+      lost_parts.(k) <- Kahan.total lost
     in
     match Obs.span_recorder cobs with
     | None -> body ()
@@ -79,22 +100,35 @@ let estimate ?(obs = Obs.disabled) ?pool ?(trials = 20_000) lf ~c ~schedule
   if Obs.tracing obs then Obs.emit obs (Obs.Event.Run_finished { time = 0.0 });
   let overhead = Kahan.create () in
   let lost = Kahan.create () in
-  let interrupted = ref 0 in
   for k = 0 to chunks - 1 do
     Kahan.add overhead overhead_parts.(k);
-    Kahan.add lost lost_parts.(k);
-    interrupted := !interrupted + interrupted_parts.(k)
+    Kahan.add lost lost_parts.(k)
   done;
+  let completed =
+    match !spare with
+    | [] -> Array.make (n + 1) 0
+    | tally :: others ->
+        List.iter
+          (Array.iteri (fun j m -> tally.(j) <- tally.(j) + m))
+          others;
+        tally
+  in
+  (* A trial that completes k periods banks W_S after k, so the sample is
+     the n + 1 table entries, each weighted by its count. *)
+  let mean, variance =
+    Stats.tally_mean_variance ~counts:completed
+      ~value:(Episode.work_after replay)
+  in
   let tf = float_of_int trials in
-  let summary = Stats.summarize works in
   {
     trials;
-    mean_work = summary.Stats.mean;
-    ci95 = Stats.summary_ci95 summary;
+    mean_work = mean;
+    ci95 = Stats.ci95 ~mean ~variance ~n:trials;
     mean_overhead = Kahan.total overhead /. tf;
     mean_lost = Kahan.total lost /. tf;
-    interrupted_fraction = float_of_int !interrupted /. tf;
+    interrupted_fraction = float_of_int (trials - completed.(n)) /. tf;
     analytic = Schedule.expected_work ~c lf schedule;
+    completed;
   }
 
 type policy_run = {
@@ -140,14 +174,18 @@ let compare_policies ?(obs = Obs.disabled) ?pool ?(trials = 20_000) lf ~c
     let first = k * chunk_size in
     let stop = Int.min trials (first + chunk_size) in
     let body () =
+      let st = Episode.settlement () in
       let acc = Kahan.create () in
       for ti = first to stop - 1 do
         let reclaim_at = reclaims.(ti) in
-        let o =
-          if instr then Episode.play ~obs:cobs ~ws:pi ~ep:ti replay ~reclaim_at
-          else Episode.play replay ~reclaim_at
-        in
-        Kahan.add acc o.Episode.work_done
+        if instr then
+          Kahan.add acc
+            (Episode.play ~obs:cobs ~ws:pi ~ep:ti replay ~reclaim_at)
+              .Episode.work_done
+        else begin
+          ignore (Episode.settle replay st ~reclaim_at : int);
+          Kahan.add acc st.Episode.banked
+        end
       done;
       partials.(j) <- Kahan.total acc
     in

@@ -8,10 +8,14 @@
     Both entry points split their trial loop over a fixed {e chunk grid}
     of {!chunk_size} trials per chunk: chunk [k] draws from the [k]-th
     {!Prng.split_n} child stream and accumulates its own compensated
-    partial sums, which are reduced in chunk-index order afterwards. The
-    grid's geometry depends only on the trial count, so results are
-    {e bit-identical} whether the chunks run inline (the default) or on a
-    caller-supplied {!Domain_pool.t} ([?pool]) — see DESIGN.md §10.
+    partial sums, which are reduced in chunk-index order afterwards.
+    {!estimate}'s chunks also count their trials by completed periods,
+    into tallies that chunks running one after another share: integer
+    counts add exactly, so the merged tally does not depend on which
+    chunks shared one. The grid's geometry depends only on the trial
+    count, so results are {e bit-identical} whether the chunks run
+    inline (the default) or on a caller-supplied {!Domain_pool.t}
+    ([?pool]) — see DESIGN.md §10.
     Observability merges the same way: each chunk records its events and
     spans into a private handle that is folded back in chunk order
     ({!Obs_fork}).
@@ -19,15 +23,23 @@
     {2 Cost of a trial}
 
     Both entry points tabulate each schedule once, with
-    {!Episode.replay} (O(n) for [n] periods), and play every trial
-    through that table with {!Episode.play}, traced or not. The table is
-    read-only, so every chunk shares it. A trial then costs its reclaim
-    draw, a scan of the schedule's period ends up to the reclaim time,
-    and O(1) more: no completed period is summed again. Uninstrumented, a
-    trial of {!estimate} allocates about 21 minor words whatever the
-    schedule's length: at most 15 in {!Episode.play}, the rest for the
-    boxed draw and {!Stats.summarize}'s boxed deviations. The outcomes
-    equal {!Episode.run}'s bit for bit. *)
+    {!Episode.replay} (O(n) for [n] periods). The table is read-only, so
+    every chunk shares it. An uninstrumented trial is one reclaim draw
+    and one {!Episode.settle} into its chunk's one settlement: a scan of
+    the schedule's period ends up to the reclaim time, and O(1) more. No
+    completed period is summed again, and no outcome record is built.
+    An instrumented trial plays the table with {!Episode.play}, which
+    emits the trial's events; its figures are the same, bit for bit.
+
+    {!estimate} keeps no per-trial array. It counts trials by completed
+    periods [k] (a trial that completes [k] periods banks
+    {!Episode.work_after} [k]) and sums their overhead and lost work.
+    The mean and variance of the banked work are then sums over the
+    [n + 1] counts, not over [trials] samples, and the tallies take
+    [n + 1] words for each chunk running at once. Uninstrumented, a
+    trial allocates about 11 minor words whatever the schedule's length:
+    the boxed draw, the overhead and lost-work figures boxed into
+    {!Kahan.add}, and {!Episode.settle}'s overhead total. *)
 
 val chunk_size : int
 (** Trials per chunk of the fixed grid (512). *)
@@ -40,6 +52,11 @@ type estimate = {
   mean_lost : float;
   interrupted_fraction : float;
   analytic : float;  (** [Schedule.expected_work] for the same inputs. *)
+  completed : int array;
+      (** [n + 1] slots for an [n]-period schedule: slot [k] is the
+          number of trials that completed exactly [k] periods. The slots
+          sum to [trials], and slot [n] holds the trials that were not
+          interrupted. *)
 }
 
 val estimate :

@@ -66,14 +66,18 @@ let test_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative reclaim accepted"
 
+(* W_S(t): the work banked by an episode reclaimed at [t], the
+   deterministic work function whose expectation under p is eq. 2.1. *)
+let work_at s ~c t = (Episode.run s ~c ~reclaim_at:t).Episode.work_done
+
 let test_work_function_is_step () =
   (* W_S(t) is a right-continuous step function jumping at completion
      times. *)
-  feq 0.0 (Episode.work_if_reclaimed_at s ~c 4.999);
-  feq 4.0 (Episode.work_if_reclaimed_at s ~c 5.0);
-  feq 4.0 (Episode.work_if_reclaimed_at s ~c 8.999);
-  feq 7.0 (Episode.work_if_reclaimed_at s ~c 9.0);
-  feq 9.0 (Episode.work_if_reclaimed_at s ~c 12.0)
+  feq 0.0 (work_at s ~c 4.999);
+  feq 4.0 (work_at s ~c 5.0);
+  feq 4.0 (work_at s ~c 8.999);
+  feq 7.0 (work_at s ~c 9.0);
+  feq 9.0 (work_at s ~c 12.0)
 
 let test_expected_work_is_integral_of_work_function () =
   (* E(S;p) = ∫ W_S dP = Σ_i W(T_i) ΔP — independently verify eq. 2.1 by
@@ -84,7 +88,7 @@ let test_expected_work_is_integral_of_work_function () =
   (* Integrate W(t) * f(t) dt + W(L) * p(L) with f = 1/L, p(L) = 0. *)
   let integral =
     Quadrature.adaptive_simpson ~tol:1e-10
-      (fun t -> Episode.work_if_reclaimed_at s ~c t /. l)
+      (fun t -> work_at s ~c t /. l)
       ~lo:0.0 ~hi:l
   in
   feq ~eps:1e-6 (Schedule.expected_work ~c lf s) integral
@@ -109,8 +113,7 @@ let prop_work_monotone_in_reclaim_time =
         (float_range 0.0 40.0) (float_range 0.0 10.0))
     (fun (ts, r1, dr) ->
       let s = Schedule.of_periods ts in
-      Episode.work_if_reclaimed_at s ~c:1.0 (r1 +. dr)
-      >= Episode.work_if_reclaimed_at s ~c:1.0 r1 -. 1e-12)
+      work_at s ~c:1.0 (r1 +. dr) >= work_at s ~c:1.0 r1 -. 1e-12)
 
 let prop_accounting_conserves_time =
   (* Completed periods' durations + current in-flight time = elapsed. *)
@@ -225,10 +228,14 @@ let all_cases () =
         (overheads s))
     (Lazy.force family_plans @ Lazy.force random_schedules)
 
+(* [settle] into one reused settlement gives the same figures and count,
+   and [work_after] at that count is the banked work. *)
 let test_play_equals_run () =
   let count = ref 0 in
+  let st = Episode.settlement () in
   List.iter
     (fun (s, c, r, ts) ->
+      let n = Schedule.num_periods s in
       List.iter
         (fun reclaim_at ->
           incr count;
@@ -236,8 +243,20 @@ let test_play_equals_run () =
           let got = outcome_bits (Episode.play r ~reclaim_at) in
           if want <> got then
             Alcotest.failf
-              "%d periods, c = %h, reclaim at %h: play differs from run"
-              (Schedule.num_periods s) c reclaim_at)
+              "%d periods, c = %h, reclaim at %h: play differs from run" n c
+              reclaim_at;
+          let k = Episode.settle r st ~reclaim_at in
+          let settled =
+            [|
+              bits st.Episode.banked; bits st.Episode.lost;
+              bits st.Episode.spent; bits st.Episode.ended; Int64.of_int k;
+              (if k < n then 1L else 0L);
+            |]
+          in
+          if settled <> want || bits (Episode.work_after r k) <> want.(0) then
+            Alcotest.failf
+              "%d periods, c = %h, reclaim at %h: settle differs from run" n c
+              reclaim_at)
         ts)
     (all_cases ());
   if !count < 10_000 then Alcotest.failf "only %d cases" !count
@@ -285,9 +304,15 @@ let test_replay_validation () =
   (match Episode.replay s ~c:(-1.0) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative c accepted");
-  match Episode.play (Episode.replay s ~c) ~reclaim_at:(-1.0) with
+  (match Episode.play (Episode.replay s ~c) ~reclaim_at:(-1.0) with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative reclaim accepted"
+  | _ -> Alcotest.fail "negative reclaim accepted");
+  match
+    Episode.settle (Episode.replay s ~c) (Episode.settlement ())
+      ~reclaim_at:(-1.0)
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "negative reclaim settled"
 
 (* A played trial reads two table slots whatever its completed count: a
    trial that completes ~150 periods of a ~200-period schedule allocates

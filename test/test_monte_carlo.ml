@@ -148,11 +148,15 @@ let test_mc_known_answers () =
            |]))
     pinned_schedules
 
-(* A trial copies no schedule array, boxes nothing in the generator and
-   re-sums no completed period: it plays the schedule's one replay table.
-   ~21 minor words per trial on the 198-period schedule (~58 when every
-   trial re-summed its completed periods), where a trial that copied both
-   arrays would allocate ~480. *)
+(* An uninstrumented trial settles into its chunk's one float-only
+   settlement and is counted by its completed periods: it builds no
+   outcome record and stores into no per-trial array. What it allocates
+   is its boxed draw, its overhead and lost work boxed into [Kahan.add],
+   and the overhead total [Episode.settle] reads back from [Kahan]:
+   ~10.6 minor words per trial on the 198-period schedule. A trial that
+   built an outcome and stored its work for a two-pass summary took ~21,
+   one that re-summed its completed periods ~58, and one that copied
+   both schedule arrays would take ~480. *)
 let test_mc_allocation_per_trial () =
   let _, lf, t0, _ = List.nth pinned_schedules 2 in
   let schedule = pinned_schedule lf ~t0 in
@@ -162,8 +166,194 @@ let test_mc_allocation_per_trial () =
     (Sys.opaque_identity
        (Monte_carlo.estimate ~trials lf ~c ~schedule ~seed:1L));
   let per_trial = (Gc.minor_words () -. before) /. float_of_int trials in
-  if per_trial > 30.0 then
+  if per_trial > 12.0 then
     Alcotest.failf "%.1f minor words per trial" per_trial
+
+(* A Kaplan–Meier fit of 1,000 censored day/night absences: a p with no
+   closed form, planned on the grid. *)
+let fitted_life =
+  lazy
+    (Owner_model.collect ~censor_at:960.0
+       (Owner_model.Day_night
+          { short_mean = 15.0; long_mean = 480.0; long_fraction = 0.15 })
+       (Prng.create ~seed:4L) ~n:1000
+    |> Survival.of_observations)
+      .Survival.life
+
+(* The three pinned schedules with their p, and the fit with its plan. *)
+let scenarios () =
+  List.map
+    (fun (name, lf, t0, _) -> (name, lf, pinned_schedule lf ~t0))
+    pinned_schedules
+  @
+  let lf = Lazy.force fitted_life in
+  [ ("fit", lf, (Guideline.plan lf ~c).Guideline.schedule) ]
+
+let bits = Int64.bits_of_float
+
+(* The distance in ulps between two finite floats of the same sign. *)
+let ulps a b = Int64.abs (Int64.sub (bits a) (bits b))
+
+(* A handle that passes every event to [on_event] and records spans, as
+   [csctl simulate --trace] does. *)
+let tracing on_event =
+  Obs.create ~sink:(Obs.Sink.Custom on_event) ~spans:(Obs.Span.create ()) ()
+
+(* An untraced trial is settled in place and folded into its chunk's
+   tally; a traced one is played and emits its events. Both must give
+   the same record: every float compared as bits. *)
+let test_traced_equals_untraced () =
+  let estimate_bits (e : Monte_carlo.estimate) =
+    let lo, hi = e.Monte_carlo.ci95 in
+    ( e.Monte_carlo.trials,
+      Array.map bits
+        [|
+          e.Monte_carlo.mean_work; lo; hi; e.Monte_carlo.mean_overhead;
+          e.Monte_carlo.mean_lost; e.Monte_carlo.interrupted_fraction;
+          e.Monte_carlo.analytic;
+        |],
+      e.Monte_carlo.completed )
+  in
+  let runs_bits =
+    List.map (fun r ->
+        ( r.Monte_carlo.policy_name,
+          bits r.Monte_carlo.mean_work_per_episode,
+          r.Monte_carlo.episodes ))
+  in
+  List.iter
+    (fun (name, lf, schedule) ->
+      let events = ref 0 in
+      let obs = tracing (fun _ -> incr events) in
+      let plain = Monte_carlo.estimate ~trials:3000 lf ~c ~schedule ~seed:42L in
+      let traced =
+        Monte_carlo.estimate ~obs ~trials:3000 lf ~c ~schedule ~seed:42L
+      in
+      if estimate_bits plain <> estimate_bits traced then
+        Alcotest.failf "%s: the traced estimate differs" name;
+      let policies =
+        [
+          ("plan", schedule);
+          ("single", (Baselines.single_period lf ~c).Baselines.schedule);
+        ]
+      in
+      let plain =
+        Monte_carlo.compare_policies ~trials:3000 lf ~c ~policies ~seed:42L
+      in
+      let traced =
+        Monte_carlo.compare_policies ~obs ~trials:3000 lf ~c ~policies
+          ~seed:42L
+      in
+      if runs_bits plain <> runs_bits traced then
+        Alcotest.failf "%s: the traced comparison differs" name;
+      if !events = 0 then Alcotest.failf "%s: nothing was traced" name)
+    (scenarios ())
+
+(* The two-pass sample mean and unbiased variance that [estimate] took
+   over a per-trial array of banked work before it counted trials by
+   completed periods: the oracle its mean and CI are checked against. *)
+let two_pass xs =
+  let n = float_of_int (Array.length xs) in
+  let mean = Kahan.sum xs /. n in
+  let acc = Kahan.create () in
+  Array.iter
+    (fun x ->
+      let d = x -. mean in
+      Kahan.add acc (d *. d))
+    xs;
+  (mean, Kahan.total acc /. (n -. 1.0))
+
+(* The normal-approximation 95% CI of the population mean. *)
+let two_pass_ci95 xs =
+  let mean, variance = two_pass xs in
+  let se = sqrt variance /. sqrt (float_of_int (Array.length xs)) in
+  (mean -. (1.96 *. se), mean +. (1.96 *. se))
+
+let test_two_pass_oracle () =
+  let mean, variance = two_pass [| 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 |] in
+  Alcotest.(check (float 1e-12)) "mean" 5.0 mean;
+  (* The squared deviations sum to 32, over n - 1 = 7. *)
+  Alcotest.(check (float 1e-12)) "variance" (32.0 /. 7.0) variance;
+  (* For [0; 2], stddev = sqrt 2 and se = 1: the CI is 1 ± 1.96. *)
+  let lo, hi = two_pass_ci95 [| 0.0; 2.0 |] in
+  Alcotest.(check (float 1e-12)) "lo" (1.0 -. 1.96) lo;
+  Alcotest.(check (float 1e-12)) "hi" (1.0 +. 1.96) hi
+
+(* The tally's mean and CI against the two-pass oracle over the same
+   trials' banked work, which a traced run's [Episode_finished] events
+   carry in trial order. *)
+let test_mean_and_ci_match_two_pass () =
+  let trials = 5000 in
+  List.iter
+    (fun (name, lf, schedule) ->
+      let works = ref [] in
+      let obs =
+        tracing (function
+          | Obs.Event.Episode_finished { work_done; _ } ->
+              works := work_done :: !works
+          | _ -> ())
+      in
+      ignore (Monte_carlo.estimate ~obs ~trials lf ~c ~schedule ~seed:42L);
+      let xs = Array.of_list (List.rev !works) in
+      Alcotest.(check int) (name ^ " trials") trials (Array.length xs);
+      let e = Monte_carlo.estimate ~trials lf ~c ~schedule ~seed:42L in
+      let mean, _ = two_pass xs and lo, hi = two_pass_ci95 xs in
+      let elo, ehi = e.Monte_carlo.ci95 in
+      let worst =
+        List.fold_left Int64.max 0L
+          [ ulps mean e.Monte_carlo.mean_work; ulps lo elo; ulps hi ehi ]
+      in
+      if worst > 4L then
+        Alcotest.failf "%s: %Ld ulps from the two-pass oracle" name worst)
+    (scenarios ())
+
+(* Eq. 2.1 per period: a trial completes exactly k < n periods when
+   T_{k-1} <= R < T_k, with probability p(T_{k-1}) - p(T_k) (and
+   p(T_{-1}) = 1), and all n with probability p(T_{n-1}). Each slot
+   expected to hold at least 5 trials lies within 5 binomial standard
+   errors of its expectation. The slots expected to hold fewer are
+   pooled, and the pool must too: a lone trial in a slot expected to
+   hold 0.0005 trials is 46 standard errors out on its own. A slot of
+   probability 0 holds no trial. *)
+let test_completed_counts_fit_the_law () =
+  let trials = 20_000 in
+  let tf = float_of_int trials in
+  let within m q =
+    Float.abs (float_of_int m -. (tf *. q))
+    <= 5.0 *. sqrt (tf *. q *. (1.0 -. q))
+  in
+  List.iter
+    (fun (name, lf, schedule) ->
+      let e = Monte_carlo.estimate ~trials lf ~c ~schedule ~seed:42L in
+      let completed = e.Monte_carlo.completed in
+      let ends = schedule.Schedule.ends in
+      let n = Array.length ends in
+      Alcotest.(check int) (name ^ " slots") (n + 1) (Array.length completed);
+      let p k = if k < 0 then 1.0 else Life_function.eval lf ends.(k) in
+      let pool_q = ref 0.0 and pool_m = ref 0 in
+      for k = 0 to n do
+        let q = if k = n then p (n - 1) else p (k - 1) -. p k in
+        let m = completed.(k) in
+        if q = 0.0 && m > 0 then
+          Alcotest.failf "%s: %d trials in slot %d, of probability 0" name m k
+        else if tf *. q >= 5.0 then begin
+          if not (within m q) then
+            Alcotest.failf "%s: slot %d holds %d trials, %.1f expected" name
+              k m (tf *. q)
+        end
+        else begin
+          pool_q := !pool_q +. q;
+          pool_m := !pool_m + m
+        end
+      done;
+      if not (within !pool_m !pool_q) then
+        Alcotest.failf "%s: the sparse slots hold %d trials, %.1f expected"
+          name !pool_m (tf *. !pool_q);
+      Alcotest.(check int) (name ^ " slots sum to trials") trials
+        (Array.fold_left ( + ) 0 completed);
+      Alcotest.(check (float 1e-9)) (name ^ " slot n = uninterrupted trials")
+        (tf *. (1.0 -. e.Monte_carlo.interrupted_fraction))
+        (float_of_int completed.(n)))
+    (scenarios ())
 
 let prop_mc_within_5_sigma =
   QCheck.Test.make ~name:"MC mean within 5 standard errors of analytic E"
@@ -205,5 +395,12 @@ let () =
           Alcotest.test_case "known answers" `Quick test_mc_known_answers;
           Alcotest.test_case "allocation per trial" `Quick
             test_mc_allocation_per_trial;
+          Alcotest.test_case "traced = untraced, bitwise" `Quick
+            test_traced_equals_untraced;
+          Alcotest.test_case "two-pass oracle" `Quick test_two_pass_oracle;
+          Alcotest.test_case "mean and CI = two-pass oracle" `Quick
+            test_mean_and_ci_match_two_pass;
+          Alcotest.test_case "completed counts fit eq. 2.1" `Quick
+            test_completed_counts_fit_the_law;
         ] );
     ]

@@ -198,9 +198,10 @@ let test_normal_moments () =
   let g = Prng.create ~seed:19L in
   let n = 200_000 in
   let xs = Array.init n (fun _ -> Prng.normal g ~mu:3.0 ~sigma:2.0) in
-  let s = Stats.summarize xs in
-  Alcotest.(check (float 0.05)) "normal mean" 3.0 s.Stats.mean;
-  Alcotest.(check (float 0.1)) "normal stddev" 2.0 s.Stats.stddev
+  let mu = Stats.mean xs in
+  Alcotest.(check (float 0.05)) "normal mean" 3.0 mu;
+  Alcotest.(check (float 0.1)) "normal stddev" 2.0
+    (sqrt (Stats.mean (Array.map (fun x -> (x -. mu) *. (x -. mu)) xs)))
 
 let test_weibull_median () =
   let g = Prng.create ~seed:23L in

@@ -7,32 +7,32 @@ let test_mean_empty () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
 
+(* [2; 4; 4; 4; 5; 5; 7; 9] kept as counts of its distinct values; the
+   empty slot's NaN must not be read. *)
 let test_summarize () =
-  let s = Stats.summarize [| 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 |] in
-  feq 1e-12 5.0 s.Stats.mean;
+  let values = [| 2.0; 4.0; Float.nan; 5.0; 7.0; 9.0 |] in
+  let mean, variance =
+    Stats.tally_mean_variance ~counts:[| 1; 3; 0; 2; 1; 1 |]
+      ~value:(Array.get values)
+  in
+  feq 1e-12 5.0 mean;
   (* sample variance with n-1: sum of squared deviations = 32, / 7 *)
-  feq 1e-12 (32.0 /. 7.0) s.Stats.variance;
-  feq 1e-12 2.0 s.Stats.min;
-  feq 1e-12 9.0 s.Stats.max;
-  Alcotest.(check int) "n" 8 s.Stats.n
-
-let test_summarize_single () =
-  let s = Stats.summarize [| 42.0 |] in
-  feq 0.0 42.0 s.Stats.mean;
-  feq 0.0 0.0 s.Stats.variance
+  feq 1e-12 (32.0 /. 7.0) variance;
+  List.iter
+    (fun counts ->
+      match Stats.tally_mean_variance ~counts ~value:Float.of_int with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "expected Invalid_argument")
+    [ [||]; [| 0; 1 |]; [| 3; -1 |] ]
 
 let test_standard_error () =
   (* For [0;2], stddev = sqrt(2), se = 1: the CI is mean ± 1.96. *)
-  let lo, hi = Stats.summary_ci95 (Stats.summarize [| 0.0; 2.0 |]) in
+  let mean, variance =
+    Stats.tally_mean_variance ~counts:[| 1; 0; 1 |] ~value:Float.of_int
+  in
+  let lo, hi = Stats.ci95 ~mean ~variance ~n:2 in
   feq 1e-12 (1.0 -. 1.96) lo;
   feq 1e-12 (1.0 +. 1.96) hi
-
-let test_ci_contains_mean () =
-  let xs = Array.init 1000 (fun i -> float_of_int (i mod 10)) in
-  let lo, hi = Stats.summary_ci95 (Stats.summarize xs) in
-  let mu = Stats.mean xs in
-  Alcotest.(check bool) "mean inside CI" true (lo < mu && mu < hi);
-  Alcotest.(check bool) "CI narrow for large n" true (hi -. lo < 0.5)
 
 let test_quantiles () =
   let xs = [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
@@ -116,11 +116,6 @@ let test_rmse () =
   let predicted = [| 1.0; 2.0; 3.0 |] and actual = [| 1.0; 2.0; 7.0 |] in
   feq 1e-12 (4.0 /. sqrt 3.0) (Stats.rmse ~predicted ~actual)
 
-let prop_variance_nonnegative =
-  QCheck.Test.make ~name:"variance is nonnegative" ~count:200
-    QCheck.(array_of_size Gen.(int_range 1 40) (float_range (-100.0) 100.0))
-    (fun a -> (Stats.summarize a).Stats.variance >= 0.0)
-
 let prop_quantile_monotone =
   QCheck.Test.make ~name:"quantile is monotone in q" ~count:200
     QCheck.(array_of_size Gen.(int_range 2 40) (float_range (-10.0) 10.0))
@@ -135,9 +130,7 @@ let () =
           Alcotest.test_case "mean" `Quick test_mean;
           Alcotest.test_case "mean empty" `Quick test_mean_empty;
           Alcotest.test_case "summarize" `Quick test_summarize;
-          Alcotest.test_case "summarize single" `Quick test_summarize_single;
           Alcotest.test_case "standard error" `Quick test_standard_error;
-          Alcotest.test_case "CI contains mean" `Quick test_ci_contains_mean;
           Alcotest.test_case "quantiles" `Quick test_quantiles;
           Alcotest.test_case "quantile interpolates" `Quick
             test_quantile_interpolates;
@@ -151,7 +144,6 @@ let () =
           Alcotest.test_case "survival rejects non-finite" `Quick
             test_survival_non_finite_rejected;
           Alcotest.test_case "rmse" `Quick test_rmse;
-          QCheck_alcotest.to_alcotest prop_variance_nonnegative;
           QCheck_alcotest.to_alcotest prop_quantile_monotone;
         ] );
     ]

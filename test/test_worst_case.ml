@@ -15,7 +15,7 @@ let test_work_matches_episode () =
   List.iter
     (fun t ->
       Alcotest.(check (float 1e-12)) "consistent with Episode"
-        (Episode.work_if_reclaimed_at s ~c t)
+        (Episode.run s ~c ~reclaim_at:t).Episode.work_done
         (Worst_case.work_if_killed_at s ~c t))
     [ 0.0; 4.9; 5.0; 8.9; 9.0; 12.0; 13.9; 14.0; 99.0 ]
 
